@@ -6,8 +6,7 @@ target). This experiment measures the worker-pool runtime two ways:
 
 * **fuzzing throughput** — the input-sharded :class:`ParallelFuzzer`
   against the packet-parser firmware at 1/2/4 workers vs the serial
-  fuzzer, under **both transports** (shared-memory slabs and the plain
-  queue fallback), *with identical results asserted*: same crashes,
+  fuzzer, *with identical results asserted*: same crashes,
   same edge set, byte-identical verdict string for every cell. The
   workload is **scaled until the serial baseline takes ≥ 2 s** (probe
   run → executions rounded up to whole batches), so speedup ratios sit
@@ -15,27 +14,22 @@ target). This experiment measures the worker-pool runtime two ways:
   its speedup.
 * **DSE verdict identity + state-wire economics** — the leased
   :class:`ParallelAnalysisEngine` reproduces the serial engine's
-  verdicts on a forking workload at 1/2/4 workers under both
-  transports, and the delta state wire
-  (:mod:`repro.parallel.statewire`) is measured against a full-pickle
-  baseline cell (``delta_state=False``): the **wire-efficiency gate**
-  requires mean delta bytes per shipped state < 25 % of mean
-  full-pickle bytes.
+  verdicts on a forking workload at 1/2/4 workers, and the delta state
+  wire (:mod:`repro.parallel.statewire`) is measured against a
+  full-pickle baseline cell (``delta_state=False``): the
+  **wire-efficiency gate** requires mean delta bytes per shipped state
+  < 25 % of mean full-pickle bytes. Every DSE cell's host seconds are
+  tabulated next to the serial engine's.
 
-The full-pickle baseline cell doubles as the **shm-lane proof**: its
-fat envelopes exceed the transport's 2048-byte blob floor and ride the
-coordinator→worker shared-memory lane (``shm_bytes_out > 0``). The
-delta cells' envelopes sit *below* the floors — that is the codec
-working as intended, and inline queueing is then optimal (a sub-KB
-message costs less to enqueue than to stage + ack in a slab), so
-``shm_bytes_out == 0`` under deltas is recorded as a feature, with the
-baseline cell proving the lane itself functions.
+Every cell moves its envelopes over the pool's one IPC path (packed
+batches on ``mp.Queue``); the artifact records the queue bytes and
+encode/decode seconds per cell.
 
 Speedup is only asserted for worker counts the host can actually run
 concurrently (``effective cores >= workers``); other counts still
 verify every identity property, and the skipped gate is recorded in
-the artifact — never silently dropped. The gate: the default transport
-must beat serial (> 1.0x) at 2 workers.
+the artifact — never silently dropped. The gate: the pool must beat
+serial (> 1.0x) at 2 workers.
 
 Emits ``benchmarks/out/BENCH_parallel.json`` with the scaling table.
 """
@@ -49,7 +43,6 @@ from repro.core import HardSnapSession, SnapshotFuzzer
 from repro.firmware import TIMER_BASE, dispatcher, fuzz_packet_parser
 from repro.isa import assemble
 from repro.parallel import ParallelAnalysisEngine, ParallelFuzzer
-from repro.parallel.shm import shm_available
 from repro.peripherals import catalog
 from repro.targets import FpgaTarget
 
@@ -67,8 +60,8 @@ MIN_SERIAL_S = 2.0
 #: Ceiling so a fast host cannot scale the run into minutes.
 MAX_EXECUTIONS = 19_968  # 312 batches
 WORKER_COUNTS = [1, 2, 4]
-#: The parallel runtime must beat serial at 2 workers (the ISSUE-8
-#: headline) on the default transport, when the host has the cores.
+#: The parallel runtime must beat serial at 2 workers, when the host
+#: has the cores.
 MIN_SPEEDUP = 1.0
 GATE_WORKERS = 2
 #: Wire-efficiency gate (ISSUE-9): mean delta-encoded state bytes must
@@ -85,13 +78,6 @@ def _effective_cores() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-def _transports():
-    kinds = ["queue"]
-    if shm_available():
-        kinds.insert(0, "shm")  # default first
-    return kinds
 
 
 def _serial_fuzz(executions):
@@ -116,10 +102,10 @@ def _scaled_executions(probe_s: float) -> int:
     return min(batches * BATCH, MAX_EXECUTIONS)
 
 
-def _parallel_fuzz(workers, transport, executions):
+def _parallel_fuzz(workers, executions):
     with ParallelFuzzer(fuzz_packet_parser(), TIMER, seeds=SEEDS,
                         workers=workers, batch_size=BATCH,
-                        seed=3, transport=transport) as fuzzer:
+                        seed=3) as fuzzer:
         fuzzer.warm()  # target elaboration out of the timed region
         start = time.perf_counter()
         report = fuzzer.run(executions=executions)
@@ -128,9 +114,9 @@ def _parallel_fuzz(workers, transport, executions):
     return report, elapsed, stats
 
 
-def _dse_cell(transport, workers, delta_state=True):
+def _dse_cell(workers, delta_state=True):
     with ParallelAnalysisEngine(dispatcher(**DSE_FIRMWARE_ARGS), TIMER,
-                                workers=workers, transport=transport,
+                                workers=workers,
                                 delta_state=delta_state,
                                 scan_mode="functional") as engine:
         start = time.perf_counter()
@@ -151,72 +137,78 @@ def test_parallel_scaling(benchmark):
         serial, serial_s = benchmark.pedantic(
             _serial_fuzz, args=(executions,), rounds=1, iterations=1)
 
-    transports = _transports()
-    default_transport = transports[0]
-    rows = [["serial", "-", 1, f"{serial_s:.3f}", "1.00x",
+    rows = [["serial", 1, f"{serial_s:.3f}", "1.00x",
              f"{executions / serial_s:.0f}",
-             len(serial.crashes), serial.edges_covered, "-", "-",
+             len(serial.crashes), serial.edges_covered, "-",
              "reference"]]
     cells = {}
-    for transport in transports:
-        for workers in WORKER_COUNTS:
-            report, elapsed, stats = _parallel_fuzz(workers, transport,
-                                                    executions)
-            identical = (report.verdict_summary()
-                         == serial.verdict_summary())
-            ipc = stats.ipc
-            cells[(transport, workers)] = (report, elapsed, identical,
-                                           ipc.as_dict())
-            rows.append([
-                "parallel", stats.transport, workers, f"{elapsed:.3f}",
-                f"{serial_s / elapsed:.2f}x",
-                f"{executions / elapsed:.0f}",
-                len(report.crashes), report.edges_covered,
-                f"{ipc.queue_bytes_out + ipc.queue_bytes_in}",
-                f"{ipc.shm_bytes_out + ipc.shm_bytes_in}",
-                "identical" if identical else "DIVERGED"])
+    for workers in WORKER_COUNTS:
+        report, elapsed, stats = _parallel_fuzz(workers, executions)
+        identical = (report.verdict_summary()
+                     == serial.verdict_summary())
+        ipc = stats.ipc
+        cells[workers] = (report, elapsed, identical, ipc.as_dict())
+        rows.append([
+            "parallel", workers, f"{elapsed:.3f}",
+            f"{serial_s / elapsed:.2f}x",
+            f"{executions / elapsed:.0f}",
+            len(report.crashes), report.edges_covered,
+            f"{ipc.queue_bytes_out + ipc.queue_bytes_in}",
+            "identical" if identical else "DIVERGED"])
 
     cores = os.cpu_count() or 1
     effective_cores = _effective_cores()
     table = format_table(
-        ["runtime", "transport", "workers", "host s", "speedup",
-         "exec/s", "crashes", "edges", "queue B", "shm B",
-         "verdict vs serial"],
+        ["runtime", "workers", "host s", "speedup", "exec/s", "crashes",
+         "edges", "queue B", "verdict vs serial"],
         rows,
         title=f"E9: input-sharded fuzzing, {executions} executions "
               f"(batch {BATCH}, {cores} host cores, "
               f"{effective_cores} effective)")
-    emit("parallel_scaling", table)
 
-    # -- DSE: verdict identity at 1/2/4 workers under both transports,
-    # and state-wire economics vs a full-pickle baseline cell ----------
+    # -- DSE: verdict identity at 1/2/4 workers, and state-wire
+    # economics vs a full-pickle baseline cell -------------------------
+    start = time.perf_counter()
     dse_serial = HardSnapSession(
         dispatcher(**DSE_FIRMWARE_ARGS), TIMER,
         scan_mode="functional").run(max_instructions=DSE_INSTRUCTIONS)
-    dse_cells = {}
-    for transport in transports:
-        for workers in WORKER_COUNTS:
-            report, elapsed, stats = _dse_cell(transport, workers)
-            dse_cells[(transport, workers)] = {
-                "host_s": elapsed,
+    dse_serial_s = time.perf_counter() - start
+
+    def measure_dse(workers, delta_state=True):
+        report, elapsed, stats = _dse_cell(workers, delta_state)
+        return {"host_s": elapsed,
                 "verdict_identical": (report.verdict_summary()
                                       == dse_serial.verdict_summary()),
                 "ipc": stats.ipc.as_dict(),
-                "state_wire": stats.state_wire.as_dict(),
-            }
-    baseline_report, baseline_s, baseline_stats = _dse_cell(
-        default_transport, GATE_WORKERS, delta_state=False)
-    baseline_cell = {
-        "host_s": baseline_s,
-        "verdict_identical": (baseline_report.verdict_summary()
-                              == dse_serial.verdict_summary()),
-        "ipc": baseline_stats.ipc.as_dict(),
-        "state_wire": baseline_stats.state_wire.as_dict(),
-    }
+                "state_wire": stats.state_wire.as_dict()}
+
+    dse_cells = {workers: measure_dse(workers) for workers in WORKER_COUNTS}
+    baseline_cell = measure_dse(GATE_WORKERS, delta_state=False)
+
+    dse_rows = [["serial", 1, f"{dse_serial_s:.3f}", "1.0x", "-", "-",
+                 "reference"]]
+    for label, workers, cell in (
+            [("delta", w, c) for w, c in dse_cells.items()]
+            + [("full pickle", GATE_WORKERS, baseline_cell)]):
+        sw = cell["state_wire"]
+        dse_rows.append([
+            label, workers, f"{cell['host_s']:.3f}",
+            f"{cell['host_s'] / dse_serial_s:.1f}x",
+            sw["states_sent"],
+            sw["state_bytes_delta"] + sw["state_bytes_full"],
+            "identical" if cell["verdict_identical"] else "DIVERGED"])
+    dse_table = format_table(
+        ["state wire", "workers", "host s", "vs serial", "states",
+         "state B", "verdict vs serial"],
+        dse_rows,
+        title=f"E9: leased DSE, dispatcher(n_paths="
+              f"{DSE_FIRMWARE_ARGS['n_paths']}), "
+              f"{dse_serial.instructions} instructions")
+    emit("parallel_scaling", table + "\n\n" + dse_table)
 
     # Wire-efficiency gate: mean state bytes per shipped state, delta
-    # vs full pickle, on the same workload/transport/worker count.
-    delta_sw = dse_cells[(default_transport, GATE_WORKERS)]["state_wire"]
+    # vs full pickle, on the same workload and worker count.
+    delta_sw = dse_cells[GATE_WORKERS]["state_wire"]
     full_sw = baseline_cell["state_wire"]
     mean_delta_b = (delta_sw["state_bytes_delta"]
                     / max(1, delta_sw["delta_states"]))
@@ -230,30 +222,12 @@ def test_parallel_scaling(benchmark):
         "enforced": True,  # byte accounting needs no spare cores
     }
 
-    # Coordinator→worker shm lane: the full-pickle baseline must use it
-    # (fat envelopes exceed the blob floor); the delta cells' envelopes
-    # sit below the floors by design, where inline queueing wins.
-    shm_lane = {
-        "delta_shm_bytes_out":
-            dse_cells[(default_transport, GATE_WORKERS)]["ipc"]
-            ["shm_bytes_out"],
-        "full_baseline_shm_bytes_out":
-            baseline_cell["ipc"]["shm_bytes_out"],
-        "note": (
-            "full-pickle lease envelopes exceed the 2048B blob floor "
-            "and ride the coordinator->worker shm lane; delta-encoded "
-            "envelopes are smaller than both shm floors (512B chunk / "
-            "2048B blob), where inline queueing is cheaper than "
-            "slab staging + acks — shm_bytes_out == 0 under deltas "
-            "is the codec shrinking the traffic, not a starved lane"),
-    }
-
     # Speedup gate eligibility: judging scaling on a runner without the
     # cores to scale onto is meaningless, but the skipped gate must be
     # visible in the artifact (no-silent-caps).
     gate_eligible = effective_cores >= GATE_WORKERS
     gate = {"min_speedup": MIN_SPEEDUP, "workers": GATE_WORKERS,
-            "transport": default_transport, "enforced": gate_eligible}
+            "enforced": gate_eligible}
     if not gate_eligible:
         gate["note"] = (
             f"speedup gate SKIPPED: {effective_cores} effective core(s) "
@@ -272,43 +246,36 @@ def test_parallel_scaling(benchmark):
         "batch_size": BATCH,
         "serial_host_s": serial_s,
         "serial_execs_per_s": executions / serial_s,
-        "default_transport": default_transport,
-        "transports": {
-            transport: {
-                str(w): {
-                    "host_s": elapsed,
-                    "speedup": serial_s / elapsed,
-                    "execs_per_s": executions / elapsed,
-                    "crashes": len(report.crashes),
-                    "edges": report.edges_covered,
-                    "verdict_identical": identical,
-                    "ipc": ipc,
-                } for (t, w), (report, elapsed, identical, ipc)
-                in cells.items() if t == transport
-            } for transport in transports
+        "fuzz": {
+            str(w): {
+                "host_s": elapsed,
+                "speedup": serial_s / elapsed,
+                "execs_per_s": executions / elapsed,
+                "crashes": len(report.crashes),
+                "edges": report.edges_covered,
+                "verdict_identical": identical,
+                "ipc": ipc,
+            } for w, (report, elapsed, identical, ipc) in cells.items()
         },
         "speedup_gate": gate,
         "dse": {
             "serial_instructions": dse_serial.instructions,
-            "cells": {f"{t}/{w}": cell
-                      for (t, w), cell in dse_cells.items()},
+            "serial_host_s": dse_serial_s,
+            "cells": {str(w): cell for w, cell in dse_cells.items()},
             "full_pickle_baseline": baseline_cell,
         },
         "state_wire_gate": wire_gate,
-        "shm_lane": shm_lane,
     })
 
-    # Identity holds unconditionally, per transport and worker count.
-    for (transport, workers), (report, _, identical, _ipc) in \
-            cells.items():
-        assert identical, (f"transport={transport} workers={workers} "
-                           f"diverged from serial")
+    # Identity holds unconditionally, per worker count.
+    for workers, (report, _, identical, _ipc) in cells.items():
+        assert identical, f"workers={workers} diverged from serial"
         assert [c.input_bytes for c in report.crashes] == \
             [c.input_bytes for c in serial.crashes]
         assert report.edge_set == serial.edge_set
-    for (transport, workers), cell in dse_cells.items():
+    for workers, cell in dse_cells.items():
         assert cell["verdict_identical"], (
-            f"DSE transport={transport} workers={workers} diverged")
+            f"DSE workers={workers} diverged")
     assert baseline_cell["verdict_identical"], \
         "full-pickle baseline diverged from serial"
     assert serial.crashes and serial.crashes[0].input_bytes[1] >= 0x80
@@ -324,18 +291,11 @@ def test_parallel_scaling(benchmark):
         f"{mean_full_b:.0f}B full — ratio {wire_gate['ratio']:.3f} "
         f"exceeds {MAX_STATE_BYTES_RATIO}")
 
-    # Shm-lane proof: the lane demonstrably works when envelopes are
-    # fat enough to need it.
-    if default_transport == "shm":
-        assert shm_lane["full_baseline_shm_bytes_out"] > 0, (
-            "full-pickle baseline sent no coordinator->worker shm "
-            "bytes — the outbound lane is broken, not merely unneeded")
-
-    # Scaling gate: the default transport must beat serial at 2 workers
-    # where the host can truly run them.
+    # Scaling gate: the pool must beat serial at 2 workers where the
+    # host can truly run them.
     if gate_eligible:
-        _, elapsed, _, _ = cells[(default_transport, GATE_WORKERS)]
+        _, elapsed, _, _ = cells[GATE_WORKERS]
         assert serial_s / elapsed >= MIN_SPEEDUP, (
-            f"{default_transport} speedup {serial_s / elapsed:.2f}x at "
+            f"speedup {serial_s / elapsed:.2f}x at "
             f"{GATE_WORKERS} workers < {MIN_SPEEDUP}x "
             f"({effective_cores} effective cores)")

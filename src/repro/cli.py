@@ -213,7 +213,7 @@ def cmd_run(args) -> int:
                              "hardsnap (snapshots make states portable)")
         with graceful_shutdown(), ParallelAnalysisEngine(
                 firmware, _parse_peripherals(args.peripheral),
-                workers=args.workers, transport=args.transport,
+                workers=args.workers,
                 delta_state=not args.no_delta_state,
                 journal=args.journal,
                 checkpoint_every=args.checkpoint_every,
@@ -254,7 +254,6 @@ def cmd_fuzz(args) -> int:
         with graceful_shutdown(), ParallelFuzzer(
                 firmware, _parse_peripherals(args.peripheral),
                 seeds=seeds, workers=args.workers,
-                transport=args.transport,
                 batch_size=args.batch_size,
                 journal=args.journal,
                 checkpoint_every=args.checkpoint_every,
@@ -442,10 +441,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=1,
                    help="shard exploration across N worker processes "
                         "(hardsnap strategy only)")
-    p.add_argument("--transport", default="auto",
-                   choices=["auto", "shm", "queue"],
-                   help="parallel IPC transport: shared-memory slabs "
-                        "(shm), plain queues (queue), or probe (auto)")
     p.add_argument("--no-delta-state", action="store_true",
                    help="ship full state pickles instead of dirty-page "
                         "+ constraint-suffix deltas (measurement "
@@ -483,10 +478,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=1,
                    help="shard executions across N worker processes "
                         "(snapshot reset only)")
-    p.add_argument("--transport", default="auto",
-                   choices=["auto", "shm", "queue"],
-                   help="parallel IPC transport: shared-memory slabs "
-                        "(shm), plain queues (queue), or probe (auto)")
     p.add_argument("--no-opt", action="store_true",
                    help="skip the netlist optimizer (repro.opt) for "
                         "hosted designs")

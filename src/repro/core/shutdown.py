@@ -2,17 +2,17 @@
 
 Until this module, nothing in ``src/repro`` handled signals at all: a
 Ctrl-C or a supervisor's SIGTERM unwound the coordinator mid-lease,
-leaking ``/dev/shm`` ``rpr-*`` slab segments and worker processes, and
-— for journaled campaigns — losing everything since the last record.
+leaking worker processes and — for journaled campaigns — losing
+everything since the last record.
 
 The contract is *cooperative*: the first signal only raises a flag.
 Every long-running loop (the serial engine and fuzzer, both parallel
 coordinators) polls :func:`shutdown_requested` at its scheduling point
 and winds down cleanly — drains in-flight work, seals a final journal
-checkpoint when journaling, closes the pool (which unlinks every shm
-segment carrying the run tag) and reports ``stop="interrupted"``. A
-*second* signal means "stop cooperating": live worker pools are closed
-escalatingly (STOP → terminate → kill → shm sweep) and
+checkpoint when journaling, closes the pool (reaping every worker) and
+reports ``stop="interrupted"``. A *second* signal means "stop
+cooperating": live worker pools are closed escalatingly (STOP →
+terminate → kill) and
 ``KeyboardInterrupt`` is raised so ``with`` blocks and ``finally``
 clauses still run on the way out.
 
@@ -59,8 +59,8 @@ def _handle(signum, frame) -> None:
     _STATE.signals += 1
     _STATE.requested = True
     if _STATE.signals >= 2:
-        # Second signal: the user means it. Reap pools (shm unlink,
-        # child reaping) and unwind through finally/with blocks.
+        # Second signal: the user means it. Reap the pools' children
+        # and unwind through finally/with blocks.
         from repro.parallel.pool import close_all_pools
         close_all_pools(timeout=2.0)
         raise KeyboardInterrupt(

@@ -23,35 +23,24 @@ path. This package is that runtime:
 * :class:`ParallelFuzzer` — input-sharded fuzzing from a shared
   post-boot snapshot; merged coverage/crashes reproduce the serial
   fuzzer's ``verdict_summary()`` for the same batch size,
-* bulk bytes move through a pluggable :class:`Transport`
-  (:mod:`repro.parallel.transport`): packed batch envelopes
-  (:mod:`repro.parallel.envelope`) whose bodies land in shared-memory
-  slabs (:class:`~repro.parallel.shm.ChunkArena`) when the host supports
-  them, with a plain-queue fallback that preserves verdicts exactly.
+* jobs and results travel as packed batch envelopes
+  (:mod:`repro.parallel.envelope`) over plain ``mp.Queue`` pipes.
 
 See ``docs/PARALLEL.md`` for the architecture and determinism rules.
 """
 
 from repro.parallel.engine import ParallelAnalysisEngine
 from repro.parallel.fuzzer import ParallelFuzzer
-from repro.parallel.pool import (InlinePool, PoolStats, PoolTimeout,
-                                 WorkerDeath, WorkerError, WorkerPool)
+from repro.parallel.pool import (InlinePool, IpcStats, PoolStats,
+                                 PoolTimeout, WorkerDeath, WorkerError,
+                                 WorkerPool)
 from repro.parallel.recipe import SessionRecipe, TargetRecipe
 from repro.parallel.statewire import StateWire, StateWireStats
-from repro.parallel.shm import (ArenaReader, ArenaStats, ChunkArena, ShmRef,
-                                ShmSegmentGone, ShmUnavailable,
-                                shm_available, unlink_stale)
-from repro.parallel.transport import (IpcStats, QueueTransport, ShmTransport,
-                                      Transport, make_transport)
 from repro.parallel.wire import ChunkChannel, WireStats
 
 __all__ = [
     "ParallelAnalysisEngine", "ParallelFuzzer", "WorkerPool", "InlinePool",
     "PoolStats", "WorkerError", "WorkerDeath", "PoolTimeout",
     "SessionRecipe", "TargetRecipe", "ChunkChannel", "WireStats",
-    "StateWire", "StateWireStats",
-    "ChunkArena", "ArenaReader", "ArenaStats", "ShmRef",
-    "ShmUnavailable", "ShmSegmentGone", "shm_available", "unlink_stale",
-    "Transport", "QueueTransport", "ShmTransport", "make_transport",
-    "IpcStats",
+    "StateWire", "StateWireStats", "IpcStats",
 ]

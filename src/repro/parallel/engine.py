@@ -51,7 +51,7 @@ from repro.core.shutdown import shutdown_requested
 from repro.errors import JournalCorruptError, JournalError, VmError
 from repro.isa.assembler import Program
 from repro.parallel.envelope import pack_lease_batch, unpack_lease_results
-from repro.parallel.pool import WorkerPool
+from repro.parallel.pool import WorkerPool, check_transport
 from repro.parallel.recipe import SessionRecipe
 from repro.parallel.recovery import PoolRecoveryMixin
 from repro.parallel.statewire import StateWire
@@ -89,12 +89,12 @@ class ParallelAnalysisEngine(PoolRecoveryMixin):
                  checkpoint_every: int = 8,
                  recipe: Optional[SessionRecipe] = None,
                  **overrides):
+        check_transport(transport)
         if recipe is not None:
             self.recipe = recipe
         elif firmware is not None:
             self.recipe = SessionRecipe.create(firmware, peripherals,
                                                config=config,
-                                               transport=transport,
                                                delta_state=delta_state,
                                                **overrides)
         else:
@@ -133,8 +133,7 @@ class ParallelAnalysisEngine(PoolRecoveryMixin):
     @property
     def pool(self) -> WorkerPool:
         if self._pool is None:
-            self._pool = WorkerPool(self.recipe, self.workers,
-                                    channel=self.channel)
+            self._pool = WorkerPool(self.recipe, self.workers)
         return self._pool
 
     @property
@@ -183,14 +182,11 @@ class ParallelAnalysisEngine(PoolRecoveryMixin):
     def _pack_leases(self, payload: Dict[str, Any],
                      worker_id: int) -> bytes:
         """``pack`` hook for the pool: structured batch → envelope
-        bytes, with the transport's piggyback lane (shm acks owed to
-        this worker, chunk evictions it must learn about) taken at pack
-        time so a re-pack ships fresh bookkeeping."""
-        transport = self.pool.transport
+        bytes, with the eviction notices this worker must learn about
+        taken at pack time so a re-pack ships fresh bookkeeping."""
         peer = self._peer(worker_id)
         return pack_lease_batch(
-            payload["leases"], transport, worker_id,
-            acks=transport.take_acks(worker_id),
+            payload["leases"], worker_id,
             evictions=self.channel.take_evictions(peer),
             state_evictions=self.statewire.take_evictions(peer),
             statewire=self.statewire)
@@ -255,15 +251,13 @@ class ParallelAnalysisEngine(PoolRecoveryMixin):
         dicts. Packed bytes come from real workers; the degraded
         InlinePool delivers the structured form directly."""
         if isinstance(data, (bytes, bytearray, memoryview)):
-            transport = self.pool.transport
             t0 = time.perf_counter()
-            acks, evictions, state_evictions, worker_enc, worker_dec, \
-                results = unpack_lease_results(data, transport, worker_id)
-            stats = transport.stats
+            evictions, state_evictions, worker_enc, worker_dec, results = \
+                unpack_lease_results(data)
+            stats = self.pool.stats.ipc
             stats.decode_s += time.perf_counter() - t0
             stats.worker_encode_s += worker_enc
             stats.worker_decode_s += worker_dec
-            transport.absorb_acks(worker_id, acks)
             peer = self._peer(worker_id)
             self.channel.forget_remote(peer, evictions)
             self.statewire.forget_remote(peer, state_evictions)
@@ -279,8 +273,6 @@ class ParallelAnalysisEngine(PoolRecoveryMixin):
     def _readdress(self, payload, peer: object) -> None:
         if not isinstance(payload, dict):
             return
-        if payload.get("wire") is not None:  # legacy single-lease dict
-            payload["wire"] = self.channel.reencode(payload["wire"], peer)
         for lease in payload.get("leases", ()):
             if lease.get("wire") is not None:
                 lease["wire"] = self.channel.reencode(lease["wire"], peer)

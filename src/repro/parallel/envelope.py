@@ -7,28 +7,24 @@ through ``memoryview`` slices (no intermediate copies on the decode
 path), and pickle confined to the payloads that are genuinely Python
 objects (execution states, chunk bodies, stats dataclasses).
 
-Every envelope also carries the transport's piggyback lane:
+Lease envelopes also carry a piggyback lane of **eviction notices**:
 
-* **acks** — per-segment consumption counts the receiver's
-  :class:`~repro.parallel.shm.ArenaReader` owes the sender's arena,
-* **evictions** — chunk digests this endpoint dropped from its
+* chunk digests this endpoint dropped from its
   :class:`~repro.parallel.wire.ChunkChannel` pool under the LRU cap, so
   the peer stops sending reference-only wires for them,
-* **state evictions** — page digests dropped from the
+* page digests dropped from the
   :class:`~repro.parallel.statewire.StateWire` page pool, same
   contract at the software-state layer.
 
 Software states travel as :mod:`~repro.parallel.statewire` records —
 a u8 kind (full pickle or delta), the packed record, and for deltas
-the missing page bodies staged through the same transport chunk plane
-as snapshot chunks (so large pages ride shared memory).
+the missing page bodies.
 
-Snapshot wires are packed field-by-field (refs table, method, bits) with
-their chunk plane delegated to the :class:`Transport` — inline pickled
-bodies on the queue path, shared-memory references on the shm path. The
-receiving side reassembles a :class:`SnapshotWire` whose bodies then
-pass through ``ChunkChannel.absorb``'s digest verification exactly as
-before: the envelope changes how bytes travel, not what is trusted.
+Snapshot wires are packed field-by-field (refs table, method, bits)
+with their chunk bodies pickled inline. The receiving side reassembles
+a :class:`SnapshotWire` whose bodies then pass through
+``ChunkChannel.absorb``'s digest verification: the envelope changes how
+bytes travel, not what is trusted.
 """
 
 from __future__ import annotations
@@ -114,15 +110,10 @@ def _put_obj(out: List[bytes], obj: Any) -> None:
     _put_blob(out, pickle.dumps(obj, protocol=_PICKLE))
 
 
-# -- piggyback lane (acks + evictions) --------------------------------------
+# -- piggyback lane (eviction notices) --------------------------------------
 
-def _put_piggyback(out: List[bytes], acks: Dict[str, int],
-                   evictions: Sequence[str],
+def _put_piggyback(out: List[bytes], evictions: Sequence[str],
                    state_evictions: Sequence[str] = ()) -> None:
-    out.append(_U32.pack(len(acks)))
-    for segment, count in acks.items():
-        _put_text(out, segment)
-        out.append(_U32.pack(count))
     out.append(_U32.pack(len(evictions)))
     for digest in evictions:
         _put_text(out, digest)
@@ -131,20 +122,17 @@ def _put_piggyback(out: List[bytes], acks: Dict[str, int],
         _put_text(out, digest)
 
 
-def _read_piggyback(cur: _Cursor) -> Tuple[Dict[str, int], List[str],
-                                           List[str]]:
-    acks = {cur.text(): cur.u32() for _ in range(cur.u32())}
+def _read_piggyback(cur: _Cursor) -> Tuple[List[str], List[str]]:
     evictions = [cur.text() for _ in range(cur.u32())]
     state_evictions = [cur.text() for _ in range(cur.u32())]
-    return acks, evictions, state_evictions
+    return evictions, state_evictions
 
 
 # -- snapshot wires ----------------------------------------------------------
 
-def _put_wire(out: List[bytes], wire: SnapshotWire,
-              transport, peer: object) -> None:
-    """Pack *wire*, staging its chunk bodies through *transport* (inline
-    on the queue path, shared memory on the shm path)."""
+def _put_wire(out: List[bytes], wire: SnapshotWire) -> None:
+    """Pack *wire*: the refs table field by field, the chunk bodies as
+    one pickled dict."""
     _put_text(out, wire.method)
     out.append(_U64.pack(wire.bits))
     out.append(_U32.pack(len(wire.refs)))
@@ -153,12 +141,10 @@ def _put_wire(out: List[bytes], wire: SnapshotWire,
         _put_text(out, digest)
         out.append(_U64.pack(cycle))
         out.append(_U64.pack(bits))
-    mode, payload = transport.place_chunks(wire.chunks, peer)
-    _put_text(out, mode)
-    _put_obj(out, payload)
+    _put_obj(out, wire.chunks)
 
 
-def _read_wire(cur: _Cursor, transport, peer: object) -> SnapshotWire:
+def _read_wire(cur: _Cursor) -> SnapshotWire:
     method = cur.text()
     bits = cur.u64()
     refs = {}
@@ -168,73 +154,57 @@ def _read_wire(cur: _Cursor, transport, peer: object) -> SnapshotWire:
         cycle = cur.u64()
         ref_bits = cur.u64()
         refs[name] = (digest, cycle, ref_bits)
-    mode = cur.text()
-    payload = cur.obj()
-    chunks = transport.resolve_chunks(mode, payload, peer)
-    return SnapshotWire(refs=refs, chunks=chunks, method=method, bits=bits)
+    return SnapshotWire(refs=refs, chunks=cur.obj(), method=method,
+                        bits=bits)
 
 
 def _put_state_record(out: List[bytes], kind: int, record: bytes,
-                      bodies: Dict[str, bytes], transport,
-                      peer: object) -> None:
+                      bodies: Dict[str, bytes]) -> None:
     """One software-state record: u8 kind, record blob, and (delta
-    kind only) the page-body chunk plane staged through *transport* —
-    inline on the queue path, shared-memory references on the shm
-    path, exactly like hardware snapshot chunks."""
+    kind only) the pickled page bodies the peer lacks."""
     out.append(_U8.pack(kind))
     _put_blob(out, record)
     if kind == 2:  # statewire.KIND_DELTA
-        mode, payload = transport.place_chunks(
-            {digest: (body, len(body) * 8)
-             for digest, body in bodies.items()}, peer)
-        _put_text(out, mode)
-        _put_obj(out, payload)
+        _put_obj(out, bodies)
 
 
-def _read_state_record(cur: _Cursor, transport, peer: object
-                       ) -> Tuple[int, bytes, Dict[str, bytes]]:
+def _read_state_record(cur: _Cursor) -> Tuple[int, bytes, Dict[str, bytes]]:
     kind = cur.u8()
     record = cur.blob()
-    bodies: Dict[str, bytes] = {}
-    if kind == 2:
-        mode = cur.text()
-        payload = cur.obj()
-        resolved = transport.resolve_chunks(mode, payload, peer)
-        bodies = {digest: body for digest, (body, _bits)
-                  in resolved.items()}
+    bodies: Dict[str, bytes] = cur.obj() if kind == 2 else {}
     return kind, record, bodies
 
 
 def _put_shipped(out: List[bytes],
-                 shipped: Tuple[int, bytes, Dict[str, bytes], SnapshotWire],
-                 transport, peer: object) -> None:
+                 shipped: Tuple[int, bytes, Dict[str, bytes], SnapshotWire]
+                 ) -> None:
     kind, record, bodies, wire = shipped
-    _put_state_record(out, kind, record, bodies, transport, peer)
-    _put_wire(out, wire, transport, peer)
+    _put_state_record(out, kind, record, bodies)
+    _put_wire(out, wire)
 
 
-def _read_shipped(cur: _Cursor, transport, peer: object
+def _read_shipped(cur: _Cursor
                   ) -> Tuple[int, bytes, Dict[str, bytes], SnapshotWire]:
-    kind, record, bodies = _read_state_record(cur, transport, peer)
-    return kind, record, bodies, _read_wire(cur, transport, peer)
+    kind, record, bodies = _read_state_record(cur)
+    return kind, record, bodies, _read_wire(cur)
 
 
 # -- lease batches (coordinator -> worker) -----------------------------------
 
-def pack_lease_batch(leases: Sequence[Dict[str, Any]], transport,
-                     peer: object, acks: Dict[str, int],
+def pack_lease_batch(leases: Sequence[Dict[str, Any]], peer: object,
                      evictions: Sequence[str] = (),
                      state_evictions: Sequence[str] = (),
                      statewire=None) -> bytes:
     """Each lease: ``{budget, sym_base, state: ExecState|bytes|None,
     wire: SnapshotWire|None}`` (the structured form the recovery ladder
     re-addresses). Live states are encoded *here* — at pack time —
-    through *statewire*, so a re-pack after a respawn re-encodes
-    against the fresh peer context (``force_full`` marks leases the
-    recovery ladder re-addressed to a cold registry). Raw ``bytes``
-    states (pre-pickled, or no statewire) ship as full records."""
+    through *statewire* against *peer*'s registries, so a re-pack after
+    a respawn re-encodes against the fresh peer context (``force_full``
+    marks leases the recovery ladder re-addressed to a cold registry).
+    Raw ``bytes`` states (pre-pickled, or no statewire) ship as full
+    records."""
     out: List[bytes] = []
-    _put_piggyback(out, acks, evictions, state_evictions)
+    _put_piggyback(out, evictions, state_evictions)
     out.append(_U32.pack(len(leases)))
     for lease in leases:
         out.append(_U64.pack(lease["budget"]))
@@ -251,16 +221,15 @@ def pack_lease_batch(leases: Sequence[Dict[str, Any]], transport,
         else:
             kind, record, bodies = 1, pickle.dumps(
                 state, protocol=_PICKLE), {}
-        _put_state_record(out, kind, record, bodies, transport, peer)
-        _put_wire(out, lease["wire"], transport, peer)
+        _put_state_record(out, kind, record, bodies)
+        _put_wire(out, lease["wire"])
     return b"".join(out)
 
 
-def unpack_lease_batch(buf, transport, peer: object
-                       ) -> Tuple[Dict[str, int], List[str], List[str],
-                                  List[Dict[str, Any]]]:
+def unpack_lease_batch(buf) -> Tuple[List[str], List[str],
+                                     List[Dict[str, Any]]]:
     cur = _Cursor(buf)
-    acks, evictions, state_evictions = _read_piggyback(cur)
+    evictions, state_evictions = _read_piggyback(cur)
     leases = []
     for _ in range(cur.u32()):
         lease: Dict[str, Any] = {"budget": cur.u64(),
@@ -268,24 +237,23 @@ def unpack_lease_batch(buf, transport, peer: object
         kind = cur.u8()
         if kind:
             cur.pos -= 1
-            kind, record, bodies = _read_state_record(cur, transport, peer)
+            kind, record, bodies = _read_state_record(cur)
             lease["state"] = record
             lease["state_kind"] = kind
             lease["state_chunks"] = bodies
-            lease["wire"] = _read_wire(cur, transport, peer)
+            lease["wire"] = _read_wire(cur)
         else:
             lease["state"] = None
             lease["state_kind"] = 0
             lease["state_chunks"] = {}
             lease["wire"] = None
         leases.append(lease)
-    return acks, evictions, state_evictions, leases
+    return evictions, state_evictions, leases
 
 
 # -- lease results (worker -> coordinator) -----------------------------------
 
-def pack_lease_results(results: Sequence[Dict[str, Any]], transport,
-                       peer: object, acks: Dict[str, int],
+def pack_lease_results(results: Sequence[Dict[str, Any]],
                        evictions: Sequence[str] = (),
                        state_evictions: Sequence[str] = (),
                        encode_s: float = 0.0,
@@ -301,7 +269,7 @@ def pack_lease_results(results: Sequence[Dict[str, Any]], transport,
     out: List[bytes] = []
     out.append(_F64.pack(encode_s))
     out.append(_F64.pack(decode_s))
-    _put_piggyback(out, acks, evictions, state_evictions)
+    _put_piggyback(out, evictions, state_evictions)
     out.append(_U32.pack(len(results)))
     for res in results:
         meta = {k: v for k, v in res.items()
@@ -312,59 +280,47 @@ def pack_lease_results(results: Sequence[Dict[str, Any]], transport,
             out.append(_U8.pack(0))
         else:
             out.append(_U8.pack(1))
-            _put_shipped(out, continuation, transport, peer)
+            _put_shipped(out, continuation)
         children = res["children"]
         out.append(_U32.pack(len(children)))
         for child in children:
-            _put_shipped(out, child, transport, peer)
+            _put_shipped(out, child)
     return b"".join(out)
 
 
-def unpack_lease_results(buf, transport, peer: object
-                         ) -> Tuple[Dict[str, int], List[str], List[str],
-                                    float, float, List[Dict[str, Any]]]:
+def unpack_lease_results(buf) -> Tuple[List[str], List[str], float, float,
+                                       List[Dict[str, Any]]]:
     cur = _Cursor(buf)
     encode_s = cur.f64()
     decode_s = cur.f64()
-    acks, evictions, state_evictions = _read_piggyback(cur)
+    evictions, state_evictions = _read_piggyback(cur)
     results = []
     for _ in range(cur.u32()):
         res = cur.obj()
-        res["continuation"] = (_read_shipped(cur, transport, peer)
-                               if cur.u8() else None)
-        res["children"] = [_read_shipped(cur, transport, peer)
-                           for _ in range(cur.u32())]
+        res["continuation"] = _read_shipped(cur) if cur.u8() else None
+        res["children"] = [_read_shipped(cur) for _ in range(cur.u32())]
         results.append(res)
-    return acks, evictions, state_evictions, encode_s, decode_s, results
+    return evictions, state_evictions, encode_s, decode_s, results
 
 
 # -- fuzz batches (coordinator -> worker) ------------------------------------
 
-def pack_fuzz_batch(items: Sequence[Tuple[int, bytes]],
-                    acks: Dict[str, int],
-                    evictions: Sequence[str] = ()) -> bytes:
-    out: List[bytes] = []
-    _put_piggyback(out, acks, evictions)
-    out.append(_U32.pack(len(items)))
+def pack_fuzz_batch(items: Sequence[Tuple[int, bytes]]) -> bytes:
+    out: List[bytes] = [_U32.pack(len(items))]
     for index, data in items:
         out.append(_U32.pack(index))
         _put_blob(out, data)
     return b"".join(out)
 
 
-def unpack_fuzz_batch(buf) -> Tuple[Dict[str, int], List[str],
-                                    List[Tuple[int, bytes]]]:
+def unpack_fuzz_batch(buf) -> List[Tuple[int, bytes]]:
     cur = _Cursor(buf)
-    acks, evictions, _state_evictions = _read_piggyback(cur)
-    items = [(cur.u32(), cur.blob()) for _ in range(cur.u32())]
-    return acks, evictions, items
+    return [(cur.u32(), cur.blob()) for _ in range(cur.u32())]
 
 
 # -- fuzz results (worker -> coordinator) ------------------------------------
 
-def pack_fuzz_results(res: Dict[str, Any], acks: Dict[str, int],
-                      evictions: Sequence[str] = (),
-                      encode_s: float = 0.0,
+def pack_fuzz_results(res: Dict[str, Any], encode_s: float = 0.0,
                       decode_s: float = 0.0) -> bytes:
     """*res* is one ``FuzzWorker.run_batch`` dict: results are
     ``(index, data, packed_edges, crash|None, pc)`` rows. Timing floats
@@ -372,7 +328,6 @@ def pack_fuzz_results(res: Dict[str, Any], acks: Dict[str, int],
     out: List[bytes] = []
     out.append(_F64.pack(encode_s))
     out.append(_F64.pack(decode_s))
-    _put_piggyback(out, acks, evictions)
     out.append(_F64.pack(res["modelled_dt"]))
     out.append(_U32.pack(res["resets"]))
     _put_obj(out, res["resilience"])
@@ -390,12 +345,10 @@ def pack_fuzz_results(res: Dict[str, Any], acks: Dict[str, int],
     return b"".join(out)
 
 
-def unpack_fuzz_results(buf) -> Tuple[Dict[str, int], List[str],
-                                      float, float, Dict[str, Any]]:
+def unpack_fuzz_results(buf) -> Tuple[float, float, Dict[str, Any]]:
     cur = _Cursor(buf)
     encode_s = cur.f64()
     decode_s = cur.f64()
-    acks, evictions, _state_evictions = _read_piggyback(cur)
     res: Dict[str, Any] = {"modelled_dt": cur.f64(),
                            "resets": cur.u32(),
                            "resilience": cur.obj()}
@@ -408,7 +361,7 @@ def unpack_fuzz_results(buf) -> Tuple[Dict[str, int], List[str],
         pc = cur.i64()
         results.append((index, data, edges, crash, pc))
     res["results"] = results
-    return acks, evictions, encode_s, decode_s, res
+    return encode_s, decode_s, res
 
 
 def stamp_encode_time(buf: bytearray, seconds: float) -> None:

@@ -15,7 +15,7 @@ makes the run bit-identical to a serial run with the same ``batch_size``
 the worker count.
 
 Shards travel as packed ``fuzz-batch`` envelopes over the pool's
-transport (shared-memory slabs by default), each worker gets one
+queues, each worker gets one
 **contiguous** slice of the batch (one envelope per worker instead of
 round-robin message-per-input), and the coordinator merges **streamed**:
 as each shard lands, every result whose global index is next in line
@@ -36,7 +36,7 @@ from repro.core.shutdown import shutdown_requested
 from repro.errors import JournalCorruptError, JournalError, VmError
 from repro.isa.assembler import Program
 from repro.parallel.envelope import pack_fuzz_batch, unpack_fuzz_results
-from repro.parallel.pool import WorkerPool
+from repro.parallel.pool import WorkerPool, check_transport
 from repro.parallel.recipe import SessionRecipe
 from repro.parallel.recovery import PoolRecoveryMixin
 from repro.parallel.workers import unpack_edges
@@ -74,13 +74,13 @@ class ParallelFuzzer(PoolRecoveryMixin):
                  **overrides):
         if batch_size < 1:
             raise VmError(f"batch_size must be >= 1, got {batch_size}")
+        check_transport(transport)
         if recipe is not None:
             self.recipe = recipe
         elif firmware is not None:
             self.recipe = SessionRecipe.create(
                 firmware, peripherals, config=config,
-                max_steps_per_exec=max_steps_per_exec, transport=transport,
-                **overrides)
+                max_steps_per_exec=max_steps_per_exec, **overrides)
         else:
             raise VmError("pass firmware or a prebuilt recipe")
         self.workers = workers
@@ -244,32 +244,22 @@ class ParallelFuzzer(PoolRecoveryMixin):
 
     # -- main loop ----------------------------------------------------------
 
-    def _pack_items(self, payload: Dict[str, Any],
-                    worker_id: int) -> bytes:
-        """``pack`` hook for the pool: shard dict → envelope bytes, with
-        shm acks owed to this worker piggybacked at pack time (a re-pack
-        ships fresh bookkeeping)."""
-        return pack_fuzz_batch(
-            payload["items"],
-            acks=self.pool.transport.take_acks(worker_id))
+    @staticmethod
+    def _pack_items(payload: Dict[str, Any], worker_id: int) -> bytes:
+        """``pack`` hook for the pool: shard dict → envelope bytes."""
+        return pack_fuzz_batch(payload["items"])
 
-    def _decode_shard(self, worker_id: int, data) -> Dict[str, Any]:
+    def _decode_shard(self, data) -> Dict[str, Any]:
         """One arrived shard → the structured result dict. Packed bytes
         come from real workers; the degraded InlinePool delivers the
-        structured form directly. The piggybacked shm acks are fed back
-        to the transport so the coordinator arena's slabs drain — fuzz
-        batches routinely clear the blob floor, so dropping acks would
-        leak a slab per batch for the whole campaign."""
+        structured form directly."""
         if isinstance(data, (bytes, bytearray, memoryview)):
-            transport = self.pool.transport
             t0 = time.perf_counter()
-            acks, _evictions, worker_enc, worker_dec, res = \
-                unpack_fuzz_results(data)
-            stats = transport.stats
+            worker_enc, worker_dec, res = unpack_fuzz_results(data)
+            stats = self.pool.stats.ipc
             stats.decode_s += time.perf_counter() - t0
             stats.worker_encode_s += worker_enc
             stats.worker_decode_s += worker_dec
-            transport.absorb_acks(worker_id, acks)
             return res
         return data
 
@@ -395,7 +385,7 @@ class ParallelFuzzer(PoolRecoveryMixin):
             results.extend(self.pool.drain_results())
             for _, worker_id, data in results:
                 arrived += 1
-                res = self._decode_shard(worker_id, data)
+                res = self._decode_shard(data)
                 if journal is not None:
                     journal.append(
                         "fuzz-shard-completed", worker=worker_id,

@@ -7,16 +7,12 @@ shared result queue. Fork start method is preferred (workers inherit the
 imported modules); spawn works too because every job payload and the
 recipe are plain picklable data.
 
-Bulk payloads travel through a pluggable :class:`Transport`
-(:mod:`repro.parallel.transport`): with the default shm transport,
-packed batch envelopes and snapshot chunk bodies move through
-shared-memory slabs and the queues carry fixed-size references; the
-queue transport keeps everything inline (automatic fallback when the
-host has no shared memory). Batch job kinds (``lease-batch`` /
-``fuzz-batch``) keep their *structured* payload in
-:class:`InFlightJob` next to a ``pack`` callable — packed bytes exist
-only on the queue, so the recovery ladder re-addresses and re-packs
-payloads exactly as it re-encoded dicts before.
+Batch job kinds (``lease-batch`` / ``fuzz-batch``) travel as packed
+envelopes (:mod:`repro.parallel.envelope`) inline on the queues; they
+keep their *structured* payload in :class:`InFlightJob` next to a
+``pack`` callable — packed bytes exist only on the queue, so the
+recovery ladder re-addresses and re-packs payloads exactly as it
+re-encoded dicts before.
 
 Every job carries a coordinator-assigned **job id**; the pool tracks
 jobs in flight, so:
@@ -25,12 +21,11 @@ jobs in flight, so:
   a dead worker raises a structured :class:`WorkerDeath` naming the
   worker and its in-flight jobs instead of blocking forever,
 * duplicate result deliveries (fault-injected, or a re-issue racing its
-  original) are discarded exactly once — *before* any shared-memory
-  fetch, so duplicates can never double-credit slab acks,
+  original) are discarded exactly once,
 * a crashed worker can be :meth:`respawned <WorkerPool.respawn>` and its
-  in-flight jobs :meth:`resubmitted <WorkerPool.resubmit>` — respawn
-  also clears the dead incarnation's chunk-channel ``known`` entry and
-  unlinks its orphaned shm segments, and
+  in-flight jobs :meth:`resubmitted <WorkerPool.resubmit>` (the
+  coordinator's recovery hook forgets the dead incarnation's chunk-pool
+  contents), and
 * when the respawn cap is exhausted, :class:`InlinePool` offers the same
   surface executed in-process (graceful degradation to serial).
 """
@@ -40,7 +35,6 @@ from __future__ import annotations
 import atexit
 import multiprocessing as mp
 import queue as queue_mod
-import secrets
 import time
 import weakref
 from collections import deque
@@ -49,22 +43,20 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.errors import VmError
 from repro.parallel.recipe import SessionRecipe
-from repro.parallel.shm import ShmSegmentGone, unlink_stale
 from repro.parallel.statewire import StateWireStats
-from repro.parallel.transport import IpcStats, Transport, make_transport
-from repro.parallel.wire import ChunkChannel, WireStats
+from repro.parallel.wire import WireStats
 from repro.parallel.workers import _HARNESS_TYPES, STOP, _worker_main
 from repro.resilience import ResilienceStats
 
 #: Job kinds whose payloads/results are packed envelopes (bytes on the
-#: queue, possibly shm references); everything else stays a plain
-#: pickled object for compatibility and control traffic.
+#: queue); everything else (warm-up, boot digests) stays a plain
+#: pickled object.
 _BATCH_KINDS = ("lease-batch", "fuzz-batch")
 
 #: Every live WorkerPool, so signal handlers and interpreter exit can
-#: run the escalating close (child reaping + shm unlink) even when the
-#: owning coordinator never got the chance — the leak path SIGTERM used
-#: to take. Weak references: a pool that was garbage collected after
+#: run the escalating close (child reaping) even when the owning
+#: coordinator never got the chance — the leak path SIGTERM used to
+#: take. Weak references: a pool that was garbage collected after
 #: close() needs no sweeping.
 _LIVE_POOLS: "weakref.WeakSet[WorkerPool]" = weakref.WeakSet()
 
@@ -72,7 +64,7 @@ _LIVE_POOLS: "weakref.WeakSet[WorkerPool]" = weakref.WeakSet()
 def close_all_pools(timeout: float = 2.0) -> int:
     """Escalatingly close every live pool (idempotent); returns how
     many were still open. Called by the shutdown signal path and
-    registered atexit as a last-resort shm sweep."""
+    registered atexit as a last-resort reaper."""
     closed = 0
     for pool in list(_LIVE_POOLS):
         if not pool._closed:
@@ -85,6 +77,17 @@ def close_all_pools(timeout: float = 2.0) -> int:
 
 
 atexit.register(close_all_pools)
+
+
+def check_transport(transport: str) -> None:
+    """Validate the coordinators' legacy ``transport`` keyword. The
+    pool has one IPC path (packed envelopes over ``mp.Queue``), so only
+    ``"auto"`` and ``"queue"`` are accepted; the value is not used."""
+    if transport not in ("auto", "queue"):
+        raise ValueError(
+            f"transport {transport!r} is not available: the "
+            f"shared-memory transport was removed and every pool uses "
+            f"queues (pass 'auto' or 'queue')")
 
 
 class WorkerError(VmError):
@@ -121,14 +124,51 @@ class InFlightJob:
     ``payload`` is always the structured form (dicts, SnapshotWires) so
     the recovery ladder can re-address it; ``pack`` (batch kinds only)
     turns it into envelope bytes at enqueue time — re-invoked on every
-    resubmit, so a re-issue gets fresh shm references and piggyback
-    acks rather than a stale copy."""
+    resubmit, so a re-issue gets a fresh encoding and fresh eviction
+    notices rather than a stale copy."""
 
     worker_id: int
     kind: str
     payload: Any
     reissues: int = 0
     pack: Optional[Callable[[Any, int], bytes]] = None
+
+
+@dataclass
+class IpcStats:
+    """Envelope traffic of one pool (coordinator side, plus the
+    workers' encode/decode seconds stamped on their result envelopes)."""
+
+    messages_out: int = 0
+    messages_in: int = 0
+    #: Bytes that crossed the mp.Queue (packed envelope sizes).
+    queue_bytes_out: int = 0
+    queue_bytes_in: int = 0
+    #: Wall time spent packing / unpacking envelopes, by side.
+    encode_s: float = 0.0
+    decode_s: float = 0.0
+    worker_encode_s: float = 0.0
+    worker_decode_s: float = 0.0
+
+    @property
+    def shm_bytes_out(self) -> int:  # read by benchmarks/e2e/trace.py
+        return 0
+
+    @property
+    def shm_bytes_in(self) -> int:  # read by benchmarks/e2e/trace.py
+        return 0
+
+    def as_dict(self) -> Dict[str, object]:
+        return {
+            "messages_out": self.messages_out,
+            "messages_in": self.messages_in,
+            "queue_bytes_out": self.queue_bytes_out,
+            "queue_bytes_in": self.queue_bytes_in,
+            "encode_s": round(self.encode_s, 6),
+            "decode_s": round(self.decode_s, 6),
+            "worker_encode_s": round(self.worker_encode_s, 6),
+            "worker_decode_s": round(self.worker_decode_s, 6),
+        }
 
 
 @dataclass
@@ -145,10 +185,8 @@ class PoolStats:
     #: vs delta bytes, pages shipped/referenced, constraint suffixes.
     state_wire: StateWireStats = field(default_factory=StateWireStats)
     host_time_s: float = 0.0
-    #: Which transport moved the bulk bytes ("shm" or "queue").
-    transport: str = "queue"
-    #: Envelope/queue/shm byte + time accounting (coordinator side;
-    #: worker-side encode/decode times merge in from result envelopes).
+    #: Envelope byte + time accounting (coordinator side; worker-side
+    #: encode/decode times merge in from result envelopes).
     ipc: IpcStats = field(default_factory=IpcStats)
     #: Pool-boundary recovery events (respawns, reissues, duplicates,
     #: degraded flag); link-layer events merge in from the workers.
@@ -156,8 +194,7 @@ class PoolStats:
 
     def summary(self) -> str:
         lines = [f"[pool] workers={self.workers} leases={self.leases} "
-                 f"batches={self.batches} host={self.host_time_s:.3f}s "
-                 f"transport={self.transport}"]
+                 f"batches={self.batches} host={self.host_time_s:.3f}s"]
         if self.wire.snapshots_sent or self.wire.snapshots_received:
             lines.append(
                 f"[pool] snapshots shipped={self.wire.snapshots_sent} "
@@ -183,8 +220,6 @@ class PoolStats:
             lines.append(
                 f"[pool] ipc queue={self.ipc.queue_bytes_out}B out/"
                 f"{self.ipc.queue_bytes_in}B in "
-                f"shm={self.ipc.shm_bytes_out}B out/"
-                f"{self.ipc.shm_bytes_in}B in "
                 f"enc={self.ipc.encode_s + self.ipc.worker_encode_s:.3f}s "
                 f"dec={self.ipc.decode_s + self.ipc.worker_decode_s:.3f}s")
         if self.resilience.any:
@@ -199,9 +234,7 @@ class WorkerPool:
     _POLL_S = 0.05
 
     def __init__(self, recipe: SessionRecipe, workers: int,
-                 start_method: Optional[str] = None,
-                 transport: Optional[str] = None,
-                 channel: Optional[ChunkChannel] = None):
+                 start_method: Optional[str] = None):
         if workers < 1:
             raise VmError(f"need at least one worker, got {workers}")
         if start_method is None:
@@ -210,22 +243,7 @@ class WorkerPool:
         self._ctx = mp.get_context(start_method)
         self._recipe = recipe
         self.workers = workers
-        if transport is None:
-            transport = getattr(recipe, "transport", "auto")
-        #: Unique tag naming every shm segment of this run (coordinator
-        #: and workers alike) — lets respawn/close sweep orphans by
-        #: prefix even after their owner died without cleanup.
-        self.run_tag = secrets.token_hex(4)
-        self.transport: Transport = make_transport(
-            transport, label=f"{self.run_tag}-c0")
-        #: The coordinator's chunk channel, when it ships delta wires
-        #: (engine runs). respawn() clears the dead worker's known-set
-        #: here so a fresh incarnation is never sent reference-only
-        #: wires it cannot resolve.
-        self.channel = channel
-        self.stats = PoolStats(workers=workers,
-                               transport=self.transport.kind,
-                               ipc=self.transport.stats)
+        self.stats = PoolStats(workers=workers)
         self._jobs = [self._ctx.Queue() for _ in range(workers)]
         self._results = self._ctx.Queue()
         self._incarnations = [0] * workers
@@ -239,28 +257,25 @@ class WorkerPool:
         proc = self._ctx.Process(
             target=_worker_main,
             args=(worker_id, self._recipe, self._jobs[worker_id],
-                  self._results, self._incarnations[worker_id],
-                  self.transport.kind, self.run_tag),
+                  self._results, self._incarnations[worker_id]),
             daemon=True, name=f"repro-worker-{worker_id}")
         proc.start()
         return proc
 
     # -- job plumbing -------------------------------------------------------
 
-    def _encode_job(self, job_id: int, info: InFlightJob) -> Any:
+    def _encode_job(self, info: InFlightJob) -> Any:
         """Structured payload → the object that rides the queue. Batch
-        kinds pack to bytes (timed) and may land in shared memory."""
+        kinds pack to envelope bytes (timed and counted)."""
         if info.pack is None:
             return info.payload
         t0 = time.perf_counter()
         blob = info.pack(info.payload, info.worker_id)
-        stats = self.transport.stats
+        stats = self.stats.ipc
         stats.encode_s += time.perf_counter() - t0
         stats.messages_out += 1
-        queued = self.transport.place_blob(blob, info.worker_id)
-        if isinstance(queued, (bytes, bytearray, memoryview)):
-            stats.queue_bytes_out += len(queued)
-        return queued
+        stats.queue_bytes_out += len(blob)
+        return blob
 
     def submit(self, worker_id: int, kind: str, payload: Any,
                pack: Optional[Callable[[Any, int], bytes]] = None) -> int:
@@ -269,15 +284,13 @@ class WorkerPool:
         job_id = self._job_seq
         info = InFlightJob(worker_id, kind, payload, pack=pack)
         self._in_flight[job_id] = info
-        self._jobs[worker_id].put((kind, job_id,
-                                   self._encode_job(job_id, info)))
+        self._jobs[worker_id].put((kind, job_id, self._encode_job(info)))
         return job_id
 
     def _accept(self, message) -> Optional[Tuple[str, int, Any]]:
-        """Common result handling: duplicate drop (before any shm
-        fetch), error re-raise, batch-envelope blob fetch. Returns the
-        ``(kind, worker_id, data)`` triple or ``None`` to keep waiting.
-        """
+        """Common result handling: duplicate drop, error re-raise,
+        envelope accounting. Returns the ``(kind, worker_id, data)``
+        triple or ``None`` to keep waiting."""
         kind, worker_id, job_id, data = message
         info = self._in_flight.pop(job_id, None)
         if info is None:
@@ -286,22 +299,9 @@ class WorkerPool:
         if kind == "error":
             raise WorkerError(f"worker {worker_id} failed:\n{data}",
                               worker_id=worker_id, jobs=(job_id,))
-        if info.kind in _BATCH_KINDS and isinstance(
-                data, (bytes, bytearray, memoryview, tuple)):
-            stats = self.transport.stats
-            try:
-                data = self.transport.fetch_blob(data, worker_id)
-            except ShmSegmentGone:
-                # The referenced segment died with its worker before we
-                # could read it: treat as a lost result — the job goes
-                # back in flight and the deadline/respawn ladder
-                # recovers it (a respawned worker re-executes and ships
-                # fresh segments).
-                self._in_flight[job_id] = info
-                return None
-            stats.messages_in += 1
-            if isinstance(data, (bytes, bytearray, memoryview)):
-                stats.queue_bytes_in += len(data)
+        if info.kind in _BATCH_KINDS:
+            self.stats.ipc.messages_in += 1
+            self.stats.ipc.queue_bytes_in += len(data)
         return kind, worker_id, data
 
     def next_result(self, timeout: Optional[float] = None
@@ -406,12 +406,11 @@ class WorkerPool:
         pool) and must be re-encoded and :meth:`resubmit`-ted by the
         caller.
 
-        Everything the dead incarnation held dies with it: its chunk
-        pool (the channel's ``known`` entry is cleared so the fresh
-        incarnation is never sent unresolvable reference-only wires),
-        its outstanding shm references (cancelled, so its slabs cannot
-        wedge the arena) and its own orphaned shm segments (swept by
-        run-tag prefix — the dead owner cannot unlink them).
+        Everything the dead incarnation held dies with it, including
+        its chunk pool: the coordinator's recovery hook
+        (``PoolRecoveryMixin._forget_peer``) clears what it believed
+        that pool held, so the fresh incarnation is never sent
+        unresolvable reference-only wires.
 
         Returns the worker's in-flight job ids."""
         proc = self._procs[worker_id]
@@ -426,12 +425,6 @@ class WorkerPool:
             old.cancel_join_thread()
         except (OSError, ValueError):
             pass
-        if self.channel is not None:
-            self.channel.known.pop(worker_id, None)
-        self.transport.forget_peer(worker_id)
-        unlink_stale(
-            f"rpr-{self.run_tag}-w{worker_id}"
-            f"i{self._incarnations[worker_id]}-")
         self._incarnations[worker_id] += 1
         self._procs[worker_id] = self._spawn(worker_id)
         self.stats.resilience.worker_respawns += 1
@@ -442,13 +435,13 @@ class WorkerPool:
         """Re-queue an in-flight job (after a respawn or a missed
         deadline). The payload must already be re-addressed by the
         caller when it carries a delta wire; batch kinds are re-packed
-        (fresh envelope, fresh shm references)."""
+        (fresh envelope)."""
         info = self._in_flight[job_id]
         if worker_id is not None:
             info.worker_id = worker_id
         info.reissues += 1
         self._jobs[info.worker_id].put(
-            (info.kind, job_id, self._encode_job(job_id, info)))
+            (info.kind, job_id, self._encode_job(info)))
         self.stats.resilience.lease_reissues += 1
 
     # -- lifecycle ----------------------------------------------------------
@@ -464,11 +457,8 @@ class WorkerPool:
     def close(self, timeout: float = 5.0) -> None:
         """Shut the pool down: STOP sentinels, then join → terminate →
         kill escalation, then drain the queues so their feeder threads
-        cannot wedge interpreter exit, then release the transport and
-        sweep every shm segment carrying this run's tag (a worker that
-        died before its own cleanup leaves orphans only until here).
-        Idempotent, and safe when workers already crashed (joining a
-        dead process is a no-op)."""
+        cannot wedge interpreter exit. Idempotent, and safe when workers
+        already crashed (joining a dead process is a no-op)."""
         if self._closed:
             return
         self._closed = True
@@ -502,8 +492,6 @@ class WorkerPool:
             except (OSError, ValueError):
                 pass
         self._in_flight.clear()
-        self.transport.close()
-        unlink_stale(f"rpr-{self.run_tag}-")
 
     def __enter__(self) -> "WorkerPool":
         return self
@@ -551,10 +539,6 @@ class InlinePool:
         if kind == "warm":
             self._harness(payload["kind"])
             self._pending.append(("warmed", worker_id, None, None))
-        elif kind == "lease":
-            self._pending.append(
-                ("lease", worker_id,
-                 self._harness("engine").run_lease(payload), payload))
         elif kind == "lease-batch":
             engine = self._harness("engine")
             self._pending.append(
@@ -562,10 +546,6 @@ class InlinePool:
                  {"results": [engine.run_lease(lease)
                               for lease in payload["leases"]],
                   "encode_s": 0.0, "decode_s": 0.0}, payload))
-        elif kind == "fuzz":
-            self._pending.append(
-                ("fuzz", worker_id,
-                 self._harness("fuzz").run_batch(payload), payload))
         elif kind == "fuzz-batch":
             res = self._harness("fuzz").run_batch(
                 {"items": payload["items"]})

@@ -93,10 +93,6 @@ class SessionRecipe:
     config: SessionConfig = field(default_factory=SessionConfig)
     # Fuzz-harness parameters (ignored by engine workers).
     max_steps_per_exec: int = 20_000
-    #: IPC transport for the pool serving this recipe: "auto" (shm when
-    #: the host supports it, else queue), "shm", or "queue". Rides the
-    #: recipe so coordinator and workers resolve the same choice.
-    transport: str = "auto"
     #: Ship software state as dirty-page + constraint-suffix deltas
     #: (:mod:`repro.parallel.statewire`). ``False`` forces full pickles
     #: on every lease — the measurement baseline and the degraded
@@ -108,7 +104,6 @@ class SessionRecipe:
                peripherals: Sequence[Tuple[object, int]] = (),
                config: Optional[SessionConfig] = None,
                max_steps_per_exec: int = 20_000,
-               transport: str = "auto",
                delta_state: bool = True,
                **overrides) -> "SessionRecipe":
         """Build a recipe from the same arguments
@@ -140,7 +135,7 @@ class SessionRecipe:
             peripherals=tuple(bindings))
         return cls(program=program, target=target, config=config,
                    max_steps_per_exec=max_steps_per_exec,
-                   transport=transport, delta_state=delta_state)
+                   delta_state=delta_state)
 
     def build_session(self):
         """Construct a full HardSnapSession from this recipe (worker

@@ -44,10 +44,9 @@ resumes delta-encoding immediately. A delta record that references an
 unknown page or base is a protocol violation and raises
 :class:`~repro.errors.SnapshotIntegrityError` — decode never guesses.
 
-Page bodies returned by :meth:`StateWire.encode_state` are routed by
-the envelope layer through :meth:`Transport.place_chunks`, so large
-pages ride the shared-memory arena exactly like hardware snapshot
-chunks — this is what populates the coordinator→worker shm lane.
+Page bodies returned by :meth:`StateWire.encode_state` ride the same
+envelope as the record (:mod:`repro.parallel.envelope`), pickled next
+to it like hardware snapshot chunks.
 """
 
 from __future__ import annotations
@@ -443,7 +442,7 @@ class StateWire:
         """Encode *state* for *peer*. Returns ``(kind, record,
         page_bodies)``; ``page_bodies`` maps page digests to serialized
         bodies the peer is missing (empty for ``KIND_FULL``) — the
-        caller routes them through the transport's chunk plane.
+        caller packs them next to the record.
 
         The state's ``hw_snapshot`` must already be detached (hardware
         travels separately as a :class:`SnapshotWire`)."""
@@ -473,7 +472,7 @@ class StateWire:
         out.append(rest)
 
         # Dirty pages: refs for everything the peer holds, bodies only
-        # for the rest (routed through the transport chunk plane).
+        # for the rest (packed next to the record).
         bodies: Dict[str, bytes] = {}
         pages = sorted(mem._pages.items())
         out.append(_U32.pack(len(pages)))
@@ -539,8 +538,8 @@ class StateWire:
 
     def decode_state(self, kind: int, record: bytes,
                      bodies: Dict[str, bytes], peer: object) -> ExecState:
-        """Rebuild an ExecState from a record (and its transport-
-        resolved page bodies). Byte-identical to the encoder's input:
+        """Rebuild an ExecState from a record (and the page bodies
+        that travelled with it). Byte-identical to the encoder's input:
         ``pickle.dumps(decoded) == pickle.dumps(original)``."""
         ctx = self._ctx(peer)
         self.stats.states_received += 1

@@ -38,7 +38,6 @@ from repro.parallel.envelope import (pack_fuzz_results, pack_lease_results,
                                      unpack_lease_batch)
 from repro.parallel.recipe import SessionRecipe
 from repro.parallel.statewire import KIND_FULL, StateWire
-from repro.parallel.transport import Transport, make_transport
 from repro.parallel.wire import ChunkChannel
 from repro.resilience import FaultInjector
 from repro.targets.base import HwSnapshot
@@ -252,8 +251,7 @@ _ORPHAN_POLL_S = 2.0
 
 
 def _worker_main(worker_id: int, recipe: SessionRecipe,
-                 jobs, results, incarnation: int = 0,
-                 transport_kind: str = "queue", run_tag: str = "") -> None:
+                 jobs, results, incarnation: int = 0) -> None:
     """Worker process entry point: build harnesses lazily, serve jobs
     until the STOP sentinel arrives. Any exception is reported to the
     coordinator as an ``("error", id, job_id, traceback)`` message
@@ -261,13 +259,9 @@ def _worker_main(worker_id: int, recipe: SessionRecipe,
 
     Jobs arrive as ``(kind, job_id, payload)``; results leave as
     ``(kind, worker_id, job_id, data)``. The batch kinds
-    (``lease-batch`` / ``fuzz-batch``) carry packed envelopes — bytes
-    or shm references, per *transport_kind* — everything else stays
-    plain pickled objects. The worker owns one transport endpoint
-    (arena label ``{run_tag}-w{worker_id}i{incarnation}``): payload
-    refs it consumes turn into acks riding its result envelopes, and
-    its own arena is unlinked on STOP (a killed worker's segments are
-    swept by the coordinator under the run tag instead).
+    (``lease-batch`` / ``fuzz-batch``) carry packed envelope bytes both
+    ways; the control kinds (``warm`` / ``boot-digests``) stay plain
+    pickled objects.
 
     Completed envelopes are cached by job id so a re-issued job (the
     coordinator missed our answer) is answered from the cache instead
@@ -297,48 +291,38 @@ def _worker_main(worker_id: int, recipe: SessionRecipe,
                 if plan is not None and not plan.is_empty else None)
     completed: "OrderedDict[int, tuple]" = OrderedDict()
     job_index = 0
-    transport: Transport = make_transport(
-        transport_kind, label=f"{run_tag}-w{worker_id}i{incarnation}")
 
     def harness(kind: str):
         if kind not in harnesses:
             harnesses[kind] = _HARNESS_TYPES[kind](recipe)
         return harnesses[kind]
 
-    def run_lease_batch(payload) -> Any:
-        blob = transport.fetch_blob(payload, COORD)
+    def run_lease_batch(blob: bytes) -> bytes:
         t0 = time.perf_counter()
-        acks, evictions, state_evictions, leases = \
-            unpack_lease_batch(blob, transport, COORD)
+        evictions, state_evictions, leases = unpack_lease_batch(blob)
         decode_s = time.perf_counter() - t0
-        transport.absorb_acks(COORD, acks)
         engine = harness("engine")
         engine.channel.forget_remote(COORD, evictions)
         engine.statewire.forget_remote(COORD, state_evictions)
         outcomes = [engine.run_lease(lease) for lease in leases]
         t0 = time.perf_counter()
         packed = bytearray(pack_lease_results(
-            outcomes, transport, COORD,
-            acks=transport.take_acks(COORD),
+            outcomes,
             evictions=engine.channel.take_evictions(COORD),
             state_evictions=engine.statewire.take_evictions(COORD),
-            encode_s=0.0, decode_s=decode_s))
+            decode_s=decode_s))
         stamp_encode_time(packed, time.perf_counter() - t0)
-        return transport.place_blob(bytes(packed), COORD)
+        return bytes(packed)
 
-    def run_fuzz_batch(payload) -> Any:
-        blob = transport.fetch_blob(payload, COORD)
+    def run_fuzz_batch(blob: bytes) -> bytes:
         t0 = time.perf_counter()
-        acks, _evictions, items = unpack_fuzz_batch(blob)
+        items = unpack_fuzz_batch(blob)
         decode_s = time.perf_counter() - t0
-        transport.absorb_acks(COORD, acks)
         res = harness("fuzz").run_batch({"items": items})
         t0 = time.perf_counter()
-        packed = bytearray(pack_fuzz_results(
-            res, acks=transport.take_acks(COORD),
-            encode_s=0.0, decode_s=decode_s))
+        packed = bytearray(pack_fuzz_results(res, decode_s=decode_s))
         stamp_encode_time(packed, time.perf_counter() - t0)
-        return transport.place_blob(bytes(packed), COORD)
+        return bytes(packed)
 
     parent_pid = os.getppid()
     while True:
@@ -346,9 +330,9 @@ def _worker_main(worker_id: int, recipe: SessionRecipe,
             job = jobs.get(timeout=_ORPHAN_POLL_S)
         except queue.Empty:
             # No STOP will ever come from a dead coordinator (SIGKILL
-            # skips every cleanup path): a reparented worker unlinks
-            # its arena and exits instead of orphaning forever with
-            # the coordinator's pipes held open.
+            # skips every cleanup path): a reparented worker exits
+            # instead of orphaning forever with the coordinator's
+            # pipes held open.
             if os.getppid() != parent_pid:
                 break
             continue
@@ -361,7 +345,7 @@ def _worker_main(worker_id: int, recipe: SessionRecipe,
                 # Re-issued job we already ran: resend, never re-execute.
                 results.put(cached)
                 continue
-            if kind in ("lease", "fuzz", "lease-batch", "fuzz-batch"):
+            if kind in ("lease-batch", "fuzz-batch"):
                 index = job_index
                 job_index += 1
                 if (injector is not None
@@ -371,15 +355,9 @@ def _worker_main(worker_id: int, recipe: SessionRecipe,
             if kind == "warm":
                 harness(payload["kind"])
                 envelope = ("warmed", worker_id, job_id, None)
-            elif kind == "lease":
-                envelope = ("lease", worker_id, job_id,
-                            harness("engine").run_lease(payload))
             elif kind == "lease-batch":
                 envelope = ("lease-batch", worker_id, job_id,
                             run_lease_batch(payload))
-            elif kind == "fuzz":
-                envelope = ("fuzz", worker_id, job_id,
-                            harness("fuzz").run_batch(payload))
             elif kind == "fuzz-batch":
                 envelope = ("fuzz-batch", worker_id, job_id,
                             run_fuzz_batch(payload))
@@ -401,4 +379,3 @@ def _worker_main(worker_id: int, recipe: SessionRecipe,
         except BaseException:
             results.put(("error", worker_id, job_id,
                          traceback.format_exc()))
-    transport.close()

@@ -10,6 +10,7 @@ import pathlib
 import signal
 import subprocess
 import sys
+import textwrap
 import time
 
 import pytest
@@ -434,6 +435,44 @@ class TestCrashResume:
         assert replayed.returncode in (0, 1), replayed.stderr[-2000:]
         assert "verdict matches the sealed campaign verdict" \
             in replayed.stdout
+
+    def test_cli_resume_of_recipe_with_removed_transport(self, tmp_path):
+        """Journals written before the shared-memory transport was
+        removed pickle a SessionRecipe that still carries
+        ``transport="shm"``; ``repro resume`` must ignore the stale
+        attribute and reach the serial verdict."""
+        journal = tmp_path / "journal"
+        script = tmp_path / "old_campaign.py"
+        script.write_text(textwrap.dedent(f"""\
+            import sys
+            from repro.firmware import TIMER_BASE, dispatcher
+            from repro.parallel import ParallelAnalysisEngine
+            from repro.peripherals import catalog
+            engine = ParallelAnalysisEngine(
+                dispatcher(5, work_cycles=8), [(catalog.TIMER, TIMER_BASE)],
+                workers=2, searcher="bfs", journal=sys.argv[1],
+                checkpoint_every=1)
+            object.__setattr__(engine.recipe, "transport", "shm")
+            engine.run(max_instructions=100_000)
+            """))
+        with open(tmp_path / "crash.out", "w") as out, \
+                open(tmp_path / "crash.err", "w") as err:
+            crashed = subprocess.run(
+                [sys.executable, str(script), str(journal)],
+                env=_cli_env(REPRO_JOURNAL_KILL_AFTER="14"),
+                stdout=out, stderr=err, timeout=600)
+        assert crashed.returncode == -signal.SIGKILL, (
+            (tmp_path / "crash.err").read_text()[-2000:])
+        stale = Journal.open(journal, readonly=True)
+        setup = stale.get_blob(stale.first("campaign-opened")["blob"])
+        assert setup["recipe"].transport == "shm"
+        assert not stale.sealed
+        resumed = subprocess.run(
+            CLI + ["resume", str(journal)], env=_cli_env(),
+            capture_output=True, text=True, timeout=600)
+        assert resumed.returncode in (0, 1), resumed.stderr[-2000:]
+        sealed = Journal.open(journal, readonly=True)
+        assert sealed.last("campaign-sealed")["verdict"] == _Serial.engine()
 
     def test_journal_chaos_cell(self, tmp_path):
         """One CI journal-chaos cell: the crash point and worker count

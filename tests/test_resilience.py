@@ -17,7 +17,9 @@ from repro.errors import (LinkError, ScanShiftError, SnapshotIntegrityError,
 from repro.firmware import TIMER_BASE, dispatcher, fuzz_packet_parser
 from repro.parallel import (ParallelAnalysisEngine, ParallelFuzzer,
                             SessionRecipe, WorkerPool)
-from repro.parallel.pool import PoolTimeout, WorkerDeath, WorkerError
+from repro.parallel.envelope import pack_lease_batch, unpack_lease_results
+from repro.parallel.pool import (InlinePool, PoolTimeout, WorkerDeath,
+                                 WorkerError)
 from repro.peripherals import catalog
 from repro.resilience import (FaultInjector, FaultPlan, ResilienceStats,
                               RetryPolicy)
@@ -232,6 +234,15 @@ class TestSnapshotIntegrity:
         assert digest in str(excinfo.value)
 
 
+def _submit_root_batch(pool, worker_id: int) -> int:
+    """Queue a one-lease batch whose root lease makes the worker build
+    the initial state itself (no wire, no statewire involved)."""
+    lease = {"state": None, "wire": None, "sym_base": 0, "budget": 0}
+    return pool.submit(worker_id, "lease-batch", {"leases": [lease]},
+                       pack=lambda payload, peer: pack_lease_batch(
+                           payload["leases"], peer))
+
+
 class TestWorkerPool:
     def _recipe(self, **config):
         return SessionRecipe.create(FIRMWARE, TIMER, searcher="bfs",
@@ -242,8 +253,7 @@ class TestWorkerPool:
         forever when a worker died mid-lease."""
         with WorkerPool(self._recipe(), workers=2) as pool:
             pool.warm("engine")
-            job = pool.submit(1, "lease", {"state": None, "wire": None,
-                                           "sym_base": 0, "budget": 0})
+            job = _submit_root_batch(pool, 1)
             os.kill(pool._procs[1].pid, signal.SIGKILL)
             start = time.monotonic()
             with pytest.raises(WorkerDeath) as excinfo:
@@ -272,8 +282,7 @@ class TestWorkerPool:
     def test_respawn_replaces_worker_and_returns_leases(self):
         with WorkerPool(self._recipe(), workers=2) as pool:
             pool.warm("engine")
-            job = pool.submit(0, "lease", {"state": None, "wire": None,
-                                           "sym_base": 0, "budget": 0})
+            job = _submit_root_batch(pool, 0)
             os.kill(pool._procs[0].pid, signal.SIGKILL)
             with pytest.raises(WorkerDeath):
                 pool.next_result()
@@ -281,9 +290,10 @@ class TestWorkerPool:
             assert pool._procs[0].is_alive()
             assert pool.stats.resilience.worker_respawns == 1
             pool.resubmit(job)
-            kind, worker_id, res = pool.next_result(timeout=120)
-            assert kind == "lease" and worker_id == 0
-            assert res["executed"] > 0
+            kind, worker_id, data = pool.next_result(timeout=120)
+            assert kind == "lease-batch" and worker_id == 0
+            *_, results = unpack_lease_results(data)
+            assert results[0]["executed"] > 0
 
     def test_worker_errors_still_carry_remote_traceback(self):
         with WorkerPool(self._recipe(), workers=1) as pool:
@@ -291,12 +301,21 @@ class TestWorkerPool:
             with pytest.raises(WorkerError, match="no-such-job"):
                 pool.next_result(timeout=60)
 
+    @pytest.mark.parametrize("kind", ["lease", "fuzz"])
+    def test_unbatched_job_kinds_rejected(self, kind):
+        """Leases and fuzz shards only travel as batch envelopes."""
+        with WorkerPool(self._recipe(), workers=1) as pool:
+            pool.submit(0, kind, {})
+            with pytest.raises(WorkerError, match="unknown job kind"):
+                pool.next_result(timeout=60)
+        with pytest.raises(VmError, match="unknown job kind"):
+            InlinePool(self._recipe()).submit(0, kind, {})
+
     def test_duplicate_results_dropped(self):
         plan = FaultPlan(seed=1, result_dup_rate=1.0)
         with WorkerPool(self._recipe(fault_plan=plan), workers=1) as pool:
             pool.warm("engine")
-            pool.submit(0, "lease", {"state": None, "wire": None,
-                                     "sym_base": 0, "budget": 0})
+            _submit_root_batch(pool, 0)
             pool.next_result(timeout=120)
             deadline = time.monotonic() + 30
             while (not pool.stats.resilience.duplicate_results
