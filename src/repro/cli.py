@@ -177,8 +177,11 @@ def _print_run_report(report, pool_stats=None, session=None) -> int:
         print(f"  BUG {bug.summary()}")
     if pool_stats is not None:
         print(pool_stats.summary())
-    elif session is not None and report.snapshot_saves:
-        print(session.engine.controller.stats_table())
+    elif session is not None:
+        if report.snapshot_saves:
+            print(session.engine.controller.stats_table())
+        solver = session.solver
+        print(solver.stats.summary(solver.sat_stats))
     if report.resilience.any:
         print(report.resilience.summary())
     if report.stop_reason == "interrupted":

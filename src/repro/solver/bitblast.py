@@ -125,28 +125,21 @@ class BitBlaster:
 
     # -- word-level builders -------------------------------------------------
 
-    def _add_words(self, a: List[Lit], b: List[Lit]) -> List[Lit]:
+    def _add_words(self, a: List[Lit], b: List[Lit],
+                   carry: Lit = FALSE_LIT) -> List[Lit]:
         out: List[Lit] = []
-        carry: Lit = FALSE_LIT
         for ai, bi in zip(a, b):
             s, carry = self._full_adder(ai, bi, carry)
             out.append(s)
         return out
 
     def _negate_word(self, a: List[Lit]) -> List[Lit]:
-        inverted = [self._neg(x) for x in a]
-        one = [TRUE_LIT] + [FALSE_LIT] * (len(a) - 1)
-        return self._add_words(inverted, one)
+        return self._add_words([self._neg(x) for x in a],
+                               [TRUE_LIT] + [FALSE_LIT] * (len(a) - 1))
 
     def _sub_words(self, a: List[Lit], b: List[Lit]) -> List[Lit]:
         # a - b == a + ~b + 1
-        inverted = [self._neg(x) for x in b]
-        out: List[Lit] = []
-        carry: Lit = TRUE_LIT
-        for ai, bi in zip(a, inverted):
-            s, carry = self._full_adder(ai, bi, carry)
-            out.append(s)
-        return out
+        return self._add_words(a, [self._neg(x) for x in b], TRUE_LIT)
 
     def _mul_words(self, a: List[Lit], b: List[Lit]) -> List[Lit]:
         width = len(a)

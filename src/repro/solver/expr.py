@@ -46,9 +46,6 @@ SLT = "slt"
 SLE = "sle"
 ITE = "ite"
 
-_BINARY_ARITH = frozenset({ADD, SUB, MUL, UDIV, UREM, AND, OR, XOR, SHL, LSHR, ASHR})
-_COMPARISONS = frozenset({EQ, ULT, ULE, SLT, SLE})
-
 
 def _mask(width: int) -> int:
     return (1 << width) - 1
@@ -106,14 +103,6 @@ class BitVec:
     def is_const(self) -> bool:
         return self.op == CONST
 
-    @property
-    def is_var(self) -> bool:
-        return self.op == VAR
-
-    @property
-    def is_bool(self) -> bool:
-        return self.width == 1
-
     def variables(self) -> frozenset:
         """Return the set of variable nodes reachable from this node."""
         if self._vars is None:
@@ -130,15 +119,7 @@ class BitVec:
 
     def size(self) -> int:
         """Number of distinct DAG nodes reachable from this node."""
-        seen = set()
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            stack.extend(node.args)
-        return len(seen)
+        return sum(1 for _ in self.walk())
 
     def walk(self) -> Iterator["BitVec"]:
         """Iterate over all distinct nodes (post-order not guaranteed)."""
@@ -154,34 +135,40 @@ class BitVec:
 
     # -- evaluation --------------------------------------------------------
 
-    def evaluate(self, assignment: Mapping["BitVec", int]) -> int:
+    def evaluate(self, assignment: Mapping["BitVec", int],
+                 default: Optional[int] = None,
+                 memo: Optional[Dict[int, int]] = None) -> int:
         """Concretely evaluate under *assignment* (variable node -> int).
 
-        Raises :class:`SolverError` if a variable is unassigned.
+        Variables missing from *assignment* read as *default*; with no
+        default they raise :class:`SolverError`. *memo* (node id -> value) carries
+        results across calls that share one assignment, so evaluating
+        several expressions over a shared DAG visits each node once.
         """
-        cache: Dict[int, int] = {}
+        cache: Dict[int, int] = {} if memo is None else memo
         # Iterative post-order evaluation: expression DAGs from long
         # symbolic executions can be deep enough to blow the stack.
         stack = [(self, False)]
         while stack:
             node, ready = stack.pop()
-            if id(node) in cache:
+            key = id(node)
+            if key in cache:
                 continue
-            if node.op == CONST:
-                cache[id(node)] = node.value  # type: ignore[assignment]
-                continue
-            if node.op == VAR:
-                if node not in assignment:
+            op = node.op
+            if op == CONST:
+                cache[key] = node.value  # type: ignore[assignment]
+            elif op == VAR:
+                value = assignment.get(node, default)
+                if value is None:
                     raise SolverError(f"unassigned variable {node.name!r} in evaluate()")
-                cache[id(node)] = assignment[node] & _mask(node.width)
-                continue
-            if not ready:
+                cache[key] = value & _mask(node.width)
+            elif ready:
+                cache[key] = _eval_op(node, [cache[id(a)] for a in node.args])
+            else:
                 stack.append((node, True))
                 for arg in node.args:
-                    stack.append((arg, False))
-                continue
-            vals = [cache[id(a)] for a in node.args]
-            cache[id(node)] = _eval_op(node, vals)
+                    if id(arg) not in cache:
+                        stack.append((arg, False))
         return cache[id(self)]
 
     # -- display -----------------------------------------------------------
@@ -561,10 +548,6 @@ def uge(a: BitVec, b: BitVec) -> BitVec:
     return ule(b, a)
 
 
-def sgt(a: BitVec, b: BitVec) -> BitVec:
-    return slt(b, a)
-
-
 def sge(a: BitVec, b: BitVec) -> BitVec:
     return sle(b, a)
 
@@ -592,26 +575,3 @@ def ite(cond: BitVec, then: BitVec, other: BitVec) -> BitVec:
         if then.value == 0 and other.value == 1:
             return not_(cond)
     return _intern(ITE, then.width, (cond, then, other))
-
-
-def bool_and(*conds: BitVec) -> BitVec:
-    acc = true()
-    for c in conds:
-        acc = and_(acc, c)
-    return acc
-
-
-def bool_or(*conds: BitVec) -> BitVec:
-    acc = false()
-    for c in conds:
-        acc = or_(acc, c)
-    return acc
-
-
-def implies(a: BitVec, b: BitVec) -> BitVec:
-    return or_(not_(a), b)
-
-
-def clear_intern_cache() -> None:
-    """Drop the global interning table (mainly for memory-sensitive tests)."""
-    BitVec._interned.clear()

@@ -46,6 +46,9 @@ _REBUILD = {
     E.ITE: lambda n, a: E.ite(a[0], a[1], a[2]),
 }
 
+#: not(a < b) is b <= a, and so on for each ordered comparison.
+_NEGATED = {E.ULT: E.ule, E.ULE: E.ult, E.SLT: E.sle, E.SLE: E.slt}
+
 
 def rebuild(node: E.BitVec, new_args) -> E.BitVec:
     """Reconstruct *node* with *new_args* through the folding constructors."""
@@ -132,9 +135,9 @@ def simplify(node: E.BitVec) -> E.BitVec:
 def _apply_rules(node: E.BitVec) -> E.BitVec:
     if node.op == E.NOT and node.width == 1:
         inner = node.args[0]
-        flipped = _negate_comparison(inner)
-        if flipped is not None:
-            return flipped
+        flip = _NEGATED.get(inner.op)
+        if flip is not None:
+            return flip(inner.args[1], inner.args[0])
     if node.op == E.EQ:
         a, b = node.args
         if b.is_const:
@@ -146,18 +149,6 @@ def _apply_rules(node: E.BitVec) -> E.BitVec:
             if folded is not None:
                 return folded
     return node
-
-
-def _negate_comparison(node: E.BitVec):
-    if node.op == E.ULT:
-        return E.ule(node.args[1], node.args[0])
-    if node.op == E.ULE:
-        return E.ult(node.args[1], node.args[0])
-    if node.op == E.SLT:
-        return E.sle(node.args[1], node.args[0])
-    if node.op == E.SLE:
-        return E.slt(node.args[1], node.args[0])
-    return None
 
 
 def _eq_with_const(a: E.BitVec, c: E.BitVec):

@@ -20,7 +20,7 @@ from __future__ import annotations
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
 from repro.errors import SolverError
 from repro.solver import expr as E
@@ -46,12 +46,19 @@ class CheckResult:
 @dataclass
 class SolverStats:
     queries: int = 0
-    sat_queries: int = 0
-    unsat_queries: int = 0
     query_cache_hits: int = 0
     query_cache_evictions: int = 0
     model_cache_hits: int = 0
     solver_time: float = 0.0
+
+    def summary(self, sat: Mapping[str, int]) -> str:
+        """One ``[solver]`` report line; *sat* is the SAT core's
+        ``stats`` dict (:attr:`Solver.sat_stats`)."""
+        return (f"[solver] queries={self.queries} query_cache_hits="
+                f"{self.query_cache_hits} model_cache_hits={self.model_cache_hits}"
+                f" sat_decisions={sat['decisions']} sat_conflicts="
+                f"{sat['conflicts']} sat_propagations={sat['propagations']}"
+                f" solver_s={self.solver_time:.3f}")
 
 
 #: Default bound on the query cache. Long campaigns (fuzzing loops, DSE
@@ -74,7 +81,13 @@ class Solver:
         self._recent_models: List[Dict[E.BitVec, int]] = []
         self._model_cache_size = model_cache_size
         self._simplify = simplify_queries
+        self._simplify_memo: "OrderedDict[E.BitVec, E.BitVec]" = OrderedDict()
         self.stats = SolverStats()
+
+    @property
+    def sat_stats(self) -> Dict[str, int]:
+        """The SAT core's search counters (decisions, conflicts, ...)."""
+        return self._blaster.sat.stats
 
     # -- core API -------------------------------------------------------------
 
@@ -98,10 +111,8 @@ class Solver:
             return cached
         self.stats.queries += 1
         result = self._check_uncached(conj)
-        self._query_cache[key] = result
-        while len(self._query_cache) > self._query_cache_size:
-            self._query_cache.popitem(last=False)
-            self.stats.query_cache_evictions += 1
+        self.stats.query_cache_evictions += _lru_put(
+            self._query_cache, key, result, self._query_cache_size)
         return result
 
     def is_satisfiable(self, constraints: Iterable[E.BitVec]) -> bool:
@@ -117,7 +128,7 @@ class Solver:
         result = self.check(constraints)
         if not result.is_sat:
             return None
-        return value.evaluate(_total_model(result.model, value))
+        return value.evaluate(result.model, default=0)
 
     def eval_upto(self, value: E.BitVec, constraints: Sequence[E.BitVec],
                   limit: int) -> List[int]:
@@ -161,7 +172,7 @@ class Solver:
             if c.width != 1:
                 raise SolverError(f"constraint must be boolean, got width {c.width}")
             if self._simplify:
-                c = simplify(c)
+                c = self._simplified(c)
             if c.is_const:
                 if c.value == 0:
                     return None
@@ -177,7 +188,6 @@ class Solver:
         for model in self._recent_models:
             if self._model_satisfies(model, conj):
                 self.stats.model_cache_hits += 1
-                self.stats.sat_queries += 1
                 return CheckResult(SAT, dict(model))
         start = time.perf_counter()
         assumptions: List[int] = []
@@ -194,9 +204,7 @@ class Solver:
             status = self._blaster.sat.solve(assumptions)
         self.stats.solver_time += time.perf_counter() - start
         if status == UNSAT:
-            self.stats.unsat_queries += 1
             return CheckResult(UNSAT)
-        self.stats.sat_queries += 1
         model = self._extract_model(conj)
         self._remember_model(model)
         return CheckResult(SAT, model)
@@ -209,14 +217,26 @@ class Solver:
                     model[v] = self._blaster.model_value(v)
         return model
 
+    def _simplified(self, c: E.BitVec) -> E.BitVec:
+        """``simplify(c)``, memoised in an LRU of the query cache's size
+        (nodes are hash-consed, so ``simplify`` is pure)."""
+        done = self._simplify_memo.get(c)
+        if done is None:
+            done = simplify(c)
+            _lru_put(self._simplify_memo, c, done, self._query_cache_size)
+        else:
+            self._simplify_memo.move_to_end(c)
+        return done
+
     def _model_satisfies(self, model: Dict[E.BitVec, int],
                          conj: List[E.BitVec]) -> bool:
-        try:
-            for c in conj:
-                if c.evaluate(_total_model(model, c)) != 1:
-                    return False
-        except SolverError:
-            return False
+        # Newest constraint first: a fresh branch condition is the one a
+        # recent model most often fails. One memo serves the whole
+        # conjunction; variables the model lacks read as 0.
+        memo: Dict[int, int] = {}
+        for c in reversed(conj):
+            if c.evaluate(model, 0, memo) != 1:
+                return False
         return True
 
     def _remember_model(self, model: Dict[E.BitVec, int]) -> None:
@@ -224,9 +244,11 @@ class Solver:
         del self._recent_models[self._model_cache_size:]
 
 
-def _total_model(model: Dict[E.BitVec, int], node: E.BitVec) -> Dict[E.BitVec, int]:
-    """Extend *model* with 0 for variables of *node* it does not assign."""
-    full = dict(model)
-    for v in node.variables():
-        full.setdefault(v, 0)
-    return full
+def _lru_put(cache: "OrderedDict", key, value, size: int) -> int:
+    """Insert into an LRU-ordered *cache* of at most *size* entries;
+    returns 1 when that evicted the least recently used entry, else 0."""
+    cache[key] = value
+    if len(cache) <= size:
+        return 0
+    cache.popitem(last=False)
+    return 1

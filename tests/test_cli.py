@@ -36,6 +36,22 @@ class TestCli:
         out = capsys.readouterr().out
         assert "paths=3" in out
 
+    def test_run_prints_solver_line(self, firmware_file, capsys):
+        assert main(["run", firmware_file,
+                     "--peripheral", "timer@0x40000000",
+                     "--max-instructions", "100000"]) == 0
+        lines = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("[solver]")]
+        assert len(lines) == 1
+        fields = dict(part.split("=") for part in lines[0].split()[1:])
+        assert list(fields) == ["queries", "query_cache_hits",
+                                "model_cache_hits", "sat_decisions",
+                                "sat_conflicts", "sat_propagations",
+                                "solver_s"]
+        assert int(fields["queries"]) > 0
+        assert int(fields["model_cache_hits"]) > 0
+        assert float(fields["solver_s"]) >= 0
+
     def test_run_reports_bugs_nonzero_exit(self, tmp_path, capsys):
         from repro.firmware import vuln_buffer_overflow
         path = tmp_path / "vuln.s"
