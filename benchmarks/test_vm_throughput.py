@@ -16,8 +16,10 @@ stretches of DSE paths run in:
 
 CI gates on batched ≥ 2x legacy (instructions/second). The concrete
 ``Cpu`` core (the fuzzer's executor) is measured in the same shape:
-predecoded fetch vs forced byte-accurate fetch. All tiers must agree on
-the halt code — verdict identity is recorded in ``BENCH_vm.json``.
+forced byte-accurate fetch and predecoded ops, one ``step()`` call per
+instruction, and the fuzzer's own path — one ``Cpu.run`` call recording
+an edge set. All tiers must agree on the halt code — verdict identity
+is recorded in ``BENCH_vm.json``.
 """
 
 import os
@@ -91,6 +93,17 @@ def _run_cpu(predecoded):
     return cpu.steps / elapsed, exit_
 
 
+def _run_cpu_loop():
+    """The fuzzer's path: one ``Cpu.run`` call recording edges."""
+    cpu = Cpu(_program())
+    edges = set()
+    start = time.perf_counter()
+    exit_ = cpu.run(MAX_STEPS, edges)
+    elapsed = time.perf_counter() - start
+    assert exit_.reason == "halt"
+    return cpu.steps / elapsed, exit_
+
+
 def test_vm_throughput(benchmark):
     (legacy_ips, legacy_state), (fast_ips, fast_state), \
         (batched_ips, batched_state) = benchmark.pedantic(
@@ -100,16 +113,18 @@ def test_vm_throughput(benchmark):
 
     cpu_slow_ips, cpu_slow_exit = _run_cpu(predecoded=False)
     cpu_fast_ips, cpu_fast_exit = _run_cpu(predecoded=True)
+    cpu_run_ips, cpu_run_exit = _run_cpu_loop()
 
     verdict_identical = (
         legacy_state.halt_code == fast_state.halt_code
         == batched_state.halt_code
         and legacy_state.regs == fast_state.regs == batched_state.regs
-        and cpu_slow_exit.code == cpu_fast_exit.code
+        and cpu_slow_exit.code == cpu_fast_exit.code == cpu_run_exit.code
         == legacy_state.halt_code)
     step_speedup = fast_ips / legacy_ips
     batch_speedup = batched_ips / legacy_ips
     cpu_speedup = cpu_fast_ips / cpu_slow_ips
+    cpu_run_speedup = cpu_run_ips / cpu_slow_ips
 
     rows = [
         ["executor, legacy step", f"{legacy_ips:,.0f} instr/s", "1.00x",
@@ -121,8 +136,11 @@ def test_vm_throughput(benchmark):
         ["cpu core, slow fetch", f"{cpu_slow_ips:,.0f} instr/s", "1.00x",
          "byte-accurate fetch"],
         ["cpu core, predecoded", f"{cpu_fast_ips:,.0f} instr/s",
-         f"{cpu_speedup:.2f}x",
-         "identical verdict" if verdict_identical else "DIVERGED"],
+         f"{cpu_speedup:.2f}x", "per-pc ops, one step() per instruction"],
+        ["cpu core, run loop", f"{cpu_run_ips:,.0f} instr/s",
+         f"{cpu_run_speedup:.2f}x",
+         "Cpu.run + edge set (fuzzer path); "
+         + ("identical verdict" if verdict_identical else "DIVERGED")],
     ]
     emit("vm_throughput", format_table(
         ["configuration", "throughput", "speedup", "notes"], rows,
@@ -139,11 +157,13 @@ def test_vm_throughput(benchmark):
             "executor_fast_batched": batched_ips,
             "cpu_slow_fetch": cpu_slow_ips,
             "cpu_predecoded": cpu_fast_ips,
+            "cpu_run_loop": cpu_run_ips,
         },
         "speedup": {
             "fast_step": step_speedup,
             "fast_batched": batch_speedup,
             "cpu_predecoded": cpu_speedup,
+            "cpu_run_loop": cpu_run_speedup,
         },
         "min_speedup": MIN_SPEEDUP,
         "verdict_identical": verdict_identical,

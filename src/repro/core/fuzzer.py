@@ -80,11 +80,19 @@ class FuzzReport:
             return 0.0
         return self.executions / self.modelled_time_s
 
+    @property
+    def execs_per_host_second(self) -> float:
+        if self.host_time_s == 0:
+            return 0.0
+        return self.executions / self.host_time_s
+
     def summary(self) -> str:
         return (f"[fuzz] execs={self.executions} crashes={len(self.crashes)} "
                 f"corpus={self.corpus_size} edges={self.edges_covered} "
                 f"modelled={self.modelled_time_s:.4f}s "
-                f"({self.execs_per_modelled_second:.0f} exec/s)")
+                f"({self.execs_per_modelled_second:.0f} exec/s) "
+                f"host={self.host_time_s:.3f}s "
+                f"({self.execs_per_host_second:.0f} exec/s)")
 
     def verdict_summary(self) -> str:
         """Schedule-independent outcome string: executions, every crash
@@ -144,20 +152,15 @@ def execute_input(program: Program, target: HardwareTarget, data: bytes,
     cpu = Cpu(program, mmio_read=target.read, mmio_write=target.write,
               irq_poll=irq_poll)
     cpu.store(INPUT_ADDR, len(data), 4)
-    for i, byte in enumerate(data[:MAX_INPUT]):
-        cpu.store(INPUT_ADDR + 4 + i, byte, 1)
+    cpu.store_bytes(INPUT_ADDR + 4, data[:MAX_INPUT])
     edges: Set[Tuple[int, int]] = set()
-    last_pc = cpu.pc
     try:
-        while cpu.steps < max_steps:
-            exit_ = cpu.step()
-            edges.add((last_pc, cpu.pc))
-            last_pc = cpu.pc
-            if exit_ is not None:
-                return exit_, edges, None, cpu.pc
-        return None, edges, None, cpu.pc  # hang: treated as non-crash
+        exit_ = cpu.run(max_steps, edges)
     except FirmwarePanic as exc:
         return None, edges, str(exc), cpu.pc
+    if exit_.reason == "limit":
+        return None, edges, None, cpu.pc  # hang: treated as non-crash
+    return exit_, edges, None, cpu.pc
 
 
 class CorpusScheduler:

@@ -24,6 +24,7 @@ from __future__ import annotations
 import copy
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import InstrumentationError, ScanCoverageError
@@ -89,8 +90,9 @@ class ScanChainResult:
         return [e.name for e in self.excluded
                 if e.kind == "mem" and e.reason == "memory-limit"]
 
-    @property
+    @cached_property
     def chain_length(self) -> int:
+        # The elements are fixed once insert_scan_chain returns.
         return sum(e.bits for e in self.elements)
 
     # -- state <-> bitstream -----------------------------------------------------

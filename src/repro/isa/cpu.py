@@ -6,17 +6,27 @@ a handy way to run firmware without any symbolic machinery.
 
 MMIO is pluggable: addresses inside registered windows are forwarded to
 ``mmio_read``/``mmio_write`` callbacks (usually a hardware target).
+
+Dispatch goes through per-pc *op closures*: every predecoded instruction
+of a program is compiled once into ``op(cpu, regs) -> next_pc`` with its
+operands and semantics bound in, so executing it reads neither the
+opcode nor a decoded field. ``halt`` stashes its :class:`CpuExit` on the
+cpu and returns None. The table is shared, weakly cached, by every
+:class:`Cpu` of one :class:`~repro.isa.predecode.DecodedImage`; fetches
+the table cannot serve (code written at run time, pcs outside the image)
+compile the fetched word the same way.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+import weakref
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.errors import FirmwarePanic, VmError
 from repro.isa import encoding as enc
 from repro.isa.assembler import Program
-from repro.isa.predecode import decoded_image
+from repro.isa.predecode import DecodedImage, decoded_image
 
 MASK32 = 0xFFFFFFFF
 
@@ -34,6 +44,11 @@ class CpuExit:
     steps: int = 0
 
 
+#: A compiled instruction: executes against (cpu, cpu.regs) and returns
+#: the next pc, or None after ``halt`` (the exit is left in ``cpu._exit``).
+Op = Callable[["Cpu", List[int]], Optional[int]]
+
+
 class Cpu:
     """Concrete HS32 interpreter."""
 
@@ -46,9 +61,9 @@ class Cpu:
         self.ram_size = ram_size
         image = decoded_image(program)
         self.ram = image.ram_image(ram_size)
-        # Predecoded dispatch: instruction words come from the shared
-        # per-program table while no store has touched the code region.
-        self._itab = image.itab
+        # Predecoded dispatch: ops come from the shared per-program
+        # table while no store has touched the code region.
+        self._ops = _op_table(image)
         self._code_limit = min(image.code_limit, ram_size)
         self._code_clean = True
         self.regs: List[int] = [0] * enc.NUM_REGS
@@ -63,6 +78,7 @@ class Cpu:
         self.in_irq = False
         self._irq_return_pc = 0
         self.steps = 0
+        self._exit: Optional[CpuExit] = None
         self.trace_marks: List[int] = []
         # Concrete replay of symbolic test cases: values consumed by
         # successive `sym` intrinsics (defaults to 0 when exhausted).
@@ -71,11 +87,8 @@ class Cpu:
 
     # -- memory -------------------------------------------------------------
 
-    def _is_mmio(self, addr: int) -> bool:
-        return addr >= self.mmio_base
-
     def load(self, addr: int, size: int) -> int:
-        if self._is_mmio(addr):
+        if addr >= self.mmio_base:
             if self.mmio_read is None:
                 raise VmError(f"MMIO read at 0x{addr:08x} with no handler")
             word = self.mmio_read(addr & ~3)
@@ -89,7 +102,7 @@ class Cpu:
         return int.from_bytes(self.ram[addr:addr + size], "little")
 
     def store(self, addr: int, value: int, size: int) -> None:
-        if self._is_mmio(addr):
+        if addr >= self.mmio_base:
             if self.mmio_write is None:
                 raise VmError(f"MMIO write at 0x{addr:08x} with no handler")
             self.mmio_write(addr & ~3, value & MASK32)
@@ -102,26 +115,76 @@ class Cpu:
         self.ram[addr:addr + size] = (value & ((1 << (8 * size)) - 1)) \
             .to_bytes(size, "little")
 
+    def store_bytes(self, addr: int, data: bytes) -> None:
+        """Store *data* at *addr* with the effect of one byte ``store``
+        per byte: one slice write when the span is plain RAM, the
+        per-byte path (MMIO forwarding, bounds fault after the in-bounds
+        prefix) otherwise."""
+        if not data:
+            return
+        end = addr + len(data)
+        if addr < 0 or end > self.ram_size or end > self.mmio_base:
+            for i, byte in enumerate(data):
+                self.store(addr + i, byte, 1)
+            return
+        if addr < self._code_limit:
+            self._code_clean = False
+        self.ram[addr:end] = data
+
     # -- execution -------------------------------------------------------------------
 
-    def run(self, max_steps: int = 1_000_000) -> CpuExit:
-        while self.steps < max_steps:
-            exit_ = self.step()
-            if exit_ is not None:
-                exit_.steps = self.steps
-                return exit_
-        return CpuExit("limit", pc=self.pc, steps=self.steps)
+    def run(self, max_steps: int = 1_000_000,
+            edges: Optional[Set[Tuple[int, int]]] = None) -> CpuExit:
+        """Execute until halt or until ``steps`` reaches *max_steps*
+        (a ``"limit"`` exit). Each executed step adds its (pc before,
+        pc after) pair to *edges*; a faulting step adds none, and an
+        interrupt entry's pair starts at the interrupted pc."""
+        add = (edges if edges is not None else set()).add
+        ops = self._ops
+        regs = self.regs
+        pc = self.pc
+        steps = self.steps
+        try:
+            while steps < max_steps:
+                before = self.pc = pc
+                if self.irq_enabled:
+                    self._maybe_interrupt()
+                    pc = self.pc
+                op = ops.get(pc) if self._code_clean else None
+                if op is None:
+                    op = self._fetch_slow(pc)
+                steps += 1
+                next_pc = op(self, regs)
+                if next_pc is None:
+                    add((before, pc))
+                    exit_ = self._exit
+                    exit_.steps = steps
+                    return exit_
+                add((before, next_pc))
+                pc = next_pc
+            self.pc = pc
+            return CpuExit("limit", pc=pc, steps=steps)
+        finally:
+            self.steps = steps
 
     def step(self) -> Optional[CpuExit]:
+        """Execute one instruction; returns the exit on halt."""
         self._maybe_interrupt()
-        instr = self._itab.get(self.pc) if self._code_clean else None
-        if instr is None:
-            # Slow path: data words, modified code, out-of-image pcs —
-            # byte-accurate fetch with the usual bounds faults.
-            word = self.load(self.pc, 4)
-            instr = enc.decode(word)
+        pc = self.pc
+        op = self._ops.get(pc) if self._code_clean else None
+        if op is None:
+            op = self._fetch_slow(pc)
         self.steps += 1
-        return self._execute(instr)
+        next_pc = op(self, self.regs)
+        if next_pc is None:
+            return self._exit
+        self.pc = next_pc
+        return None
+
+    def _fetch_slow(self, pc: int) -> Op:
+        """Data words, modified code, out-of-image pcs: byte-accurate
+        fetch with the usual bounds faults, compiled on the spot."""
+        return _compile(enc.decode(self.load(pc, 4)), pc)
 
     def _maybe_interrupt(self) -> None:
         if (self.irq_enabled and not self.in_irq
@@ -133,83 +196,153 @@ class Cpu:
             self.in_irq = True
             self.pc = self.irq_handler
 
-    def _execute(self, instr: enc.Instruction) -> Optional[CpuExit]:
-        op = instr.opcode
-        regs = self.regs
-        next_pc = self.pc + 4
-        if op in enc.R_TYPE:
-            a, b = regs[instr.rs1], regs[instr.rs2]
-            regs[instr.rd] = _alu_r(op, a, b, self.pc)
-        elif op in enc.I_ALU:
-            regs[instr.rd] = _alu_i(op, regs[instr.rs1], instr.imm,
-                                    regs[instr.rd])
-        elif op in enc.LOADS:
-            addr = (regs[instr.rs1] + instr.imm) & MASK32
-            if op == enc.LW:
-                regs[instr.rd] = self.load(addr, 4)
-            elif op == enc.LB:
-                regs[instr.rd] = _signed_byte(self.load(addr, 1))
-            else:
-                regs[instr.rd] = self.load(addr, 1)
-        elif op in enc.STORES:
-            addr = (regs[instr.rs1] + instr.imm) & MASK32
-            self.store(addr, regs[instr.rd], 4 if op == enc.SW else 1)
-        elif op in enc.BRANCHES:
-            if _branch_taken(op, regs[instr.rd], regs[instr.rs1]):
-                next_pc = (self.pc + instr.imm) & MASK32
-        elif op == enc.JAL:
-            if instr.rd:
-                regs[instr.rd] = next_pc
-            next_pc = (self.pc + instr.imm) & MASK32
-        elif op == enc.JALR:
-            target = (regs[instr.rs1] + instr.imm) & MASK32
-            if instr.rd:
-                regs[instr.rd] = next_pc
-            next_pc = target
-        elif op == enc.HALT:
-            return CpuExit("halt", code=regs[instr.rs1], pc=self.pc)
-        elif op == enc.IRET:
-            if not self.in_irq:
-                raise FirmwarePanic(f"iret outside interrupt at 0x{self.pc:08x}")
-            self.in_irq = False
-            self.pc = self._irq_return_pc
-            return None
-        elif op == enc.HS:
-            self._intrinsic(instr)
-        else:
-            raise FirmwarePanic(
-                f"illegal instruction 0x{instr.opcode:02x} at 0x{self.pc:08x}")
-        self.pc = next_pc
-        return None
 
-    def _intrinsic(self, instr: enc.Instruction) -> None:
-        func = instr.imm & 0xFF
-        if func == enc.HS_SYMBOLIC:
-            # Concrete core: consume the next replay value (KLEE-style
-            # .ktest replay), or zero when none was provided.
-            if self._sym_index < len(self.sym_values):
-                self.regs[instr.rd] = self.sym_values[self._sym_index] & MASK32
-                self._sym_index += 1
+# ---------------------------------------------------------------------------
+# Op compilation
+# ---------------------------------------------------------------------------
+
+#: DecodedImage -> its pc -> op table; entries die with their image.
+_OP_TABLES: "weakref.WeakKeyDictionary[DecodedImage, Dict[int, Op]]" = \
+    weakref.WeakKeyDictionary()
+
+
+def _op_table(image: DecodedImage) -> Dict[int, Op]:
+    """The (cached) op table of every predecoded instruction of *image*."""
+    ops = _OP_TABLES.get(image)
+    if ops is None:
+        ops = {pc: _compile(instr, pc) for pc, instr in image.itab.items()}
+        _OP_TABLES[image] = ops
+    return ops
+
+
+def _compile(instr: enc.Instruction, pc: int) -> Op:
+    """Bind *instr* at *pc* into an op. ALU and branch semantics come
+    from the per-opcode tables below, shared with the symbolic
+    executor's concrete fast path."""
+    op, rd, rs1, rs2, imm = (instr.opcode, instr.rd, instr.rs1, instr.rs2,
+                             instr.imm)
+    fall = pc + 4
+    if op in enc.R_TYPE:
+        alu_r = ALU_R_OPS[op]
+
+        def r_type(cpu: Cpu, regs: List[int]) -> int:
+            regs[rd] = alu_r(regs[rs1], regs[rs2])
+            return fall
+        return r_type
+    if op in enc.I_ALU:
+        alu_i = ALU_I_OPS[op]
+
+        def i_type(cpu: Cpu, regs: List[int]) -> int:
+            regs[rd] = alu_i(regs[rs1], imm)
+            return fall
+        return i_type
+    if op == enc.LB:
+        def load_signed_byte(cpu: Cpu, regs: List[int]) -> int:
+            regs[rd] = _signed_byte(cpu.load((regs[rs1] + imm) & MASK32, 1))
+            return fall
+        return load_signed_byte
+    if op in enc.LOADS:
+        size = 4 if op == enc.LW else 1
+
+        def load(cpu: Cpu, regs: List[int]) -> int:
+            regs[rd] = cpu.load((regs[rs1] + imm) & MASK32, size)
+            return fall
+        return load
+    if op in enc.STORES:
+        size = 4 if op == enc.SW else 1
+
+        def store(cpu: Cpu, regs: List[int]) -> int:
+            cpu.store((regs[rs1] + imm) & MASK32, regs[rd], size)
+            return fall
+        return store
+    if op in enc.BRANCHES:
+        taken = BRANCH_OPS[op]
+        target = (pc + imm) & MASK32
+
+        def branch(cpu: Cpu, regs: List[int]) -> int:
+            return target if taken(regs[rd], regs[rs1]) else fall
+        return branch
+    # Jumps link into rd unless rd is r0 (r0 is an ordinary register,
+    # but a zero link field means "no link").
+    if op == enc.JAL:
+        target = (pc + imm) & MASK32
+
+        def jal(cpu: Cpu, regs: List[int]) -> int:
+            regs[rd] = fall
+            return target
+        return jal if rd else (lambda cpu, regs: target)
+    if op == enc.JALR:
+        def jalr(cpu: Cpu, regs: List[int]) -> int:
+            target = (regs[rs1] + imm) & MASK32
+            regs[rd] = fall
+            return target
+
+        def jr(cpu: Cpu, regs: List[int]) -> int:
+            return (regs[rs1] + imm) & MASK32
+        return jalr if rd else jr
+    if op == enc.HALT:
+        def halt(cpu: Cpu, regs: List[int]) -> None:
+            cpu._exit = CpuExit("halt", code=regs[rs1], pc=pc)
+        return halt
+    if op == enc.IRET:
+        def iret(cpu: Cpu, regs: List[int]) -> int:
+            if not cpu.in_irq:
+                raise FirmwarePanic(f"iret outside interrupt at 0x{pc:08x}")
+            cpu.in_irq = False
+            return cpu._irq_return_pc
+        return iret
+    if op == enc.HS:
+        return _compile_intrinsic(imm & 0xFF, rd, rs1, pc)
+
+    def illegal(cpu: Cpu, regs: List[int]) -> int:
+        raise FirmwarePanic(f"illegal instruction 0x{op:02x} at 0x{pc:08x}")
+    return illegal
+
+
+def _compile_intrinsic(func: int, rd: int, rs1: int, pc: int) -> Op:
+    fall = pc + 4
+    if func == enc.HS_SYMBOLIC:
+        # Concrete core: consume the next replay value (KLEE-style
+        # .ktest replay), or zero when none was provided.
+        def symbolic(cpu: Cpu, regs: List[int]) -> int:
+            if cpu._sym_index < len(cpu.sym_values):
+                regs[rd] = cpu.sym_values[cpu._sym_index] & MASK32
+                cpu._sym_index += 1
             else:
-                self.regs[instr.rd] = 0
-        elif func == enc.HS_SYMBOLIC_BYTES:
-            pass  # buffer keeps its concrete contents
-        elif func == enc.HS_ASSUME:
-            if self.regs[instr.rs1] == 0:
-                raise FirmwarePanic(f"assume failed at 0x{self.pc:08x}")
-        elif func == enc.HS_ASSERT:
-            if self.regs[instr.rs1] == 0:
-                raise FirmwarePanic(f"assertion failed at 0x{self.pc:08x}")
-        elif func == enc.HS_SET_IVT:
-            self.irq_handler = self.regs[instr.rs1] & MASK32
-        elif func == enc.HS_EI:
-            self.irq_enabled = True
-        elif func == enc.HS_DI:
-            self.irq_enabled = False
-        elif func == enc.HS_TRACE:
-            self.trace_marks.append(self.regs[instr.rs1])
-        else:
-            raise FirmwarePanic(f"unknown intrinsic {func} at 0x{self.pc:08x}")
+                regs[rd] = 0
+            return fall
+        return symbolic
+    if func == enc.HS_SYMBOLIC_BYTES:
+        return lambda cpu, regs: fall  # buffer keeps its concrete contents
+    if func in (enc.HS_ASSUME, enc.HS_ASSERT):
+        what = "assume" if func == enc.HS_ASSUME else "assertion"
+
+        def check(cpu: Cpu, regs: List[int]) -> int:
+            if regs[rs1] == 0:
+                raise FirmwarePanic(f"{what} failed at 0x{pc:08x}")
+            return fall
+        return check
+    if func == enc.HS_SET_IVT:
+        def set_ivt(cpu: Cpu, regs: List[int]) -> int:
+            cpu.irq_handler = regs[rs1] & MASK32
+            return fall
+        return set_ivt
+    if func in (enc.HS_EI, enc.HS_DI):
+        enable = func == enc.HS_EI
+
+        def irq_control(cpu: Cpu, regs: List[int]) -> int:
+            cpu.irq_enabled = enable
+            return fall
+        return irq_control
+    if func == enc.HS_TRACE:
+        def trace(cpu: Cpu, regs: List[int]) -> int:
+            cpu.trace_marks.append(regs[rs1])
+            return fall
+        return trace
+
+    def unknown(cpu: Cpu, regs: List[int]) -> int:
+        raise FirmwarePanic(f"unknown intrinsic {func} at 0x{pc:08x}")
+    return unknown
 
 
 def _alu_r(op: int, a: int, b: int, pc: int) -> int:
@@ -284,8 +417,8 @@ def _signed_byte(value: int) -> int:
 
 # ---------------------------------------------------------------------------
 # Per-opcode concrete semantics tables. One dict lookup replaces the
-# if-chains above on hot paths (the symbolic executor's concrete fast
-# path dispatches through these).
+# if-chains above on hot paths (the Cpu's op closures and the symbolic
+# executor's concrete fast path dispatch through these).
 # ---------------------------------------------------------------------------
 
 ALU_R_OPS: Dict[int, Callable[[int, int], int]] = {

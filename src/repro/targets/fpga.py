@@ -285,7 +285,14 @@ class FpgaTarget(HardwareTarget):
         scan = self._chain(instance)
         sim = instance.sim
         if self.scan_mode == "functional":
-            sim.load_state(state)
+            # Incremental restore, the mirror of incremental capture: an
+            # instance untouched since it last held exactly *state* is
+            # already in it. The modelled cost is charged by the caller
+            # either way.
+            cached = self._capture_cache.get(instance.name)
+            if (cached is None or cached.version != sim.state_version
+                    or cached.state != state):
+                sim.load_state(state)
             return
         if self.scan_mode == "shift-perbit":
             nets = {e.name: state["nets"][e.name]

@@ -1,5 +1,7 @@
 """CLI smoke tests."""
 
+import re
+
 import pytest
 
 from repro.cli import main
@@ -83,3 +85,15 @@ class TestCli:
         assert code == 1  # crashes found
         out = capsys.readouterr().out
         assert "crash" in out
+
+    def test_fuzz_line_reports_host_throughput(self, tmp_path, capsys):
+        """The serial [fuzz] line shows host seconds and host exec/s
+        beside the modelled figures, each labelled."""
+        path = tmp_path / "fuzz.s"
+        path.write_text(fuzz_packet_parser())
+        main(["fuzz", str(path), "--peripheral", "timer@0x40000000",
+              "-n", "20", "--seed", "0207"])
+        line = next(text for text in capsys.readouterr().out.splitlines()
+                    if text.startswith("[fuzz]"))
+        assert re.search(r" modelled=\d+\.\d{4}s \(\d+ exec/s\) "
+                         r"host=\d+\.\d{3}s \(\d+ exec/s\)$", line), line

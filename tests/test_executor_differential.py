@@ -2,8 +2,11 @@
 reference core on randomly generated (fully concrete) programs.
 
 The generator emits terminating straight-line-plus-bounded-loop programs
-over the full ALU/memory subset; both engines must agree on every
-register, the halt code, and RAM contents.
+over the full ALU/memory subset (word and byte loads/stores), every
+branch kind (forward skips), and leaf calls; both engines must agree on
+every register, the halt code, and RAM contents. Each program runs
+against both executor dispatch tiers, so the independent legacy if/elif
+tier also checks the concrete core's op closures.
 """
 
 import random
@@ -17,34 +20,62 @@ from repro.vm import SymbolicExecutor
 _ALU_R = ["add", "sub", "and", "or", "xor", "sll", "srl", "sra", "mul",
           "divu", "remu", "slt", "sltu"]
 _ALU_I = ["addi", "andi", "ori", "xori", "slli", "srli", "srai"]
+_BRANCHES = ["beq", "bne", "blt", "bge", "bltu", "bgeu"]
+
+
+def _alu_line(rng: random.Random) -> str:
+    if rng.random() < 0.6:
+        op = rng.choice(_ALU_R)
+        rd, rs1, rs2 = (rng.randint(1, 9) for _ in range(3))
+        return f"    {op} r{rd}, r{rs1}, r{rs2}"
+    op = rng.choice(_ALU_I)
+    rd, rs1 = rng.randint(1, 9), rng.randint(1, 9)
+    imm = (rng.randrange(0, 32) if op in ("slli", "srli", "srai")
+           else rng.randrange(-1000, 1000))
+    return f"    {op} r{rd}, r{rs1}, {imm}"
 
 
 def _random_program(seed: int) -> str:
     """A random terminating program using registers r1..r9 and a small
-    scratch region; r10 is the memory base, r11/r12 loop bookkeeping."""
+    scratch region; r10 is the memory base, r11/r12 loop bookkeeping.
+    Branches only skip forward and called functions are leaves placed
+    after the final halt, so every program terminates."""
     rng = random.Random(seed)
     lines = ["start:", "    movi r10, 0x2000"]
+    functions = []
     for r in range(1, 10):
         lines.append(f"    movi r{r}, {rng.randrange(0, 1 << 16)}")
     for i in range(rng.randint(8, 30)):
         kind = rng.random()
-        if kind < 0.45:
-            op = rng.choice(_ALU_R)
-            rd, rs1, rs2 = (rng.randint(1, 9) for _ in range(3))
-            lines.append(f"    {op} r{rd}, r{rs1}, r{rs2}")
-        elif kind < 0.7:
-            op = rng.choice(_ALU_I)
-            rd, rs1 = rng.randint(1, 9), rng.randint(1, 9)
-            imm = (rng.randrange(0, 32) if op in ("slli", "srli", "srai")
-                   else rng.randrange(-1000, 1000))
-            lines.append(f"    {op} r{rd}, r{rs1}, {imm}")
-        elif kind < 0.85:
+        if kind < 0.5:
+            lines.append(_alu_line(rng))
+        elif kind < 0.65:
             rs = rng.randint(1, 9)
-            offset = 4 * rng.randrange(16)
             if rng.random() < 0.5:
-                lines.append(f"    sw r{rs}, {offset}(r10)")
+                offset = 4 * rng.randrange(16)
+                op = "sw" if rng.random() < 0.5 else "lw"
             else:
-                lines.append(f"    lw r{rs}, {offset}(r10)")
+                offset = rng.randrange(64)
+                op = rng.choice(["sb", "lb", "lbu"])
+            lines.append(f"    {op} r{rs}, {offset}(r10)")
+        elif kind < 0.75:
+            # Forward skip over a few instructions: a conditional branch
+            # of any kind, or an unconditional jump.
+            label = f"skip{i}"
+            ra, rb = rng.randint(1, 9), rng.randint(1, 9)
+            op = rng.choice(_BRANCHES + ["j"])
+            lines.append(f"    j {label}" if op == "j"
+                         else f"    {op} r{ra}, r{rb}, {label}")
+            lines.extend(_alu_line(rng) for _ in range(rng.randint(1, 3)))
+            lines.append(f"{label}:")
+        elif kind < 0.85:
+            # Leaf call (jal links lr; ret is jalr through lr).
+            name = f"fn{i}"
+            lines.append(f"    call {name}")
+            functions.append(f"{name}:")
+            functions.extend(_alu_line(rng)
+                             for _ in range(rng.randint(1, 3)))
+            functions.append("    ret")
         else:
             # Bounded count-down loop accumulating into a register.
             label = f"loop{i}"
@@ -57,11 +88,19 @@ def _random_program(seed: int) -> str:
             lines.append(f"    bne r11, r0, {label}")
     result = rng.randint(1, 9)
     lines.append(f"    halt r{result}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines + functions) + "\n"
 
 
-@pytest.mark.parametrize("seed", range(25))
-def test_random_program_differential(seed):
+#: The fast tier keeps the bare ``[seed]`` ids of the original cases;
+#: the legacy tier's cases are ``[seed-legacy]``.
+_CASES = [pytest.param(seed, dispatch,
+                       id=str(seed) if dispatch == "fast"
+                       else f"{seed}-{dispatch}")
+          for dispatch in ("fast", "legacy") for seed in range(25)]
+
+
+@pytest.mark.parametrize("seed,dispatch", _CASES)
+def test_random_program_differential(seed, dispatch):
     src = _random_program(seed)
     program = assemble(src)
 
@@ -69,13 +108,14 @@ def test_random_program_differential(seed):
     cpu_exit = cpu.run(max_steps=50_000)
     assert cpu_exit.reason == "halt"
 
-    executor = SymbolicExecutor(program, bridge=None)
+    executor = SymbolicExecutor(program, bridge=None, dispatch=dispatch)
     state = executor.make_initial_state()
     while state.is_active and state.steps < 50_000:
         outcome = executor.step(state)
         assert not outcome.forks, "concrete program must not fork"
     assert state.status == "halted", state.error
     assert state.halt_code == cpu_exit.code
+    assert state.steps == cpu.steps
 
     # Full architectural state agreement.
     for i in range(enc.NUM_REGS):

@@ -170,6 +170,108 @@ class TestFpgaSnapshots:
             FpgaTarget(scan_mode="warp")
 
 
+class TestIncrementalRestore:
+    """A functional-mode restore skips ``sim.load_state`` when the
+    instance is untouched since it last held exactly the snapshot's
+    state; everything a restore charges and counts is unchanged."""
+
+    @staticmethod
+    def _spy_loads(monkeypatch, t):
+        sim = t.instances["timer"].sim
+        loads = []
+        load_state = sim.load_state
+
+        def spy(state):
+            loads.append(state)
+            load_state(state)
+        monkeypatch.setattr(sim, "load_state", spy)
+        return loads
+
+    def test_untouched_restore_skips_the_load(self, monkeypatch):
+        t = _target(FpgaTarget, scan_mode="functional")
+        _arm_timer(t, 12)
+        snap = t.save_snapshot()
+        loads = self._spy_loads(monkeypatch, t)
+        start, restored = t.timer.total_s, t.snapshots_restored
+        t.restore_snapshot(snap)
+        skipped_cost = t.timer.total_s - start
+        assert loads == []
+        assert t.snapshots_restored == restored + 1
+        assert skipped_cost > 0
+        # A restore that does reload the same snapshot costs the same.
+        t.write(TIMER_BASE + timer.REGISTERS["STATUS"], 1)
+        start = t.timer.total_s
+        t.restore_snapshot(snap)
+        assert len(loads) == 1
+        assert t.timer.total_s - start == pytest.approx(skipped_cost)
+        t.restore_snapshot(snap)
+        assert len(loads) == 1
+
+    @pytest.mark.parametrize("touch", ["mmio", "step", "other_snapshot"])
+    def test_touched_instance_reloads(self, monkeypatch, touch):
+        t = _target(FpgaTarget, scan_mode="functional")
+        _arm_timer(t, 12)
+        snap = t.save_snapshot()
+        if touch == "mmio":
+            t.write(TIMER_BASE + timer.REGISTERS["LOAD"], 99)
+        elif touch == "step":
+            t.step(5)
+        else:  # untouched since restoring a different state
+            t.step(5)
+            t.restore_snapshot(t.save_snapshot())
+        loads = self._spy_loads(monkeypatch, t)
+        t.restore_snapshot(snap)
+        assert len(loads) == 1
+        live = t.instances["timer"].sim.save_state()
+        state = snap.states["timer"]
+        assert live["cycle"] == state["cycle"]
+        assert {k: live["nets"][k] for k in state["nets"]} == state["nets"]
+        assert {k: live["memories"][k] for k in state["memories"]} \
+            == state["memories"]
+
+    @pytest.mark.parametrize("mode", ["shift", "shift-perbit"])
+    def test_shift_modes_still_shift(self, mode):
+        t = _target(FpgaTarget, scan_mode=mode)
+        snap = t.save_snapshot()
+        sim = t.instances["timer"].sim
+        version = sim.state_version
+        t.restore_snapshot(snap)
+        assert sim.state_version > version
+
+    def test_fault_plan_draws_unchanged(self):
+        """Skipped loads make no link-fault draws of their own: a serial
+        fuzz run under a fault plan keeps the verdict and recovery
+        counters recorded with the always-reloading restore."""
+        from repro.core import SnapshotFuzzer
+        from repro.firmware import fuzz_packet_parser
+        from repro.isa import assemble
+        from repro.resilience import FaultPlan
+
+        t = _target(FpgaTarget, scan_mode="functional")
+        t.attach_resilience(FaultPlan.parse(
+            "seed=9,scan_corrupt=0.2,scan_drop=0.05,link_down=0.05"))
+        seeds = [bytes([1, 4, 0x41, 0x42, 0x43, 0x44]), bytes([2, 7])]
+        report = SnapshotFuzzer(assemble(fuzz_packet_parser(TIMER_BASE)),
+                                t, seeds=seeds, seed=3).run(executions=200)
+        crashes = ";".join(
+            f"{index}:assertion failed at 0x000000bc@0xbc:{data}"
+            for index, data in [
+                (18, "018941429e1045"), (36, "01b30441420044"),
+                (91, "01b9"), (107, "01a541424380"), (123, "01e74f"),
+                (135, "01f4c1424364"), (148, "01804142004344"),
+                (162, "01e1c14243c4"), (199, "01c7044200434443")])
+        assert report.verdict_summary() == (
+            "[fuzz] execs=200 corpus=7 edges=70:f514e7b4bd2d20e4 "
+            f"crashes=<{crashes}>")
+        assert report.resilience.as_dict() == {
+            "link_retries": 64, "mmio_retries": 0, "transfer_retries": 0,
+            "stalls": 0, "health_checks": 200, "reconnects": 5,
+            "integrity_checks": 199, "backoff_s": 7.999999999999993e-05,
+            "worker_respawns": 0, "lease_reissues": 0,
+            "duplicate_results": 0, "degraded": False}
+        assert t.snapshots_restored == 199
+
+
 class TestSnapshotIp:
     def test_sram_hit_cheaper_than_host(self):
         ip = SnapshotIp(100e6, USB3, sram_bits=10_000)
