@@ -23,8 +23,13 @@ path. This package is that runtime:
 * :class:`ParallelFuzzer` — input-sharded fuzzing from a shared
   post-boot snapshot; merged coverage/crashes reproduce the serial
   fuzzer's ``verdict_summary()`` for the same batch size,
+* both coordinators subclass one :class:`~repro.parallel.campaign.Campaign`,
+  which owns the pool lifecycle, the journal and the recovery ladder,
 * jobs and results travel as packed batch envelopes
-  (:mod:`repro.parallel.envelope`) over plain ``mp.Queue`` pipes.
+  (:mod:`repro.parallel.envelope`) over plain ``mp.Queue`` pipes, one
+  job queue and one result channel per worker; the degraded
+  :class:`InlinePool` runs the same envelopes through the workers' own
+  job handler.
 
 See ``docs/PARALLEL.md`` for the architecture and determinism rules.
 """

@@ -44,20 +44,16 @@ from typing import (Any, Deque, Dict, List, Optional, Sequence, Set,
 
 from repro.core.config import SessionConfig
 from repro.core.engine import AnalysisReport
-from repro.core.journal import (DEFAULT_FSYNC_EVERY, Journal, PathLike,
-                                config_fingerprint)
+from repro.core.journal import DEFAULT_FSYNC_EVERY, Journal, PathLike
 from repro.core.persistence import SnapshotWire
 from repro.core.shutdown import shutdown_requested
-from repro.errors import JournalCorruptError, JournalError, VmError
 from repro.isa.assembler import Program
+from repro.parallel.campaign import Campaign
 from repro.parallel.envelope import pack_lease_batch, unpack_lease_results
-from repro.parallel.pool import WorkerPool, check_transport
 from repro.parallel.recipe import SessionRecipe
-from repro.parallel.recovery import PoolRecoveryMixin
 from repro.parallel.statewire import StateWire
 from repro.parallel.wire import ChunkChannel
 from repro.parallel.workers import SYM_BASE_STRIDE
-from repro.resilience import RetryPolicy
 from repro.vm.searchers import make_searcher
 from repro.vm.state import ExecState
 
@@ -66,15 +62,21 @@ def _wire_digests(wire) -> List[str]:
     return [digest for _name, (digest, _cycle, _bits) in wire.refs.items()]
 
 
-class ParallelAnalysisEngine(PoolRecoveryMixin):
+class ParallelAnalysisEngine(Campaign):
     """Drop-in parallel counterpart of
     :meth:`~repro.core.hardsnap.HardSnapSession.run`.
 
     Takes the same firmware/peripherals/config arguments as
     :class:`~repro.core.hardsnap.HardSnapSession` plus a worker count;
     only the ``hardsnap`` strategy is supported (snapshots are what make
-    states portable across processes).
+    states portable across processes). With ``journal=<dir>`` the
+    campaign is event-sourced and :meth:`resume` restores the frontier
+    (parked *and* in-flight states, with their snapshot chunks),
+    coverage, merged paths and bugs from the last loadable checkpoint.
     """
+
+    HARNESS = "engine"
+    MODE = "dse"
 
     def __init__(self, firmware: Optional[Union[str, Program]] = None,
                  peripherals: Sequence[Tuple[object, int]] = (),
@@ -89,79 +91,33 @@ class ParallelAnalysisEngine(PoolRecoveryMixin):
                  checkpoint_every: int = 8,
                  recipe: Optional[SessionRecipe] = None,
                  **overrides):
-        check_transport(transport)
-        if recipe is not None:
-            self.recipe = recipe
-        elif firmware is not None:
-            self.recipe = SessionRecipe.create(firmware, peripherals,
-                                               config=config,
-                                               delta_state=delta_state,
-                                               **overrides)
-        else:
-            raise VmError("pass firmware or a prebuilt recipe")
-        self.config = self.recipe.config
-        self.workers = workers
+        super().__init__(firmware, peripherals, config, recipe, transport,
+                         workers=workers, journal=journal,
+                         journal_fsync_every=journal_fsync_every,
+                         checkpoint_every=checkpoint_every,
+                         delta_state=delta_state, **overrides)
         #: Instructions per lease; 0 = run each lease to fork/completion.
         self.lease_budget = lease_budget
         #: Max leases coalesced into one job envelope.
         self.lease_batch = max(1, lease_batch)
         self.channel = ChunkChannel()
         self.statewire = StateWire(delta=self.recipe.delta_state)
-        self.retry_policy = self.config.retry_policy or RetryPolicy()
         self._coverage: Set[int] = set()
-        self._pool: Optional[WorkerPool] = None
-        self._last_stats = None
         self._lease_seq = 0
-        self._degraded = False
         self._worker_wire: Dict[object, object] = {}
         self._worker_statewire: Dict[object, object] = {}
         #: Digests pinned on behalf of each worker's in-flight batch
         #: (they back wires the recovery ladder may need to re-encode).
         self._pinned: Dict[int, List[str]] = {}
-        self._journal_path = journal
-        self._journal_fsync = journal_fsync_every
-        #: Envelopes merged between periodic checkpoints.
-        self.checkpoint_every = max(1, checkpoint_every)
-        self._journal: Optional[Journal] = None
-        #: Checkpoint state restored by :meth:`resume`, consumed by the
-        #: next :meth:`run`.
-        self._resume_state: Optional[Dict[str, Any]] = None
-        self._resume_run_kwargs: Optional[Dict[str, Any]] = None
 
-    # -- pool lifecycle -----------------------------------------------------
-
-    @property
-    def pool(self) -> WorkerPool:
-        if self._pool is None:
-            self._pool = WorkerPool(self.recipe, self.workers)
-        return self._pool
-
-    @property
-    def pool_stats(self):
-        """Stats of the live pool, or the last closed pool's — reading
-        stats must never spawn workers (a post-``close`` read that
-        resurrected the pool would leak processes past the campaign)."""
-        if self._pool is not None:
-            return self._pool.stats
-        return self._last_stats
-
-    def warm(self) -> None:
-        self.pool.warm("engine")
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._last_stats = self._pool.stats
-            self._pool.close()
-            self._pool = None
-        if self._journal is not None:
-            self._journal.close()
-            self._journal = None
-
-    def __enter__(self) -> "ParallelAnalysisEngine":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+    @classmethod
+    def _from_setup(cls, setup: Dict[str, Any],
+                    workers: int) -> "ParallelAnalysisEngine":
+        engine = cls(recipe=setup["recipe"], workers=workers,
+                     lease_budget=setup["lease_budget"],
+                     lease_batch=setup["lease_batch"])
+        engine._resume_run_kwargs = dict(setup["run_kwargs"])
+        return engine
 
     # -- leasing ------------------------------------------------------------
 
@@ -173,12 +129,6 @@ class ParallelAnalysisEngine(PoolRecoveryMixin):
             kwargs["covered"] = self._coverage
         return make_searcher(self.config.searcher, **kwargs)
 
-    def _peer(self, worker_id: int) -> object:
-        """Chunk-channel peer key for a worker. After degrading to the
-        in-process pool all results come from one harness whatever
-        worker id they echo, so they share one peer identity."""
-        return "degraded" if self._degraded else worker_id
-
     def _pack_leases(self, payload: Dict[str, Any],
                      worker_id: int) -> bytes:
         """``pack`` hook for the pool: structured batch → envelope
@@ -186,7 +136,7 @@ class ParallelAnalysisEngine(PoolRecoveryMixin):
         taken at pack time so a re-pack ships fresh bookkeeping."""
         peer = self._peer(worker_id)
         return pack_lease_batch(
-            payload["leases"], worker_id,
+            payload["leases"], peer,
             evictions=self.channel.take_evictions(peer),
             state_evictions=self.statewire.take_evictions(peer),
             statewire=self.statewire)
@@ -248,110 +198,30 @@ class ParallelAnalysisEngine(PoolRecoveryMixin):
 
     def _decode_batch(self, worker_id: int, data) -> List[Dict[str, Any]]:
         """One arrived batch envelope → the list of per-lease result
-        dicts. Packed bytes come from real workers; the degraded
-        InlinePool delivers the structured form directly."""
-        if isinstance(data, (bytes, bytearray, memoryview)):
-            t0 = time.perf_counter()
-            evictions, state_evictions, worker_enc, worker_dec, results = \
-                unpack_lease_results(data)
-            stats = self.pool.stats.ipc
-            stats.decode_s += time.perf_counter() - t0
-            stats.worker_encode_s += worker_enc
-            stats.worker_decode_s += worker_dec
-            peer = self._peer(worker_id)
-            self.channel.forget_remote(peer, evictions)
-            self.statewire.forget_remote(peer, state_evictions)
-            return results
-        return data["results"]
+        dicts (the eviction notices it carried are applied here)."""
+        evictions, state_evictions, _enc, _dec, results = \
+            self._unpack_result(unpack_lease_results, data)
+        peer = self._peer(worker_id)
+        self.channel.forget_remote(peer, evictions)
+        self.statewire.forget_remote(peer, state_evictions)
+        return results
 
-    # -- recovery hooks (see PoolRecoveryMixin) -----------------------------
+    # -- recovery hooks (see Campaign) ----------------------------------------
 
     def _forget_peer(self, worker_id: object) -> None:
         self.channel.known.pop(worker_id, None)
         self.statewire.forget_peer(worker_id)
 
     def _readdress(self, payload, peer: object) -> None:
-        if not isinstance(payload, dict):
-            return
-        for lease in payload.get("leases", ()):
-            if lease.get("wire") is not None:
+        for lease in payload["leases"]:
+            if lease["state"] is not None:
                 lease["wire"] = self.channel.reencode(lease["wire"], peer)
-            if lease.get("state") is not None:
-                # The replacement worker's base/page registries are
-                # cold: the re-pack must ship a self-contained full
-                # pickle, never a delta against history the old worker
-                # took down with it.
+                # The peer's base/page registries are cold: the re-pack
+                # must ship a self-contained full pickle, never a delta
+                # against history the old worker took down with it.
                 lease["force_full"] = True
 
-    # -- journal lifecycle ---------------------------------------------------
-
-    @classmethod
-    def resume(cls, journal_dir: PathLike,
-               workers: Optional[int] = None) -> "ParallelAnalysisEngine":
-        """Reopen an interrupted (or completed) journaled DSE campaign.
-
-        Restores the frontier (parked *and* in-flight states, with their
-        snapshot chunks), coverage, merged paths and bugs from the last
-        loadable checkpoint; :meth:`resume_run` then continues the
-        campaign under the recorded budgets. A corrupt checkpoint blob
-        falls back to the previous checkpoint — recorded in the journal
-        as ``checkpoint-skipped``, never silently. Worker count may
-        differ from the original run: verdicts are
-        worker-count-independent.
-        """
-        journal = Journal.open(journal_dir)
-        opened = journal.first("campaign-opened")
-        if opened is None:
-            raise JournalError(
-                f"journal {journal_dir} records no campaign-opened event")
-        if opened.get("mode") != "dse":
-            raise JournalError(
-                f"journal {journal_dir} holds a {opened.get('mode')!r} "
-                f"campaign, not a DSE one")
-        setup = journal.get_blob(opened["blob"])
-        engine = cls(recipe=setup["recipe"],
-                     workers=workers or setup["workers"],
-                     lease_budget=setup["lease_budget"],
-                     lease_batch=setup["lease_batch"])
-        engine._journal = journal
-        engine._resume_run_kwargs = dict(setup["run_kwargs"])
-        for checkpoint in reversed(journal.events("checkpoint")):
-            digest = checkpoint["blob"]
-            try:
-                engine._resume_state = journal.get_blob(digest)
-            except JournalCorruptError:
-                journal.append("checkpoint-skipped", blob=digest,
-                               seq_skipped=checkpoint["seq"])
-                continue
-            break
-        return engine
-
-    def resume_run(self) -> AnalysisReport:
-        """Continue the resumed campaign under its recorded budgets."""
-        if self._resume_run_kwargs is None:
-            raise JournalError("resume_run() requires resume()")
-        return self.run(**self._resume_run_kwargs)
-
-    def _open_journal(self, run_kwargs: Dict[str, Any]) -> Optional[Journal]:
-        if self._journal is not None:
-            return self._journal
-        if self._journal_path is None:
-            return None
-        journal = Journal.create(self._journal_path,
-                                 fsync_every=self._journal_fsync)
-        blob = journal.put_blob(
-            {"recipe": self.recipe, "workers": self.workers,
-             "lease_budget": self.lease_budget,
-             "lease_batch": self.lease_batch,
-             "run_kwargs": dict(run_kwargs)},
-            fsync=True)
-        journal.append("campaign-opened", mode="dse", blob=blob,
-                       workers=self.workers,
-                       config=config_fingerprint(self.config),
-                       **run_kwargs)
-        journal.commit()
-        self._journal = journal
-        return journal
+    # -- journal --------------------------------------------------------------
 
     def _write_checkpoint(self, journal: Journal, report: AnalysisReport,
                           searcher, executed: int,
@@ -390,9 +260,7 @@ class ParallelAnalysisEngine(PoolRecoveryMixin):
             stripped.append((state, wire))
             add_state(state, wire)
         for _kind, payload in self.pool.in_flight_payloads():
-            if not isinstance(payload, dict):
-                continue
-            for lease in payload.get("leases", ()):
+            for lease in payload["leases"]:
                 if lease.get("state") is None:
                     root_pending = True  # the boot lease never returned
                 else:
@@ -465,10 +333,14 @@ class ParallelAnalysisEngine(PoolRecoveryMixin):
             stop_after_bugs: int = 0) -> AnalysisReport:
         """Run the leased Algorithm 1 to completion or budget."""
         report = AnalysisReport(strategy="hardsnap")
+        run_kwargs = {"max_instructions": max_instructions,
+                      "max_states": max_states,
+                      "stop_after_bugs": stop_after_bugs}
         journal = self._open_journal(
-            {"max_instructions": max_instructions,
-             "max_states": max_states,
-             "stop_after_bugs": stop_after_bugs})
+            {"recipe": self.recipe, "workers": self.workers,
+             "lease_budget": self.lease_budget,
+             "lease_batch": self.lease_batch,
+             "run_kwargs": dict(run_kwargs)}, **run_kwargs)
         start = time.perf_counter()
         searcher = self._make_searcher()
         pool = self.pool  # starts the workers
@@ -653,12 +525,8 @@ class ParallelAnalysisEngine(PoolRecoveryMixin):
             # and re-derives the identical report.
             self._write_checkpoint(journal, report, searcher, executed,
                                    stats_sums, chain_depth, bugs)
-            if report.stop_reason == "interrupted":
-                journal.append("campaign-interrupted", executed=executed)
-            elif not journal.sealed:
-                journal.append("campaign-sealed", executed=executed,
-                               verdict=report.verdict_summary())
-            journal.commit()
+        self._seal(journal, report, {"executed": executed},
+                   {"executed": executed})
         return report
 
     @staticmethod

@@ -41,6 +41,8 @@ _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
 _I64 = struct.Struct("<q")
 _F64 = struct.Struct("<d")
+#: The two worker-time floats at the head of every result envelope.
+_STAMPS = struct.Struct("<dd")
 
 _PICKLE = pickle.HIGHEST_PROTOCOL
 
@@ -195,32 +197,25 @@ def pack_lease_batch(leases: Sequence[Dict[str, Any]], peer: object,
                      evictions: Sequence[str] = (),
                      state_evictions: Sequence[str] = (),
                      statewire=None) -> bytes:
-    """Each lease: ``{budget, sym_base, state: ExecState|bytes|None,
+    """Each lease: ``{budget, sym_base, state: ExecState|None,
     wire: SnapshotWire|None}`` (the structured form the recovery ladder
     re-addresses). Live states are encoded *here* — at pack time —
-    through *statewire* against *peer*'s registries, so a re-pack after
-    a respawn re-encodes against the fresh peer context (``force_full``
-    marks leases the recovery ladder re-addressed to a cold registry).
-    Raw ``bytes`` states (pre-pickled, or no statewire) ship as full
-    records."""
+    through *statewire* (required unless every lease is a root lease)
+    against *peer*'s registries, so a re-pack after a respawn
+    re-encodes against the fresh peer context (``force_full`` marks
+    leases the recovery ladder re-addressed to a cold registry)."""
     out: List[bytes] = []
     _put_piggyback(out, evictions, state_evictions)
     out.append(_U32.pack(len(leases)))
     for lease in leases:
         out.append(_U64.pack(lease["budget"]))
         out.append(_U64.pack(lease["sym_base"]))
-        state = lease.get("state")
+        state = lease["state"]
         if state is None:
             out.append(_U8.pack(0))
             continue
-        if isinstance(state, (bytes, bytearray, memoryview)):
-            kind, record, bodies = 1, bytes(state), {}
-        elif statewire is not None:
-            kind, record, bodies = statewire.encode_state(
-                state, peer, force_full=lease.get("force_full", False))
-        else:
-            kind, record, bodies = 1, pickle.dumps(
-                state, protocol=_PICKLE), {}
+        kind, record, bodies = statewire.encode_state(
+            state, peer, force_full=lease.get("force_full", False))
         _put_state_record(out, kind, record, bodies)
         _put_wire(out, lease["wire"])
     return b"".join(out)
@@ -370,10 +365,15 @@ def stamp_encode_time(buf: bytearray, seconds: float) -> None:
     _F64.pack_into(buf, 0, seconds)
 
 
+def read_stamps(buf) -> Tuple[float, float]:
+    """A result envelope's ``(encode_s, decode_s)`` worker stamps."""
+    return _STAMPS.unpack_from(buf, 0)
+
+
 __all__ = [
     "pack_lease_batch", "unpack_lease_batch",
     "pack_lease_results", "unpack_lease_results",
     "pack_fuzz_batch", "unpack_fuzz_batch",
     "pack_fuzz_results", "unpack_fuzz_results",
-    "stamp_encode_time",
+    "stamp_encode_time", "read_stamps",
 ]

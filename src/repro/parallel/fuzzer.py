@@ -30,20 +30,17 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.config import SessionConfig
 from repro.core.fuzzer import CorpusScheduler, FuzzReport
-from repro.core.journal import (DEFAULT_FSYNC_EVERY, Journal, PathLike,
-                                config_fingerprint)
+from repro.core.journal import DEFAULT_FSYNC_EVERY, Journal, PathLike
 from repro.core.shutdown import shutdown_requested
-from repro.errors import JournalCorruptError, JournalError, VmError
+from repro.errors import JournalCorruptError, VmError
 from repro.isa.assembler import Program
+from repro.parallel.campaign import Campaign
 from repro.parallel.envelope import pack_fuzz_batch, unpack_fuzz_results
-from repro.parallel.pool import WorkerPool, check_transport
 from repro.parallel.recipe import SessionRecipe
-from repro.parallel.recovery import PoolRecoveryMixin
 from repro.parallel.workers import unpack_edges
-from repro.resilience import RetryPolicy
 
 
-class ParallelFuzzer(PoolRecoveryMixin):
+class ParallelFuzzer(Campaign):
     """N-worker counterpart of :class:`~repro.core.fuzzer.SnapshotFuzzer`
     (snapshot reset mode only — rebooting per input is exactly what the
     snapshot runtime exists to avoid).
@@ -55,8 +52,14 @@ class ParallelFuzzer(PoolRecoveryMixin):
     (:mod:`repro.core.journal`). :meth:`resume` reopens such a journal
     after a coordinator crash and continues — re-applying recorded
     post-checkpoint shards instead of re-executing them — to a verdict
-    byte-identical to the uninterrupted run.
+    byte-identical to the uninterrupted run. Between checkpoints the
+    recorded ``fuzz-shard-completed`` blobs carry the campaign, so a
+    sparser cadence trades resume work for per-batch fsync cost, never
+    safety.
     """
+
+    HARNESS = "fuzz"
+    MODE = "fuzz"
 
     def __init__(self, firmware: Optional[Union[str, Program]] = None,
                  peripherals: Sequence[Tuple[object, int]] = (),
@@ -74,74 +77,17 @@ class ParallelFuzzer(PoolRecoveryMixin):
                  **overrides):
         if batch_size < 1:
             raise VmError(f"batch_size must be >= 1, got {batch_size}")
-        check_transport(transport)
-        if recipe is not None:
-            self.recipe = recipe
-        elif firmware is not None:
-            self.recipe = SessionRecipe.create(
-                firmware, peripherals, config=config,
-                max_steps_per_exec=max_steps_per_exec, **overrides)
-        else:
-            raise VmError("pass firmware or a prebuilt recipe")
-        self.workers = workers
+        super().__init__(firmware, peripherals, config, recipe, transport,
+                         workers=workers, journal=journal,
+                         journal_fsync_every=journal_fsync_every,
+                         checkpoint_every=checkpoint_every,
+                         max_steps_per_exec=max_steps_per_exec, **overrides)
         self.batch_size = batch_size
         self.scheduler = CorpusScheduler(seeds, seed)
-        self.config = self.recipe.config
-        self.retry_policy = self.config.retry_policy or RetryPolicy()
-        self._degraded = False
-        self._pool: Optional[WorkerPool] = None
-        self._last_stats = None
         self._seeds = None if seeds is None else [bytes(s) for s in seeds]
         self._seed = seed
-        self._journal_path = journal
-        self._journal_fsync = journal_fsync_every
-        #: Checkpoint cadence in batches. Between checkpoints the
-        #: recorded ``fuzz-shard-completed`` blobs carry the campaign:
-        #: resume replays them batch-by-batch, so a sparser cadence
-        #: trades resume work for per-batch fsync cost, never safety.
-        self.checkpoint_every = max(1, checkpoint_every)
-        self._journal: Optional[Journal] = None
-        #: Checkpoint state restored by :meth:`resume`, consumed by the
-        #: next :meth:`run`.
-        self._resume_state: Optional[Dict[str, Any]] = None
         #: ``fuzz-shard-completed`` events after the restored checkpoint.
         self._suffix: List[Dict[str, Any]] = []
-        self._resume_executions: Optional[int] = None
-
-    # -- pool lifecycle -----------------------------------------------------
-
-    @property
-    def pool(self) -> WorkerPool:
-        if self._pool is None:
-            self._pool = WorkerPool(self.recipe, self.workers)
-        return self._pool
-
-    @property
-    def pool_stats(self):
-        """Stats of the live pool, or the last closed pool's — reading
-        stats must never spawn workers (a post-``close`` read that
-        resurrected the pool would leak processes past the campaign)."""
-        if self._pool is not None:
-            return self._pool.stats
-        return self._last_stats
-
-    def warm(self) -> None:
-        self.pool.warm("fuzz")
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._last_stats = self._pool.stats
-            self._pool.close()
-            self._pool = None
-        if self._journal is not None:
-            self._journal.close()
-            self._journal = None
-
-    def __enter__(self) -> "ParallelFuzzer":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
     def boot_digests(self) -> Dict[int, Dict[str, str]]:
         """Each worker's post-boot snapshot chunk digests — they must all
@@ -154,76 +100,20 @@ class ParallelFuzzer(PoolRecoveryMixin):
             out[worker_id] = digests
         return out
 
-    # -- journal lifecycle ---------------------------------------------------
+    # -- journal --------------------------------------------------------------
 
     @classmethod
-    def resume(cls, journal_dir: PathLike,
-               workers: Optional[int] = None) -> "ParallelFuzzer":
-        """Reopen an interrupted (or completed) journaled campaign.
-
-        Restores the scheduler and report from the last loadable
-        checkpoint; ``fuzz-shard-completed`` events recorded after it
-        are re-applied by :meth:`resume_run` instead of re-executed.
-        A corrupt checkpoint blob falls back to the previous checkpoint
-        — recorded in the journal as ``checkpoint-skipped``, never
-        silently. Worker count may differ from the original run:
-        verdicts are worker-count-independent.
-        """
-        journal = Journal.open(journal_dir)
-        opened = journal.first("campaign-opened")
-        if opened is None:
-            raise JournalError(
-                f"journal {journal_dir} records no campaign-opened event")
-        if opened.get("mode") != "fuzz":
-            raise JournalError(
-                f"journal {journal_dir} holds a {opened.get('mode')!r} "
-                f"campaign, not a fuzzing one")
-        setup = journal.get_blob(opened["blob"])
+    def _from_setup(cls, setup: Dict[str, Any],
+                    workers: int) -> "ParallelFuzzer":
         fuzzer = cls(recipe=setup["recipe"], seeds=setup["seeds"],
                      seed=setup["seed"], batch_size=setup["batch_size"],
-                     workers=workers or setup["workers"])
-        fuzzer._journal = journal
-        fuzzer._resume_executions = setup["executions"]
-        after = 0
-        for checkpoint in reversed(journal.events("checkpoint")):
-            digest = checkpoint["blob"]
-            try:
-                fuzzer._resume_state = journal.get_blob(digest)
-            except JournalCorruptError:
-                journal.append("checkpoint-skipped", blob=digest,
-                               seq_skipped=checkpoint["seq"])
-                continue
-            after = checkpoint["seq"]
-            break
-        fuzzer._suffix = journal.events("fuzz-shard-completed",
-                                        after_seq=after)
+                     workers=workers)
+        fuzzer._resume_run_kwargs = {"executions": setup["executions"]}
         return fuzzer
 
-    def resume_run(self) -> FuzzReport:
-        """Continue the resumed campaign to its recorded budget."""
-        if self._resume_executions is None:
-            raise JournalError("resume_run() requires resume()")
-        return self.run(executions=self._resume_executions)
-
-    def _open_journal(self, executions: int) -> Optional[Journal]:
-        if self._journal is not None:
-            return self._journal
-        if self._journal_path is None:
-            return None
-        journal = Journal.create(self._journal_path,
-                                 fsync_every=self._journal_fsync)
-        blob = journal.put_blob(
-            {"recipe": self.recipe, "seeds": self._seeds,
-             "seed": self._seed, "batch_size": self.batch_size,
-             "workers": self.workers, "executions": executions},
-            fsync=True)
-        journal.append("campaign-opened", mode="fuzz", blob=blob,
-                       workers=self.workers, batch_size=self.batch_size,
-                       executions=executions,
-                       config=config_fingerprint(self.config))
-        journal.commit()
-        self._journal = journal
-        return journal
+    def _resumed(self, journal: Journal, after_seq: int) -> None:
+        self._suffix = journal.events("fuzz-shard-completed",
+                                      after_seq=after_seq)
 
     def _checkpoint(self, journal: Optional[Journal],
                     report: FuzzReport, done: int) -> None:
@@ -249,20 +139,6 @@ class ParallelFuzzer(PoolRecoveryMixin):
         """``pack`` hook for the pool: shard dict → envelope bytes."""
         return pack_fuzz_batch(payload["items"])
 
-    def _decode_shard(self, data) -> Dict[str, Any]:
-        """One arrived shard → the structured result dict. Packed bytes
-        come from real workers; the degraded InlinePool delivers the
-        structured form directly."""
-        if isinstance(data, (bytes, bytearray, memoryview)):
-            t0 = time.perf_counter()
-            worker_enc, worker_dec, res = unpack_fuzz_results(data)
-            stats = self.pool.stats.ipc
-            stats.decode_s += time.perf_counter() - t0
-            stats.worker_encode_s += worker_enc
-            stats.worker_decode_s += worker_dec
-            return res
-        return data
-
     def run(self, executions: int = 200) -> FuzzReport:
         """Fuzz for *executions* inputs across the pool.
 
@@ -274,7 +150,11 @@ class ParallelFuzzer(PoolRecoveryMixin):
         are still executing.
         """
         report = FuzzReport()
-        journal = self._open_journal(executions)
+        journal = self._open_journal(
+            {"recipe": self.recipe, "seeds": self._seeds,
+             "seed": self._seed, "batch_size": self.batch_size,
+             "workers": self.workers, "executions": executions},
+            batch_size=self.batch_size, executions=executions)
         pool = self.pool
         resilience0 = pool.stats.resilience.as_dict()
         start = time.perf_counter()
@@ -309,13 +189,7 @@ class ParallelFuzzer(PoolRecoveryMixin):
         report.host_time_s = time.perf_counter() - start
         pool.stats.host_time_s += report.host_time_s
         report.resilience.merge(pool.stats.resilience.delta(resilience0))
-        if journal is not None:
-            if report.stop_reason == "interrupted":
-                journal.append("campaign-interrupted", done=done)
-            elif not journal.sealed:
-                journal.append("campaign-sealed", executions=done,
-                               verdict=report.verdict_summary())
-            journal.commit()
+        self._seal(journal, report, {"done": done}, {"executions": done})
         return report
 
     def _replay_batch(self, journal: Optional[Journal],
@@ -385,7 +259,8 @@ class ParallelFuzzer(PoolRecoveryMixin):
             results.extend(self.pool.drain_results())
             for _, worker_id, data in results:
                 arrived += 1
-                res = self._decode_shard(data)
+                _enc, _dec, res = self._unpack_result(unpack_fuzz_results,
+                                                      data)
                 if journal is not None:
                     journal.append(
                         "fuzz-shard-completed", worker=worker_id,

@@ -2,17 +2,20 @@
 
 One process per worker, each with a private job queue (so the
 coordinator chooses *which* worker runs *which* lease — required for
-chunk-channel bookkeeping, since delta encoding is per-peer) and one
-shared result queue. Fork start method is preferred (workers inherit the
-imported modules); spawn works too because every job payload and the
-recipe are plain picklable data.
+chunk-channel bookkeeping, since delta encoding is per-peer) and a
+private result channel (a worker killed mid-send dies holding its
+channel's write lock; with a shared channel no worker could deliver
+again). Fork start method is preferred (workers inherit the imported
+modules); spawn works too because every job payload and the recipe are
+plain picklable data.
 
 Batch job kinds (``lease-batch`` / ``fuzz-batch``) travel as packed
 envelopes (:mod:`repro.parallel.envelope`) inline on the queues; they
 keep their *structured* payload in :class:`InFlightJob` next to a
-``pack`` callable — packed bytes exist only on the queue, so the
-recovery ladder re-addresses and re-packs payloads exactly as it
-re-encoded dicts before.
+``pack`` callable — packed bytes exist only on the way to a job
+handler (a worker's queue, or :class:`InlinePool`'s direct call), so
+the recovery ladder re-addresses the structured payload and re-packs
+it.
 
 Every job carries a coordinator-assigned **job id**; the pool tracks
 jobs in flight, so:
@@ -27,7 +30,8 @@ jobs in flight, so:
   coordinator's recovery hook forgets the dead incarnation's chunk-pool
   contents), and
 * when the respawn cap is exhausted, :class:`InlinePool` offers the same
-  surface executed in-process (graceful degradation to serial).
+  surface executed in-process (graceful degradation to serial) through
+  the workers' own job handler.
 """
 
 from __future__ import annotations
@@ -39,19 +43,15 @@ import time
 import weakref
 from collections import deque
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.errors import VmError
 from repro.parallel.recipe import SessionRecipe
 from repro.parallel.statewire import StateWireStats
 from repro.parallel.wire import WireStats
-from repro.parallel.workers import _HARNESS_TYPES, STOP, _worker_main
+from repro.parallel.workers import STOP, _worker_main, handle_job
 from repro.resilience import ResilienceStats
-
-#: Job kinds whose payloads/results are packed envelopes (bytes on the
-#: queue); everything else (warm-up, boot digests) stays a plain
-#: pickled object.
-_BATCH_KINDS = ("lease-batch", "fuzz-batch")
 
 #: Every live WorkerPool, so signal handlers and interpreter exit can
 #: run the escalating close (child reaping) even when the owning
@@ -245,7 +245,7 @@ class WorkerPool:
         self.workers = workers
         self.stats = PoolStats(workers=workers)
         self._jobs = [self._ctx.Queue() for _ in range(workers)]
-        self._results = self._ctx.Queue()
+        self._results = [self._ctx.Queue() for _ in range(workers)]
         self._incarnations = [0] * workers
         self._job_seq = 0
         self._in_flight: Dict[int, InFlightJob] = {}
@@ -257,7 +257,7 @@ class WorkerPool:
         proc = self._ctx.Process(
             target=_worker_main,
             args=(worker_id, self._recipe, self._jobs[worker_id],
-                  self._results, self._incarnations[worker_id]),
+                  self._results[worker_id], self._incarnations[worker_id]),
             daemon=True, name=f"repro-worker-{worker_id}")
         proc.start()
         return proc
@@ -299,7 +299,7 @@ class WorkerPool:
         if kind == "error":
             raise WorkerError(f"worker {worker_id} failed:\n{data}",
                               worker_id=worker_id, jobs=(job_id,))
-        if info.kind in _BATCH_KINDS:
+        if info.pack is not None:  # a batch kind: envelope bytes back
             self.stats.ipc.messages_in += 1
             self.stats.ipc.queue_bytes_in += len(data)
         return kind, worker_id, data
@@ -318,15 +318,19 @@ class WorkerPool:
         deadline = (None if timeout is None
                     else time.monotonic() + timeout)
         while True:
-            try:
-                message = self._results.get(timeout=self._POLL_S)
-            except queue_mod.Empty:
+            channels = {q._reader: q for q in self._results}
+            ready = wait(list(channels), timeout=self._POLL_S)
+            if not ready:
                 self._check_liveness()
                 if deadline is not None and time.monotonic() >= deadline:
                     jobs = tuple(sorted(self._in_flight))
                     raise PoolTimeout(
                         f"no worker result within {timeout:.1f}s; "
                         f"jobs in flight: {list(jobs)}", jobs=jobs)
+                continue
+            try:
+                message = channels[ready[0]].get_nowait()
+            except queue_mod.Empty:
                 continue
             accepted = self._accept(message)
             if accepted is not None:
@@ -338,14 +342,16 @@ class WorkerPool:
         free those workers for the next dispatch) before paying the
         decode cost of any of it."""
         drained: List[Tuple[str, int, Any]] = []
-        while True:
-            try:
-                message = self._results.get_nowait()
-            except (queue_mod.Empty, OSError, ValueError):
-                return drained
-            accepted = self._accept(message)
-            if accepted is not None:
-                drained.append(accepted)
+        for channel in self._results:
+            while True:
+                try:
+                    message = channel.get_nowait()
+                except (queue_mod.Empty, OSError, ValueError):
+                    break
+                accepted = self._accept(message)
+                if accepted is not None:
+                    drained.append(accepted)
+        return drained
 
     def _check_liveness(self) -> None:
         for worker_id, proc in enumerate(self._procs):
@@ -404,27 +410,31 @@ class WorkerPool:
         any queued copies of in-flight jobs are stale anyway (their
         delta wires were encoded against the dead incarnation's chunk
         pool) and must be re-encoded and :meth:`resubmit`-ted by the
-        caller.
+        caller. It also gets a fresh result channel: a process killed
+        while sending dies holding the channel's write lock (and may
+        leave a torn message), so the old channel is closed unread.
 
         Everything the dead incarnation held dies with it, including
         its chunk pool: the coordinator's recovery hook
-        (``PoolRecoveryMixin._forget_peer``) clears what it believed
-        that pool held, so the fresh incarnation is never sent
-        unresolvable reference-only wires.
+        (``Campaign._forget_peer``) clears what it believed that pool
+        held, so the fresh incarnation is never sent unresolvable
+        reference-only wires.
 
         Returns the worker's in-flight job ids."""
         proc = self._procs[worker_id]
         if proc.is_alive():
             proc.terminate()
             proc.join(1.0)
-        old = self._jobs[worker_id]
+        old = (self._jobs[worker_id], self._results[worker_id])
         self._jobs[worker_id] = self._ctx.Queue()
-        self._drain(old)
-        try:
-            old.close()
-            old.cancel_join_thread()
-        except (OSError, ValueError):
-            pass
+        self._results[worker_id] = self._ctx.Queue()
+        self._drain(old[0])  # stale jobs; the result channel stays unread
+        for queue in old:
+            try:
+                queue.close()
+                queue.cancel_join_thread()
+            except (OSError, ValueError):
+                pass
         self._incarnations[worker_id] += 1
         self._procs[worker_id] = self._spawn(worker_id)
         self.stats.resilience.worker_respawns += 1
@@ -484,7 +494,7 @@ class WorkerPool:
                 kill = getattr(proc, "kill", proc.terminate)
                 kill()
                 proc.join(1.0)
-        for queue in [*self._jobs, self._results]:
+        for queue in [*self._jobs, *self._results]:
             self._drain(queue)
             try:
                 queue.close()
@@ -503,14 +513,15 @@ class WorkerPool:
 class InlinePool:
     """Degraded-mode stand-in for :class:`WorkerPool`: the same submit /
     next_result / close surface, executed synchronously in-process by
-    one harness (fault-free — there is no process left to kill).
+    one set of harnesses (fault-free — there is no process left to
+    kill).
 
     The coordinator swaps this in when the respawn cap is exhausted and
     :class:`~repro.resilience.RetryPolicy` allows degradation; the run
-    finishes serially with identical verdicts. Batch kinds arrive here
-    in their *structured* form (the packed envelope only ever existed on
-    the real pool's queue) and their results stay structured — the
-    coordinators accept both shapes.
+    finishes serially with identical verdicts. Every job runs through
+    the workers' own :func:`~repro.parallel.workers.handle_job`, packed
+    by the job's ``pack`` hook first, so results are the same envelope
+    bytes a worker process would send.
     """
 
     def __init__(self, recipe: SessionRecipe,
@@ -526,37 +537,15 @@ class InlinePool:
         # (in_flight_payloads) — parity with the real pool.
         self._pending: Deque[Tuple[str, int, Any, Any]] = deque()
 
-    def _harness(self, kind: str):
-        if kind not in self._harnesses:
-            self._harnesses[kind] = _HARNESS_TYPES[kind](self._recipe)
-        return self._harnesses[kind]
-
     def submit(self, worker_id: int, kind: str, payload: Any,
                pack: Optional[Callable[[Any, int], bytes]] = None) -> int:
         """Execute the job now; the result is delivered (echoing the
         requested worker id, so coordinator bookkeeping is undisturbed)
         on the next :meth:`next_result`."""
-        if kind == "warm":
-            self._harness(payload["kind"])
-            self._pending.append(("warmed", worker_id, None, None))
-        elif kind == "lease-batch":
-            engine = self._harness("engine")
-            self._pending.append(
-                ("lease-batch", worker_id,
-                 {"results": [engine.run_lease(lease)
-                              for lease in payload["leases"]],
-                  "encode_s": 0.0, "decode_s": 0.0}, payload))
-        elif kind == "fuzz-batch":
-            res = self._harness("fuzz").run_batch(
-                {"items": payload["items"]})
-            res["encode_s"] = res["decode_s"] = 0.0
-            self._pending.append(("fuzz-batch", worker_id, res, payload))
-        elif kind == "boot-digests":
-            self._pending.append(
-                ("boot-digests", worker_id,
-                 self._harness("fuzz").boot_digests(), None))
-        else:
-            raise VmError(f"unknown job kind {kind!r}")
+        job = payload if pack is None else pack(payload, worker_id)
+        result_kind, data = handle_job(self._harnesses, self._recipe,
+                                       kind, job)
+        self._pending.append((result_kind, worker_id, data, payload))
         return 0
 
     def next_result(self, timeout: Optional[float] = None
@@ -575,8 +564,7 @@ class InlinePool:
 
     def in_flight_payloads(self) -> List[Tuple[str, Any]]:
         return [(kind, payload)
-                for kind, _worker_id, _data, payload in self._pending
-                if payload is not None]
+                for kind, _worker_id, _data, payload in self._pending]
 
     def broadcast(self, kind: str, payload: Any) -> List[int]:
         return [self.submit(i, kind, payload) for i in range(self.workers)]

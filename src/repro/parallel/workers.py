@@ -3,7 +3,8 @@
 Each worker process owns a complete private analysis stack — target,
 solver, snapshot store, engine — rebuilt from the coordinator's
 :class:`~repro.parallel.recipe.SessionRecipe`. Work arrives as jobs on a
-queue; results go back on a shared queue. Two harnesses:
+queue; results go back on the worker's own result channel. Two
+harnesses:
 
 * :class:`EngineWorker` — executes state *leases*
   (:meth:`~repro.core.engine.AnalysisEngine.run_lease`): restore the
@@ -14,8 +15,10 @@ queue; results go back on a shared queue. Two harnesses:
   post-boot snapshot (captured once per worker, then restored per
   input — the HardSnap fuzzing loop).
 
-``_worker_main`` is the process entry point; it must stay module-level
-and import-light so it survives ``spawn`` start methods.
+:func:`handle_job` is the one job switch, shared by the worker
+processes and the degraded in-process pool. ``_worker_main`` is the
+process entry point; it must stay module-level and import-light so it
+survives ``spawn`` start methods.
 """
 
 from __future__ import annotations
@@ -33,11 +36,12 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 from repro.core.fuzzer import execute_input
 from repro.core.snapshot import SnapshotController
 from repro.core.store import chunk_digest
+from repro.errors import VmError
 from repro.parallel.envelope import (pack_fuzz_results, pack_lease_results,
                                      stamp_encode_time, unpack_fuzz_batch,
                                      unpack_lease_batch)
 from repro.parallel.recipe import SessionRecipe
-from repro.parallel.statewire import KIND_FULL, StateWire
+from repro.parallel.statewire import StateWire
 from repro.parallel.wire import ChunkChannel
 from repro.resilience import FaultInjector
 from repro.targets.base import HwSnapshot
@@ -118,17 +122,10 @@ class EngineWorker:
         if payload["state"] is None:
             # Root lease: fresh hardware, fresh initial state.
             self.engine.strategy.on_start(None)  # controller.reset()
-            state = self.session.make_initial_state()
-            return state
-        if isinstance(payload["state"], ExecState):
-            # Degraded InlinePool path: the structured payload carries
-            # the live object — no wire format was ever involved.
-            state = payload["state"]
-        else:
-            kind = payload.get("state_kind", KIND_FULL)
-            state = self.statewire.decode_state(
-                kind, payload["state"], payload.get("state_chunks") or {},
-                COORD)
+            return self.session.make_initial_state()
+        state = self.statewire.decode_state(
+            payload["state_kind"], payload["state"], payload["state_chunks"],
+            COORD)
         state.hw_snapshot = self.channel.decode(payload["wire"], COORD)
         return state
 
@@ -240,6 +237,63 @@ class FuzzWorker:
 
 _HARNESS_TYPES = {"engine": EngineWorker, "fuzz": FuzzWorker}
 
+
+def run_lease_batch(engine: EngineWorker, blob: bytes) -> bytes:
+    """One ``lease-batch`` envelope in, its result envelope out."""
+    t0 = time.perf_counter()
+    evictions, state_evictions, leases = unpack_lease_batch(blob)
+    decode_s = time.perf_counter() - t0
+    engine.channel.forget_remote(COORD, evictions)
+    engine.statewire.forget_remote(COORD, state_evictions)
+    outcomes = [engine.run_lease(lease) for lease in leases]
+    t0 = time.perf_counter()
+    packed = bytearray(pack_lease_results(
+        outcomes,
+        evictions=engine.channel.take_evictions(COORD),
+        state_evictions=engine.statewire.take_evictions(COORD),
+        decode_s=decode_s))
+    stamp_encode_time(packed, time.perf_counter() - t0)
+    return bytes(packed)
+
+
+def run_fuzz_batch(fuzz: FuzzWorker, blob: bytes) -> bytes:
+    """One ``fuzz-batch`` envelope in, its result envelope out."""
+    t0 = time.perf_counter()
+    items = unpack_fuzz_batch(blob)
+    decode_s = time.perf_counter() - t0
+    res = fuzz.run_batch({"items": items})
+    t0 = time.perf_counter()
+    packed = bytearray(pack_fuzz_results(res, decode_s=decode_s))
+    stamp_encode_time(packed, time.perf_counter() - t0)
+    return bytes(packed)
+
+
+def handle_job(harnesses: Dict[str, Any], recipe: SessionRecipe,
+               kind: str, payload: Any) -> Tuple[str, Any]:
+    """Run one job on this process's harnesses (built from *recipe* on
+    first use and kept in *harnesses*); returns the result's
+    ``(kind, data)``. The one job switch: worker processes and the
+    degraded :class:`~repro.parallel.pool.InlinePool` both call it, so
+    batch kinds take packed envelope bytes and return envelope bytes
+    on every path; the control kinds (``warm`` / ``boot-digests``) take
+    and return plain objects."""
+    def harness(name: str):
+        if name not in harnesses:
+            harnesses[name] = _HARNESS_TYPES[name](recipe)
+        return harnesses[name]
+
+    if kind == "warm":
+        harness(payload["kind"])
+        return "warmed", None
+    if kind == "lease-batch":
+        return kind, run_lease_batch(harness("engine"), payload)
+    if kind == "fuzz-batch":
+        return kind, run_fuzz_batch(harness("fuzz"), payload)
+    if kind == "boot-digests":
+        return kind, harness("fuzz").boot_digests()
+    raise VmError(f"unknown job kind {kind!r}")
+
+
 #: Completed-envelope cache depth. The coordinator can only re-issue a
 #: handful of jobs at once (bounded by in-flight jobs + reissue caps),
 #: so a shallow cache suffices to answer every duplicate delivery.
@@ -252,16 +306,14 @@ _ORPHAN_POLL_S = 2.0
 
 def _worker_main(worker_id: int, recipe: SessionRecipe,
                  jobs, results, incarnation: int = 0) -> None:
-    """Worker process entry point: build harnesses lazily, serve jobs
-    until the STOP sentinel arrives. Any exception is reported to the
-    coordinator as an ``("error", id, job_id, traceback)`` message
-    rather than killing the process silently.
+    """Worker process entry point: serve jobs through
+    :func:`handle_job` until the STOP sentinel arrives. Any exception
+    is reported to the coordinator as an ``("error", id, job_id,
+    traceback)`` message rather than killing the process silently.
 
-    Jobs arrive as ``(kind, job_id, payload)``; results leave as
-    ``(kind, worker_id, job_id, data)``. The batch kinds
-    (``lease-batch`` / ``fuzz-batch``) carry packed envelope bytes both
-    ways; the control kinds (``warm`` / ``boot-digests``) stay plain
-    pickled objects.
+    Jobs arrive on *jobs* as ``(kind, job_id, payload)``; results leave
+    on this worker's own *results* channel as
+    ``(kind, worker_id, job_id, data)``.
 
     Completed envelopes are cached by job id so a re-issued job (the
     coordinator missed our answer) is answered from the cache instead
@@ -292,38 +344,6 @@ def _worker_main(worker_id: int, recipe: SessionRecipe,
     completed: "OrderedDict[int, tuple]" = OrderedDict()
     job_index = 0
 
-    def harness(kind: str):
-        if kind not in harnesses:
-            harnesses[kind] = _HARNESS_TYPES[kind](recipe)
-        return harnesses[kind]
-
-    def run_lease_batch(blob: bytes) -> bytes:
-        t0 = time.perf_counter()
-        evictions, state_evictions, leases = unpack_lease_batch(blob)
-        decode_s = time.perf_counter() - t0
-        engine = harness("engine")
-        engine.channel.forget_remote(COORD, evictions)
-        engine.statewire.forget_remote(COORD, state_evictions)
-        outcomes = [engine.run_lease(lease) for lease in leases]
-        t0 = time.perf_counter()
-        packed = bytearray(pack_lease_results(
-            outcomes,
-            evictions=engine.channel.take_evictions(COORD),
-            state_evictions=engine.statewire.take_evictions(COORD),
-            decode_s=decode_s))
-        stamp_encode_time(packed, time.perf_counter() - t0)
-        return bytes(packed)
-
-    def run_fuzz_batch(blob: bytes) -> bytes:
-        t0 = time.perf_counter()
-        items = unpack_fuzz_batch(blob)
-        decode_s = time.perf_counter() - t0
-        res = harness("fuzz").run_batch({"items": items})
-        t0 = time.perf_counter()
-        packed = bytearray(pack_fuzz_results(res, decode_s=decode_s))
-        stamp_encode_time(packed, time.perf_counter() - t0)
-        return bytes(packed)
-
     parent_pid = os.getppid()
     while True:
         try:
@@ -352,20 +372,8 @@ def _worker_main(worker_id: int, recipe: SessionRecipe,
                         and injector.should_kill(worker_id, index,
                                                  incarnation)):
                     os._exit(17)
-            if kind == "warm":
-                harness(payload["kind"])
-                envelope = ("warmed", worker_id, job_id, None)
-            elif kind == "lease-batch":
-                envelope = ("lease-batch", worker_id, job_id,
-                            run_lease_batch(payload))
-            elif kind == "fuzz-batch":
-                envelope = ("fuzz-batch", worker_id, job_id,
-                            run_fuzz_batch(payload))
-            elif kind == "boot-digests":
-                envelope = ("boot-digests", worker_id, job_id,
-                            harness("fuzz").boot_digests())
-            else:
-                raise ValueError(f"unknown job kind {kind!r}")
+            result_kind, data = handle_job(harnesses, recipe, kind, payload)
+            envelope = (result_kind, worker_id, job_id, data)
             completed[job_id] = envelope
             while len(completed) > _COMPLETED_CACHE:
                 completed.popitem(last=False)

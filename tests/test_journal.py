@@ -545,4 +545,4 @@ class TestGracefulSignal:
         assert _shm_segments() <= before  # every segment unlinked
         # the interrupted campaign is resumable
         with ParallelFuzzer.resume(journal) as fuzzer:
-            assert fuzzer._resume_executions == 500_000
+            assert fuzzer._resume_run_kwargs["executions"] == 500_000

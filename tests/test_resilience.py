@@ -11,6 +11,7 @@ import time
 import pytest
 
 from repro.core import HardSnapSession, SnapshotController
+from repro.core.journal import Journal
 from repro.core.persistence import snapshot_from_dict, snapshot_to_dict
 from repro.errors import (LinkError, ScanShiftError, SnapshotIntegrityError,
                           VmError)
@@ -295,6 +296,28 @@ class TestWorkerPool:
             *_, results = unpack_lease_results(data)
             assert results[0]["executed"] > 0
 
+    def test_worker_dying_mid_send_does_not_wedge_the_pool(self):
+        """A worker SIGKILLed while sending a result dies holding its
+        result channel's write lock. The respawned worker gets a fresh
+        channel and no other worker writes to the wedged one, so both
+        workers still deliver."""
+        with WorkerPool(self._recipe(), workers=2) as pool:
+            pool.warm("engine")
+            # Stands in for worker 0 dying mid-write: never released.
+            assert pool._results[0]._wlock.acquire(timeout=5)
+            job = _submit_root_batch(pool, 0)
+            os.kill(pool._procs[0].pid, signal.SIGKILL)
+            with pytest.raises(WorkerDeath):
+                pool.next_result(timeout=20)
+            assert pool.respawn(0) == [job]
+            pool.resubmit(job)
+            _submit_root_batch(pool, 1)
+            deadline = time.monotonic() + 20
+            answered = sorted(
+                pool.next_result(timeout=deadline - time.monotonic())[1]
+                for _ in range(2))
+            assert answered == [0, 1]
+
     def test_worker_errors_still_carry_remote_traceback(self):
         with WorkerPool(self._recipe(), workers=1) as pool:
             pool.submit(0, "no-such-job", {})
@@ -383,6 +406,50 @@ class TestDeterminismUnderFaults:
             report = engine.run(max_instructions=100_000)
         assert report.verdict_summary() == _SerialVerdicts.engine()
         assert report.resilience.degraded
+
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_fuzzer_degrades_to_serial_at_respawn_cap(self, workers):
+        plan = FaultPlan.parse("seed=3,kill=0@1")
+        with ParallelFuzzer(fuzz_packet_parser(), TIMER, seeds=SEEDS,
+                            workers=workers, batch_size=16, seed=3,
+                            fault_plan=plan,
+                            retry_policy=RetryPolicy(respawn_cap=0)
+                            ) as fuzzer:
+            report = fuzzer.run(executions=96)
+        assert report.verdict_summary() == _SerialVerdicts.fuzz()
+        assert report.resilience.degraded
+
+    def test_journaled_engine_degrades_seals_and_resumes(self, tmp_path):
+        plan = FaultPlan.parse("seed=3,kill=0@1")
+        with ParallelAnalysisEngine(
+                FIRMWARE, TIMER, workers=2, searcher="bfs", fault_plan=plan,
+                retry_policy=RetryPolicy(respawn_cap=0),
+                journal=tmp_path / "j", checkpoint_every=1) as engine:
+            report = engine.run(max_instructions=100_000)
+        assert report.resilience.degraded
+        journal = Journal.open(tmp_path / "j", readonly=True)
+        assert journal.last("campaign-sealed")["verdict"] == \
+            _SerialVerdicts.engine()
+        with ParallelAnalysisEngine.resume(tmp_path / "j") as resumed:
+            report = resumed.resume_run()
+        assert report.verdict_summary() == _SerialVerdicts.engine()
+
+    def test_journaled_fuzzer_degrades_seals_and_resumes(self, tmp_path):
+        plan = FaultPlan.parse("seed=3,kill=0@1")
+        with ParallelFuzzer(fuzz_packet_parser(), TIMER, seeds=SEEDS,
+                            workers=2, batch_size=16, seed=3,
+                            fault_plan=plan,
+                            retry_policy=RetryPolicy(respawn_cap=0),
+                            journal=tmp_path / "j",
+                            checkpoint_every=1) as fuzzer:
+            report = fuzzer.run(executions=96)
+        assert report.resilience.degraded
+        journal = Journal.open(tmp_path / "j", readonly=True)
+        assert journal.last("campaign-sealed")["verdict"] == \
+            _SerialVerdicts.fuzz()
+        with ParallelFuzzer.resume(tmp_path / "j") as resumed:
+            report = resumed.resume_run()
+        assert report.verdict_summary() == _SerialVerdicts.fuzz()
 
     def test_degradation_disabled_propagates_death(self):
         plan = FaultPlan.parse("seed=3,kill=0@1")

@@ -12,15 +12,19 @@ from repro.core.persistence import snapshot_to_wire
 from repro.firmware import TIMER_BASE, dispatcher, fuzz_packet_parser
 from repro.isa import assemble
 from repro.parallel import (ChunkChannel, ParallelAnalysisEngine,
-                            ParallelFuzzer, WireStats)
+                            ParallelFuzzer, StateWire, WireStats)
 from repro.parallel.envelope import (pack_fuzz_batch, pack_fuzz_results,
                                      pack_lease_batch, pack_lease_results,
                                      stamp_encode_time, unpack_fuzz_batch,
                                      unpack_fuzz_results, unpack_lease_batch,
                                      unpack_lease_results)
+from repro.parallel.statewire import KIND_DELTA
 from repro.peripherals import catalog
 from repro.resilience import FaultPlan
+from repro.solver import expr as E
 from repro.targets import FpgaTarget
+from repro.vm.memory import PAGE_SIZE, SymbolicMemory
+from repro.vm.state import ExecState
 
 TIMER = [(catalog.TIMER, TIMER_BASE)]
 FIRMWARE = dispatcher(4, work_cycles=8)
@@ -63,7 +67,10 @@ def _fuzz_serial(executions):
 
 class TestEnvelope:
     def _lease(self, wire):
-        state = pickle.dumps({"fake": "state"})
+        mem = SymbolicMemory(4 * PAGE_SIZE)
+        mem.load_image({i: (i * 7 + 3) & 0xFF for i in range(64)})
+        state = ExecState(memory=mem, pc=0x40)
+        state.add_constraint(E.ult(E.var("x", 32), E.const(9, 32)))
         return {"budget": 7, "sym_base": 2_000_000,
                 "state": state, "wire": wire}
 
@@ -73,15 +80,19 @@ class TestEnvelope:
                   {"budget": 0, "sym_base": 1_000_000,
                    "state": None, "wire": None}]
         buf = pack_lease_batch(leases, "w0", evictions=["dead-digest"],
-                               state_evictions=["page-digest"])
+                               state_evictions=["page-digest"],
+                               statewire=StateWire())
         evictions, state_ev, back = unpack_lease_batch(buf)
         assert evictions == ["dead-digest"]
         assert state_ev == ["page-digest"]
         assert len(back) == 2
         assert back[0]["budget"] == 7
         assert back[0]["sym_base"] == 2_000_000
-        assert back[0]["state"] == leases[0]["state"]
-        assert back[0]["state_kind"] == 1  # pre-pickled bytes = KIND_FULL
+        assert back[0]["state_kind"] == KIND_DELTA
+        state = StateWire().decode_state(
+            back[0]["state_kind"], back[0]["state"],
+            back[0]["state_chunks"], "coord")
+        assert pickle.dumps(state) == pickle.dumps(leases[0]["state"])
         assert back[0]["wire"].refs == wire.refs
         assert back[0]["wire"].chunks == wire.chunks
         assert back[0]["wire"].method == wire.method
