@@ -19,7 +19,9 @@ target). This experiment measures the worker-pool runtime two ways:
   full-pickle baseline cell (``delta_state=False``): the
   **wire-efficiency gate** requires mean delta bytes per shipped state
   < 25 % of mean full-pickle bytes. Every DSE cell's host seconds are
-  tabulated next to the serial engine's.
+  tabulated next to the serial engine's, and the **DSE host-time
+  gate** bounds each cell, the full-pickle baseline included, at
+  :data:`MAX_DSE_CELL_S`.
 
 Every cell moves its envelopes over the pool's one IPC path (packed
 batches on ``mp.Queue``); the artifact records the queue bytes and
@@ -67,6 +69,11 @@ GATE_WORKERS = 2
 #: Wire-efficiency gate (ISSUE-9): mean delta-encoded state bytes must
 #: be < 25 % of mean full-pickle state bytes on the DSE workload.
 MAX_STATE_BYTES_RATIO = 0.25
+#: DSE host-time gate: every leased DSE cell must reach its verdict
+#: within this many host seconds. An absolute bound, not a ratio to
+#: serial: serial takes ~50 ms, so worker start-up alone puts a cell
+#: at several times serial, while a solver stall costs minutes.
+MAX_DSE_CELL_S = 5.0
 
 DSE_FIRMWARE_ARGS = dict(n_paths=6, work_cycles=8)
 DSE_INSTRUCTIONS = 200_000
@@ -221,6 +228,12 @@ def test_parallel_scaling(benchmark):
         "max_ratio": MAX_STATE_BYTES_RATIO,
         "enforced": True,  # byte accounting needs no spare cores
     }
+    dse_gate = {
+        "max_cell_s": MAX_DSE_CELL_S,
+        "slowest_cell_s": max(cell["host_s"] for cell in
+                              [*dse_cells.values(), baseline_cell]),
+        "enforced": True,  # a stall is not a matter of spare cores
+    }
 
     # Speedup gate eligibility: judging scaling on a runner without the
     # cores to scale onto is meaningless, but the skipped gate must be
@@ -265,6 +278,7 @@ def test_parallel_scaling(benchmark):
             "full_pickle_baseline": baseline_cell,
         },
         "state_wire_gate": wire_gate,
+        "dse_gate": dse_gate,
     })
 
     # Identity holds unconditionally, per worker count.
@@ -278,6 +292,11 @@ def test_parallel_scaling(benchmark):
             f"DSE workers={workers} diverged")
     assert baseline_cell["verdict_identical"], \
         "full-pickle baseline diverged from serial"
+    # DSE host-time gate: no cell, the full-pickle baseline included,
+    # may stall in the solver.
+    assert dse_gate["slowest_cell_s"] <= MAX_DSE_CELL_S, (
+        f"slowest DSE cell took {dse_gate['slowest_cell_s']:.1f}s, over "
+        f"the {MAX_DSE_CELL_S}s gate")
     assert serial.crashes and serial.crashes[0].input_bytes[1] >= 0x80
     assert serial_s >= MIN_SERIAL_S, (
         f"serial baseline {serial_s:.2f}s below the {MIN_SERIAL_S}s "

@@ -196,10 +196,20 @@ class BitBlaster:
 
     def _udivrem_words(self, a: List[Lit], b: List[Lit]) -> tuple[List[Lit], List[Lit]]:
         """Restoring division. Division by zero yields (all-ones, a), the
-        same convention as :func:`repro.solver.expr._eval_op`."""
+        same convention as :func:`repro.solver.expr._eval_op`.
+
+        A constant nonzero divisor d keeps every partial remainder below
+        2d, so the stages run on ``d.bit_length() + 1`` remainder bits
+        instead of the full width, and the zero check folds away."""
         width = len(a)
+        narrow = width
+        if all(x is TRUE_LIT or x is FALSE_LIT for x in b):
+            divisor = sum(1 << i for i, x in enumerate(b) if x is TRUE_LIT)
+            if divisor:
+                narrow = min(width, divisor.bit_length() + 1)
+        b = b[:narrow]
         quotient: List[Lit] = [FALSE_LIT] * width
-        remainder: List[Lit] = [FALSE_LIT] * width
+        remainder: List[Lit] = [FALSE_LIT] * narrow
         for i in range(width - 1, -1, -1):
             # remainder = (remainder << 1) | a[i]
             remainder = [a[i]] + remainder[:-1]
@@ -208,6 +218,7 @@ class BitBlaster:
             diff = self._sub_words(remainder, b)
             remainder = [self._mux(ge, d, r) for d, r in zip(diff, remainder)]
             quotient[i] = ge
+        remainder += [FALSE_LIT] * (width - narrow)
         b_is_zero = self._eq_words(b, [FALSE_LIT] * width)
         quotient = [self._mux(b_is_zero, TRUE_LIT, q) for q in quotient]
         remainder = [self._mux(b_is_zero, x, r) for x, r in zip(a, remainder)]

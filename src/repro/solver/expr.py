@@ -318,10 +318,14 @@ def _binop(op: str, a: BitVec, b: BitVec) -> BitVec:
 
 
 def add(a: BitVec, b: BitVec) -> BitVec:
-    if b.is_const and b.value == 0:
-        return a
-    if a.is_const and a.value == 0:
-        return b
+    if a.is_const:
+        a, b = b, a  # a constant operand goes on the right
+    if b.is_const:
+        if b.value == 0:
+            return a
+        if a.op == ADD and a.args[1].is_const and a.width == b.width:
+            # add(add(x, c1), c2) -> add(x, c1 + c2)
+            return add(a.args[0], const(a.args[1].value + b.value, a.width))
     return _binop(ADD, a, b)
 
 
@@ -343,15 +347,28 @@ def mul(a: BitVec, b: BitVec) -> BitVec:
     return _binop(MUL, a, b)
 
 
+def _log2(b: BitVec) -> Optional[int]:
+    """k when *b* is the constant 2**k, else None."""
+    if b.is_const and b.value and not b.value & (b.value - 1):
+        return b.value.bit_length() - 1
+    return None
+
+
 def udiv(a: BitVec, b: BitVec) -> BitVec:
     if b.is_const and b.value == 1:
         return a
+    k = _log2(b)
+    if k is not None and a.width == b.width:
+        return zext(extract(a, a.width - 1, k), a.width)
     return _binop(UDIV, a, b)
 
 
 def urem(a: BitVec, b: BitVec) -> BitVec:
     if b.is_const and b.value == 1:
         return const(0, a.width)
+    k = _log2(b)
+    if k is not None and a.width == b.width:
+        return zext(extract(a, k - 1, 0), a.width)
     return _binop(UREM, a, b)
 
 

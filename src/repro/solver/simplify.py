@@ -9,7 +9,7 @@ passes that need a full traversal:
   assignment collapses an expression to a constant,
 * :func:`simplify` — a bottom-up rebuild with a few non-local rules that
   help symbolic-execution workloads (comparison canonicalisation,
-  ite-condition propagation).
+  ite-condition propagation, equalities solved through a constant add).
 """
 
 from __future__ import annotations
@@ -119,7 +119,11 @@ def simplify(node: E.BitVec) -> E.BitVec:
     * ``eq(x, c)`` where ``x = ite(p, c1, c2)`` with constant arms →
       ``p`` / ``not p`` / ``false``,
     * ``eq(concat(a, b), c)`` → ``and(eq(a, c_hi), eq(b, c_lo))`` which
-      splits wide equalities into independently solvable pieces.
+      splits wide equalities into independently solvable pieces,
+    * ``eq(zext(x), c)`` → ``eq(x, c)`` at x's width, or false when c
+      has bits above it,
+    * ``eq(add(x, c1), c2)`` → ``eq(x, c2 - c1)`` modulo 2**width, so a
+      counter compared against a constant needs no adder.
     """
     cache: Dict[E.BitVec, E.BitVec] = {}
     for cur in _postorder(node):
@@ -178,4 +182,9 @@ def _eq_with_const(a: E.BitVec, c: E.BitVec):
         if high != 0:
             return E.false()
         return E.eq(inner, E.const(c.value, inner.width))  # type: ignore[arg-type]
+    if a.op == E.ADD and a.args[1].is_const:
+        # The constructor keeps an add's constant operand on the right.
+        x, addend = a.args
+        solved = E.const(c.value - addend.value, a.width)  # type: ignore[operator]
+        return _apply_rules(E.eq(x, solved))
     return None

@@ -3,6 +3,8 @@ the headline property — parallel verdicts are byte-identical to serial
 ones, whatever the worker count."""
 
 import pickle
+import signal
+from contextlib import contextmanager
 
 import pytest
 
@@ -24,6 +26,22 @@ from repro.targets import FpgaTarget
 TIMER = [(catalog.TIMER, TIMER_BASE)]
 UART = [(catalog.UART, UART_BASE)]
 SEEDS = [bytes([1, 4, 0x41, 0x42, 0x43, 0x44]), bytes([2, 7])]
+
+
+@contextmanager
+def _deadline(seconds):
+    """Fail the test from a SIGALRM after *seconds* instead of hanging
+    the suite; the engine's ``with`` block then closes its pool."""
+    def expire(signum, frame):
+        pytest.fail(f"no verdict within {seconds:g} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def _timer_target():
@@ -256,6 +274,27 @@ class TestEngineDeterminism:
                                     scan_mode="functional") as engine:
             report = engine.run(max_instructions=100_000)
         assert report.verdict_summary() == dispatcher_serial
+        assert report.stop_reason == "exhausted"
+
+    @pytest.fixture(scope="class")
+    def modulus_serial(self):
+        return HardSnapSession(dispatcher(6, work_cycles=8), TIMER,
+                               scan_mode="functional", opt=True).run(
+            max_instructions=200_000).verdict_summary()
+
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_constant_modulus_dispatcher_matches_serial(self, workers,
+                                                        modulus_serial):
+        """dispatcher(6) branches on ``x mod 6``. A cold worker solver
+        bit-blasting a full-width divider for it took minutes; the
+        narrowed constant divider answers well inside the deadline."""
+        with _deadline(30.0):
+            with ParallelAnalysisEngine(dispatcher(6, work_cycles=8), TIMER,
+                                        workers=workers,
+                                        scan_mode="functional",
+                                        opt=True) as engine:
+                report = engine.run(max_instructions=200_000)
+        assert report.verdict_summary() == modulus_serial
         assert report.stop_reason == "exhausted"
 
     def test_bug_workload_matches_serial(self):

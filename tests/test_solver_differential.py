@@ -8,6 +8,8 @@ from :mod:`repro.solver.expr`, and every returned model must make each
 constraint evaluate to 1. A second case drives one :class:`SatSolver`
 through many incremental ``solve(assumptions)`` calls against brute
 force, so order-heap and watch state carried across solves is covered.
+The word-level rewrites (constant divisors, constant add chains) are
+checked exhaustively at 2–4 bits on cold solvers.
 """
 
 import itertools
@@ -204,6 +206,78 @@ class TestSolverVsBruteForce:
         for _ in range(300):
             ops.update(node.op for node in simplify(gen_bool(rng, 3)).walk())
         assert LOWERED <= ops
+
+
+# -- word-level rewrites ----------------------------------------------------------
+
+def assert_solves_like_brute_force(conj):
+    """A cold :class:`Solver` (no cached model to replay) agrees with
+    brute force on *conj*, and its model satisfies every constraint."""
+    result = Solver().check(conj)
+    assert result.status == (SAT if brute_force_sat(conj) else UNSAT), conj
+    if result.is_sat:
+        assert ref_eval(conj, result.model) == [1] * len(conj), conj
+
+
+class TestWordLevelRewrites:
+    """The constructors rewrite power-of-two division and constant add
+    chains, ``simplify`` solves ``eq(add(x, c1), c2)`` for x, and the
+    bit-blaster narrows the divider of a constant divisor. Each rewrite
+    is checked against the reference semantics above."""
+
+    @pytest.mark.parametrize("op", [E.UDIV, E.UREM])
+    @pytest.mark.parametrize("width", [2, 3, 4])
+    def test_constant_divisors_exhaustively(self, op, width):
+        build = E.udiv if op == E.UDIV else E.urem
+        x = VARS[width]
+        for c in range(1 << width):
+            divisor = E.const(c, width)
+            # The raw node skips the constructor's rewrites, so every
+            # divisor (powers of two included) reaches the narrowed
+            # divider in the bit-blaster.
+            raw = E._intern(op, width, (x, divisor))
+            built = build(x, divisor)
+            if c and not c & (c - 1):  # 2**k: a bit select, no divider
+                assert op not in {n.op for n in built.walk()}, built
+            for v in range(1 << width):
+                assert ref_eval([built], {x: v}) == ref_eval([raw], {x: v}), \
+                    (built, v)
+            for node in (raw, built):
+                for k in range(1 << width):
+                    assert_solves_like_brute_force(
+                        [E.eq(node, E.const(k, width))])
+
+    @pytest.mark.parametrize("width", [2, 3, 4])
+    def test_add_forms_with_wraparound(self, width):
+        x = VARS[width]
+        mask = (1 << width) - 1
+        for c1 in range(1 << width):
+            first = E.const(c1, width)
+            assert E.add(first, x) is E.add(x, first)
+            for c2 in range(1 << width):
+                second = E.const(c2, width)
+                chain = E.add(E.add(x, first), second)
+                assert chain is E.add(x, E.const(c1 + c2, width))
+                for v in range(1 << width):
+                    assert ref_eval([chain], {x: v}) == [(v + c1 + c2) & mask]
+                query = E.eq(E.add(x, first), second)
+                assert simplify(query) is E.eq(x, E.const(c2 - c1, width))
+                assert_solves_like_brute_force([query])
+                # Through a zero-extension the solved equality narrows
+                # further, to the inner width or to false.
+                assert_solves_like_brute_force(
+                    [E.eq(E.add(E.zext(VARS[2], width), first), second)])
+
+    def test_cold_constant_modulus_query_stays_small(self):
+        """The query behind the parallel-DSE stall: a cold solver with a
+        full-width divider needed 9 100 conflicts to find x mod 6 = 5."""
+        x = E.var("x", 32)
+        solver = Solver()
+        result = solver.check([E.ne(E.urem(x, E.const(6, 32)), E.const(k, 32))
+                               for k in range(5)])
+        assert result.is_sat
+        assert result.model[x] % 6 == 5
+        assert solver.sat_stats["conflicts"] <= 1000
 
 
 # -- the SAT core alone ------------------------------------------------------------
