@@ -8,10 +8,10 @@ target). This experiment measures the worker-pool runtime two ways:
   against the packet-parser firmware at 1/2/4 workers vs the serial
   fuzzer, *with identical results asserted*: same crashes,
   same edge set, byte-identical verdict string for every cell. The
-  workload is **scaled until the serial baseline takes ≥ 2 s** (probe
-  run → executions rounded up to whole batches), so speedup ratios sit
-  well above timer noise; every cell records ``executions/s`` next to
-  its speedup.
+  workload is **grown until the serial baseline takes ≥ 2 s** (probe
+  run, then each run below the floor rescaled from its own rate to
+  whole batches), so speedup ratios sit well above timer noise; every
+  cell records ``executions/s`` next to its speedup.
 * **DSE verdict identity + state-wire economics** — the leased
   :class:`ParallelAnalysisEngine` reproduces the serial engine's
   verdicts on a forking workload at 1/2/4 workers, and the delta state
@@ -21,7 +21,8 @@ target). This experiment measures the worker-pool runtime two ways:
   < 25 % of mean full-pickle bytes. Every DSE cell's host seconds are
   tabulated next to the serial engine's, and the **DSE host-time
   gate** bounds each cell, the full-pickle baseline included, at
-  :data:`MAX_DSE_CELL_S`.
+  :data:`MAX_DSE_CELL_S`. Each DSE cell also records how many chunk
+  and page bodies the coordinator's content pool holds at the end.
 
 Every cell moves its envelopes over the pool's one IPC path (packed
 batches on ``mp.Queue``); the artifact records the queue bytes and
@@ -54,7 +55,7 @@ TIMER = [(catalog.TIMER, TIMER_BASE)]
 # thing workers parallelise) dominates the result-merge traffic.
 SEEDS = [bytes([1, 4, 0x41, 0x42, 0x43, 0x44]), bytes([2, 31])]
 BATCH = 64
-#: Workload for the scaling probe; the real run is scaled from it.
+#: Workload for the scaling probe; the real run is grown from it.
 PROBE_EXECUTIONS = 576  # 9 batches
 #: Measurement floor: the serial fuzz baseline must take at least this
 #: long, or speedup ratios drown in scheduler/timer noise.
@@ -97,16 +98,31 @@ def _serial_fuzz(executions):
     return report, time.perf_counter() - start
 
 
-def _scaled_executions(probe_s: float) -> int:
-    """Executions needed to push the serial baseline past the floor,
+def _scaled_executions(executions: int, elapsed: float) -> int:
+    """Executions needed to push the serial baseline past the floor at
+    the rate of a run of *executions* that took *elapsed* seconds,
     rounded up to whole batches (the fuzzer's scheduling granule, so
     parallel runs replay the identical batch sequence)."""
-    if probe_s >= MIN_SERIAL_S:
-        return PROBE_EXECUTIONS
-    per_exec = probe_s / PROBE_EXECUTIONS
+    per_exec = elapsed / executions
     need = (MIN_SERIAL_S * 1.15) / per_exec  # 15% headroom over floor
     batches = -(-int(need) // BATCH) + 1
     return min(batches * BATCH, MAX_EXECUTIONS)
+
+
+def _grown_serial_fuzz():
+    """The serial baseline, grown until it clears the floor: a run
+    below :data:`MIN_SERIAL_S` is followed by one rescaled from its own
+    rate (a short probe misjudges the rate on a noisy host), up to
+    :data:`MAX_EXECUTIONS`. Returns the final ``(executions, report,
+    seconds)`` and every run's ``(executions, seconds)``."""
+    executions = PROBE_EXECUTIONS
+    report, elapsed = _serial_fuzz(executions)
+    runs = [(executions, elapsed)]
+    while elapsed < MIN_SERIAL_S and executions < MAX_EXECUTIONS:
+        executions = _scaled_executions(executions, elapsed)
+        report, elapsed = _serial_fuzz(executions)
+        runs.append((executions, elapsed))
+    return executions, report, elapsed, runs
 
 
 def _parallel_fuzz(workers, executions):
@@ -135,14 +151,8 @@ def _dse_cell(workers, delta_state=True):
 
 def test_parallel_scaling(benchmark):
     # -- workload scaling: serial baseline above the measurement floor --
-    _probe_report, probe_s = _serial_fuzz(PROBE_EXECUTIONS)
-    executions = _scaled_executions(probe_s)
-    if executions == PROBE_EXECUTIONS:
-        serial, serial_s = _probe_report, probe_s
-        benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    else:
-        serial, serial_s = benchmark.pedantic(
-            _serial_fuzz, args=(executions,), rounds=1, iterations=1)
+    executions, serial, serial_s, serial_runs = benchmark.pedantic(
+        _grown_serial_fuzz, rounds=1, iterations=1)
 
     rows = [["serial", 1, f"{serial_s:.3f}", "1.00x",
              f"{executions / serial_s:.0f}",
@@ -186,13 +196,14 @@ def test_parallel_scaling(benchmark):
         return {"host_s": elapsed,
                 "verdict_identical": (report.verdict_summary()
                                       == dse_serial.verdict_summary()),
+                "held_bodies": stats.held_bodies,
                 "ipc": stats.ipc.as_dict(),
                 "state_wire": stats.state_wire.as_dict()}
 
     dse_cells = {workers: measure_dse(workers) for workers in WORKER_COUNTS}
     baseline_cell = measure_dse(GATE_WORKERS, delta_state=False)
 
-    dse_rows = [["serial", 1, f"{dse_serial_s:.3f}", "1.0x", "-", "-",
+    dse_rows = [["serial", 1, f"{dse_serial_s:.3f}", "1.0x", "-", "-", "-",
                  "reference"]]
     for label, workers, cell in (
             [("delta", w, c) for w, c in dse_cells.items()]
@@ -203,10 +214,11 @@ def test_parallel_scaling(benchmark):
             f"{cell['host_s'] / dse_serial_s:.1f}x",
             sw["states_sent"],
             sw["state_bytes_delta"] + sw["state_bytes_full"],
+            cell["held_bodies"],
             "identical" if cell["verdict_identical"] else "DIVERGED"])
     dse_table = format_table(
         ["state wire", "workers", "host s", "vs serial", "states",
-         "state B", "verdict vs serial"],
+         "state B", "held", "verdict vs serial"],
         dse_rows,
         title=f"E9: leased DSE, dispatcher(n_paths="
               f"{DSE_FIRMWARE_ARGS['n_paths']}), "
@@ -254,7 +266,8 @@ def test_parallel_scaling(benchmark):
         "effective_cores": effective_cores,
         "executions": executions,
         "probe_executions": PROBE_EXECUTIONS,
-        "probe_host_s": probe_s,
+        "probe_host_s": serial_runs[0][1],
+        "serial_runs": serial_runs,
         "min_serial_s": MIN_SERIAL_S,
         "batch_size": BATCH,
         "serial_host_s": serial_s,

@@ -16,7 +16,8 @@ path. This package is that runtime:
 * the *software* half of a state travels the same way: the
   :class:`StateWire` codec (:mod:`repro.parallel.statewire`) ships
   dirty memory pages + constraint suffixes against per-peer
-  registries instead of full pickles,
+  registries instead of full pickles; chunks and pages share each
+  endpoint's one :class:`ContentPool`,
 * :class:`ParallelAnalysisEngine` — the coordinator runs the searcher
   and leases pending states to workers; merged reports reproduce the
   serial engine's ``verdict_summary()`` byte-identically,
@@ -41,11 +42,12 @@ from repro.parallel.pool import (InlinePool, IpcStats, PoolStats,
                                  WorkerPool)
 from repro.parallel.recipe import SessionRecipe, TargetRecipe
 from repro.parallel.statewire import StateWire, StateWireStats
-from repro.parallel.wire import ChunkChannel, WireStats
+from repro.parallel.wire import ChunkChannel, ContentPool, WireStats
 
 __all__ = [
     "ParallelAnalysisEngine", "ParallelFuzzer", "WorkerPool", "InlinePool",
     "PoolStats", "WorkerError", "WorkerDeath", "PoolTimeout",
-    "SessionRecipe", "TargetRecipe", "ChunkChannel", "WireStats",
+    "SessionRecipe", "TargetRecipe", "ChunkChannel", "ContentPool",
+    "WireStats",
     "StateWire", "StateWireStats", "IpcStats",
 ]

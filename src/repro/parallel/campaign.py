@@ -36,8 +36,10 @@ A subclass supplies the work unit and its merge: ``run``, the
 workers)`` classmethod that rebuilds the campaign from its
 ``campaign-opened`` setup blob for :meth:`resume` (setting
 ``_resume_run_kwargs``), and — when it ships delta-encoded states —
-the :meth:`_forget_peer` / :meth:`_readdress` hooks that keep the
-per-peer wire registries consistent across respawns.
+the :meth:`_forget_peer` hook that drops a dead worker's per-peer wire
+registries. Jobs are packed by their ``pack`` hook on every (re)send,
+so a re-issued job is encoded against whatever the peer holds then and
+needs no special re-addressing.
 """
 
 from __future__ import annotations
@@ -260,12 +262,10 @@ class Campaign:
         policy = self.retry_policy
         if pool.stats.resilience.worker_respawns < policy.respawn_cap:
             jobs = pool.respawn(death.worker_id)
-            # The dead incarnation's chunk pool died with it: forget what
-            # we believed it held and ship full payloads on re-issue.
+            # The dead incarnation's registries died with it: forget what
+            # we believed it held, so the re-pack ships everything.
             self._forget_peer(death.worker_id)
             for job_id in jobs:
-                self._readdress(pool.in_flight(job_id).payload,
-                                death.worker_id)
                 pool.resubmit(job_id)
             return
         if policy.degrade_to_serial:
@@ -274,10 +274,9 @@ class Campaign:
         raise death
 
     def _reissue(self, jobs: Iterable[int]) -> None:
-        """Re-queue stalled jobs on their (live) workers. The original
-        payload is already addressed to that worker and its chunk pool
-        is intact, so no re-encoding is needed; if the worker already
-        executed the job it answers from its completed cache."""
+        """Re-queue stalled jobs on their (live) workers. The worker's
+        registries are intact; if it already executed the job it
+        answers from its completed cache."""
         pool = self.pool
         policy = self.retry_policy
         for job_id in jobs:
@@ -299,8 +298,8 @@ class Campaign:
         :class:`InlinePool` built from a fault-free copy of the recipe
         (there is no worker process left to kill) that shares the pool's
         stats object, so accounting — including the ``degraded`` flag —
-        survives the swap. Each job is re-addressed to the harness's
-        cold registries and re-packed by its own ``pack`` hook."""
+        survives the swap. Each job is re-packed by its own ``pack``
+        hook against the harness's cold ``"degraded"`` peer."""
         pool = self.pool
         stats = pool.stats
         stats.resilience.degraded = True
@@ -311,7 +310,6 @@ class Campaign:
         self._pool = inline
         self._degraded = True
         for _job_id, info in pending:
-            self._readdress(info.payload, self._peer(info.worker_id))
             inline.submit(info.worker_id, info.kind, info.payload,
                           pack=info.pack)
             stats.resilience.lease_reissues += 1
@@ -319,8 +317,4 @@ class Campaign:
     # -- hooks ---------------------------------------------------------------
 
     def _forget_peer(self, worker_id: object) -> None:
-        """A peer's process (and with it, its chunk pool) is gone."""
-
-    def _readdress(self, payload: Any, peer: object) -> None:
-        """Re-encode *payload* in place for delivery to *peer* (only
-        coordinators shipping delta wires need to do anything)."""
+        """A peer's process (and with it, its content pool) is gone."""

@@ -24,11 +24,15 @@ final identity renumbering are unchanged, which is why batching and
 pipelining cannot perturb verdicts.
 
 Software state crosses the process boundary through the
-:class:`~repro.parallel.statewire.StateWire` delta codec: leases park
-*live* states coordinator-side and are delta-encoded at pack time
-(dirty pages the peer lacks + the constraint suffix beyond a shared
-ancestor), so a recovery re-pack after a respawn re-encodes as a full
-pickle against the worker's cold registry (``force_full``).
+:class:`~repro.parallel.statewire.StateWire` delta codec, hardware
+state through the :class:`~repro.parallel.wire.ChunkChannel`; both
+share the coordinator's one
+:class:`~repro.parallel.wire.ContentPool`. Leases park the *live*
+state and its refs-only chunk wire coordinator-side, and both halves
+are addressed to the worker at pack time (the chunks and dirty pages
+the peer lacks, the constraint suffix beyond a shared ancestor). A
+re-pack after a respawn or a degrade therefore ships everything the
+fresh peer lacks, with no special case.
 
 Verdict parity holds for ``irq_poll_interval=1`` (the default): larger
 intervals phase the IRQ poll against the *global* instruction stream in
@@ -52,14 +56,10 @@ from repro.parallel.campaign import Campaign
 from repro.parallel.envelope import pack_lease_batch, unpack_lease_results
 from repro.parallel.recipe import SessionRecipe
 from repro.parallel.statewire import StateWire
-from repro.parallel.wire import ChunkChannel
+from repro.parallel.wire import ChunkChannel, ContentPool
 from repro.parallel.workers import SYM_BASE_STRIDE
 from repro.vm.searchers import make_searcher
 from repro.vm.state import ExecState
-
-
-def _wire_digests(wire) -> List[str]:
-    return [digest for _name, (digest, _cycle, _bits) in wire.refs.items()]
 
 
 class ParallelAnalysisEngine(Campaign):
@@ -100,15 +100,14 @@ class ParallelAnalysisEngine(Campaign):
         self.lease_budget = lease_budget
         #: Max leases coalesced into one job envelope.
         self.lease_batch = max(1, lease_batch)
-        self.channel = ChunkChannel()
-        self.statewire = StateWire(delta=self.recipe.delta_state)
+        content = ContentPool()
+        self.channel = ChunkChannel(content)
+        self.statewire = StateWire(delta=self.recipe.delta_state,
+                                   pool=content)
         self._coverage: Set[int] = set()
         self._lease_seq = 0
         self._worker_wire: Dict[object, object] = {}
         self._worker_statewire: Dict[object, object] = {}
-        #: Digests pinned on behalf of each worker's in-flight batch
-        #: (they back wires the recovery ladder may need to re-encode).
-        self._pinned: Dict[int, List[str]] = {}
 
     @classmethod
     def _from_setup(cls, setup: Dict[str, Any],
@@ -132,20 +131,18 @@ class ParallelAnalysisEngine(Campaign):
     def _pack_leases(self, payload: Dict[str, Any],
                      worker_id: int) -> bytes:
         """``pack`` hook for the pool: structured batch → envelope
-        bytes, with the eviction notices this worker must learn about
-        taken at pack time so a re-pack ships fresh bookkeeping."""
+        bytes, each parked chunk wire re-addressed to the peer here, as
+        the state wire encodes the software state here."""
         peer = self._peer(worker_id)
-        return pack_lease_batch(
-            payload["leases"], peer,
-            evictions=self.channel.take_evictions(peer),
-            state_evictions=self.statewire.take_evictions(peer),
-            statewire=self.statewire)
+        leases = [lease if lease["state"] is None else
+                  dict(lease, wire=self.channel.reencode(lease["wire"], peer))
+                  for lease in payload["leases"]]
+        return pack_lease_batch(leases, peer, statewire=self.statewire)
 
     def _dispatch_batch(self, worker_id: int,
                         states: Sequence[Optional[ExecState]],
                         budget: int) -> None:
         leases = []
-        pinned = self._pinned.setdefault(worker_id, [])
         for state in states:
             self._lease_seq += 1
             lease: Dict[str, Any] = {
@@ -155,20 +152,13 @@ class ParallelAnalysisEngine(Campaign):
                 lease["state"] = None
                 lease["wire"] = None
             else:
-                wire = self.channel.reencode(state._wire,
-                                             self._peer(worker_id))
-                # The adopt-time pin transfers from the parked state to
-                # the in-flight batch (same refs): _readdress may need
-                # these bodies again after a respawn.
-                pinned.extend(_wire_digests(wire))
-                self.channel.unpin(_wire_digests(state._wire))
-                del state._wire
-                # The lease parks the *live* state; the statewire delta
-                # encode happens at pack time (pack_lease_batch), so a
-                # recovery re-pack re-encodes against the new peer's
-                # registries instead of replaying stale bytes.
+                # The lease parks the *live* state and its wire; both
+                # are encoded at pack time (_pack_leases), so a recovery
+                # re-pack encodes against the new peer's registries
+                # instead of replaying stale bytes.
                 lease["state"] = state
-                lease["wire"] = wire
+                lease["wire"] = state._wire
+                del state._wire
             leases.append(lease)
         self.pool.submit(worker_id, "lease-batch", {"leases": leases},
                          pack=self._pack_leases)
@@ -184,42 +174,21 @@ class ParallelAnalysisEngine(Campaign):
 
     def _adopt(self, shipped, worker_id: int) -> ExecState:
         """Decode a shipped ``(kind, record, page bodies, wire)`` state
-        and remember which chunks back its snapshot (the snapshot
-        itself stays as references until the state is leased out
-        again). The backing chunks are pinned against LRU eviction for
-        as long as the state is parked."""
+        and remember which chunks back its snapshot: the snapshot is
+        not rebuilt, its refs are resolved from the content pool when
+        the state is leased out again."""
         kind, record, bodies, wire = shipped
         peer = self._peer(worker_id)
         self.channel.absorb(wire, peer)
         state = self.statewire.decode_state(kind, record, bodies, peer)
         state._wire = wire
-        self.channel.pin(_wire_digests(wire))
         return state
-
-    def _decode_batch(self, worker_id: int, data) -> List[Dict[str, Any]]:
-        """One arrived batch envelope → the list of per-lease result
-        dicts (the eviction notices it carried are applied here)."""
-        evictions, state_evictions, _enc, _dec, results = \
-            self._unpack_result(unpack_lease_results, data)
-        peer = self._peer(worker_id)
-        self.channel.forget_remote(peer, evictions)
-        self.statewire.forget_remote(peer, state_evictions)
-        return results
 
     # -- recovery hooks (see Campaign) ----------------------------------------
 
     def _forget_peer(self, worker_id: object) -> None:
-        self.channel.known.pop(worker_id, None)
+        # The content pool is shared: this drops the peer's chunks too.
         self.statewire.forget_peer(worker_id)
-
-    def _readdress(self, payload, peer: object) -> None:
-        for lease in payload["leases"]:
-            if lease["state"] is not None:
-                lease["wire"] = self.channel.reencode(lease["wire"], peer)
-                # The peer's base/page registries are cold: the re-pack
-                # must ship a self-contained full pickle, never a delta
-                # against history the old worker took down with it.
-                lease["force_full"] = True
 
     # -- journal --------------------------------------------------------------
 
@@ -233,20 +202,16 @@ class ParallelAnalysisEngine(Campaign):
         The frontier (parked states) and every in-flight lease's state
         travel as ``(pickled ExecState, refs-only wire)`` pairs plus one
         shared ``digest → (body, bits)`` chunk map resolved from the
-        coordinator's channel — every referenced chunk is pinned for
-        exactly as long as its state is parked or leased, so the bodies
-        are guaranteed resolvable at checkpoint time.
+        coordinator's content pool, which keeps every body it absorbed.
         """
         entries: List[Tuple[ExecState, SnapshotWire]] = []
         chunks: Dict[str, Tuple[dict, int]] = {}
         root_pending = False
 
         def add_state(state: ExecState, wire: SnapshotWire) -> None:
-            for _name, (digest, _cycle, bits) in wire.refs.items():
+            for digest, _cycle, bits in wire.refs.values():
                 if digest not in chunks:
-                    chunks[digest] = (
-                        self.channel._body_of(digest, wire),
-                        self.channel.chunk_bits.get(digest, bits))
+                    chunks[digest] = (self.channel.pool.bodies[digest], bits)
             entries.append((state, SnapshotWire(
                 refs=dict(wire.refs), chunks={},
                 method=wire.method, bits=wire.bits)))
@@ -320,7 +285,6 @@ class ParallelAnalysisEngine(Campaign):
             self.channel.absorb(carry, "journal")
             parked._wire = SnapshotWire(refs=dict(wire.refs), chunks={},
                                         method=wire.method, bits=wire.bits)
-            self.channel.pin(_wire_digests(parked._wire))
             searcher.add(parked)
         return (state["executed"], dict(state["stats_sums"]),
                 state["chain_depth"], list(state["bugs"]),
@@ -413,26 +377,18 @@ class ParallelAnalysisEngine(Campaign):
             # swapped in an InlinePool since the loop started.)
             arrived = [self._await_result()]
             arrived.extend(self.pool.drain_results())
-            # Snapshot each completed batch's pins *before* dispatch():
-            # a worker has at most one batch in flight, so at arrival
-            # time _pinned[worker_id] holds exactly that batch's pins —
-            # re-dispatching the freed worker below would extend the
-            # same list with the *next* batch's pins, and unpinning
-            # those early would expose in-flight chunks to LRU eviction
-            # while the recovery ladder may still need them.
-            batch_pins = [self._pinned.pop(worker_id, [])
-                          for _kind, worker_id, _data in arrived]
             for _kind, worker_id, _data in arrived:
                 idle.append(worker_id)
                 batches_out -= 1
             if stop is None:
                 dispatch()
-            for (_kind, worker_id, data), pins in zip(arrived, batch_pins):
+            for _kind, worker_id, data in arrived:
                 # Pipelined merge: decode one envelope, fold its states
                 # into the searcher, then (below) immediately feed any
                 # idle worker before decoding the next envelope — batch
                 # i+1 executes while batch i+2..n are still merging.
-                results = self._decode_batch(worker_id, data)
+                _enc, _dec, results = self._unpack_result(
+                    unpack_lease_results, data)
                 if journal is not None:
                     journal.append("envelope-merged", worker=worker_id,
                                    leases=len(results))
@@ -474,12 +430,9 @@ class ParallelAnalysisEngine(Campaign):
                                            lineage=list(state.lineage))
                         if len(searcher) + outstanding < max_states:
                             searcher.add(state)
-                        else:
-                            self.channel.unpin(_wire_digests(shipped[3]))
                     report.max_live_states = max(
                         report.max_live_states,
                         len(searcher) + outstanding)
-                self.channel.unpin(pins)
                 merged_envelopes += 1
                 if stop is None:
                     dispatch()
@@ -506,6 +459,7 @@ class ParallelAnalysisEngine(Campaign):
         report.snapshot_chain_depth = chain_depth
         report.host_time_s = time.perf_counter() - start
         pool.stats.host_time_s += report.host_time_s
+        pool.stats.held_bodies = len(self.channel.pool.bodies)
         pool.stats.wire.merge(self.channel.stats)
         self.channel.stats = type(self.channel.stats)()
         for wire_stats in self._worker_wire.values():

@@ -5,16 +5,9 @@ fuzz shard. This module replaces that with struct-packed **batch**
 envelopes: little-endian framed headers, length-prefixed bodies read
 through ``memoryview`` slices (no intermediate copies on the decode
 path), and pickle confined to the payloads that are genuinely Python
-objects (execution states, chunk bodies, stats dataclasses).
-
-Lease envelopes also carry a piggyback lane of **eviction notices**:
-
-* chunk digests this endpoint dropped from its
-  :class:`~repro.parallel.wire.ChunkChannel` pool under the LRU cap, so
-  the peer stops sending reference-only wires for them,
-* page digests dropped from the
-  :class:`~repro.parallel.statewire.StateWire` page pool, same
-  contract at the software-state layer.
+objects (execution states, chunk bodies, stats dataclasses). The
+reader and the scalar formats are the ones the state records use
+(:mod:`repro.parallel.statewire`).
 
 Software states travel as :mod:`~repro.parallel.statewire` records —
 a u8 kind (full pickle or delta), the packed record, and for deltas
@@ -34,67 +27,13 @@ import struct
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.persistence import SnapshotWire
+from repro.parallel.statewire import (_F64, _I64, _U8, _U16, _U32, _U64,
+                                      KIND_DELTA, _Cursor)
 
-_U8 = struct.Struct("<B")
-_U16 = struct.Struct("<H")
-_U32 = struct.Struct("<I")
-_U64 = struct.Struct("<Q")
-_I64 = struct.Struct("<q")
-_F64 = struct.Struct("<d")
 #: The two worker-time floats at the head of every result envelope.
 _STAMPS = struct.Struct("<dd")
 
 _PICKLE = pickle.HIGHEST_PROTOCOL
-
-
-class _Cursor:
-    """Sequential reader over an envelope's memoryview."""
-
-    __slots__ = ("mv", "pos")
-
-    def __init__(self, buf) -> None:
-        self.mv = memoryview(buf)
-        self.pos = 0
-
-    def _take(self, fmt: struct.Struct) -> int:
-        value, = fmt.unpack_from(self.mv, self.pos)
-        self.pos += fmt.size
-        return value
-
-    def u8(self) -> int:
-        return self._take(_U8)
-
-    def u16(self) -> int:
-        return self._take(_U16)
-
-    def u32(self) -> int:
-        return self._take(_U32)
-
-    def u64(self) -> int:
-        return self._take(_U64)
-
-    def i64(self) -> int:
-        return self._take(_I64)
-
-    def f64(self) -> float:
-        value, = _F64.unpack_from(self.mv, self.pos)
-        self.pos += _F64.size
-        return value
-
-    def blob(self) -> bytes:
-        n = self.u32()
-        data = bytes(self.mv[self.pos:self.pos + n])
-        self.pos += n
-        return data
-
-    def text(self) -> str:
-        n = self.u16()
-        data = bytes(self.mv[self.pos:self.pos + n])
-        self.pos += n
-        return data.decode("utf-8")
-
-    def obj(self) -> Any:
-        return pickle.loads(self.blob())
 
 
 def _put_blob(out: List[bytes], data: bytes) -> None:
@@ -110,24 +49,6 @@ def _put_text(out: List[bytes], text: str) -> None:
 
 def _put_obj(out: List[bytes], obj: Any) -> None:
     _put_blob(out, pickle.dumps(obj, protocol=_PICKLE))
-
-
-# -- piggyback lane (eviction notices) --------------------------------------
-
-def _put_piggyback(out: List[bytes], evictions: Sequence[str],
-                   state_evictions: Sequence[str] = ()) -> None:
-    out.append(_U32.pack(len(evictions)))
-    for digest in evictions:
-        _put_text(out, digest)
-    out.append(_U32.pack(len(state_evictions)))
-    for digest in state_evictions:
-        _put_text(out, digest)
-
-
-def _read_piggyback(cur: _Cursor) -> Tuple[List[str], List[str]]:
-    evictions = [cur.text() for _ in range(cur.u32())]
-    state_evictions = [cur.text() for _ in range(cur.u32())]
-    return evictions, state_evictions
 
 
 # -- snapshot wires ----------------------------------------------------------
@@ -166,14 +87,14 @@ def _put_state_record(out: List[bytes], kind: int, record: bytes,
     kind only) the pickled page bodies the peer lacks."""
     out.append(_U8.pack(kind))
     _put_blob(out, record)
-    if kind == 2:  # statewire.KIND_DELTA
+    if kind == KIND_DELTA:
         _put_obj(out, bodies)
 
 
 def _read_state_record(cur: _Cursor) -> Tuple[int, bytes, Dict[str, bytes]]:
     kind = cur.u8()
     record = cur.blob()
-    bodies: Dict[str, bytes] = cur.obj() if kind == 2 else {}
+    bodies: Dict[str, bytes] = cur.obj() if kind == KIND_DELTA else {}
     return kind, record, bodies
 
 
@@ -194,19 +115,14 @@ def _read_shipped(cur: _Cursor
 # -- lease batches (coordinator -> worker) -----------------------------------
 
 def pack_lease_batch(leases: Sequence[Dict[str, Any]], peer: object,
-                     evictions: Sequence[str] = (),
-                     state_evictions: Sequence[str] = (),
                      statewire=None) -> bytes:
     """Each lease: ``{budget, sym_base, state: ExecState|None,
-    wire: SnapshotWire|None}`` (the structured form the recovery ladder
-    re-addresses). Live states are encoded *here* — at pack time —
-    through *statewire* (required unless every lease is a root lease)
-    against *peer*'s registries, so a re-pack after a respawn
-    re-encodes against the fresh peer context (``force_full`` marks
-    leases the recovery ladder re-addressed to a cold registry)."""
-    out: List[bytes] = []
-    _put_piggyback(out, evictions, state_evictions)
-    out.append(_U32.pack(len(leases)))
+    wire: SnapshotWire|None}``, the wire already addressed to *peer*.
+    Live states are encoded *here* — at pack time — through
+    *statewire* (required unless every lease is a root lease) against
+    *peer*'s registries, so a re-pack after a respawn re-encodes
+    against the fresh peer context."""
+    out: List[bytes] = [_U32.pack(len(leases))]
     for lease in leases:
         out.append(_U64.pack(lease["budget"]))
         out.append(_U64.pack(lease["sym_base"]))
@@ -214,17 +130,14 @@ def pack_lease_batch(leases: Sequence[Dict[str, Any]], peer: object,
         if state is None:
             out.append(_U8.pack(0))
             continue
-        kind, record, bodies = statewire.encode_state(
-            state, peer, force_full=lease.get("force_full", False))
+        kind, record, bodies = statewire.encode_state(state, peer)
         _put_state_record(out, kind, record, bodies)
         _put_wire(out, lease["wire"])
     return b"".join(out)
 
 
-def unpack_lease_batch(buf) -> Tuple[List[str], List[str],
-                                     List[Dict[str, Any]]]:
+def unpack_lease_batch(buf) -> List[Dict[str, Any]]:
     cur = _Cursor(buf)
-    evictions, state_evictions = _read_piggyback(cur)
     leases = []
     for _ in range(cur.u32()):
         lease: Dict[str, Any] = {"budget": cur.u64(),
@@ -243,14 +156,12 @@ def unpack_lease_batch(buf) -> Tuple[List[str], List[str],
             lease["state_chunks"] = {}
             lease["wire"] = None
         leases.append(lease)
-    return evictions, state_evictions, leases
+    return leases
 
 
 # -- lease results (worker -> coordinator) -----------------------------------
 
 def pack_lease_results(results: Sequence[Dict[str, Any]],
-                       evictions: Sequence[str] = (),
-                       state_evictions: Sequence[str] = (),
                        encode_s: float = 0.0,
                        decode_s: float = 0.0) -> bytes:
     """Each result is one ``EngineWorker.run_lease`` dict; shipped
@@ -264,7 +175,6 @@ def pack_lease_results(results: Sequence[Dict[str, Any]],
     out: List[bytes] = []
     out.append(_F64.pack(encode_s))
     out.append(_F64.pack(decode_s))
-    _put_piggyback(out, evictions, state_evictions)
     out.append(_U32.pack(len(results)))
     for res in results:
         meta = {k: v for k, v in res.items()
@@ -283,19 +193,17 @@ def pack_lease_results(results: Sequence[Dict[str, Any]],
     return b"".join(out)
 
 
-def unpack_lease_results(buf) -> Tuple[List[str], List[str], float, float,
-                                       List[Dict[str, Any]]]:
+def unpack_lease_results(buf) -> Tuple[float, float, List[Dict[str, Any]]]:
     cur = _Cursor(buf)
     encode_s = cur.f64()
     decode_s = cur.f64()
-    evictions, state_evictions = _read_piggyback(cur)
     results = []
     for _ in range(cur.u32()):
         res = cur.obj()
         res["continuation"] = _read_shipped(cur) if cur.u8() else None
         res["children"] = [_read_shipped(cur) for _ in range(cur.u32())]
         results.append(res)
-    return evictions, state_evictions, encode_s, decode_s, results
+    return encode_s, decode_s, results
 
 
 # -- fuzz batches (coordinator -> worker) ------------------------------------

@@ -184,6 +184,9 @@ class PoolStats:
     #: Software-state delta-wire accounting (StateWire codec) — full
     #: vs delta bytes, pages shipped/referenced, constraint suffixes.
     state_wire: StateWireStats = field(default_factory=StateWireStats)
+    #: Chunk and page bodies the coordinator's content pool holds at
+    #: the end of the run (it never evicts; 0 for fuzz campaigns).
+    held_bodies: int = 0
     host_time_s: float = 0.0
     #: Envelope byte + time accounting (coordinator side; worker-side
     #: encode/decode times merge in from result envelopes).
@@ -194,7 +197,8 @@ class PoolStats:
 
     def summary(self) -> str:
         lines = [f"[pool] workers={self.workers} leases={self.leases} "
-                 f"batches={self.batches} host={self.host_time_s:.3f}s"]
+                 f"batches={self.batches} held={self.held_bodies} "
+                 f"host={self.host_time_s:.3f}s"]
         if self.wire.snapshots_sent or self.wire.snapshots_received:
             lines.append(
                 f"[pool] snapshots shipped={self.wire.snapshots_sent} "
@@ -408,17 +412,17 @@ class WorkerPool:
         queue: a process killed while blocked in ``get()`` dies holding
         the queue's reader lock, which would wedge its successor — and
         any queued copies of in-flight jobs are stale anyway (their
-        delta wires were encoded against the dead incarnation's chunk
-        pool) and must be re-encoded and :meth:`resubmit`-ted by the
-        caller. It also gets a fresh result channel: a process killed
+        delta wires were encoded against the dead incarnation's content
+        pool), so the caller must :meth:`resubmit` them, which re-packs
+        them. It also gets a fresh result channel: a process killed
         while sending dies holding the channel's write lock (and may
         leave a torn message), so the old channel is closed unread.
 
         Everything the dead incarnation held dies with it, including
-        its chunk pool: the coordinator's recovery hook
+        its content pool: the coordinator's recovery hook
         (``Campaign._forget_peer``) clears what it believed that pool
-        held, so the fresh incarnation is never sent unresolvable
-        reference-only wires.
+        held, so the re-packed jobs ship everything the fresh
+        incarnation lacks.
 
         Returns the worker's in-flight job ids."""
         proc = self._procs[worker_id]
@@ -443,9 +447,8 @@ class WorkerPool:
 
     def resubmit(self, job_id: int, worker_id: Optional[int] = None) -> None:
         """Re-queue an in-flight job (after a respawn or a missed
-        deadline). The payload must already be re-addressed by the
-        caller when it carries a delta wire; batch kinds are re-packed
-        (fresh envelope)."""
+        deadline). Batch kinds are re-packed (fresh envelope, encoded
+        against what the peer holds now)."""
         info = self._in_flight[job_id]
         if worker_id is not None:
             info.worker_id = worker_id

@@ -11,7 +11,8 @@ The codec exploits three structural facts:
 
 * :class:`~repro.vm.memory.SymbolicMemory` is paged copy-on-write — a
   page shared between forks is never mutated in place, so pages are
-  content-addressable and a per-campaign **page pool** (mirroring
+  content-addressable and the endpoint's
+  :class:`~repro.parallel.wire.ContentPool` (shared with its
   :class:`~repro.parallel.wire.ChunkChannel`) lets a lease ship only
   the pages its peer has not seen: everything else travels as a
   16-byte digest reference.
@@ -36,12 +37,14 @@ in a single total order (one batch in flight per worker), so sender and
 receiver tables stay in lock-step without acknowledgements.
 
 **Fallback rules.** ``KIND_FULL`` records (a plain pickle) are emitted
-when delta encoding is disabled (``--no-delta-state``), and by the
-recovery ladder after a worker respawn (the fresh incarnation's
-registry is cold; see ``ParallelAnalysisEngine._readdress``). Full
-records still warm both registries symmetrically, so the conversation
-resumes delta-encoding immediately. A delta record that references an
-unknown page or base is a protocol violation and raises
+only when delta encoding is disabled (``--no-delta-state``, the
+measurement baseline). They still warm both registries symmetrically.
+A peer whose process died is forgotten (:meth:`StateWire.forget_peer`):
+its registries and its set in the endpoint's
+:class:`~repro.parallel.wire.ContentPool` go, so the next delta record
+to its successor names no base and ships every page body — it refers
+to no earlier message. A delta record that references an unknown page
+or base is a protocol violation and raises
 :class:`~repro.errors.SnapshotIntegrityError` — decode never guesses.
 
 Page bodies returned by :meth:`StateWire.encode_state` ride the same
@@ -56,9 +59,10 @@ import struct
 from collections import OrderedDict, deque
 from dataclasses import dataclass
 from hashlib import blake2b
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.errors import SnapshotIntegrityError
+from repro.parallel.wire import ContentPool
 from repro.solver import expr as E
 from repro.vm.memory import SymbolicMemory
 from repro.vm.state import TRACE_DEPTH, ExecState
@@ -70,9 +74,14 @@ KIND_DELTA = 2   # packed delta record + content-addressed page bodies
 
 _PICKLE = pickle.HIGHEST_PROTOCOL
 
+#: The package's scalar wire formats (little-endian), shared with
+#: :mod:`repro.parallel.envelope`.
 _U8 = struct.Struct("<B")
 _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
+_U64 = struct.Struct("<Q")
+_I64 = struct.Struct("<q")
+_F64 = struct.Struct("<d")
 #: Fixed numeric header: pc, state_id, parent_id, steps, depth,
 #: fork_count, irq_return_pc, mem_size, code_limit, flags.
 _HEADER = struct.Struct("<IQQQIIIIIB")
@@ -88,6 +97,54 @@ _OPS: Tuple[str, ...] = (
     E.XOR, E.NOT, E.NEG, E.SHL, E.LSHR, E.ASHR, E.CONCAT, E.EXTRACT,
     E.ZEXT, E.SEXT, E.EQ, E.ULT, E.ULE, E.SLT, E.SLE, E.ITE)
 _OP_CODE: Dict[str, int] = {op: i for i, op in enumerate(_OPS)}
+
+
+class _Cursor:
+    """Sequential reader over a memoryview: state records here, batch
+    envelopes in :mod:`repro.parallel.envelope`."""
+
+    __slots__ = ("mv", "pos")
+
+    def __init__(self, buf) -> None:
+        self.mv = memoryview(buf)
+        self.pos = 0
+
+    def _take(self, fmt: struct.Struct):
+        value, = fmt.unpack_from(self.mv, self.pos)
+        self.pos += fmt.size
+        return value
+
+    def u8(self) -> int:
+        return self._take(_U8)
+
+    def u16(self) -> int:
+        return self._take(_U16)
+
+    def u32(self) -> int:
+        return self._take(_U32)
+
+    def u64(self) -> int:
+        return self._take(_U64)
+
+    def i64(self) -> int:
+        return self._take(_I64)
+
+    def f64(self) -> float:
+        return self._take(_F64)
+
+    def read(self, n: int) -> bytes:
+        data = bytes(self.mv[self.pos:self.pos + n])
+        self.pos += n
+        return data
+
+    def blob(self) -> bytes:
+        return self.read(self.u32())
+
+    def text(self) -> str:
+        return self.read(self.u16()).decode("utf-8")
+
+    def obj(self) -> Any:
+        return pickle.loads(self.blob())
 
 
 @dataclass
@@ -115,8 +172,6 @@ class StateWireStats:
     #: Expression nodes newly serialized vs. repeated as table ids.
     expr_nodes_sent: int = 0
     expr_nodes_reused: int = 0
-    #: Page-pool entries dropped under the LRU cap.
-    page_evictions: int = 0
 
     def merge(self, other: "StateWireStats") -> None:
         for f in self.__dataclass_fields__:
@@ -145,11 +200,9 @@ class _PeerCtx:
     """One peer conversation's registries (per direction where order
     matters: the expression tables count nodes in message order)."""
 
-    __slots__ = ("known_pages", "bases", "expr_out", "expr_in")
+    __slots__ = ("bases", "expr_out", "expr_in")
 
     def __init__(self) -> None:
-        #: Page digests this peer can resolve (grown on send + receive).
-        self.known_pages: Set[str] = set()
         #: lineage → last constraint list that crossed this boundary
         #: (either direction — both ends register the same events in
         #: the same order). Entries are O(pointer-list); unbounded per
@@ -164,12 +217,11 @@ class _PeerCtx:
 
 
 class StateWire:
-    """One endpoint's software-state codec for all its peers."""
+    """One endpoint's software-state codec for all its peers. Page
+    bodies (live page lists) live in the endpoint's
+    :class:`~repro.parallel.wire.ContentPool` (a private one when none
+    is given)."""
 
-    #: Page-pool LRU bound. Entries are live page lists (256 slots);
-    #: parked states keep their own references, so eviction only costs
-    #: a re-ship after the piggybacked notice round-trips.
-    PAGE_POOL_CAP = 8192
     #: Page-digest cache bound (id(page) → digest; holds the page
     #: alive so ids cannot be recycled under it).
     DIGEST_CACHE_CAP = 16384
@@ -177,15 +229,13 @@ class StateWire:
     EXPR_HASH_CACHE_CAP = 65536
 
     def __init__(self, delta: bool = True,
-                 pool_cap: int = PAGE_POOL_CAP) -> None:
+                 pool: Optional[ContentPool] = None) -> None:
         #: When False every state ships as ``KIND_FULL`` (the
         #: ``--no-delta-state`` baseline the benchmarks compare against).
         self.delta = delta
-        self.pool_cap = pool_cap
-        self.pool: "OrderedDict[str, list]" = OrderedDict()
+        self.pool = pool if pool is not None else ContentPool()
         self.peers: Dict[object, _PeerCtx] = {}
         self.stats = StateWireStats()
-        self._evict_notices: Dict[object, Set[str]] = {}
         self._page_digests: "OrderedDict[int, Tuple[list, str]]" = \
             OrderedDict()
         self._expr_hashes: Dict[int, Tuple[E.BitVec, bytes]] = {}
@@ -275,46 +325,11 @@ class StateWire:
             return list(body[1:])
         return pickle.loads(body[1:])
 
-    # -- page pool ----------------------------------------------------------
-
-    def _admit(self, digest: str, page: list) -> None:
-        if digest in self.pool:
-            self.pool.move_to_end(digest)
-            return
-        self.pool[digest] = page
-        for notices in self._evict_notices.values():
-            notices.discard(digest)
-        while len(self.pool) > self.pool_cap:
-            old, _ = self.pool.popitem(last=False)
-            self.stats.page_evictions += 1
-            for peer in self.peers:
-                self._evict_notices.setdefault(peer, set()).add(old)
-
-    def take_evictions(self, peer: object) -> List[str]:
-        """Drain page-eviction notices owed to *peer* (piggybacked on
-        the next outgoing envelope — the peer must stop sending these
-        digests by reference)."""
-        notices = self._evict_notices.get(peer)
-        if not notices:
-            return []
-        out = sorted(notices)
-        notices.clear()
-        return out
-
-    def forget_remote(self, peer: object, digests: Iterable[str]) -> None:
-        """*peer* reported evicting these pages from its pool: it can
-        no longer resolve references to them."""
-        ctx = self.peers.get(peer)
-        if ctx is None:
-            return
-        for digest in digests:
-            ctx.known_pages.discard(digest)
-
     def forget_peer(self, peer: object) -> None:
         """The peer's process died (respawn/degrade): its registries
-        died with it."""
+        and its content pool died with it."""
         self.peers.pop(peer, None)
-        self._evict_notices.pop(peer, None)
+        self.pool.forget_peer(peer)
 
     # -- ancestor selection --------------------------------------------------
 
@@ -396,7 +411,7 @@ class StateWire:
         return [expr_out[r] for r in roots]
 
     @staticmethod
-    def _decode_exprs(rd: "_Reader", ctx: _PeerCtx) -> None:
+    def _decode_exprs(rd: _Cursor, ctx: _PeerCtx) -> None:
         """Mirror of :meth:`_encode_exprs`: append the peer's new nodes
         to our receive table. Reconstruction goes through ``E._intern``
         directly — the same reconstructor ``BitVec.__reduce__`` uses —
@@ -410,8 +425,7 @@ class StateWire:
                 value = int.from_bytes(rd.read((width + 7) // 8), "little")
                 node = E._intern(op, width, value=value)
             elif op == E.VAR:
-                node = E._intern(op, width, name=rd.read(rd.u16()).decode(
-                    "utf-8"))
+                node = E._intern(op, width, name=rd.text())
             elif op == E.EXTRACT:
                 value = rd.u32()
                 node = E._intern(op, width, (table[rd.u32()],), value=value)
@@ -420,24 +434,20 @@ class StateWire:
                 node = E._intern(op, width, args)
             table.append(node)
 
-    # -- registry warming (shared by the full and delta paths) ---------------
+    # -- registry warming (full records) -------------------------------------
 
-    def _warm_from_state(self, ctx: _PeerCtx, state: ExecState) -> None:
+    def _warm_from_state(self, peer: object, state: ExecState) -> None:
         """Register a full-pickled state's pages and constraint list as
         if they had crossed as a delta. Called symmetrically by the
-        KIND_FULL encode and decode paths, so a fallback ship still
-        warms both registries and the conversation resumes
-        delta-encoding immediately."""
+        KIND_FULL encode and decode paths, so a full ship still warms
+        both registries."""
         for page in state.memory._pages.values():
-            digest = self._page_digest(page)
-            self._admit(digest, page)
-            ctx.known_pages.add(digest)
-        ctx.bases[state.lineage] = list(state.constraints)
+            self.pool.share(peer, self._page_digest(page), page)
+        self._ctx(peer).bases[state.lineage] = list(state.constraints)
 
     # -- encode --------------------------------------------------------------
 
-    def encode_state(self, state: ExecState, peer: object,
-                     force_full: bool = False
+    def encode_state(self, state: ExecState, peer: object
                      ) -> Tuple[int, bytes, Dict[str, bytes]]:
         """Encode *state* for *peer*. Returns ``(kind, record,
         page_bodies)``; ``page_bodies`` maps page digests to serialized
@@ -446,15 +456,16 @@ class StateWire:
 
         The state's ``hw_snapshot`` must already be detached (hardware
         travels separately as a :class:`SnapshotWire`)."""
-        ctx = self._ctx(peer)
         self.stats.states_sent += 1
-        if force_full or not self.delta:
+        if not self.delta:
             record = pickle.dumps(state, protocol=_PICKLE)
-            self._warm_from_state(ctx, state)
+            self._warm_from_state(peer, state)
             self.stats.full_states += 1
             self.stats.state_bytes_full += len(record)
             return KIND_FULL, record, {}
 
+        ctx = self._ctx(peer)
+        pool = self.pool
         mem = state.memory
         out: List[bytes] = []
         flags = ((_FLAG_IRQ_ENABLED if state.irq_enabled else 0)
@@ -480,15 +491,14 @@ class StateWire:
             digest = self._page_digest(page)
             out.append(_U32.pack(page_no))
             out.append(bytes.fromhex(digest))
-            if digest in ctx.known_pages:
+            if pool.holds(peer, digest):
                 self.stats.pages_referenced += 1
             else:
                 body = self._page_body(page)
                 bodies[digest] = body
                 self.stats.pages_shipped += 1
                 self.stats.page_bytes_shipped += len(body)
-                ctx.known_pages.add(digest)
-                self._admit(digest, page)
+                pool.share(peer, digest, page)
 
         # Constraint suffix beyond the nearest registered ancestor.
         base_lineage, k = self._best_base(ctx, state)
@@ -541,22 +551,23 @@ class StateWire:
         """Rebuild an ExecState from a record (and the page bodies
         that travelled with it). Byte-identical to the encoder's input:
         ``pickle.dumps(decoded) == pickle.dumps(original)``."""
-        ctx = self._ctx(peer)
         self.stats.states_received += 1
         if kind == KIND_FULL:
             state: ExecState = pickle.loads(record)
-            self._warm_from_state(ctx, state)
+            self._warm_from_state(peer, state)
             return state
         if kind != KIND_DELTA:
             raise SnapshotIntegrityError(
                 f"unknown state record kind {kind!r}")
 
-        rd = _Reader(record)
+        ctx = self._ctx(peer)
+        pool = self.pool
+        rd = _Cursor(record)
         (pc, state_id, parent_id, steps, depth, fork_count, irq_return_pc,
          mem_size, code_limit, flags) = _HEADER.unpack_from(record, 0)
         rd.pos = _HEADER.size
         (status, irq_handler, halt_code, error, lineage, trace_marks,
-         recent_pcs, image_digest) = pickle.loads(rd.read(rd.u32()))
+         recent_pcs, image_digest) = rd.obj()
 
         mem_pages: Dict[int, list] = {}
         used_ids: Set[int] = set()
@@ -570,16 +581,14 @@ class StateWire:
                     raise SnapshotIntegrityError(
                         f"page {page_no} body does not match its "
                         f"digest {digest}")
-                self._admit(digest, page)
             else:
-                page = self.pool.get(digest)
+                page = pool.bodies.get(digest)
                 if page is None:
                     raise SnapshotIntegrityError(
                         f"state delta references unknown page {digest} "
                         f"(page {page_no}); sender/receiver page pools "
                         f"diverged")
-                self.pool.move_to_end(digest)
-            ctx.known_pages.add(digest)
+            pool.share(peer, digest, page)
             if id(page) in used_ids:
                 # Two page slots with equal content resolved to one
                 # pool object. An executed memory never aliases its own
@@ -637,36 +646,6 @@ class StateWire:
             recent_pcs=deque(recent_pcs, maxlen=TRACE_DEPTH))
         ctx.bases[lineage] = list(constraints)
         return state
-
-
-class _Reader:
-    """Sequential reader over a state record."""
-
-    __slots__ = ("buf", "pos")
-
-    def __init__(self, buf: bytes) -> None:
-        self.buf = buf
-        self.pos = 0
-
-    def read(self, n: int) -> bytes:
-        data = self.buf[self.pos:self.pos + n]
-        self.pos += n
-        return data
-
-    def u8(self) -> int:
-        value, = _U8.unpack_from(self.buf, self.pos)
-        self.pos += 1
-        return value
-
-    def u16(self) -> int:
-        value, = _U16.unpack_from(self.buf, self.pos)
-        self.pos += 2
-        return value
-
-    def u32(self) -> int:
-        value, = _U32.unpack_from(self.buf, self.pos)
-        self.pos += 4
-        return value
 
 
 __all__ = ["StateWire", "StateWireStats",

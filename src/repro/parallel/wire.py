@@ -1,39 +1,67 @@
-"""Chunk-pool bookkeeping for cross-process snapshot transfer.
+"""Content-addressed transfer bookkeeping for cross-process state.
 
 The wire format itself lives in :mod:`repro.core.persistence`
 (:class:`SnapshotWire`). This module adds what a *conversation* needs:
-each endpoint keeps a digest → body pool of every chunk it has seen and
-tracks, per peer, which digests that peer holds — so a snapshot resend
-carries only the chunks the receiver is missing. Chunk digests come from
-:func:`repro.core.store.chunk_digest`, the same content addresses the
-delta snapshot store deduplicates on; shipping a state to a worker that
-already explored a sibling path typically moves reference-sized
-metadata, not state payloads (the cross-process analogue of
-``TransferRecord.delta_bits``).
 
-Long campaigns see an unbounded stream of distinct chunk bodies, so the
-pool is LRU-bounded (``pool_cap``). Eviction interacts with the known-
-digest protocol — a peer that believes we hold a digest will send it by
-reference only — so evicted digests are buffered
-(:meth:`ChunkChannel.take_evictions`) and piggybacked on the next
-outgoing envelope; the peer answers by dropping them from its
-``known[us]`` set (:meth:`ChunkChannel.forget_remote`) and ships full
-payloads again. Digests backing states that are still parked in the
-coordinator's searcher are :meth:`pinned <ChunkChannel.pin>` and never
-evicted.
+* :class:`ContentPool` — one per endpoint (the coordinator and each
+  engine worker), shared by the endpoint's :class:`ChunkChannel`
+  (hardware chunks) and its :class:`~repro.parallel.statewire.StateWire`
+  (memory pages). It keeps every body the endpoint has sent or received
+  for the whole campaign, and, per peer, the digests that peer holds.
+* :class:`ChunkChannel` — snapshot resends carry only the chunks the
+  receiver is missing. Chunk digests come from
+  :func:`repro.core.store.chunk_digest`, the same content addresses the
+  delta snapshot store deduplicates on; shipping a state to a worker
+  that already explored a sibling path typically moves reference-sized
+  metadata, not state payloads (the cross-process analogue of
+  ``TransferRecord.delta_bits``).
+
+Nothing is ever evicted from a pool. A reference can be in flight
+towards an endpoint at any moment (later in the same envelope, in a
+batch packed before the receiver's last reply was decoded, or from
+another worker), so a receiver that dropped a body could not resolve
+it. A peer's set is dropped only when its process dies
+(:meth:`ContentPool.forget_peer`); the next message to its successor
+then ships every body it lacks.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Set
+from typing import Any, Dict, Mapping, Optional, Set
 
 from repro.core.persistence import (SnapshotWire, snapshot_from_wire,
                                     snapshot_to_wire)
 from repro.core.store import chunk_digest
 from repro.errors import SnapshotIntegrityError
 from repro.targets.base import HwSnapshot
+
+
+class ContentPool:
+    """One endpoint's digest → body map plus each peer's digest set.
+
+    ``held[peer]`` grows symmetrically on send and receive, so both
+    endpoints agree on it without a handshake. Every digest in a held
+    set has its body in ``bodies``.
+    """
+
+    def __init__(self) -> None:
+        self.bodies: Dict[str, Any] = {}
+        self.held: Dict[object, Set[str]] = {}
+
+    def share(self, peer: object, digest: str, body: Any) -> None:
+        """*digest* crossed the boundary with *peer*, either way: keep
+        its body and credit the peer with it."""
+        self.bodies.setdefault(digest, body)
+        self.held.setdefault(peer, set()).add(digest)
+
+    def holds(self, peer: object, digest: str) -> bool:
+        held = self.held.get(peer)
+        return held is not None and digest in held
+
+    def forget_peer(self, peer: object) -> None:
+        """The peer's process died, and its pool with it."""
+        self.held.pop(peer, None)
 
 
 @dataclass
@@ -46,8 +74,6 @@ class WireStats:
     chunk_hits: int = 0
     #: Chunk payloads actually shipped.
     chunk_misses: int = 0
-    #: Pool entries dropped under the LRU cap.
-    chunk_evictions: int = 0
     #: Full-image bits of every snapshot sent (the naive transfer cost).
     logical_bits_sent: int = 0
     #: Bits actually carried as chunk payloads (the delta transfer cost).
@@ -65,161 +91,59 @@ class WireStats:
         return self.logical_bits_sent / self.payload_bits_sent
 
     def merge(self, other: "WireStats") -> None:
-        self.snapshots_sent += other.snapshots_sent
-        self.snapshots_received += other.snapshots_received
-        self.chunk_hits += other.chunk_hits
-        self.chunk_misses += other.chunk_misses
-        self.chunk_evictions += other.chunk_evictions
-        self.logical_bits_sent += other.logical_bits_sent
-        self.payload_bits_sent += other.payload_bits_sent
+        for f in self.__dataclass_fields__:
+            setattr(self, f, getattr(self, f) + getattr(other, f))
 
 
 class ChunkChannel:
-    """One endpoint's view of snapshot traffic with its peers.
-
-    ``pool`` holds every chunk body this endpoint has seen (sent *or*
-    received — a digest we sent may come back by reference only), up to
-    ``pool_cap`` entries under LRU eviction. ``known[peer]`` is the
-    digest set we believe that peer holds; it grows symmetrically on
-    send and receive, so both endpoints agree on it without a handshake
-    — and shrinks when the peer reports evictions.
+    """One endpoint's view of snapshot traffic with its peers, over the
+    endpoint's :class:`ContentPool` (a private one when none is given).
     """
 
-    #: Default pool bound. Each entry is one chunk body (an instance
-    #: state dict); campaigns that outgrow this re-ship cold chunks.
-    POOL_CAP = 4096
-
-    def __init__(self, pool_cap: int = POOL_CAP) -> None:
-        self.pool: "OrderedDict[str, dict]" = OrderedDict()
-        self.pool_cap = pool_cap
-        self.chunk_bits: Dict[str, int] = {}
-        self.known: Dict[object, Set[str]] = {}
+    def __init__(self, pool: Optional[ContentPool] = None) -> None:
+        self.pool = pool if pool is not None else ContentPool()
         self.stats = WireStats()
-        self._pins: Dict[str, int] = {}
-        #: Per-peer eviction notices awaiting piggyback delivery: every
-        #: peer that might send an evicted digest by reference must
-        #: learn we no longer hold it.
-        self._evict_notices: Dict[object, Set[str]] = {}
 
-    def _peer(self, peer: object) -> Set[str]:
-        return self.known.setdefault(peer, set())
-
-    # -- pool bookkeeping ----------------------------------------------------
-
-    def _admit(self, digest: str, body: dict, bits: int) -> None:
-        if digest in self.pool:
-            self.pool.move_to_end(digest)
-            return
-        self.pool[digest] = body
-        self.chunk_bits[digest] = bits
-        for notices in self._evict_notices.values():
-            notices.discard(digest)
-        self._shrink()
-
-    def _shrink(self) -> None:
-        if len(self.pool) <= self.pool_cap:
-            return
-        for digest in list(self.pool):
-            if len(self.pool) <= self.pool_cap:
-                break
-            if self._pins.get(digest):
-                continue  # backs a live parked state; never evict
-            del self.pool[digest]
-            self.chunk_bits.pop(digest, None)
-            for peer in self.known:
-                self._evict_notices.setdefault(peer, set()).add(digest)
-            self.stats.chunk_evictions += 1
-
-    def pin(self, digests: Iterable[str]) -> None:
-        """Protect *digests* from eviction (refcounted) while a parked
-        state still references them."""
-        for digest in digests:
-            self._pins[digest] = self._pins.get(digest, 0) + 1
-
-    def unpin(self, digests: Iterable[str]) -> None:
-        for digest in digests:
-            count = self._pins.get(digest, 0) - 1
-            if count > 0:
-                self._pins[digest] = count
-            else:
-                self._pins.pop(digest, None)
-        self._shrink()
-
-    def take_evictions(self, peer: object) -> List[str]:
-        """Drain the evicted-digest notices owed to *peer* for the next
-        outgoing envelope's piggyback lane."""
-        notices = self._evict_notices.pop(peer, None)
-        return sorted(notices) if notices else []
-
-    def forget_remote(self, peer: object, digests: Iterable[str]) -> None:
-        """The peer evicted *digests* from its pool: stop sending them
-        by reference only."""
-        known = self._peer(peer)
-        known.difference_update(digests)
+    def _sent(self, wire: SnapshotWire) -> SnapshotWire:
+        self.stats.snapshots_sent += 1
+        self.stats.logical_bits_sent += wire.logical_bits
+        self.stats.payload_bits_sent += wire.payload_bits
+        return wire
 
     # -- sending ------------------------------------------------------------
 
     def encode(self, snapshot: HwSnapshot, peer: object,
                bits_of: Optional[Mapping[str, int]] = None) -> SnapshotWire:
         """Encode *snapshot* for *peer*, omitting chunks it holds."""
-        known = self._peer(peer)
-        wire = snapshot_to_wire(snapshot, known=known, bits_of=bits_of)
-        for name, (digest, _cycle, bits) in wire.refs.items():
-            if digest in known:
+        pool = self.pool
+        wire = snapshot_to_wire(snapshot, known=pool.held.get(peer),
+                                bits_of=bits_of)
+        for digest, _cycle, _bits in wire.refs.values():
+            if pool.holds(peer, digest):
                 self.stats.chunk_hits += 1
             else:
                 self.stats.chunk_misses += 1
-            known.add(digest)
-            # Keep our own copy: the peer may later reference this
-            # digest back at us without a payload.
-            if digest in self.pool:
-                self.pool.move_to_end(digest)
-            else:
-                body, _ = wire.chunks.get(digest, (None, 0))
-                if body is None:
-                    body = {k: v for k, v in snapshot.states[name].items()
-                            if k != "cycle"}
-                self._admit(digest, body, bits)
-        self.stats.snapshots_sent += 1
-        self.stats.logical_bits_sent += wire.logical_bits
-        self.stats.payload_bits_sent += wire.payload_bits
-        return wire
-
-    def _body_of(self, digest: str, wire: SnapshotWire) -> dict:
-        body = self.pool.get(digest)
-        if body is not None:
-            self.pool.move_to_end(digest)
-            return body
-        # Not pooled (LRU-evicted after this wire was absorbed): the
-        # wire itself may still carry the payload.
-        entry = wire.chunks.get(digest)
-        if entry is not None:
-            return entry[0]
-        raise SnapshotIntegrityError(
-            f"chunk {digest} needed for re-encode is neither pooled nor "
-            f"carried by the wire (evicted while still referenced — "
-            f"raise pool_cap or pin the state's digests)")
+                # Keep our own copy: the peer may later reference this
+                # digest back at us without a payload.
+                pool.share(peer, digest, wire.chunks[digest][0])
+        return self._sent(wire)
 
     def reencode(self, wire: SnapshotWire, peer: object) -> SnapshotWire:
         """Re-address a received wire to another peer (coordinator
         forwarding a state between workers), filling payloads from the
         pool for chunks the new peer lacks."""
-        known = self._peer(peer)
+        pool = self.pool
         chunks = {}
-        for name, (digest, _cycle, bits) in wire.refs.items():
-            if digest in known:
+        for digest, _cycle, bits in wire.refs.values():
+            if pool.holds(peer, digest):
                 self.stats.chunk_hits += 1
             else:
                 self.stats.chunk_misses += 1
-                chunks[digest] = (self._body_of(digest, wire),
-                                  self.chunk_bits.get(digest, bits))
-                known.add(digest)
-        out = SnapshotWire(refs=dict(wire.refs), chunks=chunks,
-                           method=wire.method, bits=wire.bits)
-        self.stats.snapshots_sent += 1
-        self.stats.logical_bits_sent += out.logical_bits
-        self.stats.payload_bits_sent += out.payload_bits
-        return out
+                body = pool.bodies[digest]
+                chunks[digest] = (body, bits)
+                pool.share(peer, digest, body)
+        return self._sent(SnapshotWire(refs=dict(wire.refs), chunks=chunks,
+                                       method=wire.method, bits=wire.bits))
 
     # -- receiving ----------------------------------------------------------
 
@@ -231,21 +155,25 @@ class ChunkChannel:
         before entering the pool: chunk digests *are* the transfer's
         integrity check (delta-sized cost — references are not re-hashed,
         their bodies were verified when they first arrived)."""
-        known = self._peer(peer)
-        for digest, (body, bits) in wire.chunks.items():
+        pool = self.pool
+        for digest, (body, _bits) in wire.chunks.items():
             actual = chunk_digest(body)
             if actual != digest:
                 raise SnapshotIntegrityError(
                     f"chunk from peer {peer!r} fails verification: "
                     f"declared {digest}, body hashes to {actual}")
-            self._admit(digest, body, bits)
-            known.add(digest)
-        for _name, (digest, _cycle, bits) in wire.refs.items():
-            known.add(digest)
-            self.chunk_bits.setdefault(digest, bits)
+            pool.share(peer, digest, body)
+        for name, (digest, _cycle, _bits) in wire.refs.items():
+            body = pool.bodies.get(digest)
+            if body is None:
+                raise SnapshotIntegrityError(
+                    f"wire from peer {peer!r} references chunk {digest} "
+                    f"for instance {name!r} without a payload, and this "
+                    f"endpoint does not hold it")
+            pool.share(peer, digest, body)
         self.stats.snapshots_received += 1
 
     def decode(self, wire: SnapshotWire, peer: object) -> HwSnapshot:
         """absorb + reassemble into a (foreign) HwSnapshot."""
         self.absorb(wire, peer)
-        return snapshot_from_wire(wire, self.pool)
+        return snapshot_from_wire(wire, self.pool.bodies)

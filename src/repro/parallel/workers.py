@@ -42,7 +42,7 @@ from repro.parallel.envelope import (pack_fuzz_results, pack_lease_results,
                                      unpack_lease_batch)
 from repro.parallel.recipe import SessionRecipe
 from repro.parallel.statewire import StateWire
-from repro.parallel.wire import ChunkChannel
+from repro.parallel.wire import ChunkChannel, ContentPool
 from repro.resilience import FaultInjector
 from repro.targets.base import HwSnapshot
 from repro.vm.state import ExecState
@@ -83,14 +83,16 @@ def _strip_snapshot(snapshot: Optional[HwSnapshot]) -> Optional[HwSnapshot]:
 
 class EngineWorker:
     """One worker's engine harness: a full HardSnap session plus the
-    chunk channel its states travel over."""
+    chunk channel and state wire its states travel over, sharing one
+    content pool."""
 
     def __init__(self, recipe: SessionRecipe):
         self.session = recipe.build_session()
         self.engine = self.session.engine
-        self.channel = ChunkChannel()
+        pool = ContentPool()
+        self.channel = ChunkChannel(pool)
         self.statewire = StateWire(
-            delta=getattr(recipe, "delta_state", True))
+            delta=getattr(recipe, "delta_state", True), pool=pool)
         self.bits_of = {name: inst.state_bits
                         for name, inst in
                         self.session.target.instances.items()}
@@ -241,17 +243,11 @@ _HARNESS_TYPES = {"engine": EngineWorker, "fuzz": FuzzWorker}
 def run_lease_batch(engine: EngineWorker, blob: bytes) -> bytes:
     """One ``lease-batch`` envelope in, its result envelope out."""
     t0 = time.perf_counter()
-    evictions, state_evictions, leases = unpack_lease_batch(blob)
+    leases = unpack_lease_batch(blob)
     decode_s = time.perf_counter() - t0
-    engine.channel.forget_remote(COORD, evictions)
-    engine.statewire.forget_remote(COORD, state_evictions)
     outcomes = [engine.run_lease(lease) for lease in leases]
     t0 = time.perf_counter()
-    packed = bytearray(pack_lease_results(
-        outcomes,
-        evictions=engine.channel.take_evictions(COORD),
-        state_evictions=engine.statewire.take_evictions(COORD),
-        decode_s=decode_s))
+    packed = bytearray(pack_lease_results(outcomes, decode_s=decode_s))
     stamp_encode_time(packed, time.perf_counter() - t0)
     return bytes(packed)
 

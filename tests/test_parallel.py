@@ -107,7 +107,7 @@ class TestChunkChannel:
         second = sender.encode(controller.save(), peer="w0", bits_of=bits)
         assert second.payload_bits == 0
         assert second.logical_bits > 0
-        assert snapshot_from_wire(second, receiver.pool).states == \
+        assert snapshot_from_wire(second, receiver.pool.bodies).states == \
             controller.save().states
 
     def test_changed_state_ships_only_new_chunks(self):
@@ -133,7 +133,7 @@ class TestChunkChannel:
         resend_w1 = coord.reencode(wire, peer=1)
         assert set(resend_w1.chunks) == \
             {d for d, _, _ in wire.refs.values()}
-        assert snapshot_from_wire(resend_w1, coord.pool).states == \
+        assert snapshot_from_wire(resend_w1, coord.pool.bodies).states == \
             controller.save().states
 
     def test_stats_account_logical_vs_payload(self):

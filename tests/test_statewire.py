@@ -6,8 +6,10 @@ The headline property: ``decode(encode(state))`` reproduces the state
 constraints, registers, lineage, bookkeeping) at every fork depth, so
 swapping full pickles for deltas can never perturb parallel verdicts.
 The rest pins down the codec's economics (pages by reference,
-constraint suffixes, expression-table reuse) and its failure behaviour
-(cold registries fall back to full pickles; divergence fails loudly).
+constraint suffixes, expression-table reuse), its retention (a page
+body stays resolvable for the whole conversation) and its failure
+behaviour (a forgotten peer gets a self-contained delta; divergence
+fails loudly).
 """
 
 import pickle
@@ -99,16 +101,16 @@ class TestByteIdenticalRoundTrip:
                 back, protocol=pickle.HIGHEST_PROTOCOL) == ref
 
     def test_full_kind_roundtrips_and_warms_registries(self):
-        sender, receiver = StateWire(), StateWire()
+        sender, receiver = StateWire(delta=False), StateWire()
         root = _root_state()
-        kind, record, bodies = sender.encode_state(root, "w",
-                                                   force_full=True)
+        kind, record, bodies = sender.encode_state(root, "w")
         assert kind == KIND_FULL and bodies == {}
         back = receiver.decode_state(kind, record, bodies, "c")
         assert pickle.dumps(back) == pickle.dumps(root)
         # The full ship warmed both ends: the next (delta) ship of a
         # fork references every unchanged page and ships only the
         # constraint suffix.
+        sender.delta = True
         child = root.fork()
         child.add_constraint(E.eq(E.var("z", 8), E.const(1, 8)))
         before = sender.stats.pages_shipped
@@ -170,18 +172,25 @@ class TestDeltaEconomics:
 
 
 class TestRegistryLifecycle:
-    def test_eviction_notice_forces_reship(self):
-        sender = StateWire(pool_cap=2)
-        receiver = StateWire(pool_cap=2)
-        root = _root_state()
-        _roundtrip(sender, receiver, root)
-        # The receiver's tiny pool evicted early pages on admit; its
-        # notices must flow back and clear the sender's known-set.
-        notices = receiver.take_evictions("c")
-        assert notices and receiver.stats.page_evictions > 0
-        sender.forget_remote("w", notices)
-        known = sender.peers["w"].known_pages
-        assert not (known & set(notices))
+    def test_page_referenced_after_8300_distinct_pages_resolves(self):
+        """Regression: the receiver used to LRU-evict page bodies (cap
+        8 192) while the sender still sent them by reference. Here one
+        conversation ships 8 300 distinct one-page states, then the
+        first one again. No notice is exchanged in between, as inside
+        one envelope or in a batch the coordinator packs before it
+        decodes the peer's reply; the reference must still resolve."""
+        sender, receiver = StateWire(), StateWire()
+        states = []
+        for i in range(8300):
+            mem = SymbolicMemory(PAGE_SIZE)
+            mem.load_image({0: i & 0xFF, 1: i >> 8})
+            states.append(ExecState(memory=mem, pc=0x40))
+            _roundtrip(sender, receiver, states[-1])
+        assert sender.stats.pages_shipped == 8300
+        kind, record, bodies = sender.encode_state(states[0], "w")
+        assert kind == KIND_DELTA and not bodies  # by reference
+        back = receiver.decode_state(kind, record, bodies, "c")
+        assert pickle.dumps(back) == pickle.dumps(states[0])
 
     def test_forget_peer_clears_conversation(self):
         sender = StateWire()
@@ -260,10 +269,12 @@ class TestParallelIntegration:
         assert sw.delta_states == 0
         assert sw.state_bytes_full > 0
 
-    def test_respawn_falls_back_to_full_pickles(self):
-        """Chaos: kill a worker mid-run. The replacement's registries
-        are cold, so re-addressed leases ship as full pickles — and the
-        verdicts stay byte-identical to serial."""
+    def test_respawn_repack_needs_no_full_pickle(self):
+        """Chaos: kill a worker mid-run. The coordinator forgets the
+        dead incarnation's registries, so the re-packed leases are
+        ordinary deltas that ship everything the replacement lacks —
+        no full pickle — and the verdicts stay byte-identical to
+        serial."""
         plan = FaultPlan.parse("seed=7,kill=1@0")
         with ParallelAnalysisEngine(FIRMWARE, TIMER, workers=2,
                                     searcher="bfs",
@@ -273,5 +284,5 @@ class TestParallelIntegration:
         assert report.verdict_summary() == self._serial()
         assert report.resilience.worker_respawns == 1
         sw = stats.state_wire
-        assert sw.delta_states > 0  # normal traffic stayed delta
-        assert sw.full_states > 0   # the recovery re-pack went full
+        assert sw.delta_states > 0  # all traffic stayed delta
+        assert sw.full_states == 0  # the recovery re-pack included

@@ -1,7 +1,7 @@
 """Tests for the pool's one IPC path: packed batch envelopes over
-``mp.Queue`` (repro.parallel.envelope), the chunk-pool LRU bounds, the
-legacy ``transport`` keyword, and verdict identity with serial runs —
-fault-free and under worker kills, result loss and duplication."""
+``mp.Queue`` (repro.parallel.envelope), the content pool's retention,
+the legacy ``transport`` keyword, and verdict identity with serial runs
+— fault-free and under worker kills, result loss and duplication."""
 
 import pickle
 
@@ -11,8 +11,9 @@ from repro.core import HardSnapSession, SnapshotController, SnapshotFuzzer
 from repro.core.persistence import snapshot_to_wire
 from repro.firmware import TIMER_BASE, dispatcher, fuzz_packet_parser
 from repro.isa import assemble
-from repro.parallel import (ChunkChannel, ParallelAnalysisEngine,
-                            ParallelFuzzer, StateWire, WireStats)
+from repro.parallel import (ChunkChannel, ContentPool,
+                            ParallelAnalysisEngine, ParallelFuzzer,
+                            StateWire, WireStats)
 from repro.parallel.envelope import (pack_fuzz_batch, pack_fuzz_results,
                                      pack_lease_batch, pack_lease_results,
                                      stamp_encode_time, unpack_fuzz_batch,
@@ -23,6 +24,7 @@ from repro.peripherals import catalog
 from repro.resilience import FaultPlan
 from repro.solver import expr as E
 from repro.targets import FpgaTarget
+from repro.targets.base import HwSnapshot
 from repro.vm.memory import PAGE_SIZE, SymbolicMemory
 from repro.vm.state import ExecState
 
@@ -79,12 +81,8 @@ class TestEnvelope:
         leases = [self._lease(wire),
                   {"budget": 0, "sym_base": 1_000_000,
                    "state": None, "wire": None}]
-        buf = pack_lease_batch(leases, "w0", evictions=["dead-digest"],
-                               state_evictions=["page-digest"],
-                               statewire=StateWire())
-        evictions, state_ev, back = unpack_lease_batch(buf)
-        assert evictions == ["dead-digest"]
-        assert state_ev == ["page-digest"]
+        buf = pack_lease_batch(leases, "w0", statewire=StateWire())
+        back = unpack_lease_batch(buf)
         assert len(back) == 2
         assert back[0]["budget"] == 7
         assert back[0]["sym_base"] == 2_000_000
@@ -109,7 +107,7 @@ class TestEnvelope:
                "resilience": {}}
         buf = bytearray(pack_lease_results([res], decode_s=0.25))
         stamp_encode_time(buf, 1.5)
-        _ev, _sev, enc, dec, back = unpack_lease_results(buf)
+        enc, dec, back = unpack_lease_results(buf)
         assert enc == 1.5 and dec == 0.25
         assert back[0]["executed"] == 42
         assert back[0]["coverage"] == [1, 2, 3]
@@ -156,7 +154,7 @@ class TestTransportSelection:
 
 
 class TestChunkChannelBounds:
-    """LRU pool cap + JSON-safe delta_ratio."""
+    """JSON-safe delta_ratio."""
 
     def test_delta_ratio_finite_when_reference_only(self):
         stats = WireStats(logical_bits_sent=4096, payload_bits_sent=0)
@@ -165,40 +163,35 @@ class TestChunkChannelBounds:
         import json
         json.dumps(stats.delta_ratio)  # must not raise / produce inf
 
-    def test_pool_cap_evicts_lru_and_counts(self):
-        ch = ChunkChannel(pool_cap=2)
-        for i in range(4):
-            ch._admit(f"d{i}", {"nets": {"v": i}}, 8)
-        assert len(ch.pool) == 2
-        assert ch.stats.chunk_evictions == 2
-        assert "d0" not in ch.pool and "d3" in ch.pool
 
-    def test_pinned_digests_survive_eviction(self):
-        ch = ChunkChannel(pool_cap=2)
-        ch._admit("keep", {"nets": {"v": 0}}, 8)
-        ch.pin(["keep"])
-        for i in range(4):
-            ch._admit(f"d{i}", {"nets": {"v": i}}, 8)
-        assert "keep" in ch.pool
-        ch.unpin(["keep"])
-        ch._admit("d9", {"nets": {"v": 9}}, 8)
-        assert len(ch.pool) <= 2
+class TestContentPool:
+    def test_bodies_stay_while_peer_lives_and_forget_is_per_peer(self):
+        pool = ContentPool()
+        for i in range(10_000):
+            pool.share("w0", f"d{i}", {"v": i})
+        pool.share("w1", "d0", {"v": 0})
+        assert all(pool.holds("w0", f"d{i}") for i in range(10_000))
+        assert pool.bodies["d0"] == {"v": 0} and len(pool.bodies) == 10_000
+        assert pool.holds("w1", "d0") and not pool.holds("w1", "d1")
+        pool.forget_peer("w0")
+        assert not pool.holds("w0", "d0")
+        assert pool.held == {"w1": {"d0"}}
+        assert len(pool.bodies) == 10_000  # bodies outlive the peer
 
-    def test_eviction_notices_reach_every_peer(self):
-        ch = ChunkChannel(pool_cap=1)
-        ch._peer("w0")
-        ch._peer("w1")
-        ch._admit("a", {"nets": {"v": 0}}, 8)
-        ch._admit("b", {"nets": {"v": 1}}, 8)  # evicts "a"
-        assert ch.take_evictions("w0") == ["a"]
-        assert ch.take_evictions("w1") == ["a"]
-        assert ch.take_evictions("w0") == []  # drained
-
-    def test_forget_remote_clears_known(self):
-        ch = ChunkChannel()
-        ch._peer("w0").update({"a", "b"})
-        ch.forget_remote("w0", ["a"])
-        assert ch.known["w0"] == {"b"}
+    def test_chunk_referenced_after_4200_distinct_snapshots_resolves(self):
+        """Regression: the receiver used to LRU-evict chunk bodies (cap
+        4 096) while the sender still sent them by reference. One
+        channel conversation ships 4 200 distinct snapshots, then the
+        first one again, with no notice exchanged in between; the
+        reference must still resolve."""
+        sender, receiver = ChunkChannel(), ChunkChannel()
+        snapshots = [HwSnapshot(states={"timer": {"cycle": i, "count": i}})
+                     for i in range(4200)]
+        for snapshot in snapshots:
+            receiver.decode(sender.encode(snapshot, "coord"), "w0")
+        wire = sender.encode(snapshots[0], "coord")
+        assert wire.chunks == {}  # by reference
+        assert receiver.decode(wire, "w0").states == snapshots[0].states
 
 
 class TestPoolIntegration:
@@ -216,11 +209,11 @@ class TestPoolIntegration:
             forget = engine._forget_peer
 
             def spy(worker_id):
-                before = {peer: set(known) for peer, known
-                          in engine.channel.known.items()}
+                before = {peer: set(held) for peer, held
+                          in engine.channel.pool.held.items()}
                 forget(worker_id)
                 forgotten.append((worker_id, before,
-                                  dict(engine.channel.known)))
+                                  dict(engine.channel.pool.held)))
 
             engine._forget_peer = spy
             report = engine.run(max_instructions=100_000)
