@@ -20,18 +20,28 @@ forced byte-accurate fetch and predecoded ops, one ``step()`` call per
 instruction, and the fuzzer's own path — one ``Cpu.run`` call recording
 an edge set. All tiers must agree on the halt code — verdict identity
 is recorded in ``BENCH_vm.json``.
+
+The bus rows price one MMIO access, ``target.read``/``target.write``
+on TIMER, through the compiled backend's generated AXI4-Lite entry and
+through the Python handshake it replaced (the entry's differential
+reference). Both must return the same data and cycle counts; CI gates
+the entry at >= 2x the handshake.
 """
 
 import os
 import time
 
-from benchmarks.conftest import emit, emit_json
+from benchmarks.conftest import PERIPH_BASE, emit, emit_json, fpga_with
 from repro.analysis import format_table
 from repro.isa import Cpu, assemble
+from repro.peripherals import catalog, timer
 from repro.vm import SymbolicExecutor
 
 LOOP_COUNT = 12_000
 MIN_SPEEDUP = 2.0  # batched fast tier vs legacy stepper, instructions/s
+BUS_ACCESSES = 2_000  # per direction and round
+BUS_ROUNDS = 5
+MIN_BUS_SPEEDUP = 2.0  # generated AXI entry vs Python handshake, per access
 
 CHECKSUM_SRC = f"""
 start:
@@ -104,6 +114,49 @@ def _run_cpu_loop():
     return cpu.steps / elapsed, exit_
 
 
+def _bus_target(reference):
+    target = fpga_with(catalog.TIMER)
+    bus = target.instances["timer"].bus
+    if reference:
+        bus.read, bus.write = bus.handshake_read, bus.handshake_write
+    return target
+
+
+def _bus_round(target, addrs):
+    """(µs per ``target.write``, µs per ``target.read``, read data)."""
+    start = time.perf_counter()
+    for i, addr in enumerate(addrs):
+        target.write(addr, i)
+    mid = time.perf_counter()
+    data = [target.read(addr) for addr in addrs]
+    end = time.perf_counter()
+    return ((mid - start) / len(addrs) * 1e6,
+            (end - mid) / len(addrs) * 1e6, data)
+
+
+def _run_bus():
+    """Best-of-rounds µs per TIMER access through the generated entry
+    and through the handshake reference (rounds alternate between the
+    two), plus everything each side's accesses returned and cost."""
+    offsets = [offset for name, offset in timer.REGISTERS.items()
+               if name != "CTRL"]
+    addrs = [PERIPH_BASE + offsets[i % len(offsets)]
+             for i in range(BUS_ACCESSES)]
+    sides = {"entry": _bus_target(False), "handshake": _bus_target(True)}
+    best = {side: [float("inf"), float("inf")] for side in sides}
+    data = {side: [] for side in sides}
+    for _ in range(BUS_ROUNDS):
+        for side, target in sides.items():
+            write_us, read_us, got = _bus_round(target, addrs)
+            best[side] = [min(best[side][0], write_us),
+                          min(best[side][1], read_us)]
+            data[side].append(got)
+    outcome = {side: (data[side], target.instances["timer"].bus.stats,
+                      target.cycles)
+               for side, target in sides.items()}
+    return best, outcome["entry"] == outcome["handshake"]
+
+
 def test_vm_throughput(benchmark):
     (legacy_ips, legacy_state), (fast_ips, fast_state), \
         (batched_ips, batched_state) = benchmark.pedantic(
@@ -114,6 +167,9 @@ def test_vm_throughput(benchmark):
     cpu_slow_ips, cpu_slow_exit = _run_cpu(predecoded=False)
     cpu_fast_ips, cpu_fast_exit = _run_cpu(predecoded=True)
     cpu_run_ips, cpu_run_exit = _run_cpu_loop()
+    bus_us, bus_identical = _run_bus()
+    entry_write_us, entry_read_us = bus_us["entry"]
+    ref_write_us, ref_read_us = bus_us["handshake"]
 
     verdict_identical = (
         legacy_state.halt_code == fast_state.halt_code
@@ -125,6 +181,8 @@ def test_vm_throughput(benchmark):
     batch_speedup = batched_ips / legacy_ips
     cpu_speedup = cpu_fast_ips / cpu_slow_ips
     cpu_run_speedup = cpu_run_ips / cpu_slow_ips
+    bus_speedup = {"read": ref_read_us / entry_read_us,
+                   "write": ref_write_us / entry_write_us}
 
     rows = [
         ["executor, legacy step", f"{legacy_ips:,.0f} instr/s", "1.00x",
@@ -141,6 +199,15 @@ def test_vm_throughput(benchmark):
          f"{cpu_run_speedup:.2f}x",
          "Cpu.run + edge set (fuzzer path); "
          + ("identical verdict" if verdict_identical else "DIVERGED")],
+        ["bus read, handshake", f"{ref_read_us:.1f} us/access", "1.00x",
+         "TIMER target.read, Python AXI handshake"],
+        ["bus read, entry", f"{entry_read_us:.1f} us/access",
+         f"{bus_speedup['read']:.2f}x", "generated axi() entry"],
+        ["bus write, handshake", f"{ref_write_us:.1f} us/access", "1.00x",
+         "TIMER target.write, Python AXI handshake"],
+        ["bus write, entry", f"{entry_write_us:.1f} us/access",
+         f"{bus_speedup['write']:.2f}x", "generated axi() entry; "
+         + ("identical data and cycles" if bus_identical else "DIVERGED")],
     ]
     emit("vm_throughput", format_table(
         ["configuration", "throughput", "speedup", "notes"], rows,
@@ -167,9 +234,23 @@ def test_vm_throughput(benchmark):
         },
         "min_speedup": MIN_SPEEDUP,
         "verdict_identical": verdict_identical,
+        "bus_us_per_access": {
+            "entry_read": entry_read_us,
+            "entry_write": entry_write_us,
+            "handshake_read": ref_read_us,
+            "handshake_write": ref_write_us,
+        },
+        "bus_speedup": bus_speedup,
+        "min_bus_speedup": MIN_BUS_SPEEDUP,
+        "bus_identical": bus_identical,
     })
 
     assert verdict_identical, "dispatch tiers diverged on the workload"
     assert batch_speedup >= MIN_SPEEDUP, (
         f"batched fast tier {batch_speedup:.2f}x below the "
         f"{MIN_SPEEDUP}x instructions/s gate")
+    assert bus_identical, "AXI entry and handshake diverged"
+    for kind, speedup in bus_speedup.items():
+        assert speedup >= MIN_BUS_SPEEDUP, (
+            f"AXI entry {kind} {speedup:.2f}x below the "
+            f"{MIN_BUS_SPEEDUP}x per-access gate")

@@ -9,6 +9,15 @@ The BFM is handshake-accurate: a write issues AWVALID/WVALID and waits for
 the peripheral's READY/BVALID responses, so the cycle cost of each access
 is whatever the peripheral's AXI state machine takes, not a constant.
 
+``read``/``write`` run the whole transaction in one call to the
+simulation's generated ``axi_entry`` when it has one (the compiled
+backend at the opt tier, no negedge logic) and no VCD writer is
+attached; that entry runs this handshake step for step over hoisted net
+locals. ``handshake_read``/``handshake_write`` drive it from Python one
+poke and one clock step at a time: the path of the interpreter backend,
+negedge designs and VCD tracing, and the entry's differential
+reference.
+
 Signal naming convention (32-bit data bus)::
 
     s_axi_awvalid  s_axi_awready  s_axi_awaddr
@@ -27,6 +36,15 @@ from repro.errors import BusError
 from repro.sim.base import BaseSimulation
 
 DEFAULT_TIMEOUT_CYCLES = 64
+
+#: BusError text per failing transaction status (the generated entry's
+#: status codes 1-4), formatted with the address.
+BUS_ERRORS = {
+    1: "write to 0x{:x}: address/data phase timeout",
+    2: "write to 0x{:x}: no write response",
+    3: "read of 0x{:x}: address phase timeout",
+    4: "read of 0x{:x}: no read data",
+}
 
 
 @dataclass
@@ -54,6 +72,7 @@ class Axi4LiteMaster:
         self.prefix = prefix
         self.timeout = timeout
         self.stats = BusStats()
+        self._entry = sim.axi_entry if prefix == "s_axi_" else None
         self._idle()
 
     def _sig(self, name: str) -> str:
@@ -73,6 +92,36 @@ class Axi4LiteMaster:
 
     def write(self, addr: int, data: int) -> int:
         """Write *data* to *addr*; returns the number of cycles consumed."""
+        if self._entry is None or self.sim._vcd is not None:
+            return self.handshake_write(addr, data)
+        _, cycles = self._transact(1, addr, data)
+        self.stats.writes += 1
+        self.stats.write_cycles += cycles
+        return cycles
+
+    def read(self, addr: int) -> Tuple[int, int]:
+        """Read *addr*; returns ``(data, cycles_consumed)``."""
+        if self._entry is None or self.sim._vcd is not None:
+            return self.handshake_read(addr)
+        data, cycles = self._transact(0, addr, 0)
+        self.stats.reads += 1
+        self.stats.read_cycles += cycles
+        return data, cycles
+
+    def _transact(self, write: int, addr: int, data: int) -> Tuple[int, int]:
+        """One transaction through the generated entry; returns
+        ``(read data, cycles)``."""
+        sim = self.sim
+        out, cycles, status = self._entry(sim.values, sim.memories, write,
+                                          addr, data, self.timeout)
+        sim.cycle += cycles
+        sim.state_version += 1
+        if status:
+            raise BusError(BUS_ERRORS[status].format(addr))
+        return out, cycles
+
+    def handshake_write(self, addr: int, data: int) -> int:
+        """:meth:`write` driven cycle by cycle from Python."""
         sim = self.sim
         start = sim.cycle
         sim.poke_many({
@@ -98,7 +147,7 @@ class Axi4LiteMaster:
                 break
         else:
             self._idle()
-            raise BusError(f"write to 0x{addr:x}: address/data phase timeout")
+            raise BusError(BUS_ERRORS[1].format(addr))
         for _ in range(self.timeout):
             if sim.peek(self._sig("bvalid")):
                 sim.step()  # consume the response beat
@@ -106,15 +155,15 @@ class Axi4LiteMaster:
             sim.step()
         else:
             self._idle()
-            raise BusError(f"write to 0x{addr:x}: no write response")
+            raise BusError(BUS_ERRORS[2].format(addr))
         self._idle()
         cycles = sim.cycle - start
         self.stats.writes += 1
         self.stats.write_cycles += cycles
         return cycles
 
-    def read(self, addr: int) -> Tuple[int, int]:
-        """Read *addr*; returns ``(data, cycles_consumed)``."""
+    def handshake_read(self, addr: int) -> Tuple[int, int]:
+        """:meth:`read` driven cycle by cycle from Python."""
         sim = self.sim
         start = sim.cycle
         sim.poke_many({
@@ -130,7 +179,7 @@ class Axi4LiteMaster:
                 break
         else:
             self._idle()
-            raise BusError(f"read of 0x{addr:x}: address phase timeout")
+            raise BusError(BUS_ERRORS[3].format(addr))
         for _ in range(self.timeout):
             if sim.peek(self._sig("rvalid")):
                 data = sim.peek(self._sig("rdata"))
@@ -142,4 +191,4 @@ class Axi4LiteMaster:
                 return data, cycles
             sim.step()
         self._idle()
-        raise BusError(f"read of 0x{addr:x}: no read data")
+        raise BusError(BUS_ERRORS[4].format(addr))

@@ -66,6 +66,8 @@ class Cpu:
         self._ops = _op_table(image)
         self._code_limit = min(image.code_limit, ram_size)
         self._code_clean = True
+        #: End of the plain RAM the op closures access inline.
+        self._ram_limit = min(ram_size, mmio_base)
         self.regs: List[int] = [0] * enc.NUM_REGS
         self.regs[enc.REG_SP] = ram_size - 16
         self.pc = program.entry
@@ -105,6 +107,13 @@ class Cpu:
         if addr >= self.mmio_base:
             if self.mmio_write is None:
                 raise VmError(f"MMIO write at 0x{addr:08x} with no handler")
+            if size == 1:
+                # A byte store into a 32-bit register rewrites only the
+                # addressed lane (read-modify-write, as the symbolic
+                # executor does).
+                shift = (addr & 3) * 8
+                word = self.load(addr & ~3, 4)
+                value = (word & ~(0xFF << shift)) | ((value & 0xFF) << shift)
             self.mmio_write(addr & ~3, value & MASK32)
             return
         if addr + size > self.ram_size or addr < 0:
@@ -236,25 +245,49 @@ def _compile(instr: enc.Instruction, pc: int) -> Op:
             regs[rd] = alu_i(regs[rs1], imm)
             return fall
         return i_type
-    if op == enc.LB:
-        def load_signed_byte(cpu: Cpu, regs: List[int]) -> int:
-            regs[rd] = _signed_byte(cpu.load((regs[rs1] + imm) & MASK32, 1))
+    # Loads and stores access plain RAM inline; MMIO, bounds faults and
+    # stores below the code limit (which demote the cpu to the slow
+    # fetch) go through Cpu.load/Cpu.store.
+    if op == enc.LW:
+        def load_word(cpu: Cpu, regs: List[int]) -> int:
+            addr = (regs[rs1] + imm) & MASK32
+            if addr + 4 <= cpu._ram_limit:
+                regs[rd] = int.from_bytes(cpu.ram[addr:addr + 4], "little")
+            else:
+                regs[rd] = cpu.load(addr, 4)
             return fall
-        return load_signed_byte
+        return load_word
     if op in enc.LOADS:
-        size = 4 if op == enc.LW else 1
+        sign = 0xFFFFFF00 if op == enc.LB else 0
 
-        def load(cpu: Cpu, regs: List[int]) -> int:
-            regs[rd] = cpu.load((regs[rs1] + imm) & MASK32, size)
+        def load_byte(cpu: Cpu, regs: List[int]) -> int:
+            addr = (regs[rs1] + imm) & MASK32
+            if addr < cpu._ram_limit:
+                byte = cpu.ram[addr]
+            else:
+                byte = cpu.load(addr, 1)
+            regs[rd] = byte | sign if byte & 0x80 else byte
             return fall
-        return load
+        return load_byte
+    if op == enc.SW:
+        def store_word(cpu: Cpu, regs: List[int]) -> int:
+            addr = (regs[rs1] + imm) & MASK32
+            if cpu._code_limit <= addr and addr + 4 <= cpu._ram_limit:
+                cpu.ram[addr:addr + 4] = (regs[rd] & MASK32).to_bytes(
+                    4, "little")
+            else:
+                cpu.store(addr, regs[rd], 4)
+            return fall
+        return store_word
     if op in enc.STORES:
-        size = 4 if op == enc.SW else 1
-
-        def store(cpu: Cpu, regs: List[int]) -> int:
-            cpu.store((regs[rs1] + imm) & MASK32, regs[rd], size)
+        def store_byte(cpu: Cpu, regs: List[int]) -> int:
+            addr = (regs[rs1] + imm) & MASK32
+            if cpu._code_limit <= addr < cpu._ram_limit:
+                cpu.ram[addr] = regs[rd] & 0xFF
+            else:
+                cpu.store(addr, regs[rd], 1)
             return fall
-        return store
+        return store_byte
     if op in enc.BRANCHES:
         taken = BRANCH_OPS[op]
         target = (pc + imm) & MASK32
@@ -409,10 +442,6 @@ def _branch_taken(op: int, a: int, b: int) -> bool:
     if op == enc.BGEU:
         return a >= b
     raise VmError(f"not a branch op {op:#x}")
-
-
-def _signed_byte(value: int) -> int:
-    return (value - 256 if value & 0x80 else value) & MASK32
 
 
 # ---------------------------------------------------------------------------

@@ -110,6 +110,12 @@ class BaseSimulation:
     #: enables the mid-cycle settle + falling-edge evaluation.
     _has_negedge = False
 
+    #: Generated AXI4-Lite transaction entry ``axi(V, M, write, addr,
+    #: data, timeout) -> (data, cycles, status)``; the compiled backend
+    #: sets it for designs with an ``s_axi_*`` slave port (see
+    #: :meth:`repro.sim.compiler._CodeGen.generate_axi`).
+    axi_entry = None
+
     def step(self, cycles: int = 1) -> None:
         """Advance *cycles* full clock periods (rising then falling edge)."""
         if cycles:

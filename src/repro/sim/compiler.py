@@ -114,6 +114,9 @@ class _CompiledArtifact:
     code: Any
     has_negedge: bool
     opt_report: Any
+    #: The ``axi`` transaction entry, compiled on its own (see
+    #: :meth:`_CodeGen.generate_axi`); None when the design has none.
+    axi_code: Any = None
 
 
 _ARTIFACT_CACHE: Dict[Tuple[str, str, bool], _CompiledArtifact] = {}
@@ -143,7 +146,9 @@ class CompiledSimulation(BaseSimulation):
     combinational and flip-flop values live in function locals instead
     of dict slots for the duration of ``settle``/``edge``, and whole
     multi-cycle runs execute inside one generated ``run`` loop. The
-    optimization report is exposed as :attr:`opt_report`.
+    optimization report is exposed as :attr:`opt_report`. A design with
+    an AXI4-Lite slave port also gets :attr:`axi_entry`, one whole bus
+    transaction in one generated call.
     """
 
     def __init__(self, design: ir.Design, clock: str = "clk",
@@ -162,9 +167,16 @@ class CompiledSimulation(BaseSimulation):
             gen = _CodeGen(design, clock, fast=opt)
             source = gen.generate()
             code = compile(source, f"<compiled:{design.name}>", "exec")
+            # A separate compile() keeps the transient peak of compiling
+            # the module at the size of the larger of the two sources.
+            axi_source = gen.generate_axi()
+            axi_code = (None if axi_source is None else
+                        compile(axi_source, f"<compiled-axi:{design.name}>",
+                                "exec"))
             artifact = _CompiledArtifact(
                 design=design, source=source, code=code,
-                has_negedge=gen.has_negedge, opt_report=opt_report)
+                has_negedge=gen.has_negedge, opt_report=opt_report,
+                axi_code=axi_code)
             if len(_ARTIFACT_CACHE) >= _ARTIFACT_CACHE_LIMIT:
                 _ARTIFACT_CACHE.pop(next(iter(_ARTIFACT_CACHE)))
             _ARTIFACT_CACHE[key] = artifact
@@ -179,6 +191,9 @@ class CompiledSimulation(BaseSimulation):
         self._edge_neg_fn = namespace["edge_neg"]
         self._init_fn = namespace["init"]
         self._run_fn = namespace.get("run")
+        if artifact.axi_code is not None:
+            exec(artifact.axi_code, namespace)  # noqa: S102
+            self.axi_entry = namespace["axi"]
         self._has_negedge = artifact.has_negedge
         super().__init__(artifact.design, clock)
 
@@ -209,6 +224,99 @@ class CompiledSimulation(BaseSimulation):
 
     def _clock_negedge(self) -> None:
         self._edge_neg_fn(self.values, self.memories)
+
+
+#: The AXI4-Lite slave ports (after the ``s_axi_`` prefix) a design
+#: needs for the generated ``axi`` transaction entry.
+_AXI_PORTS = ("awvalid", "awready", "awaddr", "wvalid", "wready", "wdata",
+              "bvalid", "bready", "arvalid", "arready", "araddr", "rvalid",
+              "rready", "rdata")
+
+#: ``axi`` entry, before the loop: the master's opening poke.
+_AXI_PROLOGUE = """
+if write:
+    {awvalid} = 1
+    {awaddr} = addr & {awaddr_mask}
+    {wvalid} = 1
+    {wdata} = data & {wdata_mask}
+    {bready} = 1
+    st = 0
+else:
+    {arvalid} = 1
+    {araddr} = addr & {araddr_mask}
+    {rready} = 1
+    st = 10
+act = 1
+n = cycles = out = aw_done = w_done = rdy_a = rdy_b = 0
+"""
+
+#: ``axi`` entry, in the loop after each settle: the master's next
+#: move. ``n`` counts the iterations of the current timeout loop;
+#: 30+k deasserts the master's signals and then ends with status k.
+_AXI_STATES = """
+if st < 10:  # write
+    if st == 0:  # address and data phase
+        if n >= timeout:
+            st, act = 31, 0
+        else:
+            rdy_a = {awready}
+            rdy_b = {wready}
+            st, act = 1, 2
+    elif st == 1:
+        if rdy_a and not aw_done:
+            aw_done = 1
+            {awvalid} = 0
+            st, act = 2, 1
+        else:
+            st, act = 2, 0
+    elif st == 2:
+        if rdy_b and not w_done:
+            w_done = 1
+            {wvalid} = 0
+            st, act = 3, 1
+        else:
+            st, act = 3, 0
+    elif st == 3:
+        if aw_done and w_done:
+            st, n, act = 4, 0, 0
+        else:
+            st, n, act = 0, n + 1, 0
+    elif n >= timeout:  # 4: response phase
+        st, act = 32, 0
+    elif {bvalid}:
+        st, act = 30, 2  # consume the response beat
+    else:
+        n, act = n + 1, 2
+elif st < 20:  # read
+    if st == 10:  # address phase
+        if n >= timeout:
+            st, act = 33, 0
+        else:
+            rdy_a = {arready}
+            st, act = 11, 2
+    elif st == 11:
+        if rdy_a:
+            {arvalid} = 0
+            st, n, act = 12, 0, 1
+        else:
+            st, n, act = 10, n + 1, 0
+    elif n >= timeout:  # 12: data phase
+        st, act = 34, 0
+    elif {rvalid}:
+        out = {rdata}
+        st, act = 30, 2  # consume the data beat
+    else:
+        n, act = n + 1, 2
+elif st >= 30:  # idle: deassert every master-driven signal
+    {awvalid} = 0
+    {wvalid} = 0
+    {bready} = 0
+    {arvalid} = 0
+    {rready} = 0
+    st, act = st - 10, 1
+else:
+    break
+"""
 
 
 class _CodeGen:
@@ -257,28 +365,93 @@ class _CodeGen:
         Inputs cannot change mid-run (pokes happen between calls), and
         the VCD / negedge cases never reach this path.
         """
-        self.emit("def run(V, M, n):")
+        self._begin_hoisted("def run(V, M, n):")
+        self.emit("for _ in range(n):")
+        self.indent += 1
+        self._gen_hoisted_clock()
+        self._gen_hoisted_settle()
+        self.indent -= 1
+        self._end_hoisted()
+
+    def generate_axi(self) -> Optional[str]:
+        """Source of ``axi(V, M, write, addr, data, timeout) -> (data,
+        cycles, status)``: one AXI4-Lite transaction of
+        :class:`~repro.bus.axi4lite.Axi4LiteMaster` run over hoisted
+        net locals.
+
+        The handshake is the master's, step for step: every poke is
+        followed by its own settle, every clock step is a rising edge
+        plus a settle, and the timeout budgets are the same. Status 0
+        is success; 1–4 name the master's ``BUS_ERRORS``. The function
+        is a state machine around one clock-edge site and one settle
+        site shared by pokes and steps (``act`` 1: settle after a poke,
+        2: clock edge then settle, 0: neither). None when the design is
+        not compiled at the fast tier, has negedge logic, or lacks any
+        of the fourteen ``s_axi_*`` ports.
+        """
+        nets = self.design.nets
+        if (not self.fast or self.has_negedge
+                or any(f"s_axi_{p}" not in nets for p in _AXI_PORTS)):
+            return None
+        self.lines = []
+        self._begin_hoisted("def axi(V, M, write, addr, data, timeout):")
+        pins = {p: self.vmap[f"s_axi_{p}"] for p in _AXI_PORTS}
+        masks = {f"{p}_mask": nets[f"s_axi_{p}"].mask
+                 for p in ("awaddr", "araddr", "wdata")}
+        self._emit_text(_AXI_PROLOGUE.format(**pins, **masks))
+        self.emit("while True:")
+        self.indent += 1
+        self.emit("if act:")
+        self.indent += 1
+        self.emit("if act == 2:")
+        self.indent += 1
+        self._gen_hoisted_clock()
+        self.emit("cycles += 1")
+        self.indent -= 1
+        self._gen_hoisted_settle()
+        self.indent -= 1
+        self._emit_text(_AXI_STATES.format(**pins))
+        self.indent -= 1
+        self._end_hoisted("return out, cycles, st - 20")
+        return "\n".join(self.lines) + "\n"
+
+    def _emit_text(self, text: str) -> None:
+        """Emit a multi-line block at the current indent."""
+        for line in text.strip("\n").splitlines():
+            self.emit(line)
+
+    def _begin_hoisted(self, header: str) -> None:
+        """Open a function that keeps every net in a local for its whole
+        body (see :meth:`_gen_run`)."""
+        self.emit(header)
         self.indent += 1
         names = sorted(self.design.nets)
         self.vmap = {name: f"_v{i}" for i, name in enumerate(names)}
         for name in names:
             self.emit(f"{self.vmap[name]} = V[{name!r}]")
-        self.emit("for _ in range(n):")
-        self.indent += 1
+
+    def _end_hoisted(self, *tail: str) -> None:
+        for name, local in self.vmap.items():
+            self.emit(f"V[{name!r}] = {local}")
+        for line in tail:
+            self.emit(line)
+        self.indent -= 1
+        self.emit("")
+        self.vmap = None
+
+    def _gen_hoisted_clock(self) -> None:
+        """One rising edge on the hoisted locals: clock high, posedge
+        blocks (commit sentinels re-armed first), clock low."""
         self.emit(f"{self.vmap[self.clock]} = 1")
         self.run_sentinel_at = len(self.lines)
         self.run_sentinel_indent = self.indent
         self._gen_run_edge()
         self.emit(f"{self.vmap[self.clock]} = 0")
+
+    def _gen_hoisted_settle(self) -> None:
         ctx = _RunCombCtx(self, self.vmap)
         for block in order_comb_blocks(self.design):
             ctx.gen_stmts(block.stmts)
-        self.indent -= 1
-        for name in names:
-            self.emit(f"V[{name!r}] = {self.vmap[name]}")
-        self.indent -= 1
-        self.emit("")
-        self.vmap = None
 
     def _gen_run_edge(self) -> None:
         domain = clock_domain(self.design, self.clock)

@@ -270,8 +270,118 @@ def test_store_bytes_matches_per_byte_stores(addr, data):
 
 
 def test_store_bytes_forwards_mmio_per_byte():
+    """Each byte of a span reaching MMIO is its own byte store: a
+    read-modify-write of its lane in the addressed word."""
+    words = {0x4000_0000: 0x11223344, 0x4000_0004: 0x55667788}
     log = []
+
+    def read(addr):
+        log.append(("r", addr))
+        return words[addr]
+
+    def write(addr, value):
+        log.append(("w", addr, value))
+        words[addr] = value
+
     program = assemble("start: halt r0\n")
-    cpu = Cpu(program, mmio_write=lambda a, v: log.append((a, v)))
+    cpu = Cpu(program, mmio_read=read, mmio_write=write)
     cpu.store_bytes(0x4000_0002, b"\x01\x02\x03")
-    assert log == [(0x4000_0000, 1), (0x4000_0000, 2), (0x4000_0004, 3)]
+    assert log == [("r", 0x4000_0000), ("w", 0x4000_0000, 0x11013344),
+                   ("r", 0x4000_0000), ("w", 0x4000_0000, 0x02013344),
+                   ("r", 0x4000_0004), ("w", 0x4000_0004, 0x55667703)]
+
+
+# -- the op closures' inline plain-RAM path -----------------------------------
+#
+# Loads and stores inside RAM (below the MMIO base) skip Cpu.load/store;
+# stores below the code limit, MMIO and bounds faults still take them.
+
+RAM_END = 64 * 1024
+
+
+def _run_fault(source):
+    """(panic text or None, cpu) after running *source* to halt."""
+    cpu = Cpu(assemble(source))
+    try:
+        assert cpu.run(1_000).reason == "halt"
+    except FirmwarePanic as exc:
+        return str(exc), cpu
+    return None, cpu
+
+
+@pytest.mark.parametrize("op,size", [("lw", 4), ("sw", 4), ("lb", 1),
+                                     ("lbu", 1), ("sb", 1)])
+@pytest.mark.parametrize("past", [0, 1, 2, 3])
+def test_access_at_the_end_of_ram(op, size, past):
+    """An access that ends exactly at ``ram_size`` runs; one that
+    straddles or passes it faults and names the faulting pc. A faulting
+    store writes nothing."""
+    addr = RAM_END - size + past
+    source = f"""
+start:
+    movi r1, {addr}
+    movi r2, 0xA1B2C3D4
+    {op}   r2, 0(r1)
+    halt r0
+"""
+    pc = 0x10  # two 2-word movi pseudo-instructions precede the access
+    crash, cpu = _run_fault(source)
+    if past == 0:
+        assert crash is None
+        if op.startswith("s"):
+            value = 0xA1B2C3D4 & ((1 << (8 * size)) - 1)
+            assert cpu.ram[addr:addr + size] == value.to_bytes(size, "little")
+        return
+    kind = "load" if op.startswith("l") else "store"
+    assert crash == f"out-of-bounds {kind} at 0x{addr:08x} (pc=0x{pc:08x})"
+    assert cpu.pc == pc
+    assert cpu.ram[RAM_END - 8:] == bytes(8)
+
+
+CODE_EDGE = """
+start:
+    movi r1, end
+    movi r2, 0x7F
+    {op}   r2, {offset}(r1)
+    halt r0
+    .word 0
+end:
+"""
+
+
+@pytest.mark.parametrize("op,offset,demoted", [
+    ("sb", -1, True), ("sw", -1, True), ("sw", -4, True),
+    ("sb", 0, False), ("sw", 0, False)])
+def test_store_at_the_code_limit(op, offset, demoted):
+    """A store that touches the last byte of the image demotes the cpu
+    to the slow fetch; one just above the image keeps the fast path."""
+    source = CODE_EDGE.format(op=op, offset=offset)
+    program = assemble(source)
+    cpu = Cpu(program)
+    end = program.labels["end"]
+    assert cpu._code_limit == end
+    assert cpu.run(100).reason == "halt"
+    assert cpu._code_clean is not demoted
+    size = 4 if op == "sw" else 1
+    assert cpu.ram[end + offset:end + offset + size] == \
+        (0x7F).to_bytes(size, "little")
+
+
+def test_byte_store_of_a_wide_register_and_byte_loads():
+    """``sb`` keeps only the low byte and leaves its neighbours alone;
+    ``lb`` sign-extends from RAM, ``lbu`` zero-extends."""
+    crash, cpu = _run_fault("""
+start:
+    movi r1, 0x3000
+    movi r2, 0x11223344
+    sw   r2, 0(r1)
+    movi r2, 0xFFFFFF80
+    sb   r2, 1(r1)
+    lw   r3, 0(r1)
+    lb   r4, 1(r1)
+    lbu  r5, 1(r1)
+    lb   r6, 3(r1)
+    halt r0
+""")
+    assert crash is None
+    assert cpu.regs[3:7] == [0x11228044, 0xFFFFFF80, 0x80, 0x11]

@@ -125,3 +125,70 @@ def test_random_program_differential(seed, dispatch):
     for offset in range(0, 64, 4):
         addr = 0x2000 + offset
         assert state.memory.read(addr, 4) == cpu.load(addr, 4), hex(addr)
+
+
+class _RecordingMmio:
+    """Two 32-bit MMIO registers that log every read and write."""
+
+    def __init__(self):
+        self.words = {0x4000_0000: 0x11223344, 0x4000_0004: 0x8899AABB}
+        self.log = []
+
+    def read(self, addr):
+        self.log.append(("r", addr))
+        return self.words[addr]
+
+    def write(self, addr, value):
+        self.log.append(("w", addr, value))
+        self.words[addr] = value
+
+    def irq_lines(self):
+        return {}
+
+    def step(self, cycles):
+        pass
+
+
+def _mmio_byte_program():
+    """``sb``/``lb``/``lbu`` on every lane of two MMIO words: the first
+    stores a register with high bits set, the second reads bytes with
+    the sign bit set."""
+    lines = ["start:", "    movi r1, 0x40000000", "    movi r2, 0x1234AB",
+             "    sb   r2, 1(r1)"]
+    for lane in range(4):
+        lines += [f"    movi r2, {0xFFFFFF00 | (0x10 * lane + 5)}",
+                  f"    sb   r2, {lane}(r1)",
+                  f"    lb   r{3 + lane}, {4 + lane}(r1)",
+                  f"    lbu  r{7 + lane}, {4 + lane}(r1)"]
+    lines += ["    lw   r11, 0(r1)", "    halt r0"]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("dispatch", ["fast", "legacy"])
+def test_mmio_byte_ops_match_executor(dispatch):
+    """A byte store into MMIO rewrites only its lane (read-modify-write)
+    and byte loads pick their lane, on the concrete core exactly as in
+    the symbolic executor: same bus traffic, same registers."""
+    from repro.solver import Solver
+    from repro.vm.forwarding import MmioBridge
+
+    program = assemble(_mmio_byte_program())
+    cpu_mmio, vm_mmio = _RecordingMmio(), _RecordingMmio()
+    cpu = Cpu(program, mmio_read=cpu_mmio.read, mmio_write=cpu_mmio.write)
+    assert cpu.run(1_000).reason == "halt"
+
+    executor = SymbolicExecutor(program, MmioBridge(vm_mmio, Solver()),
+                                dispatch=dispatch)
+    state = executor.make_initial_state()
+    while state.is_active and state.steps < 1_000:
+        assert not executor.step(state).forks
+    assert state.status == "halted", state.error
+
+    assert cpu_mmio.log == vm_mmio.log
+    assert cpu_mmio.log[:2] == [("r", 0x4000_0000),
+                                ("w", 0x4000_0000, 0x1122AB44)]
+    assert [state.reg(i) for i in range(enc.NUM_REGS)] == cpu.regs
+    assert cpu.regs[3:7] == [0xFFFFFFBB, 0xFFFFFFAA, 0xFFFFFF99,
+                             0xFFFFFF88]
+    assert cpu.regs[7:11] == [0xBB, 0xAA, 0x99, 0x88]
+    assert cpu.regs[11] == cpu_mmio.words[0x4000_0000] == 0x35251505
