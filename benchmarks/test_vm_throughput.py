@@ -1,4 +1,4 @@
-"""E12 — VM dispatch throughput: predecoded/batched tiers vs the legacy
+"""E12 — VM dispatch throughput: the predecoded executor vs the legacy
 stepper.
 
 After PR 6 made the RTL simulator ~4x faster, the fuzz/DSE loop became
@@ -8,11 +8,12 @@ per-opcode handler dispatch, and batched ``step_block`` entry buy on a
 fully concrete workload — the configuration the fuzzer and the concrete
 stretches of DSE paths run in:
 
-* **legacy** — original fetch → decode → if/elif chain (``dispatch="legacy"``),
+* **legacy** — original fetch → decode → if/elif chain, the differential
+  oracle ``tests/vm_oracle.py:LegacyExecutor``,
 * **fast, per-step** — predecoded table + handler dispatch, one
   ``step()`` call per instruction,
-* **fast, batched** — the same tier through ``step_block`` bursts (the
-  engine's lane entry).
+* **fast, batched** — the same executor through ``step_block`` bursts
+  (the engine's stepping entry).
 
 CI gates on batched ≥ 2x legacy (instructions/second). The concrete
 ``Cpu`` core (the fuzzer's executor) is measured in the same shape:
@@ -36,6 +37,7 @@ from repro.analysis import format_table
 from repro.isa import Cpu, assemble
 from repro.peripherals import catalog, timer
 from repro.vm import SymbolicExecutor
+from tests.vm_oracle import LegacyExecutor
 
 LOOP_COUNT = 12_000
 MIN_SPEEDUP = 2.0  # batched fast tier vs legacy stepper, instructions/s
@@ -65,9 +67,9 @@ def _program():
     return assemble(CHECKSUM_SRC)
 
 
-def _run_stepped(dispatch):
+def _run_stepped(executor_class):
     """Instructions/s driving the executor one step() at a time."""
-    executor = SymbolicExecutor(_program(), bridge=None, dispatch=dispatch)
+    executor = executor_class(_program(), bridge=None)
     state = executor.make_initial_state()
     start = time.perf_counter()
     while state.is_active and state.steps < MAX_STEPS:
@@ -78,7 +80,7 @@ def _run_stepped(dispatch):
 
 
 def _run_batched():
-    """Instructions/s through step_block bursts (the lane entry)."""
+    """Instructions/s through step_block bursts."""
     executor = SymbolicExecutor(_program(), bridge=None)
     state = executor.make_initial_state()
     start = time.perf_counter()
@@ -160,8 +162,8 @@ def _run_bus():
 def test_vm_throughput(benchmark):
     (legacy_ips, legacy_state), (fast_ips, fast_state), \
         (batched_ips, batched_state) = benchmark.pedantic(
-            lambda: (_run_stepped("legacy"), _run_stepped("fast"),
-                     _run_batched()),
+            lambda: (_run_stepped(LegacyExecutor),
+                     _run_stepped(SymbolicExecutor), _run_batched()),
             rounds=1, iterations=1)
 
     cpu_slow_ips, cpu_slow_exit = _run_cpu(predecoded=False)
@@ -190,7 +192,7 @@ def test_vm_throughput(benchmark):
         ["executor, fast step", f"{fast_ips:,.0f} instr/s",
          f"{step_speedup:.2f}x", "predecode + handler table"],
         ["executor, fast batched", f"{batched_ips:,.0f} instr/s",
-         f"{batch_speedup:.2f}x", "step_block lane entry"],
+         f"{batch_speedup:.2f}x", "step_block bursts"],
         ["cpu core, slow fetch", f"{cpu_slow_ips:,.0f} instr/s", "1.00x",
          "byte-accurate fetch"],
         ["cpu core, predecoded", f"{cpu_fast_ips:,.0f} instr/s",

@@ -55,10 +55,6 @@ class BusStats:
     write_cycles: int = 0
 
     @property
-    def total_accesses(self) -> int:
-        return self.reads + self.writes
-
-    @property
     def total_cycles(self) -> int:
         return self.read_cycles + self.write_cycles
 

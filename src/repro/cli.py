@@ -237,7 +237,6 @@ def cmd_run(args) -> int:
             concretization=args.concretization, scan_mode="functional",
             snapshot_flatten_threshold=args.flatten_threshold,
             opt=not args.no_opt,
-            lane_width=args.lane_width, lane_steps=args.lane_steps,
             **resilience)
         report = session.run(max_instructions=args.max_instructions,
                              stop_after_bugs=args.stop_after_bugs)
@@ -454,12 +453,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--flatten-threshold", type=int, default=8,
                    help="delta-chain length before the snapshot store "
                         "materialises a full record")
-    p.add_argument("--lane-width", type=int, default=1,
-                   help="states advanced per scheduling pass (>1 batches "
-                        "forked snapshot states through the predecoded "
-                        "stepper)")
-    p.add_argument("--lane-steps", type=int, default=1,
-                   help="instructions granted to each lane per pass")
     p.add_argument("--journal", metavar="DIR",
                    help="event-source the campaign into DIR (crash-safe; "
                         "continue later with 'repro resume DIR')")

@@ -33,17 +33,6 @@ class SessionConfig:
     mmio_base: int = 0x4000_0000
     #: Hardware clock cycles advanced per executed instruction.
     cycles_per_instruction: int = 1
-    #: Poll interrupt lines every N instructions.
-    irq_poll_interval: int = 1
-    #: States advanced per scheduling pass (1 = classic serial schedule;
-    #: >1 batches several forked snapshot states through the predecoded
-    #: stepper per pass, amortising scheduling overhead).
-    lane_width: int = 1
-    #: Instructions granted to each lane per scheduling pass.
-    lane_steps: int = 1
-    #: VM dispatch tier: "fast" (predecoded table + per-opcode handlers)
-    #: or "legacy" (the original stepper, kept as differential oracle).
-    dispatch: str = "fast"
     #: Device reboot wall time charged by the naive-consistent baseline.
     reboot_time_s: float = 0.25
     #: FPGA scan execution mode: "shift" (real RTL shifting) or

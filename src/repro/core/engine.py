@@ -290,7 +290,6 @@ class AnalysisEngine:
                  strategy: ConsistencyStrategy, target: HardwareTarget,
                  bridge: MmioBridge,
                  cycles_per_instruction: int = 1,
-                 irq_poll_interval: int = 1,
                  store: Optional[SnapshotStore] = None,
                  flatten_threshold: int = DEFAULT_FLATTEN_THRESHOLD):
         self.executor = executor
@@ -301,7 +300,6 @@ class AnalysisEngine:
         self.controller = SnapshotController(
             target, store=store, flatten_threshold=flatten_threshold)
         self.cpi = cycles_per_instruction
-        self.irq_poll_interval = max(1, irq_poll_interval)
         strategy.bind(self.controller, bridge)
         self._wire_access_recording()
 
@@ -327,29 +325,27 @@ class AnalysisEngine:
         bridge.write = write  # type: ignore[method-assign]
         self._scheduled: Optional[ExecState] = None
         self._replaying = False
-        # Batched-lane bookkeeping: the interrupt-poll phase accumulator
-        # and the last lane the hardware was switched to.
-        self._since_poll = 0
-        self._lane_previous: Optional[ExecState] = None
 
-    # -- batched lane execution --------------------------------------------------
+    def _switch(self, previous: Optional[ExecState],
+                current: ExecState) -> None:
+        """The strategy's hardware context switch; its own MMIO traffic
+        (a replay) is not recorded as the state's."""
+        self._replaying = True
+        try:
+            self.strategy.on_switch(previous, current)
+        finally:
+            self._replaying = False
 
-    def _burst(self, state: ExecState, max_steps: int,
-               finish_irq: bool = False):
-        """Up to *max_steps* instructions on the scheduled state with the
-        same per-instruction sequence as one :meth:`run` iteration
-        (ServePendingInterrupt → StepInstruction → clock the hardware),
-        executed inside the VM's tight block loop."""
+    def _burst(self, state: ExecState, max_steps: int):
+        """Up to *max_steps* instructions on the scheduled state, each
+        one ServePendingInterrupt → StepInstruction → clock the
+        hardware, executed inside the VM's tight block loop."""
         executor = self.executor
         bridge = self.bridge
         cpi = self.cpi
-        interval = self.irq_poll_interval
 
         def pre_step(s: ExecState) -> None:
-            self._since_poll += 1
-            if self._since_poll >= interval:
-                self._since_poll = 0
-                executor.maybe_interrupt(s, any(bridge.irq_lines().values()))
+            executor.maybe_interrupt(s, any(bridge.irq_lines().values()))
 
         def post_step() -> None:
             bridge.step_hardware(cpi)
@@ -357,54 +353,18 @@ class AnalysisEngine:
         self._scheduled = state
         try:
             return executor.step_block(state, max_steps, pre_step=pre_step,
-                                       post_step=post_step,
-                                       finish_irq=finish_irq)
+                                       post_step=post_step)
         finally:
             self._scheduled = None
-
-    def run_batch(self, states: List[ExecState], n: int):
-        """One batched scheduling pass: evaluate up to *n* instructions
-        on each of K forked snapshot lanes sharing this engine's program
-        (predecode table, handler table, hardware bridge).
-
-        Hardware consistency is per lane — the strategy context-switches
-        between lanes exactly as the serial loop does between scheduled
-        states, so every lane runs against its own snapshot. Returns the
-        per-lane :class:`~repro.vm.executor.StepOutcome`s (forks and
-        completions are the caller's to merge)."""
-        outcomes = []
-        previous = self._lane_previous
-        for state in states:
-            if not state.is_active:
-                outcomes.append(None)
-                continue
-            if state is not previous:
-                self._replaying = True
-                try:
-                    self.strategy.on_switch(previous, state)
-                finally:
-                    self._replaying = False
-            previous = state
-            outcomes.append(self._burst(state, n, finish_irq=len(states) > 1))
-        self._lane_previous = previous
-        return outcomes
 
     # -- main loop ---------------------------------------------------------------
 
     def run(self, initial: ExecState, max_instructions: int = 1_000_000,
             max_states: int = 4096, stop_after_bugs: int = 0,
-            host_time_limit_s: float = 0.0,
-            lane_width: int = 1, lane_steps: int = 1) -> AnalysisReport:
-        """Algorithm 1. With the default ``lane_width=1, lane_steps=1``
-        every scheduling pass runs one instruction on one state (the
-        paper's loop). ``lane_steps=n`` amortizes scheduling overhead by
-        letting the selected state run an n-instruction burst;
-        ``lane_width=K`` additionally evaluates up to K live states per
-        pass through :meth:`run_batch`. Verdicts of exhausted runs are
-        identical across lane settings (every path still executes every
-        one of its instructions against its own hardware snapshot);
-        budget-limited runs may stop at different frontiers, exactly as
-        different searchers do."""
+            host_time_limit_s: float = 0.0) -> AnalysisReport:
+        """Algorithm 1: select a state, switch the hardware to it when it
+        is not the previous one, serve a pending interrupt and execute
+        one instruction."""
         report = AnalysisReport(strategy=self.strategy.name)
         start = time.perf_counter()
         modelled_start = self.target.timer.total_s
@@ -412,11 +372,8 @@ class AnalysisEngine:
                        if getattr(self.target, "resilience", None) else None)
         self.strategy.on_start(initial)
         self.searcher.add(initial)
-        lane_width = max(1, lane_width)
-        lane_steps = max(1, lane_steps)
         executed = 0
-        self._since_poll = 0
-        self._lane_previous = None
+        previous: Optional[ExecState] = None
         while len(self.searcher):
             if shutdown_requested():
                 report.stop_reason = "interrupted"
@@ -431,24 +388,23 @@ class AnalysisEngine:
                     time.perf_counter() - start > host_time_limit_s:
                 report.stop_reason = "host-timeout"
                 break
-            lanes = self.searcher.select_lanes(self._lane_previous,
-                                               lane_width)
-            burst = min(lane_steps, max_instructions - executed)
-            for outcome, state in zip(self.run_batch(lanes, burst), lanes):
-                if outcome is None:
-                    continue
-                executed += outcome.executed
-                if outcome.forks:
-                    self.strategy.on_fork(state, outcome.forks)
-                    report.forks += len(outcome.forks)
-                    for fork in outcome.forks:
-                        if len(self.searcher) < max_states:
-                            self.searcher.add(fork)
-                report.max_live_states = max(report.max_live_states,
-                                             len(self.searcher))
-                if not state.is_active:
-                    self.searcher.remove(state)
-                    report.paths.append(self._finish_path(state))
+            state = self.searcher.select(previous)
+            if state is not previous:
+                self._switch(previous, state)
+                previous = state
+            outcome = self._burst(state, 1)
+            executed += outcome.executed
+            if outcome.forks:
+                self.strategy.on_fork(state, outcome.forks)
+                report.forks += len(outcome.forks)
+                for fork in outcome.forks:
+                    if len(self.searcher) < max_states:
+                        self.searcher.add(fork)
+            report.max_live_states = max(report.max_live_states,
+                                         len(self.searcher))
+            if not state.is_active:
+                self.searcher.remove(state)
+                report.paths.append(self._finish_path(state))
         else:
             report.stop_reason = "exhausted"
         report.instructions = executed
@@ -487,12 +443,7 @@ class AnalysisEngine:
         re-leased anywhere.
         """
         outcome = LeaseOutcome(state)
-        self._replaying = True
-        try:
-            self.strategy.on_switch(None, state)
-        finally:
-            self._replaying = False
-        self._since_poll = 0
+        self._switch(None, state)
         while state.is_active:
             if max_instructions and outcome.executed >= max_instructions:
                 self.controller.update_state(state)

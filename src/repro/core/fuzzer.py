@@ -275,11 +275,6 @@ class SnapshotFuzzer:
         return execute_input(self.program, self.target, data,
                              max_steps=self.max_steps)
 
-    # -- mutation ------------------------------------------------------------------
-
-    def _mutate(self, data: bytes) -> bytes:
-        return mutate_bytes(self.rng, data)
-
     # -- main loop -------------------------------------------------------------------
 
     def run(self, executions: int = 200, batch_size: int = 1) -> FuzzReport:

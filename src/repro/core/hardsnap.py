@@ -97,8 +97,7 @@ class HardSnapSession:
         self.bridge = MmioBridge(self.target, self.solver, policy)
         self.executor = SymbolicExecutor(
             self.program, self.bridge, self.solver,
-            ram_size=config.ram_size, mmio_base=config.mmio_base,
-            dispatch=config.dispatch)
+            ram_size=config.ram_size, mmio_base=config.mmio_base)
         searcher_kwargs = {}
         if config.searcher == "random":
             searcher_kwargs["seed"] = config.seed
@@ -110,7 +109,6 @@ class HardSnapSession:
             self.executor, self.searcher, self.strategy, self.target,
             self.bridge,
             cycles_per_instruction=config.cycles_per_instruction,
-            irq_poll_interval=config.irq_poll_interval,
             flatten_threshold=config.snapshot_flatten_threshold)
 
     # -- running ------------------------------------------------------------
@@ -127,9 +125,7 @@ class HardSnapSession:
                                max_instructions=max_instructions,
                                max_states=max_states,
                                stop_after_bugs=stop_after_bugs,
-                               host_time_limit_s=host_time_limit_s,
-                               lane_width=self.config.lane_width,
-                               lane_steps=self.config.lane_steps)
+                               host_time_limit_s=host_time_limit_s)
 
 
 def run_all_strategies(firmware: Union[str, Program],

@@ -101,10 +101,6 @@ class SnapshotRecord:
     logical_bits: int
     stored_bits: int
 
-    @property
-    def delta_instances(self) -> int:
-        return len(self.chunk_map)
-
 
 @dataclass
 class StoreStats:
@@ -271,16 +267,6 @@ class SnapshotStore:
 
     def resolve_digests(self, snapshot_id: int) -> Dict[str, str]:
         return self._resolve_maps(self.record(snapshot_id))[0]
-
-    def resolve_refs(self, snapshot_id: int) -> "tuple[Dict[str, str], Dict[str, int]]":
-        """(instance → chunk digest, instance → cycle) for one snapshot
-        — the content-addressed *reference* form a snapshot travels as
-        on the parallel runtime's wire (payloads ship separately, only
-        to peers that lack them)."""
-        return self._resolve_maps(self.record(snapshot_id))
-
-    def has_chunk(self, digest: str) -> bool:
-        return digest in self._chunks
 
     def resolve(self, snapshot_id: int) -> Dict[str, dict]:
         """Reassemble the full canonical image of one snapshot.

@@ -57,12 +57,6 @@ class Program:
     entry: int = 0
     source_map: Dict[int, int] = field(default_factory=dict)  # addr -> line
 
-    @property
-    def size_bytes(self) -> int:
-        if not self.words:
-            return 0
-        return max(self.words) + 4 - min(self.words)
-
     def as_bytes(self) -> Dict[int, int]:
         """Byte-addressed image (little-endian)."""
         out: Dict[int, int] = {}

@@ -378,76 +378,9 @@ def _compile_intrinsic(func: int, rd: int, rs1: int, pc: int) -> Op:
     return unknown
 
 
-def _alu_r(op: int, a: int, b: int, pc: int) -> int:
-    if op == enc.ADD:
-        return (a + b) & MASK32
-    if op == enc.SUB:
-        return (a - b) & MASK32
-    if op == enc.AND:
-        return a & b
-    if op == enc.OR:
-        return a | b
-    if op == enc.XOR:
-        return a ^ b
-    if op == enc.SLL:
-        return (a << (b & 31)) & MASK32
-    if op == enc.SRL:
-        return a >> (b & 31)
-    if op == enc.SRA:
-        return (_signed(a) >> (b & 31)) & MASK32
-    if op == enc.MUL:
-        return (a * b) & MASK32
-    if op == enc.DIVU:
-        return MASK32 if b == 0 else (a // b) & MASK32
-    if op == enc.REMU:
-        return a if b == 0 else a % b
-    if op == enc.SLT:
-        return int(_signed(a) < _signed(b))
-    if op == enc.SLTU:
-        return int(a < b)
-    raise VmError(f"not an R-type op {op:#x}")
-
-
-def _alu_i(op: int, a: int, imm: int, old_rd: int) -> int:
-    if op == enc.ADDI:
-        return (a + imm) & MASK32
-    if op == enc.ANDI:
-        return a & (imm & MASK32)
-    if op == enc.ORI:
-        return a | (imm & MASK32)
-    if op == enc.XORI:
-        return a ^ (imm & MASK32)
-    if op == enc.SLLI:
-        return (a << (imm & 31)) & MASK32
-    if op == enc.SRLI:
-        return a >> (imm & 31)
-    if op == enc.SRAI:
-        return (_signed(a) >> (imm & 31)) & MASK32
-    if op == enc.LUI:
-        return (imm & 0xFFFF) << 16
-    raise VmError(f"not an I-type op {op:#x}")
-
-
-def _branch_taken(op: int, a: int, b: int) -> bool:
-    if op == enc.BEQ:
-        return a == b
-    if op == enc.BNE:
-        return a != b
-    if op == enc.BLT:
-        return _signed(a) < _signed(b)
-    if op == enc.BGE:
-        return _signed(a) >= _signed(b)
-    if op == enc.BLTU:
-        return a < b
-    if op == enc.BGEU:
-        return a >= b
-    raise VmError(f"not a branch op {op:#x}")
-
-
 # ---------------------------------------------------------------------------
-# Per-opcode concrete semantics tables. One dict lookup replaces the
-# if-chains above on hot paths (the Cpu's op closures and the symbolic
-# executor's concrete fast path dispatch through these).
+# Per-opcode concrete semantics tables, shared by the Cpu's op closures
+# and the symbolic executor's concrete fast path.
 # ---------------------------------------------------------------------------
 
 ALU_R_OPS: Dict[int, Callable[[int, int], int]] = {

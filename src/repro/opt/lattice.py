@@ -18,7 +18,7 @@ constant really is constant on both simulation backends.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 from repro.hdl import ir
 
@@ -281,10 +281,3 @@ def _eval_unary(expr: ir.Unary, lookup: Lookup) -> BitsVal:
             return of_const(parity if op == "^" else parity ^ 1, width)
         return top(width)
     raise TypeError(f"unknown unary op {op!r}")
-
-
-def const_of(bits: Optional[BitsVal]) -> Optional[int]:
-    """The concrete value when *bits* is fully known, else ``None``."""
-    if bits is not None and bits.is_const:
-        return bits.value
-    return None

@@ -33,10 +33,6 @@ are addressed to the worker at pack time (the chunks and dirty pages
 the peer lacks, the constraint suffix beyond a shared ancestor). A
 re-pack after a respawn or a degrade therefore ships everything the
 fresh peer lacks, with no special case.
-
-Verdict parity holds for ``irq_poll_interval=1`` (the default): larger
-intervals phase the IRQ poll against the *global* instruction stream in
-the serial engine but per-lease here.
 """
 
 from __future__ import annotations
@@ -500,16 +496,3 @@ class ParallelAnalysisEngine(Campaign):
         for bug, lineage in ordered:
             bug.state_id = ids.get(lineage, 0)
             report.bugs.append(bug)
-
-
-def serial_report(firmware: Union[str, Program],
-                  peripherals: Sequence[Tuple[object, int]] = (),
-                  config: Optional[SessionConfig] = None,
-                  run_kwargs: Optional[dict] = None,
-                  **overrides) -> AnalysisReport:
-    """Convenience: the serial engine's report for the same arguments —
-    the reference a parallel run's verdicts are compared against."""
-    from repro.core.hardsnap import HardSnapSession
-    session = HardSnapSession(firmware, peripherals, config=config,
-                              **overrides)
-    return session.run(**(run_kwargs or {}))

@@ -387,9 +387,6 @@ class WorkerPool:
     def in_flight(self, job_id: int) -> InFlightJob:
         return self._in_flight[job_id]
 
-    def in_flight_jobs(self) -> List[int]:
-        return sorted(self._in_flight)
-
     def in_flight_payloads(self) -> List[Tuple[str, Any]]:
         """Every unanswered job's ``(kind, structured payload)`` in
         submission order — the journal checkpoint's view of work that

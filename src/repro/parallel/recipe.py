@@ -12,7 +12,7 @@ built.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 from repro.core.config import SessionConfig
 from repro.errors import TargetError, VmError
@@ -146,7 +146,3 @@ class SessionRecipe:
 
     def with_config(self, **changes) -> "SessionRecipe":
         return replace(self, config=replace(self.config, **changes))
-
-
-def peripheral_names(recipe: SessionRecipe) -> List[str]:
-    return [name for name, _, _ in recipe.target.peripherals]

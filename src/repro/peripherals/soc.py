@@ -55,9 +55,6 @@ class SocInfo:
     def window_size(self) -> int:
         return WINDOW_SIZE * max(1, len(self.slaves))
 
-    def base_of(self, instance: str) -> int:
-        return self.bases[instance]
-
 
 def build_soc(specs: Sequence[PeripheralSpec],
               name: str = "soc") -> Tuple[str, SocInfo]:

@@ -193,18 +193,6 @@ class HardwareTarget:
         if policy is not None:
             self._retry_policy = policy
 
-    def health_check(self) -> bool:
-        """Probe the link; reconnect if it dropped. Returns True when a
-        reconnect was needed."""
-        inj = self._injector
-        if inj is None:
-            return False
-        self.resilience.health_checks += 1
-        if inj.roll("link_down", inj.plan.link_down_rate):
-            self._reconnect(resync=True)
-            return True
-        return False
-
     def _check_link(self, operation: str) -> None:
         """Pre-operation health check: a dropped link is re-established
         before the snapshot operation proceeds. Before a *restore* the
@@ -434,7 +422,3 @@ class HardwareTarget:
 
     def restore_snapshot(self, snapshot: HwSnapshot) -> None:
         raise NotImplementedError
-
-    @property
-    def total_state_bits(self) -> int:
-        return sum(inst.state_bits for inst in self.instances.values())

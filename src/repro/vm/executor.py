@@ -13,33 +13,26 @@ scheduled. Only the currently scheduled state ever touches live
 hardware, which is what keeps Algorithm 1's per-state hardware ownership
 sound.
 
-Dispatch tiers (``dispatch=`` constructor argument):
-
-* ``"fast"`` (default) — the firmware image is predecoded once into a
-  pc-keyed instruction table shared by every state, instructions
-  dispatch through a per-opcode handler table built at construction,
-  and fully-concrete ALU/branch operations run through plain-int
-  semantics tables without touching BitVec boxing or the solver.
-  :meth:`step_block` exposes the batched entry: up to *n* instructions
-  on one state per call with per-instruction engine hooks.
-* ``"legacy"`` — the original fetch → decode → if/elif chain, kept as
-  the differential oracle (``tests/test_vm_dispatch_differential.py``).
-
-Both tiers share every helper that carries semantics (branch forking,
-memory, intrinsics, bug reporting), so they can only diverge in fetch
-and dispatch — exactly what the differential suite pins down.
+Dispatch: the firmware image is predecoded once into a pc-keyed
+instruction table shared by every state, instructions dispatch through a
+per-opcode handler table built at construction, and fully-concrete
+ALU/branch operations run through the plain-int semantics tables of
+:mod:`repro.isa.cpu` without touching BitVec boxing or the solver.
+:meth:`SymbolicExecutor.step_block` is the one stepping entry: up to *n*
+instructions on one state per call with per-instruction engine hooks.
+The differential oracle (``tests/vm_oracle.py``) is the original
+fetch → decode → if/elif stepper with its own concrete semantics.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set, Tuple, Union
+from typing import Callable, Dict, List, Optional, Set
 
 from repro.errors import VmError
 from repro.isa import encoding as enc
 from repro.isa.assembler import Program
-from repro.isa.cpu import (ALU_I_OPS, ALU_R_OPS, BRANCH_OPS, _alu_i, _alu_r,
-                           _branch_taken)
+from repro.isa.cpu import ALU_I_OPS, ALU_R_OPS, BRANCH_OPS
 from repro.isa.predecode import DecodedImage, decoded_image
 from repro.solver import Solver
 from repro.solver import expr as E
@@ -51,13 +44,11 @@ from repro.vm.state import (STATUS_ACTIVE, STATUS_ERROR, STATUS_HALTED,
 
 MASK32 = 0xFFFFFFFF
 
-DISPATCH_MODES = ("fast", "legacy")
-
 
 @dataclass
 class StepOutcome:
-    """Result of executing one instruction (or one batched block) on one
-    state."""
+    """Result of executing one instruction (or one block of them) on
+    one state."""
 
     forks: List[ExecState] = field(default_factory=list)
     bug: Optional[D.Bug] = None
@@ -73,12 +64,7 @@ class SymbolicExecutor:
     def __init__(self, program: Program, bridge: Optional[MmioBridge],
                  solver: Optional[Solver] = None,
                  ram_size: int = 64 * 1024,
-                 mmio_base: int = 0x4000_0000,
-                 max_forks_per_branch: int = 2,
-                 dispatch: str = "fast"):
-        if dispatch not in DISPATCH_MODES:
-            raise VmError(f"unknown dispatch mode {dispatch!r}; "
-                          f"have {DISPATCH_MODES}")
+                 mmio_base: int = 0x4000_0000):
         self.program = program
         self.bridge = bridge
         self.solver = solver or (bridge.solver if bridge else Solver())
@@ -89,7 +75,6 @@ class SymbolicExecutor:
         self._sym_counter = 0
         self.instructions_executed = 0
         self.sat_forks = 0
-        self.dispatch = dispatch
         #: The program predecoded once: pc -> Instruction for every
         #: valid word of the (static) image, shared across all states.
         self._image: DecodedImage = decoded_image(program)
@@ -146,35 +131,14 @@ class SymbolicExecutor:
 
     def step(self, state: ExecState) -> StepOutcome:
         """Execute one instruction; may fork, halt, or record a bug."""
-        if self.dispatch == "legacy":
-            return self._legacy_step(state)
         return self.step_block(state, 1)
-
-    def _legacy_step(self, state: ExecState) -> StepOutcome:
-        """The original per-instruction stepper: byte fetch, fresh
-        decode, if/elif dispatch. Differential oracle for the fast tier."""
-        outcome = StepOutcome()
-        word = self._fetch(state, outcome)
-        if word is None:
-            return outcome
-        instr = enc.decode(word)
-        if not enc.is_valid_opcode(instr.opcode):
-            self._bug(state, outcome, D.KIND_ILLEGAL_INSTR,
-                      f"opcode 0x{instr.opcode:02x}")
-            return outcome
-        self.coverage.add(state.pc)
-        state.recent_pcs.append(state.pc)
-        state.steps += 1
-        self.instructions_executed += 1
-        self._execute(state, instr, outcome)
-        return outcome
 
     def step_block(self, state: ExecState, max_steps: int,
                    pre_step: Optional[Callable[[ExecState], None]] = None,
-                   post_step: Optional[Callable[[], None]] = None,
-                   finish_irq: bool = False) -> StepOutcome:
+                   post_step: Optional[Callable[[], None]] = None
+                   ) -> StepOutcome:
         """Execute up to *max_steps* instructions on one state in a
-        tight loop — the batched lane entry.
+        tight loop.
 
         The loop shares the predecode and handler tables across every
         iteration and hoists the hot lookups into locals, so dispatch
@@ -186,13 +150,8 @@ class SymbolicExecutor:
         ``pre_step``/``post_step`` are the engine's per-instruction
         hooks (interrupt polling before, hardware clocking after); both
         also run for fetch-fault slots, matching the per-step engine
-        loop. With ``finish_irq`` the block keeps executing past
-        *max_steps* while the state is inside an interrupt handler
-        (searcher-level interrupt atomicity for multi-lane scheduling).
+        loop.
         """
-        if self.dispatch == "legacy":
-            return self._legacy_block(state, max_steps, pre_step, post_step,
-                                      finish_irq)
         outcome = StepOutcome()
         itab = self._itab
         handlers = self._handlers
@@ -209,9 +168,8 @@ class SymbolicExecutor:
             instr = itab.get(state.pc) \
                 if (predecodable and mem.code_clean) else None
             if instr is None:
-                # Slow tier: unmatched image, touched code region, data
-                # words, out-of-image pcs — byte-accurate fetch with the
-                # same faults the legacy stepper raises.
+                # Slow fetch: unmatched image, touched code region, data
+                # words, out-of-image pcs — byte-accurate fetch.
                 word = self._fetch(state, outcome)
                 if word is not None:
                     fetched = enc.decode(word)
@@ -229,38 +187,10 @@ class SymbolicExecutor:
             if post_step is not None:
                 post_step()
             if (outcome.forks or outcome.bug is not None
-                    or state.status != STATUS_ACTIVE):
-                break
-            if executed >= max_steps and not (finish_irq and state.in_irq):
+                    or state.status != STATUS_ACTIVE
+                    or executed >= max_steps):
                 break
         self.instructions_executed += decoded
-        outcome.executed = executed
-        return outcome
-
-    def _legacy_block(self, state: ExecState, max_steps: int,
-                      pre_step: Optional[Callable[[ExecState], None]],
-                      post_step: Optional[Callable[[], None]],
-                      finish_irq: bool) -> StepOutcome:
-        """Batched entry in legacy mode: the original stepper in the
-        same hook/stop-condition envelope, so engine-level runs are
-        byte-comparable across dispatch tiers."""
-        outcome = StepOutcome()
-        executed = 0
-        while True:
-            if pre_step is not None:
-                pre_step(state)
-            executed += 1
-            step_out = self._legacy_step(state)
-            outcome.forks.extend(step_out.forks)
-            if step_out.bug is not None:
-                outcome.bug = step_out.bug
-            if post_step is not None:
-                post_step()
-            if (outcome.forks or outcome.bug is not None
-                    or state.status != STATUS_ACTIVE):
-                break
-            if executed >= max_steps and not (finish_irq and state.in_irq):
-                break
         outcome.executed = executed
         return outcome
 
@@ -276,68 +206,11 @@ class SymbolicExecutor:
             return None
         return word
 
-    # -- dispatch ----------------------------------------------------------------------
-
-    def _execute(self, state: ExecState, instr: enc.Instruction,
-                 outcome: StepOutcome) -> None:
-        op = instr.opcode
-        next_pc = state.pc + 4
-        if op in enc.R_TYPE:
-            state.set_reg(instr.rd, self._alu_r(state, op, instr.rs1,
-                                                instr.rs2))
-        elif op in enc.I_ALU:
-            state.set_reg(instr.rd, self._alu_i(state, op, instr.rs1,
-                                                instr.imm))
-        elif op in enc.LOADS:
-            if not self._load(state, instr, outcome):
-                return
-        elif op in enc.STORES:
-            if not self._store(state, instr, outcome):
-                return
-        elif op in enc.BRANCHES:
-            taken_pc = (state.pc + instr.imm) & MASK32
-            self._branch(state, instr, taken_pc, next_pc, outcome)
-            return
-        elif op == enc.JAL:
-            if instr.rd:
-                state.set_reg(instr.rd, next_pc)
-            state.pc = (state.pc + instr.imm) & MASK32
-            return
-        elif op == enc.JALR:
-            target = self._jalr_target(state, instr, outcome)
-            if target is None:
-                return
-            if instr.rd:
-                state.set_reg(instr.rd, next_pc)
-            state.pc = target
-            return
-        elif op == enc.HALT:
-            code = state.reg(instr.rs1)
-            if not isinstance(code, int):
-                code = self.solver.eval_one(code, state.constraints) or 0
-            state.status = STATUS_HALTED
-            state.halt_code = code
-            return
-        elif op == enc.IRET:
-            if not state.in_irq:
-                self._bug(state, outcome, D.KIND_ILLEGAL_INSTR,
-                          "iret outside interrupt")
-                return
-            state.in_irq = False
-            state.pc = state.irq_return_pc
-            return
-        elif op == enc.HS:
-            if not self._intrinsic(state, instr, outcome):
-                return
-        else:  # pragma: no cover - guarded by is_valid_opcode
-            raise VmError(f"unhandled opcode {op:#x}")
-        state.pc = next_pc
-
-    # -- per-opcode handlers (fast tier) ------------------------------------------------
+    # -- per-opcode handlers ------------------------------------------------------------
     #
-    # Same semantics as the _execute chain above, reached through the
-    # handler table with the fully-concrete cases inlined over the
-    # plain-int semantics tables (no BitVec boxing, no solver).
+    # Reached through the handler table, with the fully-concrete cases
+    # inlined over the plain-int semantics tables (no BitVec boxing, no
+    # solver).
 
     def _op_alu_r(self, state: ExecState, instr: enc.Instruction,
                   outcome: StepOutcome) -> None:
@@ -422,30 +295,12 @@ class SymbolicExecutor:
         if self._intrinsic(state, instr, outcome):
             state.pc += 4
 
-    # -- ALU -------------------------------------------------------------------------------
-
-    def _alu_r(self, state: ExecState, op: int, rs1: int, rs2: int) -> Value:
-        a, b = state.reg(rs1), state.reg(rs2)
-        if isinstance(a, int) and isinstance(b, int):
-            return _concrete_alu_r(op, a, b)
-        ea, eb = state.reg_expr(rs1), state.reg_expr(rs2)
-        return _symbolic_alu_r(op, ea, eb)
-
-    def _alu_i(self, state: ExecState, op: int, rs1: int, imm: int) -> Value:
-        a = state.reg(rs1)
-        if isinstance(a, int):
-            return _concrete_alu_i(op, a, imm)
-        return _symbolic_alu_i(op, state.reg_expr(rs1), imm)
-
     # -- branches ------------------------------------------------------------------------------
 
     def _branch(self, state: ExecState, instr: enc.Instruction,
                 taken_pc: int, fall_pc: int, outcome: StepOutcome) -> None:
-        a, b = state.reg(instr.rd), state.reg(instr.rs1)
-        if isinstance(a, int) and isinstance(b, int):
-            state.pc = taken_pc if _concrete_branch(instr.opcode, a, b) \
-                else fall_pc
-            return
+        """A branch with a symbolic operand: fork when both directions
+        are feasible."""
         cond = _symbolic_branch(instr.opcode, state.reg_expr(instr.rd),
                                 state.reg_expr(instr.rs1))
         can_take = self.solver.may_be_true(cond, state.constraints)
@@ -670,18 +525,6 @@ class SymbolicExecutor:
 # ---------------------------------------------------------------------------
 # ALU helpers
 # ---------------------------------------------------------------------------
-
-def _concrete_alu_r(op: int, a: int, b: int) -> int:
-    return _alu_r(op, a, b, 0)
-
-
-def _concrete_alu_i(op: int, a: int, imm: int) -> int:
-    return _alu_i(op, a, imm, 0)
-
-
-def _concrete_branch(op: int, a: int, b: int) -> bool:
-    return _branch_taken(op, a, b)
-
 
 def _symbolic_alu_r(op: int, a: E.BitVec, b: E.BitVec) -> E.BitVec:
     amount = E.and_(b, E.const(31, 32))

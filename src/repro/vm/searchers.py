@@ -45,27 +45,6 @@ class Searcher:
             return previous
         return self._pick(previous)
 
-    def select_lanes(self, previous: Optional[ExecState],
-                     width: int) -> List[ExecState]:
-        """Up to *width* distinct states for one batched scheduling pass.
-
-        The first lane is :meth:`select`'s pick (so single-lane batching
-        is exactly the serial schedule); extra lanes fill from the
-        working set in container order. Interrupt atomicity: a state
-        servicing an interrupt is scheduled exclusively — as the sole
-        lane when it is the pick, never as a filler lane otherwise."""
-        first = self.select(previous)
-        if width <= 1 or (first.in_irq and first.is_active):
-            return [first]
-        lanes = [first]
-        for state in self.states:
-            if len(lanes) >= width:
-                break
-            if state is first or not state.is_active or state.in_irq:
-                continue
-            lanes.append(state)
-        return lanes
-
     def pop_next(self, previous: Optional[ExecState] = None) -> ExecState:
         """Lease hook: select the next state and remove it from the
         working set. The parallel coordinator uses this to hand states to

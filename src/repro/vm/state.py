@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Tuple, Union
+from typing import Deque, List, Optional, Tuple
 
 from repro.isa import encoding as enc
 from repro.solver import expr as E
@@ -121,17 +121,6 @@ class ExecState:
     @property
     def is_active(self) -> bool:
         return self.status == STATUS_ACTIVE
-
-    def symbolic_variables(self) -> List[E.BitVec]:
-        seen: Dict[E.BitVec, None] = {}
-        for c in self.constraints:
-            for v in c.variables():
-                seen.setdefault(v)
-        for r in self.regs:
-            if isinstance(r, E.BitVec):
-                for v in r.variables():
-                    seen.setdefault(v)
-        return list(seen)
 
     def __repr__(self) -> str:
         return (f"ExecState(id={self.state_id}, pc=0x{self.pc:x}, "

@@ -5,8 +5,9 @@ The generator emits terminating straight-line-plus-bounded-loop programs
 over the full ALU/memory subset (word and byte loads/stores), every
 branch kind (forward skips), and leaf calls; both engines must agree on
 every register, the halt code, and RAM contents. Each program runs
-against both executor dispatch tiers, so the independent legacy if/elif
-tier also checks the concrete core's op closures.
+against the executor and against the oracle stepper of
+``tests/vm_oracle.py``, whose own if/elif semantics also check the ALU
+and branch tables the executor and the concrete core share.
 """
 
 import random
@@ -16,6 +17,10 @@ import pytest
 from repro.isa import Cpu, assemble
 from repro.isa import encoding as enc
 from repro.vm import SymbolicExecutor
+from tests.vm_oracle import LegacyExecutor
+
+#: Executor under test per tier: the shipped executor, and the oracle.
+EXECUTORS = {"fast": SymbolicExecutor, "legacy": LegacyExecutor}
 
 _ALU_R = ["add", "sub", "and", "or", "xor", "sll", "srl", "sra", "mul",
           "divu", "remu", "slt", "sltu"]
@@ -38,13 +43,15 @@ def _alu_line(rng: random.Random) -> str:
 def _random_program(seed: int) -> str:
     """A random terminating program using registers r1..r9 and a small
     scratch region; r10 is the memory base, r11/r12 loop bookkeeping.
+    r1..r9 start from full 32-bit values, so the signed operations
+    (``sra``, ``srai``, ``slt``, ``blt``, ``bge``) see set sign bits.
     Branches only skip forward and called functions are leaves placed
     after the final halt, so every program terminates."""
     rng = random.Random(seed)
     lines = ["start:", "    movi r10, 0x2000"]
     functions = []
     for r in range(1, 10):
-        lines.append(f"    movi r{r}, {rng.randrange(0, 1 << 16)}")
+        lines.append(f"    movi r{r}, {rng.randrange(0, 1 << 32)}")
     for i in range(rng.randint(8, 30)):
         kind = rng.random()
         if kind < 0.5:
@@ -91,16 +98,15 @@ def _random_program(seed: int) -> str:
     return "\n".join(lines + functions) + "\n"
 
 
-#: The fast tier keeps the bare ``[seed]`` ids of the original cases;
-#: the legacy tier's cases are ``[seed-legacy]``.
-_CASES = [pytest.param(seed, dispatch,
-                       id=str(seed) if dispatch == "fast"
-                       else f"{seed}-{dispatch}")
-          for dispatch in ("fast", "legacy") for seed in range(25)]
+#: The executor's cases keep the bare ``[seed]`` ids of the original
+#: cases; the oracle's are ``[seed-legacy]``.
+_CASES = [pytest.param(seed, tier,
+                       id=str(seed) if tier == "fast" else f"{seed}-{tier}")
+          for tier in EXECUTORS for seed in range(25)]
 
 
-@pytest.mark.parametrize("seed,dispatch", _CASES)
-def test_random_program_differential(seed, dispatch):
+@pytest.mark.parametrize("seed,tier", _CASES)
+def test_random_program_differential(seed, tier):
     src = _random_program(seed)
     program = assemble(src)
 
@@ -108,7 +114,7 @@ def test_random_program_differential(seed, dispatch):
     cpu_exit = cpu.run(max_steps=50_000)
     assert cpu_exit.reason == "halt"
 
-    executor = SymbolicExecutor(program, bridge=None, dispatch=dispatch)
+    executor = EXECUTORS[tier](program, bridge=None)
     state = executor.make_initial_state()
     while state.is_active and state.steps < 50_000:
         outcome = executor.step(state)
@@ -164,8 +170,8 @@ def _mmio_byte_program():
     return "\n".join(lines) + "\n"
 
 
-@pytest.mark.parametrize("dispatch", ["fast", "legacy"])
-def test_mmio_byte_ops_match_executor(dispatch):
+@pytest.mark.parametrize("tier", list(EXECUTORS))
+def test_mmio_byte_ops_match_executor(tier):
     """A byte store into MMIO rewrites only its lane (read-modify-write)
     and byte loads pick their lane, on the concrete core exactly as in
     the symbolic executor: same bus traffic, same registers."""
@@ -177,8 +183,7 @@ def test_mmio_byte_ops_match_executor(dispatch):
     cpu = Cpu(program, mmio_read=cpu_mmio.read, mmio_write=cpu_mmio.write)
     assert cpu.run(1_000).reason == "halt"
 
-    executor = SymbolicExecutor(program, MmioBridge(vm_mmio, Solver()),
-                                dispatch=dispatch)
+    executor = EXECUTORS[tier](program, MmioBridge(vm_mmio, Solver()))
     state = executor.make_initial_state()
     while state.is_active and state.steps < 1_000:
         assert not executor.step(state).forks

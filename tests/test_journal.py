@@ -5,6 +5,7 @@ SIGKILL'd mid-run and resumed via ``repro resume`` reaches a verdict
 byte-identical to the uninterrupted run, at any worker count, for both
 DSE and fuzzing."""
 
+import functools
 import os
 import pathlib
 import signal
@@ -436,43 +437,62 @@ class TestCrashResume:
         assert "verdict matches the sealed campaign verdict" \
             in replayed.stdout
 
+    #: Attributes that journals written by older versions pickle and the
+    #: current classes no longer have, per object below the engine: the
+    #: removed shared-memory transport on the SessionRecipe, and the
+    #: removed VM knobs on its SessionConfig.
+    STALE_ATTRIBUTES = {
+        "recipe": {"transport": "shm"},
+        "recipe.config": {"dispatch": "fast", "lane_width": 1,
+                          "lane_steps": 1, "irq_poll_interval": 1},
+    }
+
     def test_cli_resume_of_recipe_with_removed_transport(self, tmp_path):
-        """Journals written before the shared-memory transport was
-        removed pickle a SessionRecipe that still carries
-        ``transport="shm"``; ``repro resume`` must ignore the stale
-        attribute and reach the serial verdict."""
-        journal = tmp_path / "journal"
-        script = tmp_path / "old_campaign.py"
-        script.write_text(textwrap.dedent(f"""\
-            import sys
-            from repro.firmware import TIMER_BASE, dispatcher
-            from repro.parallel import ParallelAnalysisEngine
-            from repro.peripherals import catalog
-            engine = ParallelAnalysisEngine(
-                dispatcher(5, work_cycles=8), [(catalog.TIMER, TIMER_BASE)],
-                workers=2, searcher="bfs", journal=sys.argv[1],
-                checkpoint_every=1)
-            object.__setattr__(engine.recipe, "transport", "shm")
-            engine.run(max_instructions=100_000)
-            """))
-        with open(tmp_path / "crash.out", "w") as out, \
-                open(tmp_path / "crash.err", "w") as err:
-            crashed = subprocess.run(
-                [sys.executable, str(script), str(journal)],
-                env=_cli_env(REPRO_JOURNAL_KILL_AFTER="14"),
-                stdout=out, stderr=err, timeout=600)
-        assert crashed.returncode == -signal.SIGKILL, (
-            (tmp_path / "crash.err").read_text()[-2000:])
-        stale = Journal.open(journal, readonly=True)
-        setup = stale.get_blob(stale.first("campaign-opened")["blob"])
-        assert setup["recipe"].transport == "shm"
-        assert not stale.sealed
-        resumed = subprocess.run(
-            CLI + ["resume", str(journal)], env=_cli_env(),
-            capture_output=True, text=True, timeout=600)
-        assert resumed.returncode in (0, 1), resumed.stderr[-2000:]
-        sealed = Journal.open(journal, readonly=True)
-        assert sealed.last("campaign-sealed")["verdict"] == _Serial.engine()
+        """A journal whose pickled SessionRecipe or SessionConfig still
+        carries an attribute set of :attr:`STALE_ATTRIBUTES`: ``repro
+        resume`` must ignore the stale attributes and reach the serial
+        verdict."""
+        for owner, attributes in self.STALE_ATTRIBUTES.items():
+            case = tmp_path / owner
+            case.mkdir()
+            journal = case / "journal"
+            script = case / "old_campaign.py"
+            script.write_text(textwrap.dedent(f"""\
+                import sys
+                from repro.firmware import TIMER_BASE, dispatcher
+                from repro.parallel import ParallelAnalysisEngine
+                from repro.peripherals import catalog
+                engine = ParallelAnalysisEngine(
+                    dispatcher(5, work_cycles=8),
+                    [(catalog.TIMER, TIMER_BASE)],
+                    workers=2, searcher="bfs", journal=sys.argv[1],
+                    checkpoint_every=1)
+                for name, value in {attributes!r}.items():
+                    object.__setattr__(engine.{owner}, name, value)
+                engine.run(max_instructions=100_000)
+                """))
+            with open(case / "crash.out", "w") as out, \
+                    open(case / "crash.err", "w") as err:
+                crashed = subprocess.run(
+                    [sys.executable, str(script), str(journal)],
+                    env=_cli_env(REPRO_JOURNAL_KILL_AFTER="14"),
+                    stdout=out, stderr=err, timeout=600)
+            assert crashed.returncode == -signal.SIGKILL, (
+                (case / "crash.err").read_text()[-2000:])
+            stale = Journal.open(journal, readonly=True)
+            setup = stale.get_blob(stale.first("campaign-opened")["blob"])
+            pickled = functools.reduce(getattr, owner.split(".")[1:],
+                                       setup["recipe"])
+            assert {name: getattr(pickled, name) for name in attributes} \
+                == attributes
+            assert not stale.sealed
+            resumed = subprocess.run(
+                CLI + ["resume", str(journal)], env=_cli_env(),
+                capture_output=True, text=True, timeout=600)
+            assert resumed.returncode in (0, 1), resumed.stderr[-2000:]
+            sealed = Journal.open(journal, readonly=True)
+            assert sealed.last("campaign-sealed")["verdict"] \
+                == _Serial.engine(), owner
 
     def test_journal_chaos_cell(self, tmp_path):
         """One CI journal-chaos cell: the crash point and worker count

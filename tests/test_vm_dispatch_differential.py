@@ -1,15 +1,13 @@
-"""Differential equivalence gate for the VM dispatch tiers.
+"""Differential equivalence gate for the VM's predecoded dispatch.
 
-The predecoded/handler-table fast path and the batched lane scheduler
-are only allowed into the engine because this suite proves them
-semantics-preserving (mirroring ``tests/test_opt_differential.py`` for
-the netlist optimizer):
+The predecoded/handler-table executor is only allowed into the engine
+because this suite proves it semantics-preserving against the original
+stepper, :class:`tests.vm_oracle.LegacyExecutor` (mirroring
+``tests/test_opt_differential.py`` for the netlist optimizer):
 
 * full DSE sessions over the firmware corpus must produce byte-identical
   verdict summaries, coverage sets, bug lists, and final hardware state
-  under ``dispatch="fast"`` vs ``dispatch="legacy"``;
-* batched lanes (``lane_width``/``lane_steps`` > 1) must reproduce the
-  serial schedule's verdicts and coverage on exhausted runs;
+  on the executor and on the oracle;
 * the concrete ``Cpu`` predecoded fetch must agree with the byte-accurate
   slow fetch on randomized programs (registers, RAM, halt code);
 * a self-modifying store must demote the fast path, not desync it.
@@ -24,7 +22,8 @@ from repro.firmware import (AES_BASE, TIMER_BASE, UART_BASE, dispatcher,
 from repro.isa import Cpu, assemble
 from repro.peripherals import catalog
 from repro.vm import SymbolicExecutor
-from tests.test_executor_differential import _random_program
+from tests.test_executor_differential import EXECUTORS, _random_program
+from tests.vm_oracle import LegacyExecutor
 
 TIMER = [(catalog.TIMER, TIMER_BASE)]
 UART = [(catalog.UART, UART_BASE)]
@@ -39,9 +38,12 @@ CORPUS = [
 ]
 
 
-def _run_session(source, peripherals, **overrides):
-    session = HardSnapSession(source, peripherals, scan_mode="functional",
-                              **overrides)
+def _run_session(source, peripherals, legacy=False):
+    session = HardSnapSession(source, peripherals, scan_mode="functional")
+    if legacy:
+        # LegacyExecutor adds no state of its own, so retyping the
+        # session's executor keeps every reference to it.
+        session.executor.__class__ = LegacyExecutor
     report = session.run(max_instructions=500_000)
     return session, report
 
@@ -53,9 +55,8 @@ def _hardware_states(session):
 @pytest.mark.parametrize("name,source,peripherals", CORPUS,
                          ids=[c[0] for c in CORPUS])
 def test_fast_vs_legacy_full_session(name, source, peripherals):
-    fast_s, fast_r = _run_session(source, peripherals, dispatch="fast")
-    legacy_s, legacy_r = _run_session(source, peripherals,
-                                      dispatch="legacy")
+    fast_s, fast_r = _run_session(source, peripherals)
+    legacy_s, legacy_r = _run_session(source, peripherals, legacy=True)
     assert fast_r.stop_reason == "exhausted"
     assert fast_r.verdict_summary() == legacy_r.verdict_summary()
     assert fast_s.executor.coverage == legacy_s.executor.coverage
@@ -64,30 +65,6 @@ def test_fast_vs_legacy_full_session(name, source, peripherals):
     # Identical schedule + identical semantics ⇒ the hardware must end
     # in the same architectural state, byte for byte.
     assert _hardware_states(fast_s) == _hardware_states(legacy_s)
-
-
-@pytest.mark.parametrize("name,source,peripherals", CORPUS,
-                         ids=[c[0] for c in CORPUS])
-def test_batched_vs_serial_lanes(name, source, peripherals):
-    serial_s, serial_r = _run_session(source, peripherals)
-    batched_s, batched_r = _run_session(source, peripherals,
-                                        lane_width=4, lane_steps=16)
-    assert serial_r.stop_reason == "exhausted"
-    assert batched_r.stop_reason == "exhausted"
-    # Verdicts are schedule-independent for exhausted runs: every path
-    # runs to completion against its own snapshots whatever the
-    # interleaving.
-    assert serial_r.verdict_summary() == batched_r.verdict_summary()
-    assert serial_s.executor.coverage == batched_s.executor.coverage
-
-
-def test_lane_settings_do_not_change_fork_tree():
-    serial_s, serial_r = _run_session(fig1_two_paths(), TIMER)
-    wide_s, wide_r = _run_session(fig1_two_paths(), TIMER,
-                                  lane_width=8, lane_steps=64)
-    assert sorted(p.lineage for p in serial_r.paths) \
-        == sorted(p.lineage for p in wide_r.paths)
-    assert serial_r.forks == wide_r.forks
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -114,12 +91,12 @@ def test_cpu_predecoded_vs_slow_fetch(seed):
 
 @pytest.mark.parametrize("seed", range(8))
 def test_executor_fast_vs_legacy_concrete(seed):
-    """Dispatch tiers head-to-head on the symbolic executor itself,
-    over concrete randomized programs (no hardware attached)."""
+    """Executor and oracle head-to-head, over concrete randomized
+    programs (no hardware attached)."""
     source = _random_program(seed + 100)
     runs = {}
-    for mode in ("fast", "legacy"):
-        ex = SymbolicExecutor(assemble(source), bridge=None, dispatch=mode)
+    for mode, executor_class in EXECUTORS.items():
+        ex = executor_class(assemble(source), bridge=None)
         state = ex.make_initial_state()
         while state.is_active and state.steps < 50_000:
             ex.step(state)
