@@ -60,8 +60,9 @@ PROBE_EXECUTIONS = 576  # 9 batches
 #: Measurement floor: the serial fuzz baseline must take at least this
 #: long, or speedup ratios drown in scheduler/timer noise.
 MIN_SERIAL_S = 2.0
-#: Ceiling so a fast host cannot scale the run into minutes.
-MAX_EXECUTIONS = 19_968  # 312 batches
+#: Ceiling so a fast host cannot scale the run into minutes. At about
+#: 17 000 exec/s the floor needs about 40 000 executions.
+MAX_EXECUTIONS = 65_536  # 1 024 batches
 WORKER_COUNTS = [1, 2, 4]
 #: The parallel runtime must beat serial at 2 workers, when the host
 #: has the cores.

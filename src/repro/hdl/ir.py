@@ -24,7 +24,7 @@ state set — it is the paper's definition of the hardware state S_hw.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 
@@ -335,6 +335,22 @@ class Design:
                             written_mems[lv.memory.name] = lv.memory
         self.state_nets = sorted(written_nets.values(), key=lambda n: n.name)
         self.state_memories = sorted(written_mems.values(), key=lambda m: m.name)
+
+    def copy(self) -> "Design":
+        """A design sharing every net, memory and process with this one.
+
+        Only the containers are new, so a pass can add, drop or replace
+        entries without touching this design; it must still replace a
+        shared node rather than mutate it.
+        """
+        return replace(
+            self, nets=dict(self.nets), memories=dict(self.memories),
+            inputs=list(self.inputs), outputs=list(self.outputs),
+            comb_blocks=list(self.comb_blocks),
+            seq_blocks=list(self.seq_blocks),
+            init_blocks=list(self.init_blocks),
+            state_nets=list(self.state_nets),
+            state_memories=list(self.state_memories))
 
     @property
     def state_bit_count(self) -> int:

@@ -21,9 +21,8 @@ Verilog, simulated by either backend, or "synthesised" to the FPGA target.
 
 from __future__ import annotations
 
-import copy
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
@@ -182,7 +181,11 @@ def insert_scan_chain(design: ir.Design, clock: str = "clk",
                       include: Optional[Sequence[str]] = None,
                       on_excluded: str = "record",
                       preflight: bool = False) -> ScanChainResult:
-    """Return a scan-instrumented deep copy of *design*.
+    """Return a scan-instrumented copy of *design*.
+
+    The copy shares every net, memory and statement tree it leaves
+    untouched with *design* (see :meth:`~repro.hdl.ir.Design.copy`);
+    neither design is mutated.
 
     ``include`` optionally restricts instrumentation to a sub-component:
     only state elements whose name starts with one of the given prefixes
@@ -220,7 +223,7 @@ def insert_scan_chain(design: ir.Design, clock: str = "clk",
             raise InstrumentationError(
                 f"design already has a net named {name!r}, which collides "
                 f"with a scan-chain internal net")
-    new_design = copy.deepcopy(design)
+    new_design = design.copy()
     new_design.name = design.name + "_scan"
 
     def _selected(name: str) -> bool:
@@ -239,8 +242,9 @@ def insert_scan_chain(design: ir.Design, clock: str = "clk",
 
     # Gate every original sequential block.
     not_scan = ir.Unary("!", ir.Ref(scan_enable, width=1), width=1)
-    for block in new_design.seq_blocks:
-        block.stmts = [ir.SIf(not_scan, block.stmts, [])]
+    new_design.seq_blocks = [
+        replace(block, stmts=[ir.SIf(not_scan, block.stmts, [])])
+        for block in new_design.seq_blocks]
 
     # Build the chain in deterministic order, recording every element the
     # chain does not thread (and why) instead of silently skipping it.

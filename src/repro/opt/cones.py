@@ -10,7 +10,10 @@ and the intermediate net disappears from the compiled netlist.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+import copy
+from dataclasses import dataclass, replace
+from typing import (Any, Dict, Iterable, Iterator, List, Optional, Set,
+                    Tuple, Type)
 
 from repro.hdl import ir
 
@@ -60,160 +63,134 @@ def flatten_cone(blocks: Iterable[ir.CombBlock]) -> List[ir.Stmt]:
 # Single-use wire fusion
 # ---------------------------------------------------------------------------
 
-def _expr_size(expr: ir.Expr) -> int:
-    size = 0
-    stack = [expr]
+#: The fields of each IR node type that can hold a reference: child
+#: expressions, lvalues, statements, case items, or lists of them.
+_CHILD_FIELDS: Dict[Type[Any], Tuple[str, ...]] = {
+    ir.Unary: ("operand",), ir.Binary: ("left", "right"),
+    ir.Ternary: ("cond", "then", "other"), ir.Concat: ("parts",),
+    ir.Slice: ("value",), ir.DynBit: ("value", "index"),
+    ir.MemRead: ("index",), ir.LNetDyn: ("index",), ir.LMem: ("index",),
+    ir.LConcat: ("parts",), ir.SAssign: ("target", "value"),
+    ir.SIf: ("cond", "then", "other"),
+    ir.SCase: ("subject", "items", "default"), ir.SCaseItem: ("body",),
+}
+
+
+def _graft(node: Any, ref: ir.Ref, replacement: ir.Expr) -> Any:
+    """*node* with the expression node *ref* (by identity) replaced.
+
+    Only the nodes on the path down to *ref* are copied; every other
+    subtree is shared, and *node* itself comes back when *ref* is not
+    below it. Nothing is mutated.
+    """
+    if node is ref:
+        return replacement
+    if isinstance(node, list):
+        items = [_graft(item, ref, replacement) for item in node]
+        if any(new is not old for new, old in zip(items, node)):
+            return items
+        return node
+    grafted = node
+    for name in _CHILD_FIELDS.get(type(node), ()):
+        child = getattr(node, name)
+        new = _graft(child, ref, replacement)
+        if new is not child:
+            if grafted is node:
+                grafted = copy.copy(node)
+            setattr(grafted, name, new)
+    return grafted
+
+
+@dataclass(eq=False)
+class _Slot:
+    """One comb block's place in the design; ``block`` follows it as
+    grafts replace it, and is None once it was fused away."""
+
+    block: Optional[ir.CombBlock]
+
+
+@dataclass(eq=False)
+class _Site:
+    """One reference to a net: the Ref node and the comb block holding
+    it (None when a sequential or initial process holds it)."""
+
+    slot: Optional[_Slot]
+    ref: ir.Ref
+
+
+def _nodes(node: Any) -> Iterator[Any]:
+    """Every IR node under *node* — a statement list, statement, lvalue
+    or expression — with shared subtrees once per occurrence."""
+    stack = [node]
     while stack:
         node = stack.pop()
-        size += 1
-        if isinstance(node, ir.Unary):
-            stack.append(node.operand)
-        elif isinstance(node, ir.Binary):
-            stack.extend((node.left, node.right))
-        elif isinstance(node, ir.Ternary):
-            stack.extend((node.cond, node.then, node.other))
-        elif isinstance(node, ir.Concat):
-            stack.extend(node.parts)
-        elif isinstance(node, ir.Slice):
-            stack.append(node.value)
-        elif isinstance(node, ir.DynBit):
-            stack.extend((node.value, node.index))
-        elif isinstance(node, ir.MemRead):
-            stack.append(node.index)
-    return size
+        if isinstance(node, list):
+            stack.extend(node)
+            continue
+        yield node
+        stack.extend(getattr(node, name)
+                     for name in _CHILD_FIELDS.get(type(node), ()))
 
 
-def _find_single_ref(design: ir.Design,
-                     name: str) -> Optional[Tuple[ir.CombBlock, ir.Ref]]:
-    """The unique comb-block Ref site of *name*, or None if the net is
-    referenced zero times, more than once, or from a non-comb process."""
-    found: List[Tuple[Optional[ir.CombBlock], ir.Ref]] = []
-
-    def scan(expr: ir.Expr, block) -> None:
-        stack = [expr]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, ir.Ref):
-                if node.net.name == name:
-                    found.append((block, node))
-            elif isinstance(node, ir.Unary):
-                stack.append(node.operand)
-            elif isinstance(node, ir.Binary):
-                stack.extend((node.left, node.right))
-            elif isinstance(node, ir.Ternary):
-                stack.extend((node.cond, node.then, node.other))
-            elif isinstance(node, ir.Concat):
-                stack.extend(node.parts)
-            elif isinstance(node, ir.Slice):
-                stack.append(node.value)
-            elif isinstance(node, ir.DynBit):
-                stack.extend((node.value, node.index))
-            elif isinstance(node, ir.MemRead):
-                stack.append(node.index)
-
-    for block in design.comb_blocks:
-        for stmt in ir._walk_stmts(block.stmts):
-            for expr in _stmt_exprs(stmt):
-                scan(expr, block)
-    for seq in design.seq_blocks:
-        for stmt in ir._walk_stmts(seq.stmts):
-            for expr in _stmt_exprs(stmt):
-                scan(expr, None)
-    for init in design.init_blocks:
-        for stmt in ir._walk_stmts(init.stmts):
-            for expr in _stmt_exprs(stmt):
-                scan(expr, None)
-    if len(found) != 1 or found[0][0] is None:
-        return None
-    return found[0]  # type: ignore[return-value]
+def _refs(node: Any) -> Iterator[ir.Ref]:
+    return (sub for sub in _nodes(node) if isinstance(sub, ir.Ref))
 
 
-def _stmt_exprs(stmt: ir.Stmt):
-    if isinstance(stmt, ir.SAssign):
-        yield stmt.value
-        for lv in ir._leaf_lvalues(stmt.target):
-            if isinstance(lv, (ir.LNetDyn, ir.LMem)):
-                yield lv.index
-    elif isinstance(stmt, ir.SIf):
-        yield stmt.cond
-    elif isinstance(stmt, ir.SCase):
-        yield stmt.subject
-
-
-def _replace_ref(stmts: List[ir.Stmt], ref: ir.Ref,
-                 replacement: ir.Expr) -> None:
-    """Substitute the exact *ref* node (by identity) in place."""
-
-    def sub(expr: ir.Expr) -> ir.Expr:
-        if expr is ref:
-            return replacement
-        if isinstance(expr, ir.Unary):
-            expr.operand = sub(expr.operand)
-        elif isinstance(expr, ir.Binary):
-            expr.left = sub(expr.left)
-            expr.right = sub(expr.right)
-        elif isinstance(expr, ir.Ternary):
-            expr.cond = sub(expr.cond)
-            expr.then = sub(expr.then)
-            expr.other = sub(expr.other)
-        elif isinstance(expr, ir.Concat):
-            expr.parts = [sub(p) for p in expr.parts]
-        elif isinstance(expr, ir.Slice):
-            expr.value = sub(expr.value)
-        elif isinstance(expr, ir.DynBit):
-            expr.value = sub(expr.value)
-            expr.index = sub(expr.index)
-        elif isinstance(expr, ir.MemRead):
-            expr.index = sub(expr.index)
-        return expr
-
-    for stmt in ir._walk_stmts(stmts):
-        if isinstance(stmt, ir.SAssign):
-            stmt.value = sub(stmt.value)
-            for lv in ir._leaf_lvalues(stmt.target):
-                if isinstance(lv, ir.LNetDyn):
-                    lv.index = sub(lv.index)
-                elif isinstance(lv, ir.LMem):
-                    lv.index = sub(lv.index)
-        elif isinstance(stmt, ir.SIf):
-            stmt.cond = sub(stmt.cond)
-        elif isinstance(stmt, ir.SCase):
-            stmt.subject = sub(stmt.subject)
+def _index(design: ir.Design) -> Tuple[List[_Slot],
+                                        Dict[str, List[Optional[_Slot]]],
+                                        Dict[str, List[_Site]]]:
+    """One pass over *design*: a slot per comb block, the writers of
+    each net (None for a sequential or initial writer) and every
+    reference site of each net."""
+    slots = [_Slot(block) for block in design.comb_blocks]
+    writers: Dict[str, List[Optional[_Slot]]] = {}
+    processes: List[Tuple[Optional[_Slot], List[ir.Stmt]]] = []
+    for slot, block in zip(slots, design.comb_blocks):
+        for name in block.writes:
+            writers.setdefault(name, []).append(slot)
+        processes.append((slot, block.stmts))
+    for other in (*design.seq_blocks, *design.init_blocks):
+        for name in ir.stmt_reads_writes(other.stmts)[1]:
+            writers.setdefault(name, []).append(None)
+        processes.append((None, other.stmts))
+    sites: Dict[str, List[_Site]] = {}
+    for holder, stmts in processes:
+        for ref in _refs(stmts):
+            sites.setdefault(ref.net.name, []).append(_Site(holder, ref))
+    return slots, writers, sites
 
 
 def inline_single_use_wires(design: ir.Design,
                             protected: Set[str]) -> List[str]:
     """Fuse single-writer, single-reader wires into their consumers.
 
-    Mutates *design* in place and returns the names of fused wires.
-    Only wires whose sole driver is a one-statement full-width blocking
-    continuous assignment, and whose sole reference sits in another
-    combinational block, are considered.
+    Drops each fused net and its producer from *design*'s net map and
+    comb-block list, and returns the fused names. Blocks, statements and
+    expressions are never mutated: a consumer is replaced by a copy
+    rebuilt along the path to the grafted reference, so *design* may
+    share its processes with other designs. Only wires whose sole
+    driver is a one-statement full-width continuous assignment, and
+    whose sole reference sits in another combinational block, are
+    considered.
+
+    Each round indexes every writer and reference site once and keeps
+    the index current across grafts: the grafted expression's
+    references move from the producer to the consumer, and no count
+    changes, because the expression moved rather than vanished.
     """
     inlined: List[str] = []
     for _ in range(16):  # chains resolve over a few passes
         progress = False
-        writers: Dict[str, List] = {}
-        for block in design.comb_blocks:
-            for name in block.writes:
-                writers.setdefault(name, []).append(block)
-        for seq in design.seq_blocks:
-            _, w = ir.stmt_reads_writes(seq.stmts)
-            for name in w:
-                writers.setdefault(name, []).append(seq)
-        for init in design.init_blocks:
-            _, w = ir.stmt_reads_writes(init.stmts)
-            for name in w:
-                writers.setdefault(name, []).append(init)
-
+        slots, writers, sites = _index(design)
         for name, net in list(design.nets.items()):
             if name in protected:
                 continue
-            blocks = writers.get(name, [])
-            if len(blocks) != 1 or not isinstance(blocks[0], ir.CombBlock):
+            written_by = writers.get(name, [])
+            producer_slot = written_by[0] if len(written_by) == 1 else None
+            if producer_slot is None:
                 continue
-            producer = blocks[0]
-            if len(producer.stmts) != 1:
+            producer = producer_slot.block
+            if producer is None or len(producer.stmts) != 1:
                 continue
             stmt = producer.stmts[0]
             if not (isinstance(stmt, ir.SAssign)
@@ -221,34 +198,38 @@ def inline_single_use_wires(design: ir.Design,
                     and stmt.target.net.name == name
                     and stmt.target.hi is None):
                 continue
-            if _expr_size(stmt.value) > _INLINE_NODE_LIMIT:
+            if sum(1 for _ in _nodes(stmt.value)) > _INLINE_NODE_LIMIT:
                 continue
-            site = _find_single_ref(design, name)
-            if site is None:
+            read_at = sites.get(name, [])
+            if len(read_at) != 1:
                 continue
-            consumer, ref = site
-            if consumer is producer:
+            consumer_slot = read_at[0].slot
+            if consumer_slot is None or consumer_slot is producer_slot:
                 continue
+            consumer = consumer_slot.block
+            assert consumer is not None
             replacement = stmt.value
             if replacement.width != net.width:
                 # Reads see the stored (masked) value; a slice reproduces
                 # both the truncation and the zero extension.
                 replacement = ir.Slice(replacement, net.width - 1, 0,
                                        width=net.width)
-            _replace_ref(consumer.stmts, ref, replacement)
-            design.comb_blocks.remove(producer)
+            stmts: List[ir.Stmt] = _graft(consumer.stmts, read_at[0].ref,
+                                          replacement)
+            reads, writes = ir.stmt_reads_writes(stmts)
+            consumer_slot.block = replace(
+                consumer, stmts=stmts, reads=frozenset(reads),
+                writes=frozenset(writes))
+            producer_slot.block = None
+            for moved in _refs(stmt.value):
+                for site in sites[moved.net.name]:
+                    if site.ref is moved and site.slot is producer_slot:
+                        site.slot = consumer_slot
             del design.nets[name]
             inlined.append(name)
             progress = True
-            # The writer index stays valid: the producer wrote only this
-            # net, and its expression moved (not vanished) into the
-            # consumer, so other candidates' ref counts are unchanged.
+        design.comb_blocks = [slot.block for slot in slots
+                              if slot.block is not None]
         if not progress:
             break
-
-    if inlined:
-        for block in design.comb_blocks:
-            reads, writes = ir.stmt_reads_writes(block.stmts)
-            block.reads = frozenset(reads)
-            block.writes = frozenset(writes)
     return inlined

@@ -1,13 +1,11 @@
-"""Def-use indexing and forward constant propagation over a design.
+"""Forward constant propagation over a design.
 
-:class:`DefUse` is a one-pass structural index: which processes write
-each net, which read it, and how many :class:`~repro.hdl.ir.Ref` sites
-it has.  :func:`constant_map` runs the whole-design forward analysis on
+:func:`constant_map` runs the whole-design forward analysis on
 top of the bit lattice: inputs are unknown, every other net starts at
 its reset/initial value, and processes are abstractly executed to a
 fixpoint.  The result maps each net to the bits that hold the same
-value at *every* observable instant — exactly the bits the optimizer
-may fold and the lint rules may report as provably constant.
+value at *every* observable instant — exactly the bits the lint rules
+may report as provably constant.
 
 Soundness notes:
 
@@ -22,7 +20,6 @@ Soundness notes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
 from repro.hdl import ir
@@ -33,94 +30,6 @@ from repro.sim.scheduler import order_comb_blocks
 _WIDEN_AFTER = 12
 #: Hard bound on fixpoint sweeps (widening converges well before this).
 _MAX_SWEEPS = 48
-
-
-# ---------------------------------------------------------------------------
-# Def-use index
-# ---------------------------------------------------------------------------
-
-@dataclass
-class NetUses:
-    writers_comb: List[ir.CombBlock] = field(default_factory=list)
-    writers_seq: List[ir.SeqBlock] = field(default_factory=list)
-    writers_init: List[ir.InitBlock] = field(default_factory=list)
-    readers: List[object] = field(default_factory=list)  # blocks reading it
-    ref_sites: int = 0  # number of Ref/index expressions mentioning it
-
-
-class DefUse:
-    """Structural def-use summary of a design."""
-
-    def __init__(self, design: ir.Design):
-        self.design = design
-        self.nets: Dict[str, NetUses] = {name: NetUses()
-                                         for name in design.nets}
-        self.mem_readers: Dict[str, int] = {name: 0
-                                            for name in design.memories}
-        self.mem_writers: Dict[str, int] = {name: 0
-                                            for name in design.memories}
-        for block in design.comb_blocks:
-            self._scan_block(block, block.stmts, "comb")
-        for block in design.seq_blocks:
-            self._scan_block(block, block.stmts, "seq")
-        for block in design.init_blocks:
-            self._scan_block(block, block.stmts, "init")
-
-    def _scan_block(self, block, stmts, kind: str) -> None:
-        reads, writes = ir.stmt_reads_writes(stmts)
-        for name in writes:
-            if name in self.nets:
-                if kind == "comb":
-                    self.nets[name].writers_comb.append(block)
-                elif kind == "seq":
-                    self.nets[name].writers_seq.append(block)
-                else:
-                    self.nets[name].writers_init.append(block)
-            elif name in self.mem_writers:
-                self.mem_writers[name] += 1
-        for name in reads:
-            if name in self.nets:
-                self.nets[name].readers.append(block)
-            elif name in self.mem_readers:
-                self.mem_readers[name] += 1
-        for stmt in ir._walk_stmts(stmts):
-            for expr in _stmt_exprs(stmt):
-                self._count_refs(expr)
-
-    def _count_refs(self, expr: ir.Expr) -> None:
-        stack = [expr]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, ir.Ref):
-                self.nets[node.net.name].ref_sites += 1
-            elif isinstance(node, ir.MemRead):
-                self.mem_readers[node.memory.name] += 1
-                stack.append(node.index)
-            elif isinstance(node, ir.Unary):
-                stack.append(node.operand)
-            elif isinstance(node, ir.Binary):
-                stack.extend((node.left, node.right))
-            elif isinstance(node, ir.Ternary):
-                stack.extend((node.cond, node.then, node.other))
-            elif isinstance(node, ir.Concat):
-                stack.extend(node.parts)
-            elif isinstance(node, (ir.Slice, ir.DynBit)):
-                stack.append(node.value)
-                if isinstance(node, ir.DynBit):
-                    stack.append(node.index)
-
-
-def _stmt_exprs(stmt: ir.Stmt):
-    """Every expression appearing directly in *stmt* (not nested stmts)."""
-    if isinstance(stmt, ir.SAssign):
-        yield stmt.value
-        for lv in ir._leaf_lvalues(stmt.target):
-            if isinstance(lv, (ir.LNetDyn, ir.LMem)):
-                yield lv.index
-    elif isinstance(stmt, ir.SIf):
-        yield stmt.cond
-    elif isinstance(stmt, ir.SCase):
-        yield stmt.subject
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,10 @@
 A bit is *live* when changing it could change something observable.
 The observables depend on the caller:
 
-* for the optimizer, sinks are the design outputs **and** the whole
-  snapshot state set (state nets and state memories) — HardSnap
-  serializes S_hw byte-for-byte, so every state bit is observable even
-  if it never reaches a pin;
+* with ``include_state_sinks`` (the default), sinks are the design
+  outputs **and** the whole snapshot state set (state nets and state
+  memories) — HardSnap serializes S_hw byte-for-byte, so every state
+  bit is observable even if it never reaches a pin;
 * for the ``df-dead-state`` lint rule, sinks are the outputs alone —
   surviving dead state bits are exactly the flip-flops the scan chain
   carries for nothing.
@@ -14,7 +14,7 @@ The observables depend on the caller:
 The analysis is a demand fixpoint over bit masks: statements propagate
 the demanded bits of their targets into the bits of the expressions
 they read.  It over-approximates (no kill sets inside a block), which
-is the safe direction for dead-code elimination.
+is the safe direction for a dead-logic report.
 """
 
 from __future__ import annotations
@@ -33,27 +33,6 @@ class LiveSets:
 
     net_masks: Dict[str, int]
     live_memories: Set[str]
-
-    def is_live_stmt(self, stmt: ir.Stmt) -> bool:
-        """Does *stmt* (or anything nested in it) write a live bit?"""
-        for sub in ir._walk_stmts([stmt]):
-            if not isinstance(sub, ir.SAssign):
-                continue
-            for lv in ir._leaf_lvalues(sub.target):
-                if isinstance(lv, ir.LNet):
-                    mask = self.net_masks.get(lv.net.name, 0)
-                    if lv.hi is not None:
-                        sel = ((1 << (lv.hi - lv.lo + 1)) - 1) << lv.lo
-                        mask &= sel
-                    if mask:
-                        return True
-                elif isinstance(lv, ir.LNetDyn):
-                    if self.net_masks.get(lv.net.name, 0):
-                        return True
-                elif isinstance(lv, ir.LMem):
-                    if lv.memory.name in self.live_memories:
-                        return True
-        return False
 
 
 class _Demand:
@@ -213,8 +192,8 @@ def live_masks(design: ir.Design,
                extra_live: Iterable[str] = ()) -> LiveSets:
     """Compute per-net live bit masks and the set of live memories.
 
-    ``extra_live`` names additional fully-live sink nets (the optimizer
-    passes its protected set: clock aliases, async resets, …).
+    ``extra_live`` names additional fully-live sink nets (clock aliases,
+    async resets, …).
     """
     demand = _Demand(design)
     for net in design.outputs:

@@ -1,39 +1,26 @@
 """The semantics-preserving ``optimize(design) -> design`` pre-pass.
 
-Pipeline (on a deep copy; the input design is never mutated):
+Pipeline (on a copy that shares every untouched net, memory, process
+and expression with the input; the input design is never mutated):
 
-1. forward constant propagation (:func:`repro.opt.dataflow.constant_map`),
-2. a flow-sensitive folding walk per process — expressions provably
-   constant *at that program point* become literals, constant guards
-   select their branch statically, impossible case items are pruned,
-3. backward bit-liveness with snapshot sinks — statements writing no
-   live bit, then empty processes, unreferenced nets and unread
-   non-state memories are removed,
-4. single-use wire fusion (:func:`repro.opt.cones.inline_single_use_wires`).
+1. nets no process mentions (and nothing external observes) are dropped,
+2. single-use wire fusion (:func:`repro.opt.cones.inline_single_use_wires`).
 
 Invariants the passes must uphold (the differential gate enforces them):
 
 * ``state_nets`` / ``state_memories`` are carried over verbatim —
   snapshots of the optimized design are byte-compatible,
 * inputs, outputs, every sequential clock/async-reset net and the
-  clock-alias glue blocks survive untouched,
-* case items are only pruned when the statement has a default (or the
-  whole case resolves), so definite-assignment analysis — and with it
-  latch inference — is unchanged.
+  clock-alias glue blocks survive untouched.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
-from typing import Dict, List, Set
+from typing import List, Set
 
 from repro.hdl import ir
-from repro.opt.dataflow import (_AbstractExec, _join_dicts, _labels_match,
-                                constant_map)
 from repro.opt.cones import inline_single_use_wires
-from repro.opt.lattice import BitsVal, eval_expr
-from repro.opt.liveness import live_masks
 from repro.sim.scheduler import clock_domain
 
 
@@ -41,28 +28,16 @@ from repro.sim.scheduler import clock_domain
 class OptReport:
     """What the optimizer did — surfaced by ``repro run/fuzz``."""
 
-    consts_folded: int = 0
-    stmts_removed: int = 0
-    blocks_removed: int = 0
-    case_items_pruned: int = 0
-    nets_removed: int = 0
-    memories_removed: int = 0
     inlined_wires: List[str] = field(default_factory=list)
     removed_nets: List[str] = field(default_factory=list)
 
     @property
     def total(self) -> int:
-        return (self.consts_folded + self.stmts_removed + self.blocks_removed
-                + self.case_items_pruned + self.nets_removed
-                + self.memories_removed + len(self.inlined_wires))
+        return len(self.inlined_wires) + len(self.removed_nets)
 
     def summary(self) -> str:
-        return (f"folded {self.consts_folded} constants, "
-                f"removed {self.stmts_removed} statements / "
-                f"{self.blocks_removed} blocks / {self.nets_removed} nets / "
-                f"{self.memories_removed} memories, "
-                f"pruned {self.case_items_pruned} case items, "
-                f"fused {len(self.inlined_wires)} wires")
+        return (f"fused {len(self.inlined_wires)} wires, "
+                f"removed {len(self.removed_nets)} nets")
 
 
 @dataclass
@@ -70,210 +45,6 @@ class OptResult:
     design: ir.Design
     report: OptReport
 
-
-# ---------------------------------------------------------------------------
-# Folding walk
-# ---------------------------------------------------------------------------
-
-class _FoldExec(_AbstractExec):
-    """Abstract executor that rewrites statements while tracking the
-    flow-sensitive lattice state (so blocking-write intermediates fold
-    with their *current* value, not the net's global invariant)."""
-
-    def __init__(self, env: Dict[str, BitsVal], pinned: set,
-                 report: OptReport):
-        super().__init__(env, pinned)
-        self.report = report
-
-    def fold_stmts(self, stmts: List[ir.Stmt],
-                   updates: Dict[str, BitsVal]) -> List[ir.Stmt]:
-        out: List[ir.Stmt] = []
-        for stmt in stmts:
-            if isinstance(stmt, ir.SAssign):
-                stmt.value = self._fold_expr(stmt.value)
-                for lv in ir._leaf_lvalues(stmt.target):
-                    if isinstance(lv, (ir.LNetDyn, ir.LMem)):
-                        lv.index = self._fold_expr(lv.index)
-                value = eval_expr(stmt.value, self.lookup)
-                self._write(stmt.target, value, updates,
-                            blocking=stmt.blocking)
-                out.append(stmt)
-            elif isinstance(stmt, ir.SIf):
-                stmt.cond = self._fold_expr(stmt.cond)
-                cond = eval_expr(stmt.cond, self.lookup)
-                if cond.known_nonzero:
-                    self.report.stmts_removed += _count_stmts(stmt.other) + 1
-                    out.extend(self.fold_stmts(stmt.then, updates))
-                elif cond.known_zero:
-                    self.report.stmts_removed += _count_stmts(stmt.then) + 1
-                    out.extend(self.fold_stmts(stmt.other, updates))
-                else:
-                    self._fold_branches(stmt, updates)
-                    out.append(stmt)
-            elif isinstance(stmt, ir.SCase):
-                out.extend(self._fold_case(stmt, updates))
-            else:
-                out.append(stmt)
-        return out
-
-    def _fold_branches(self, stmt: ir.SIf,
-                       updates: Dict[str, BitsVal]) -> None:
-        base_overlay = dict(self.overlay)
-        base_updates = dict(updates)
-        stmt.then = self.fold_stmts(stmt.then, updates)
-        then_state = (self.overlay, dict(updates))
-        self.overlay = dict(base_overlay)
-        updates.clear()
-        updates.update(base_updates)
-        stmt.other = self.fold_stmts(stmt.other, updates)
-        self._merge_two(base_overlay, base_updates, then_state, updates)
-
-    def _merge_two(self, base_overlay, base_updates, then_state,
-                   updates: Dict[str, BitsVal]) -> None:
-        fallback = self.env.__getitem__
-        self.overlay = _join_dicts([then_state[0], self.overlay],
-                                   base_overlay, fallback)
-        merged = _join_dicts([then_state[1], dict(updates)],
-                             base_updates, fallback)
-        updates.clear()
-        updates.update(merged)
-
-    def _fold_case(self, stmt: ir.SCase,
-                   updates: Dict[str, BitsVal]) -> List[ir.Stmt]:
-        stmt.subject = self._fold_expr(stmt.subject)
-        subject = eval_expr(stmt.subject, self.lookup)
-        can_prune = bool(stmt.default)
-        kept: List[ir.SCaseItem] = []
-        for pos, item in enumerate(stmt.items):
-            definite, possible = _labels_match(subject, item.labels)
-            if definite and not kept:
-                # First reachable item always wins: the case collapses.
-                self.report.case_items_pruned += len(stmt.items) - 1
-                self.report.stmts_removed += _count_stmts(stmt.default) + 1
-                return self.fold_stmts(item.body, updates)
-            if not possible and can_prune:
-                self.report.case_items_pruned += 1
-                self.report.stmts_removed += _count_stmts(item.body)
-                continue
-            kept.append(item)
-            if definite and can_prune:
-                # Later items and the default are unreachable.
-                tail = stmt.items[pos + 1:]
-                self.report.case_items_pruned += len(tail)
-                for dropped in tail:
-                    self.report.stmts_removed += _count_stmts(dropped.body)
-                self.report.stmts_removed += _count_stmts(stmt.default)
-                stmt.default = []
-                break
-        stmt.items = kept
-
-        # Abstract execution over the surviving alternatives.
-        bodies = [item.body for item in kept]
-        bodies.append(stmt.default)
-        base_overlay = dict(self.overlay)
-        base_updates = dict(updates)
-        states = []
-        for i, body in enumerate(bodies):
-            self.overlay = dict(base_overlay)
-            branch_updates = dict(base_updates)
-            new_body = self.fold_stmts(body, branch_updates)
-            if i < len(kept):
-                kept[i].body = new_body
-            else:
-                stmt.default = new_body
-            states.append((self.overlay, branch_updates))
-        fallback = self.env.__getitem__
-        self.overlay = _join_dicts([s[0] for s in states],
-                                   base_overlay, fallback)
-        merged = _join_dicts([s[1] for s in states],
-                             base_updates, fallback)
-        updates.clear()
-        updates.update(merged)
-        return [stmt]
-
-    # -- expressions -------------------------------------------------------
-
-    def _fold_expr(self, expr: ir.Expr) -> ir.Expr:
-        if isinstance(expr, ir.Const):
-            return expr
-        expr = self._fold_children(expr)
-        bits = eval_expr(expr, self.lookup)
-        if bits.is_const:
-            self.report.consts_folded += 1
-            return ir.const(bits.value, expr.width)
-        simplified = self._identity(expr)
-        if simplified is not expr:
-            self.report.consts_folded += 1
-        return simplified
-
-    def _fold_children(self, expr: ir.Expr) -> ir.Expr:
-        if isinstance(expr, ir.Unary):
-            expr.operand = self._fold_expr(expr.operand)
-        elif isinstance(expr, ir.Binary):
-            expr.left = self._fold_expr(expr.left)
-            expr.right = self._fold_expr(expr.right)
-        elif isinstance(expr, ir.Ternary):
-            expr.cond = self._fold_expr(expr.cond)
-            expr.then = self._fold_expr(expr.then)
-            expr.other = self._fold_expr(expr.other)
-        elif isinstance(expr, ir.Concat):
-            expr.parts = [self._fold_expr(p) for p in expr.parts]
-        elif isinstance(expr, ir.Slice):
-            expr.value = self._fold_expr(expr.value)
-        elif isinstance(expr, ir.DynBit):
-            expr.value = self._fold_expr(expr.value)
-            expr.index = self._fold_expr(expr.index)
-        elif isinstance(expr, ir.MemRead):
-            expr.index = self._fold_expr(expr.index)
-        return expr
-
-    def _identity(self, expr: ir.Expr) -> ir.Expr:
-        """Width-preserving algebraic identities on folded children."""
-        if isinstance(expr, ir.Ternary):
-            cond = eval_expr(expr.cond, self.lookup)
-            if cond.known_nonzero and expr.then.width == expr.width:
-                return expr.then
-            if cond.known_zero and expr.other.width == expr.width:
-                return expr.other
-            return expr
-        if not isinstance(expr, ir.Binary):
-            return expr
-        op, left, right = expr.op, expr.left, expr.right
-        full = (1 << expr.width) - 1
-
-        def is_const(e: ir.Expr, value: int) -> bool:
-            return isinstance(e, ir.Const) and e.value == value
-
-        if op in ("|", "^", "+"):
-            if is_const(right, 0) and left.width == expr.width:
-                return left
-            if is_const(left, 0) and right.width == expr.width:
-                return right
-        elif op == "-" and is_const(right, 0) and left.width == expr.width:
-            return left
-        elif op == "&":
-            if is_const(right, full) and left.width == expr.width:
-                return left
-            if is_const(left, full) and right.width == expr.width:
-                return right
-        elif op == "*":
-            if is_const(right, 1) and left.width == expr.width:
-                return left
-            if is_const(left, 1) and right.width == expr.width:
-                return right
-        elif op in ("<<", ">>", ">>>"):
-            if is_const(right, 0) and left.width == expr.width:
-                return left
-        return expr
-
-
-def _count_stmts(stmts: List[ir.Stmt]) -> int:
-    return sum(1 for _ in ir._walk_stmts(stmts))
-
-
-# ---------------------------------------------------------------------------
-# Driver
-# ---------------------------------------------------------------------------
 
 def _protected_nets(design: ir.Design, clock: str) -> Set[str]:
     names: Set[str] = set()
@@ -291,35 +62,15 @@ def _protected_nets(design: ir.Design, clock: str) -> Set[str]:
     return names
 
 
-def _glue_blocks(design: ir.Design, protected: Set[str]) -> Set[int]:
-    """Clock-alias identity assignments that scheduling relies on."""
-    glue: Set[int] = set()
-    for block in design.comb_blocks:
-        if (len(block.stmts) == 1
-                and isinstance(block.stmts[0], ir.SAssign)
-                and isinstance(block.stmts[0].target, ir.LNet)
-                and block.stmts[0].target.hi is None
-                and isinstance(block.stmts[0].value, ir.Ref)
-                and block.stmts[0].target.net.name in protected):
-            glue.add(id(block))
-    return glue
-
-
 def _mentioned_names(design: ir.Design) -> Set[str]:
     names: Set[str] = set()
-    for block in design.comb_blocks:
-        reads, writes = ir.stmt_reads_writes(block.stmts)
-        names.update(reads)
-        names.update(writes)
     for block in design.seq_blocks:
-        reads, writes = ir.stmt_reads_writes(block.stmts)
-        names.update(reads)
-        names.update(writes)
         names.add(block.clock.name)
         if block.areset is not None:
             names.add(block.areset.name)
-    for block in design.init_blocks:
-        reads, writes = ir.stmt_reads_writes(block.stmts)
+    for process in (*design.comb_blocks, *design.seq_blocks,
+                    *design.init_blocks):
+        reads, writes = ir.stmt_reads_writes(process.stmts)
         names.update(reads)
         names.update(writes)
     return names
@@ -328,99 +79,13 @@ def _mentioned_names(design: ir.Design) -> Set[str]:
 def run_opt(design: ir.Design, clock: str = "clk") -> OptResult:
     """Optimize a copy of *design*; the original is left untouched."""
     report = OptReport()
-    design = copy.deepcopy(design)
+    design = design.copy()
     protected = _protected_nets(design, clock)
-    glue = _glue_blocks(design, protected)
-
-    # 1+2 — constant propagation, then the flow-sensitive folding walk.
-    env = constant_map(design)
-    pinned = {net.name for net in design.inputs}
-    for block in design.init_blocks:
-        ex = _FoldExec(env, pinned, report)
-        block.stmts = ex.fold_stmts(block.stmts, {})
-    for block in design.comb_blocks:
-        if id(block) in glue:
-            continue
-        ex = _FoldExec(env, pinned, report)
-        block.stmts = ex.fold_stmts(block.stmts, {})
-        reads, writes = ir.stmt_reads_writes(block.stmts)
-        block.reads = frozenset(reads)
-        block.writes = frozenset(writes)
-    for block in design.seq_blocks:
-        ex = _FoldExec(env, pinned, report)
-        block.stmts = ex.fold_stmts(block.stmts, {})
-
-    # 3 — liveness with snapshot sinks; drop dead statements/processes.
-    live = live_masks(design, include_state_sinks=True,
-                      extra_live=protected)
-
-    def filter_stmts(stmts: List[ir.Stmt]) -> List[ir.Stmt]:
-        out: List[ir.Stmt] = []
-        for stmt in stmts:
-            if isinstance(stmt, ir.SIf):
-                stmt.then = filter_stmts(stmt.then)
-                stmt.other = filter_stmts(stmt.other)
-                if stmt.then or stmt.other:
-                    out.append(stmt)
-                else:
-                    report.stmts_removed += 1
-            elif isinstance(stmt, ir.SCase):
-                for item in stmt.items:
-                    item.body = filter_stmts(item.body)
-                stmt.default = filter_stmts(stmt.default)
-                if any(item.body for item in stmt.items) or stmt.default:
-                    out.append(stmt)
-                else:
-                    report.stmts_removed += 1
-            elif live.is_live_stmt(stmt):
-                out.append(stmt)
-            else:
-                report.stmts_removed += 1
-        return out
-
-    for block in design.comb_blocks:
-        if id(block) in glue:
-            continue
-        block.stmts = filter_stmts(block.stmts)
-    for block in design.seq_blocks:
-        block.stmts = filter_stmts(block.stmts)
-    for block in design.init_blocks:
-        block.stmts = filter_stmts(block.stmts)
-
-    removed_comb = [b for b in design.comb_blocks
-                    if not b.stmts and id(b) not in glue]
-    design.comb_blocks = [b for b in design.comb_blocks
-                          if b.stmts or id(b) in glue]
-    removed_seq = [b for b in design.seq_blocks if not b.stmts]
-    design.seq_blocks = [b for b in design.seq_blocks if b.stmts]
-    design.init_blocks = [b for b in design.init_blocks if b.stmts]
-    report.blocks_removed += len(removed_comb) + len(removed_seq)
-
-    for block in design.comb_blocks:
-        reads, writes = ir.stmt_reads_writes(block.stmts)
-        block.reads = frozenset(reads)
-        block.writes = frozenset(writes)
-
-    # Nets no process mentions any more (and nothing external observes).
     mentioned = _mentioned_names(design) | protected
     for name in sorted(set(design.nets) - mentioned):
         del design.nets[name]
-        report.nets_removed += 1
         report.removed_nets.append(name)
-    state_mem_names = {m.name for m in design.state_memories}
-    for name in sorted(set(design.memories)
-                       - mentioned - state_mem_names):
-        del design.memories[name]
-        report.memories_removed += 1
-
-    # 4 — fuse single-use wires into their consumers.
     report.inlined_wires = inline_single_use_wires(design, protected)
-    mentioned = _mentioned_names(design) | protected
-    for name in sorted(set(design.nets) - mentioned):
-        del design.nets[name]
-        report.nets_removed += 1
-        report.removed_nets.append(name)
-
     return OptResult(design, report)
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.hdl import ir
@@ -38,6 +38,10 @@ from repro.sim.scheduler import clock_domain, order_comb_blocks
 # every strategy in run_all_strategies, every parallel worker booting the
 # same target. The cache below keys compiled artifacts on a content hash of
 # the IR, so only the first construction pays for run_opt/codegen/compile.
+# Targets go one step further back: the hosted-design memo keeps each
+# peripheral's elaborated and instrumented design, with its fingerprint,
+# so hosting the same peripheral again parses, elaborates, instruments
+# and fingerprints nothing.
 
 #: Fields that never affect generated code — source bookkeeping only.
 _FP_SKIP_FIELDS = frozenset({"line", "source_file"})
@@ -124,14 +128,60 @@ _ARTIFACT_CACHE_LIMIT = 64
 _CACHE_STATS = {"hits": 0, "misses": 0}
 
 
+@dataclasses.dataclass(frozen=True)
+class _HostedDesign:
+    """One memoised hosted design: what the target compiles, whatever
+    the target keeps beside it, and the compiled design's fingerprint."""
+
+    design: ir.Design
+    extra: Any
+    fingerprint: str
+
+
+_HOSTED_CACHE: Dict[Hashable, _HostedDesign] = {}
+
+
+def hosted_design(key: Hashable,
+                  build: Callable[[], Tuple[ir.Design, Any]]
+                  ) -> Tuple[ir.Design, Any]:
+    """``build()`` memoised per *key*, next to the compiled artifacts.
+
+    *key* must name everything *build* depends on (a target passes the
+    spec name, its Verilog source and its scan scoping). The returned
+    design and extra are shared by every caller with the same key, so
+    no one may mutate them; a :class:`CompiledSimulation` built over the
+    design reuses its stored fingerprint.
+    """
+    entry = _HOSTED_CACHE.get(key)
+    if entry is None:
+        design, extra = build()
+        entry = _HostedDesign(design, extra, design_fingerprint(design))
+        if len(_HOSTED_CACHE) >= _ARTIFACT_CACHE_LIMIT:
+            _HOSTED_CACHE.pop(next(iter(_HOSTED_CACHE)))
+        _HOSTED_CACHE[key] = entry
+    return entry.design, entry.extra
+
+
+def _fingerprint(design: ir.Design) -> str:
+    """The fingerprint the hosted-design memo stored for *design*, else
+    a fresh one. The memo holds its designs, so identity is safe."""
+    for entry in _HOSTED_CACHE.values():
+        if entry.design is design:
+            return entry.fingerprint
+    return design_fingerprint(design)
+
+
 def compile_cache_stats() -> Dict[str, int]:
-    """Hit/miss counters plus current entry count (diagnostics/tests)."""
-    return {**_CACHE_STATS, "entries": len(_ARTIFACT_CACHE)}
+    """Hit/miss counters plus current entry counts (diagnostics/tests):
+    ``entries`` compiled artifacts, ``designs`` memoised hosted designs."""
+    return {**_CACHE_STATS, "entries": len(_ARTIFACT_CACHE),
+            "designs": len(_HOSTED_CACHE)}
 
 
 def clear_compile_cache() -> None:
-    """Drop all cached artifacts and reset the counters."""
+    """Drop all cached artifacts and hosted designs; reset the counters."""
     _ARTIFACT_CACHE.clear()
+    _HOSTED_CACHE.clear()
     _CACHE_STATS["hits"] = 0
     _CACHE_STATS["misses"] = 0
 
@@ -140,9 +190,9 @@ class CompiledSimulation(BaseSimulation):
     """Cycle-based simulation through generated Python code.
 
     With ``opt=True`` the design first runs through the
-    :mod:`repro.opt` netlist optimizer (constant folding, dead-logic
-    elimination, single-use wire fusion — all state elements and ports
-    preserved) and the code generator switches to its fast scheme:
+    :mod:`repro.opt` netlist optimizer (single-use wire fusion — all
+    state elements and ports preserved) and the code generator switches
+    to its fast scheme:
     combinational and flip-flop values live in function locals instead
     of dict slots for the duration of ``settle``/``edge``, and whole
     multi-cycle runs execute inside one generated ``run`` loop. The
@@ -154,7 +204,7 @@ class CompiledSimulation(BaseSimulation):
     def __init__(self, design: ir.Design, clock: str = "clk",
                  opt: bool = False):
         self.opt = opt
-        key = (design_fingerprint(design), clock, opt)
+        key = (_fingerprint(design), clock, opt)
         artifact = _ARTIFACT_CACHE.get(key)
         if artifact is None:
             _CACHE_STATS["misses"] += 1

@@ -19,15 +19,7 @@ from repro.sim.scheduler import clock_domain, order_comb_blocks
 class Interpreter(BaseSimulation):
     """Cycle-based tree-walking simulation of an elaborated design."""
 
-    def __init__(self, design: ir.Design, clock: str = "clk",
-                 opt: bool = False):
-        self.opt = opt
-        self.opt_report = None
-        if opt:
-            from repro.opt import run_opt
-            result = run_opt(design, clock)
-            design = result.design
-            self.opt_report = result.report
+    def __init__(self, design: ir.Design, clock: str = "clk"):
         self._ordered_comb = order_comb_blocks(design)
         domain = clock_domain(design, clock)
         in_domain = [b for b in design.seq_blocks if b.clock.name in domain]

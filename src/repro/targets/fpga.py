@@ -6,9 +6,10 @@ FPGA's honest limitations and HardSnap's two remedies:
 * **visibility = pins**: only port nets can be peeked; internal state is
   reachable exclusively through the scan chain or the readback feature,
 * **scan-chain snapshots**: every hosted design is instrumented by
-  :func:`~repro.instrument.scan_chain.insert_scan_chain` at add time; the
-  on-board :class:`~repro.targets.snapshot_ip.SnapshotIp` drives the
-  chain and caches snapshot streams in SRAM (paper §III-C),
+  :func:`~repro.instrument.scan_chain.insert_scan_chain` once per
+  peripheral source (see :func:`~repro.sim.compiler.hosted_design`);
+  the on-board :class:`~repro.targets.snapshot_ip.SnapshotIp` drives
+  the chain and caches snapshot streams in SRAM (paper §III-C),
 * **readback**: capture-only vendor path, priced by
   :class:`~repro.instrument.readback.ReadbackModel` (§V compares it
   against the scan chain).
@@ -44,16 +45,17 @@ from repro.hdl.ir import Design
 from repro.instrument.readback import ReadbackModel
 from repro.instrument.scan_chain import ScanChainResult, insert_scan_chain
 from repro.peripherals.catalog import PeripheralSpec
-from repro.sim.compiler import CompiledSimulation
+from repro.sim.compiler import CompiledSimulation, hosted_design
 from repro.targets.base import HardwareTarget, HwSnapshot, PeripheralInstance
 from repro.targets.snapshot_ip import SnapshotIp
 
 DEFAULT_FPGA_CLOCK_HZ = 100e6
 
 #: Whether newly built FPGA targets run hosted designs through the
-#: :mod:`repro.opt` netlist optimizer before compiling — the synthesis
-#: step of the flow.  Scan state, ports and observable behaviour are
-#: preserved (enforced by the differential gate in
+#: :mod:`repro.opt` netlist optimizer (single-use wire fusion) and the
+#: fast code generator before compiling — the synthesis step of the
+#: flow.  Scan state, ports and observable behaviour are preserved
+#: (enforced by the differential gate in
 #: ``tests/test_opt_differential.py``), so this is on by default.
 DEFAULT_OPT = True
 
@@ -103,9 +105,20 @@ class FpgaTarget(HardwareTarget):
     # -- construction -------------------------------------------------------
 
     def _prepare_design(self, spec: PeripheralSpec) -> Tuple[Design, dict]:
-        design = spec.elaborate()
-        scan = insert_scan_chain(design, include=self.scan_include)
-        return scan.design, {"scan": scan, "original": design}
+        # Scan insertion is a one-time RTL-to-RTL pass per peripheral:
+        # every target hosting the same source and scoping shares the
+        # elaborated design, its chain and the instrumented design.
+        include = (None if self.scan_include is None
+                   else tuple(self.scan_include))
+
+        def build() -> Tuple[Design, Tuple[Design, ScanChainResult]]:
+            design = spec.elaborate()
+            scan = insert_scan_chain(design, include=include)
+            return scan.design, (design, scan)
+
+        design, (original, scan) = hosted_design(
+            (spec.name, spec.verilog(), include), build)
+        return design, {"scan": scan, "original": original}
 
     def _make_sim(self, design: Design) -> CompiledSimulation:
         return CompiledSimulation(design, opt=self.opt)

@@ -16,6 +16,7 @@ from repro.lint.analysis import _labels_cover
 from repro.opt import (BitsVal, comb_cone, constant_map, eval_expr,
                        flatten_cone, inline_single_use_wires, join,
                        live_masks, of_const, optimize, run_opt, top)
+from repro.sim.compiler import design_fingerprint
 
 
 def _lookup(env):
@@ -250,8 +251,10 @@ class TestTransform:
     def test_optimize_does_not_mutate_input(self):
         design = elaborate(SIMPLE, "m")
         nets_before = set(design.nets)
+        fingerprint = design_fingerprint(design)
         optimize(design)
         assert set(design.nets) == nets_before
+        assert design_fingerprint(design) == fingerprint
 
     def test_report_summary_mentions_folds(self):
         report = run_opt(elaborate(SIMPLE, "m")).report
