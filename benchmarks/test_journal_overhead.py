@@ -1,9 +1,10 @@
 """E13 — journaling overhead: the event-sourced campaign log must be
 nearly free.
 
-Mirrors the E9 2-worker fuzzing cell (same firmware, seeds, batch size;
-workload scaled until the serial baseline clears the measurement floor)
-and runs it twice through :class:`~repro.parallel.ParallelFuzzer`:
+Mirrors the E9 2-worker fuzzing cell (same firmware, seeds, batch size,
+and E9's own sizing, :func:`benchmarks.conftest.grown_serial_fuzz`: the
+serial baseline is grown until it clears the measurement floor) and
+runs it twice through :class:`~repro.parallel.ParallelFuzzer`:
 journal off, then journal on (``journal=<dir>``, default checkpoint
 cadence).  The journal-on run event-sources the whole campaign — setup
 blob, per-shard result blobs, crash events, periodic checkpoints —
@@ -24,28 +25,14 @@ Emits ``benchmarks/out/BENCH_journal.json``; CI reads the gate back.
 """
 
 import os
-import pathlib
-import tempfile
 import time
 
-from benchmarks.conftest import emit, emit_json
-from repro.core import SnapshotFuzzer
-from repro.firmware import TIMER_BASE, fuzz_packet_parser
-from repro.isa import assemble
+from benchmarks.conftest import (FUZZ_BATCH, FUZZ_SEEDS, MIN_SERIAL_S, TIMER,
+                                 emit, emit_json, grown_serial_fuzz)
+from repro.firmware import fuzz_packet_parser
 from repro.parallel import ParallelFuzzer
-from repro.peripherals import catalog
-from repro.targets import FpgaTarget
 
-TIMER = [(catalog.TIMER, TIMER_BASE)]
-SEEDS = [bytes([1, 4, 0x41, 0x42, 0x43, 0x44]), bytes([2, 31])]
-BATCH = 64
 WORKERS = 2
-#: Workload for the scaling probe; the real run is scaled from it.
-PROBE_EXECUTIONS = 576  # 9 batches
-#: Measurement floor (serial baseline), as in E9: overhead ratios on a
-#: sub-second run drown in scheduler/timer noise.
-MIN_SERIAL_S = 2.0
-MAX_EXECUTIONS = 19_968  # 312 batches
 #: The gate: journaling-on wall overhead on the E9 2-worker cell.
 MAX_OVERHEAD_PCT = 5.0
 ROUNDS = 3  # best-of-N per cell, interleaved
@@ -57,28 +44,9 @@ def _effective_cores() -> int:
     return os.cpu_count() or 1
 
 
-def _serial_probe(executions):
-    target = FpgaTarget(scan_mode="functional")
-    target.add_peripheral(catalog.TIMER, TIMER_BASE)
-    fuzzer = SnapshotFuzzer(assemble(fuzz_packet_parser()), target,
-                            seeds=SEEDS, seed=3)
-    start = time.perf_counter()
-    fuzzer.run(executions=executions, batch_size=BATCH)
-    return time.perf_counter() - start
-
-
-def _scaled_executions(probe_s: float) -> int:
-    if probe_s >= MIN_SERIAL_S:
-        return PROBE_EXECUTIONS
-    per_exec = probe_s / PROBE_EXECUTIONS
-    need = (MIN_SERIAL_S * 1.15) / per_exec  # 15% headroom over floor
-    batches = -(-int(need) // BATCH) + 1
-    return min(batches * BATCH, MAX_EXECUTIONS)
-
-
 def _cell(executions, journal_dir=None):
-    with ParallelFuzzer(fuzz_packet_parser(), TIMER, seeds=SEEDS,
-                        workers=WORKERS, batch_size=BATCH, seed=3,
+    with ParallelFuzzer(fuzz_packet_parser(), TIMER, seeds=FUZZ_SEEDS,
+                        workers=WORKERS, batch_size=FUZZ_BATCH, seed=3,
                         journal=journal_dir) as fuzzer:
         fuzzer.warm()  # target elaboration out of the timed region
         start = time.perf_counter()
@@ -88,8 +56,7 @@ def _cell(executions, journal_dir=None):
 
 
 def test_journal_overhead(tmp_path):
-    probe_s = _serial_probe(PROBE_EXECUTIONS)
-    executions = _scaled_executions(probe_s)
+    executions, _, serial_s, serial_runs = grown_serial_fuzz()
 
     off_best = on_best = None
     journal_stats = None
@@ -127,7 +94,7 @@ def test_journal_overhead(tmp_path):
 
     emit("journal_overhead", "\n".join([
         f"E13: journaling overhead, {executions} executions "
-        f"(batch {BATCH}, {WORKERS} workers, best of {ROUNDS})",
+        f"(batch {FUZZ_BATCH}, {WORKERS} workers, best of {ROUNDS})",
         f"  journal off : {off_s:.3f} s",
         f"  journal on  : {on_s:.3f} s",
         f"  overhead    : {overhead_pct:+.1f}% "
@@ -141,8 +108,11 @@ def test_journal_overhead(tmp_path):
     emit_json("BENCH_journal.json", {
         "experiment": "journal_overhead",
         "executions": executions,
-        "probe_host_s": probe_s,
-        "batch_size": BATCH,
+        "probe_host_s": serial_runs[0][1],
+        "serial_runs": serial_runs,
+        "serial_host_s": serial_s,
+        "min_serial_s": MIN_SERIAL_S,
+        "batch_size": FUZZ_BATCH,
         "workers": WORKERS,
         "rounds": ROUNDS,
         "journal_off_s": off_s,

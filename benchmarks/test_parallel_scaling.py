@@ -40,29 +40,14 @@ Emits ``benchmarks/out/BENCH_parallel.json`` with the scaling table.
 import os
 import time
 
-from benchmarks.conftest import emit, emit_json
+from benchmarks.conftest import (FUZZ_BATCH, FUZZ_SEEDS, MIN_SERIAL_S,
+                                 PROBE_EXECUTIONS, TIMER, emit, emit_json,
+                                 grown_serial_fuzz)
 from repro.analysis import format_table
-from repro.core import HardSnapSession, SnapshotFuzzer
-from repro.firmware import TIMER_BASE, dispatcher, fuzz_packet_parser
-from repro.isa import assemble
+from repro.core import HardSnapSession
+from repro.firmware import dispatcher, fuzz_packet_parser
 from repro.parallel import ParallelAnalysisEngine, ParallelFuzzer
-from repro.peripherals import catalog
-from repro.targets import FpgaTarget
 
-TIMER = [(catalog.TIMER, TIMER_BASE)]
-# The cmd-2 seed programs a long timer wait: each execution steps the
-# RTL simulation for dozens of cycles, so per-input hardware work (the
-# thing workers parallelise) dominates the result-merge traffic.
-SEEDS = [bytes([1, 4, 0x41, 0x42, 0x43, 0x44]), bytes([2, 31])]
-BATCH = 64
-#: Workload for the scaling probe; the real run is grown from it.
-PROBE_EXECUTIONS = 576  # 9 batches
-#: Measurement floor: the serial fuzz baseline must take at least this
-#: long, or speedup ratios drown in scheduler/timer noise.
-MIN_SERIAL_S = 2.0
-#: Ceiling so a fast host cannot scale the run into minutes. At about
-#: 17 000 exec/s the floor needs about 40 000 executions.
-MAX_EXECUTIONS = 65_536  # 1 024 batches
 WORKER_COUNTS = [1, 2, 4]
 #: The parallel runtime must beat serial at 2 workers, when the host
 #: has the cores.
@@ -89,46 +74,9 @@ def _effective_cores() -> int:
     return os.cpu_count() or 1
 
 
-def _serial_fuzz(executions):
-    target = FpgaTarget(scan_mode="functional")
-    target.add_peripheral(catalog.TIMER, TIMER_BASE)
-    fuzzer = SnapshotFuzzer(assemble(fuzz_packet_parser()), target,
-                            seeds=SEEDS, seed=3)
-    start = time.perf_counter()
-    report = fuzzer.run(executions=executions, batch_size=BATCH)
-    return report, time.perf_counter() - start
-
-
-def _scaled_executions(executions: int, elapsed: float) -> int:
-    """Executions needed to push the serial baseline past the floor at
-    the rate of a run of *executions* that took *elapsed* seconds,
-    rounded up to whole batches (the fuzzer's scheduling granule, so
-    parallel runs replay the identical batch sequence)."""
-    per_exec = elapsed / executions
-    need = (MIN_SERIAL_S * 1.15) / per_exec  # 15% headroom over floor
-    batches = -(-int(need) // BATCH) + 1
-    return min(batches * BATCH, MAX_EXECUTIONS)
-
-
-def _grown_serial_fuzz():
-    """The serial baseline, grown until it clears the floor: a run
-    below :data:`MIN_SERIAL_S` is followed by one rescaled from its own
-    rate (a short probe misjudges the rate on a noisy host), up to
-    :data:`MAX_EXECUTIONS`. Returns the final ``(executions, report,
-    seconds)`` and every run's ``(executions, seconds)``."""
-    executions = PROBE_EXECUTIONS
-    report, elapsed = _serial_fuzz(executions)
-    runs = [(executions, elapsed)]
-    while elapsed < MIN_SERIAL_S and executions < MAX_EXECUTIONS:
-        executions = _scaled_executions(executions, elapsed)
-        report, elapsed = _serial_fuzz(executions)
-        runs.append((executions, elapsed))
-    return executions, report, elapsed, runs
-
-
 def _parallel_fuzz(workers, executions):
-    with ParallelFuzzer(fuzz_packet_parser(), TIMER, seeds=SEEDS,
-                        workers=workers, batch_size=BATCH,
+    with ParallelFuzzer(fuzz_packet_parser(), TIMER, seeds=FUZZ_SEEDS,
+                        workers=workers, batch_size=FUZZ_BATCH,
                         seed=3) as fuzzer:
         fuzzer.warm()  # target elaboration out of the timed region
         start = time.perf_counter()
@@ -153,7 +101,7 @@ def _dse_cell(workers, delta_state=True):
 def test_parallel_scaling(benchmark):
     # -- workload scaling: serial baseline above the measurement floor --
     executions, serial, serial_s, serial_runs = benchmark.pedantic(
-        _grown_serial_fuzz, rounds=1, iterations=1)
+        grown_serial_fuzz, rounds=1, iterations=1)
 
     rows = [["serial", 1, f"{serial_s:.3f}", "1.00x",
              f"{executions / serial_s:.0f}",
@@ -181,7 +129,7 @@ def test_parallel_scaling(benchmark):
          "edges", "queue B", "verdict vs serial"],
         rows,
         title=f"E9: input-sharded fuzzing, {executions} executions "
-              f"(batch {BATCH}, {cores} host cores, "
+              f"(batch {FUZZ_BATCH}, {cores} host cores, "
               f"{effective_cores} effective)")
 
     # -- DSE: verdict identity at 1/2/4 workers, and state-wire
@@ -270,7 +218,7 @@ def test_parallel_scaling(benchmark):
         "probe_host_s": serial_runs[0][1],
         "serial_runs": serial_runs,
         "min_serial_s": MIN_SERIAL_S,
-        "batch_size": BATCH,
+        "batch_size": FUZZ_BATCH,
         "serial_host_s": serial_s,
         "serial_execs_per_s": executions / serial_s,
         "fuzz": {

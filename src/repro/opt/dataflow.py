@@ -20,7 +20,7 @@ Soundness notes:
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Set, Tuple
 
 from repro.hdl import ir
 from repro.opt.lattice import BitsVal, eval_expr, join, of_const, top
@@ -39,7 +39,7 @@ _MAX_SWEEPS = 48
 class _AbstractExec:
     """Abstract interpreter for one process, over a shared environment."""
 
-    def __init__(self, env: Dict[str, BitsVal], pinned: set):
+    def __init__(self, env: Dict[str, BitsVal], pinned: Set[str]):
         self.env = env
         self.pinned = pinned  # nets forced to stay unknown (inputs, widened)
         self.overlay: Dict[str, BitsVal] = {}
@@ -67,7 +67,7 @@ class _AbstractExec:
                     self._run_branches([stmt.then, stmt.other], updates)
             elif isinstance(stmt, ir.SCase):
                 subject = eval_expr(stmt.subject, self.lookup)
-                bodies = []
+                bodies: List[List[ir.Stmt]] = []
                 matched = False
                 for item in stmt.items:
                     hit, maybe = _labels_match(subject, item.labels)
@@ -84,7 +84,8 @@ class _AbstractExec:
                 else:
                     self._run_branches(bodies, updates)
 
-    def _run_branches(self, bodies, updates: Dict[str, BitsVal]) -> None:
+    def _run_branches(self, bodies: List[List[ir.Stmt]],
+                      updates: Dict[str, BitsVal]) -> None:
         snapshots: List[Tuple[Dict[str, BitsVal], Dict[str, BitsVal]]] = []
         base_overlay = dict(self.overlay)
         base_updates = dict(updates)
@@ -162,8 +163,8 @@ class _AbstractExec:
 
 
 def _join_dicts(dicts: List[Dict[str, BitsVal]], base: Dict[str, BitsVal],
-                fallback) -> Dict[str, BitsVal]:
-    keys = set()
+                fallback: Callable[[str], BitsVal]) -> Dict[str, BitsVal]:
+    keys: Set[str] = set()
     for d in dicts:
         keys.update(d)
     out = dict(base)
@@ -183,7 +184,8 @@ def _join_dicts(dicts: List[Dict[str, BitsVal]], base: Dict[str, BitsVal],
     return out
 
 
-def _labels_match(subject: BitsVal, labels) -> Tuple[bool, bool]:
+def _labels_match(subject: BitsVal,
+                  labels: List[Tuple[int, int]]) -> Tuple[bool, bool]:
     """(definitely matches, possibly matches) for a case item's labels.
 
     Mirrors the interpreter: a label ``(value, care)`` hits when
@@ -230,7 +232,7 @@ def constant_map(design: ir.Design,
             env[name] = value
 
     for sweep in range(_MAX_SWEEPS):
-        changed: set = set()
+        changed: Set[str] = set()
         for block in ordered_comb:
             ex = _AbstractExec(env, pinned)
             updates = {}

@@ -20,7 +20,7 @@ is the safe direction for a dead-logic report.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Set
+from typing import Dict, Iterable, List, Set
 
 from repro.hdl import ir
 
@@ -124,7 +124,7 @@ class _Demand:
 
     # -- statements --------------------------------------------------------
 
-    def visit_stmts(self, stmts) -> bool:
+    def visit_stmts(self, stmts: List[ir.Stmt]) -> bool:
         """Propagate demand; returns True when any nested stmt is live."""
         any_live = False
         for stmt in stmts:

@@ -12,7 +12,9 @@ cache:
 * a *query cache* keyed on the exact constraint set,
 * a *model cache*: before solving, recent satisfying models are replayed
   against the new query, which answers most branch-feasibility checks in
-  symbolic-execution workloads without touching the SAT solver.
+  symbolic-execution workloads without touching the SAT solver. Each
+  model keeps the node values it has computed, so a replay evaluates
+  only nodes that model has not seen before.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import SolverError
 from repro.solver import expr as E
@@ -50,6 +52,8 @@ class SolverStats:
     query_cache_evictions: int = 0
     model_cache_hits: int = 0
     solver_time: float = 0.0
+    #: Seconds spent replaying remembered models (hits and misses).
+    replay_s: float = 0.0
 
     def summary(self, sat: Mapping[str, int]) -> str:
         """One ``[solver]`` report line; *sat* is the SAT core's
@@ -58,7 +62,8 @@ class SolverStats:
                 f"{self.query_cache_hits} model_cache_hits={self.model_cache_hits}"
                 f" sat_decisions={sat['decisions']} sat_conflicts="
                 f"{sat['conflicts']} sat_propagations={sat['propagations']}"
-                f" solver_s={self.solver_time:.3f}")
+                f" solver_s={self.solver_time:.3f}"
+                f" replay_s={self.replay_s:.3f}")
 
 
 #: Default bound on the query cache. Long campaigns (fuzzing loops, DSE
@@ -78,7 +83,12 @@ class Solver:
         #: LRU-ordered: most recently used keys at the end.
         self._query_cache: "OrderedDict[frozenset, CheckResult]" = OrderedDict()
         self._query_cache_size = query_cache_size
-        self._recent_models: List[Dict[E.BitVec, int]] = []
+        #: Newest first: each remembered model with its node-value memo
+        #: (node id -> value), kept across queries until the model is
+        #: evicted. An id never goes stale: ``BitVec._interned`` keeps
+        #: every node alive for the life of the process, so no id is
+        #: ever reused for another node.
+        self._recent_models: List[Tuple[Dict[E.BitVec, int], Dict[int, int]]] = []
         self._model_cache_size = model_cache_size
         self._simplify = simplify_queries
         self._simplify_memo: "OrderedDict[E.BitVec, E.BitVec]" = OrderedDict()
@@ -185,10 +195,12 @@ class Solver:
     def _check_uncached(self, conj: List[E.BitVec]) -> CheckResult:
         # Model-cache replay: any recent model satisfying all constraints
         # answers the query as SAT without search.
-        for model in self._recent_models:
-            if self._model_satisfies(model, conj):
-                self.stats.model_cache_hits += 1
-                return CheckResult(SAT, dict(model))
+        start = time.perf_counter()
+        model = self._replay(conj)
+        self.stats.replay_s += time.perf_counter() - start
+        if model is not None:
+            self.stats.model_cache_hits += 1
+            return CheckResult(SAT, dict(model))
         start = time.perf_counter()
         assumptions: List[int] = []
         status = SAT
@@ -228,19 +240,27 @@ class Solver:
             self._simplify_memo.move_to_end(c)
         return done
 
-    def _model_satisfies(self, model: Dict[E.BitVec, int],
-                         conj: List[E.BitVec]) -> bool:
-        # Newest constraint first: a fresh branch condition is the one a
-        # recent model most often fails. One memo serves the whole
-        # conjunction; variables the model lacks read as 0.
-        memo: Dict[int, int] = {}
-        for c in reversed(conj):
-            if c.evaluate(model, 0, memo) != 1:
-                return False
-        return True
+    def _replay(self, conj: List[E.BitVec]) -> Optional[Dict[E.BitVec, int]]:
+        """The newest remembered model that satisfies *conj*, or None.
+
+        Newest constraint first: a fresh branch condition is the one a
+        recent model most often fails. Each model's memo keeps the node
+        values of its earlier replays, so only nodes that model has not
+        seen are evaluated; variables the model lacks read as 0.
+        """
+        for model, memo in self._recent_models:
+            for c in reversed(conj):
+                value = memo.get(id(c))
+                if value is None:
+                    value = c.evaluate(model, 0, memo)
+                if value != 1:
+                    break
+            else:
+                return model
+        return None
 
     def _remember_model(self, model: Dict[E.BitVec, int]) -> None:
-        self._recent_models.insert(0, model)
+        self._recent_models.insert(0, (model, {}))
         del self._recent_models[self._model_cache_size:]
 
 

@@ -49,10 +49,11 @@ class TestCli:
         assert list(fields) == ["queries", "query_cache_hits",
                                 "model_cache_hits", "sat_decisions",
                                 "sat_conflicts", "sat_propagations",
-                                "solver_s"]
+                                "solver_s", "replay_s"]
         assert int(fields["queries"]) > 0
         assert int(fields["model_cache_hits"]) > 0
         assert float(fields["solver_s"]) >= 0
+        assert float(fields["replay_s"]) >= 0
 
     def test_run_reports_bugs_nonzero_exit(self, tmp_path, capsys):
         from repro.firmware import vuln_buffer_overflow

@@ -148,15 +148,36 @@ def gen(rng, width, depth):
     return build(gen(rng, width, depth - 1), gen(rng, width, depth - 1))
 
 
+def long_lived_queries(rng, check):
+    """Issue the query stream of a long-lived solver to *check*.
+
+    Random branch conditions fork both ways off earlier satisfiable
+    paths, with contradictions and exact repeats mixed in. ``check(conj)``
+    answers each query with True for SAT; a satisfiable query of fewer
+    than six constraints becomes a prefix of later ones.
+    """
+    paths = [[]]
+    asked = []
+    for _ in range(80):
+        prefix = rng.choice(paths)
+        cond = gen_bool(rng, rng.randint(1, 3))
+        # Both branch directions, the way the executor forks.
+        for query in (prefix + [cond], prefix + [E.not_(cond)]):
+            asked.append(query)
+            if check(query) and len(query) < 6:
+                paths.append(query)
+        if rng.random() < 0.3:
+            check(prefix + [cond, E.not_(cond)])  # UNSAT by construction
+        if rng.random() < 0.3:
+            check(rng.choice(asked))  # an exact repeat
+
+
 # -- the oracle -----------------------------------------------------------------
 
 class TestSolverVsBruteForce:
     @pytest.mark.parametrize("seed", range(3))
     def test_long_lived_solver(self, seed):
-        rng = random.Random(seed)
         solver = Solver()
-        paths = [[]]
-        asked = []
         verdicts = {SAT: 0, UNSAT: 0}
 
         def check(conj):
@@ -168,18 +189,7 @@ class TestSolverVsBruteForce:
                 assert ref_eval(conj, result.model) == [1] * len(conj), conj
             return result.is_sat
 
-        for _ in range(80):
-            prefix = rng.choice(paths)
-            cond = gen_bool(rng, rng.randint(1, 3))
-            # Both branch directions, the way the executor forks.
-            for query in (prefix + [cond], prefix + [E.not_(cond)]):
-                asked.append(query)
-                if check(query) and len(query) < 6:
-                    paths.append(query)
-            if rng.random() < 0.3:
-                check(prefix + [cond, E.not_(cond)])  # UNSAT by construction
-            if rng.random() < 0.3:
-                check(rng.choice(asked))  # an exact repeat
+        long_lived_queries(random.Random(seed), check)
 
         assert verdicts[SAT] and verdicts[UNSAT]
         assert solver.stats.query_cache_hits > 0
