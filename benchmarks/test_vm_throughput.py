@@ -19,8 +19,10 @@ CI gates on batched ≥ 2x legacy (instructions/second). The concrete
 ``Cpu`` core (the fuzzer's executor) is measured in the same shape:
 forced byte-accurate fetch and predecoded ops, one ``step()`` call per
 instruction, and the fuzzer's own path — one ``Cpu.run`` call recording
-an edge set. All tiers must agree on the halt code — verdict identity
-is recorded in ``BENCH_vm.json``.
+an edge set — with the generated superblocks and, with the block table
+emptied, through the per-pc ops alone. CI gates the superblock run loop
+at ≥ 3x the per-pc run loop. All tiers must agree on the halt code —
+verdict identity is recorded in ``BENCH_vm.json``.
 
 The bus rows price one MMIO access, ``target.read``/``target.write``
 on TIMER, through the compiled backend's generated AXI4-Lite entry and
@@ -44,6 +46,7 @@ MIN_SPEEDUP = 2.0  # batched fast tier vs legacy stepper, instructions/s
 BUS_ACCESSES = 2_000  # per direction and round
 BUS_ROUNDS = 5
 MIN_BUS_SPEEDUP = 2.0  # generated AXI entry vs Python handshake, per access
+MIN_SUPERBLOCK_SPEEDUP = 3.0  # Cpu.run with superblocks vs per-pc ops only
 
 CHECKSUM_SRC = f"""
 start:
@@ -105,9 +108,12 @@ def _run_cpu(predecoded):
     return cpu.steps / elapsed, exit_
 
 
-def _run_cpu_loop():
-    """The fuzzer's path: one ``Cpu.run`` call recording edges."""
+def _run_cpu_loop(superblocks):
+    """The fuzzer's path: one ``Cpu.run`` call recording edges, with the
+    image's superblocks or through the per-pc ops alone."""
     cpu = Cpu(_program())
+    if not superblocks:
+        cpu._blocks = {}
     edges = set()
     start = time.perf_counter()
     exit_ = cpu.run(MAX_STEPS, edges)
@@ -168,7 +174,8 @@ def test_vm_throughput(benchmark):
 
     cpu_slow_ips, cpu_slow_exit = _run_cpu(predecoded=False)
     cpu_fast_ips, cpu_fast_exit = _run_cpu(predecoded=True)
-    cpu_run_ips, cpu_run_exit = _run_cpu_loop()
+    cpu_ops_ips, cpu_ops_exit = _run_cpu_loop(superblocks=False)
+    cpu_run_ips, cpu_run_exit = _run_cpu_loop(superblocks=True)
     bus_us, bus_identical = _run_bus()
     entry_write_us, entry_read_us = bus_us["entry"]
     ref_write_us, ref_read_us = bus_us["handshake"]
@@ -177,12 +184,14 @@ def test_vm_throughput(benchmark):
         legacy_state.halt_code == fast_state.halt_code
         == batched_state.halt_code
         and legacy_state.regs == fast_state.regs == batched_state.regs
-        and cpu_slow_exit.code == cpu_fast_exit.code == cpu_run_exit.code
-        == legacy_state.halt_code)
+        and cpu_slow_exit.code == cpu_fast_exit.code == cpu_ops_exit.code
+        == cpu_run_exit.code == legacy_state.halt_code)
     step_speedup = fast_ips / legacy_ips
     batch_speedup = batched_ips / legacy_ips
     cpu_speedup = cpu_fast_ips / cpu_slow_ips
+    cpu_ops_speedup = cpu_ops_ips / cpu_slow_ips
     cpu_run_speedup = cpu_run_ips / cpu_slow_ips
+    superblock_speedup = cpu_run_ips / cpu_ops_ips
     bus_speedup = {"read": ref_read_us / entry_read_us,
                    "write": ref_write_us / entry_write_us}
 
@@ -197,9 +206,13 @@ def test_vm_throughput(benchmark):
          "byte-accurate fetch"],
         ["cpu core, predecoded", f"{cpu_fast_ips:,.0f} instr/s",
          f"{cpu_speedup:.2f}x", "per-pc ops, one step() per instruction"],
+        ["run loop, per-pc ops", f"{cpu_ops_ips:,.0f} instr/s",
+         f"{cpu_ops_speedup:.2f}x",
+         "Cpu.run + edge set, block table emptied"],
         ["cpu core, run loop", f"{cpu_run_ips:,.0f} instr/s",
          f"{cpu_run_speedup:.2f}x",
-         "Cpu.run + edge set (fuzzer path); "
+         f"Cpu.run + edge set (fuzzer path), superblocks: "
+         f"{superblock_speedup:.2f}x per-pc ops; "
          + ("identical verdict" if verdict_identical else "DIVERGED")],
         ["bus read, handshake", f"{ref_read_us:.1f} us/access", "1.00x",
          "TIMER target.read, Python AXI handshake"],
@@ -226,15 +239,19 @@ def test_vm_throughput(benchmark):
             "executor_fast_batched": batched_ips,
             "cpu_slow_fetch": cpu_slow_ips,
             "cpu_predecoded": cpu_fast_ips,
+            "cpu_run_loop_per_pc_ops": cpu_ops_ips,
             "cpu_run_loop": cpu_run_ips,
         },
         "speedup": {
             "fast_step": step_speedup,
             "fast_batched": batch_speedup,
             "cpu_predecoded": cpu_speedup,
+            "cpu_run_loop_per_pc_ops": cpu_ops_speedup,
             "cpu_run_loop": cpu_run_speedup,
+            "superblocks": superblock_speedup,
         },
         "min_speedup": MIN_SPEEDUP,
+        "min_superblock_speedup": MIN_SUPERBLOCK_SPEEDUP,
         "verdict_identical": verdict_identical,
         "bus_us_per_access": {
             "entry_read": entry_read_us,
@@ -251,6 +268,9 @@ def test_vm_throughput(benchmark):
     assert batch_speedup >= MIN_SPEEDUP, (
         f"batched fast tier {batch_speedup:.2f}x below the "
         f"{MIN_SPEEDUP}x instructions/s gate")
+    assert superblock_speedup >= MIN_SUPERBLOCK_SPEEDUP, (
+        f"superblock run loop {superblock_speedup:.2f}x below the "
+        f"{MIN_SUPERBLOCK_SPEEDUP}x instructions/s gate")
     assert bus_identical, "AXI entry and handshake diverged"
     for kind, speedup in bus_speedup.items():
         assert speedup >= MIN_BUS_SPEEDUP, (

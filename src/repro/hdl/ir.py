@@ -174,7 +174,10 @@ class DynBit(Expr):
 
 @dataclass(eq=False)
 class LValue:
-    pass
+    @property
+    def width(self) -> int:
+        """Bits the assignment target receives."""
+        raise NotImplementedError
 
 
 @dataclass(eq=False)

@@ -15,13 +15,23 @@ cpu and returns None. The table is shared, weakly cached, by every
 :class:`Cpu` of one :class:`~repro.isa.predecode.DecodedImage`; fetches
 the table cannot serve (code written at run time, pcs outside the image)
 compile the fetched word the same way.
+
+:meth:`Cpu.run` goes faster still: at a block leader it calls the
+image's generated superblock (:mod:`repro.isa.blocks`, built and cached
+with the op table), which runs a whole stretch of straight-line code,
+or a whole loop, in one call. The per-pc ops stay the fallback, chosen
+by what the run loop observes: while interrupts are enabled, once code
+has been written (``_code_clean`` false), at pcs that lead no block
+(after a block bails on an access outside plain RAM, or a
+``jalr``/``iret`` into the middle of a block), and when a block does
+not fit the remaining step budget.
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.errors import FirmwarePanic, VmError
 from repro.isa import encoding as enc
@@ -29,11 +39,6 @@ from repro.isa.assembler import Program
 from repro.isa.predecode import DecodedImage, decoded_image
 
 MASK32 = 0xFFFFFFFF
-
-
-def _signed(value: int) -> int:
-    value &= MASK32
-    return value - (1 << 32) if value & 0x80000000 else value
 
 
 @dataclass
@@ -47,6 +52,10 @@ class CpuExit:
 #: A compiled instruction: executes against (cpu, cpu.regs) and returns
 #: the next pc, or None after ``halt`` (the exit is left in ``cpu._exit``).
 Op = Callable[["Cpu", List[int]], Optional[int]]
+#: A superblock (:mod:`repro.isa.blocks`): ``block(cpu, cpu.regs, edges,
+#: steps left) -> (next pc, steps run)``.
+Block = Callable[["Cpu", List[int], Set[Tuple[int, int]], int],
+                 Tuple[int, int]]
 
 
 class Cpu:
@@ -63,7 +72,7 @@ class Cpu:
         self.ram = image.ram_image(ram_size)
         # Predecoded dispatch: ops come from the shared per-program
         # table while no store has touched the code region.
-        self._ops = _op_table(image)
+        self._ops, self._blocks = _tables(image)
         self._code_limit = min(image.code_limit, ram_size)
         self._code_clean = True
         #: End of the plain RAM the op closures access inline.
@@ -147,14 +156,28 @@ class Cpu:
         """Execute until halt or until ``steps`` reaches *max_steps*
         (a ``"limit"`` exit). Each executed step adds its (pc before,
         pc after) pair to *edges*; a faulting step adds none, and an
-        interrupt entry's pair starts at the interrupted pc."""
-        add = (edges if edges is not None else set()).add
+        interrupt entry's pair starts at the interrupted pc. Superblocks
+        run what they can; the per-pc ops run the rest, with the same
+        result step for step."""
+        if edges is None:
+            edges = set()
+        add = edges.add
         ops = self._ops
+        blocks = self._blocks
         regs = self.regs
         pc = self.pc
         steps = self.steps
         try:
             while steps < max_steps:
+                if self._code_clean and not self.irq_enabled:
+                    block = blocks.get(pc)
+                    if block is not None:
+                        pc, ran = block(self, regs, edges, max_steps - steps)
+                        if ran:
+                            steps += ran
+                            continue
+                        # It ran nothing: its first instruction bailed
+                        # or one pass does not fit; the op takes it.
                 before = self.pc = pc
                 if self.irq_enabled:
                     self._maybe_interrupt()
@@ -186,7 +209,9 @@ class Cpu:
         self.steps += 1
         next_pc = op(self, self.regs)
         if next_pc is None:
-            return self._exit
+            exit_ = self._exit
+            exit_.steps = self.steps
+            return exit_
         self.pc = next_pc
         return None
 
@@ -210,18 +235,24 @@ class Cpu:
 # Op compilation
 # ---------------------------------------------------------------------------
 
-#: DecodedImage -> its pc -> op table; entries die with their image.
-_OP_TABLES: "weakref.WeakKeyDictionary[DecodedImage, Dict[int, Op]]" = \
+_Tables = Tuple[Dict[int, Op], Dict[int, Block]]
+
+#: DecodedImage -> (its pc -> op table, its leader -> superblock table);
+#: entries die with their image.
+_TABLES: "weakref.WeakKeyDictionary[DecodedImage, _Tables]" = \
     weakref.WeakKeyDictionary()
 
 
-def _op_table(image: DecodedImage) -> Dict[int, Op]:
-    """The (cached) op table of every predecoded instruction of *image*."""
-    ops = _OP_TABLES.get(image)
-    if ops is None:
+def _tables(image: DecodedImage) -> _Tables:
+    """The op of every predecoded instruction of *image* and its
+    superblocks, built by the image's first Cpu and then shared."""
+    tables = _TABLES.get(image)
+    if tables is None:
+        # Imported here: processes that build no Cpu skip the generator.
+        from repro.isa.blocks import compile_blocks
         ops = {pc: _compile(instr, pc) for pc, instr in image.itab.items()}
-        _OP_TABLES[image] = ops
-    return ops
+        tables = _TABLES[image] = (ops, compile_blocks(image))
+    return tables
 
 
 def _compile(instr: enc.Instruction, pc: int) -> Op:
@@ -379,42 +410,66 @@ def _compile_intrinsic(func: int, rd: int, rs1: int, pc: int) -> Op:
 
 
 # ---------------------------------------------------------------------------
-# Per-opcode concrete semantics tables, shared by the Cpu's op closures
-# and the symbolic executor's concrete fast path.
+# Per-opcode concrete semantics as expression templates
 # ---------------------------------------------------------------------------
+#
+# The one copy of the ALU and branch semantics. The superblocks of
+# repro.isa.blocks inline the text; ALU_R_OPS/ALU_I_OPS/BRANCH_OPS below,
+# which the op closures and the symbolic executor's concrete fast path
+# call, are built from it.
+#
+# ``{a}`` and ``{b}`` stand for the operands: register values, or an
+# I-type's sign-extended immediate as ``{b}``. Each must be substituted
+# by a name or a parenthesised literal. For 32-bit operands every
+# result fits in 32 bits. ``(x ^ 0x80000000) - 0x80000000`` is x read as
+# a signed 32-bit value, and xor with 0x80000000 maps signed order onto
+# unsigned order.
 
-ALU_R_OPS: Dict[int, Callable[[int, int], int]] = {
-    enc.ADD: lambda a, b: (a + b) & MASK32,
-    enc.SUB: lambda a, b: (a - b) & MASK32,
-    enc.AND: lambda a, b: a & b,
-    enc.OR: lambda a, b: a | b,
-    enc.XOR: lambda a, b: a ^ b,
-    enc.SLL: lambda a, b: (a << (b & 31)) & MASK32,
-    enc.SRL: lambda a, b: a >> (b & 31),
-    enc.SRA: lambda a, b: (_signed(a) >> (b & 31)) & MASK32,
-    enc.MUL: lambda a, b: (a * b) & MASK32,
-    enc.DIVU: lambda a, b: MASK32 if b == 0 else (a // b) & MASK32,
-    enc.REMU: lambda a, b: a if b == 0 else a % b,
-    enc.SLT: lambda a, b: int(_signed(a) < _signed(b)),
-    enc.SLTU: lambda a, b: int(a < b),
+_SRA = "((({a} ^ 0x80000000) - 0x80000000) >> ({b} & 31)) & 0xFFFFFFFF"
+
+ALU_R_EXPRS: Dict[int, str] = {
+    enc.ADD: "({a} + {b}) & 0xFFFFFFFF",
+    enc.SUB: "({a} - {b}) & 0xFFFFFFFF",
+    enc.AND: "{a} & {b}",
+    enc.OR: "{a} | {b}",
+    enc.XOR: "{a} ^ {b}",
+    enc.SLL: "({a} << ({b} & 31)) & 0xFFFFFFFF",
+    enc.SRL: "{a} >> ({b} & 31)",
+    enc.SRA: _SRA,
+    enc.MUL: "({a} * {b}) & 0xFFFFFFFF",
+    enc.DIVU: "0xFFFFFFFF if {b} == 0 else ({a} // {b}) & 0xFFFFFFFF",
+    enc.REMU: "{a} if {b} == 0 else {a} % {b}",
+    enc.SLT: "1 if ({a} ^ 0x80000000) < ({b} ^ 0x80000000) else 0",
+    enc.SLTU: "1 if {a} < {b} else 0",
 }
 
-ALU_I_OPS: Dict[int, Callable[[int, int], int]] = {
-    enc.ADDI: lambda a, imm: (a + imm) & MASK32,
-    enc.ANDI: lambda a, imm: a & (imm & MASK32),
-    enc.ORI: lambda a, imm: a | (imm & MASK32),
-    enc.XORI: lambda a, imm: a ^ (imm & MASK32),
-    enc.SLLI: lambda a, imm: (a << (imm & 31)) & MASK32,
-    enc.SRLI: lambda a, imm: a >> (imm & 31),
-    enc.SRAI: lambda a, imm: (_signed(a) >> (imm & 31)) & MASK32,
-    enc.LUI: lambda a, imm: (imm & 0xFFFF) << 16,
+ALU_I_EXPRS: Dict[int, str] = {
+    enc.ADDI: "({a} + {b}) & 0xFFFFFFFF",
+    enc.ANDI: "{a} & ({b} & 0xFFFFFFFF)",
+    enc.ORI: "{a} | ({b} & 0xFFFFFFFF)",
+    enc.XORI: "{a} ^ ({b} & 0xFFFFFFFF)",
+    enc.SLLI: "({a} << ({b} & 31)) & 0xFFFFFFFF",
+    enc.SRLI: "{a} >> ({b} & 31)",
+    enc.SRAI: _SRA,
+    enc.LUI: "({b} & 0xFFFF) << 16",
 }
 
-BRANCH_OPS: Dict[int, Callable[[int, int], bool]] = {
-    enc.BEQ: lambda a, b: a == b,
-    enc.BNE: lambda a, b: a != b,
-    enc.BLT: lambda a, b: _signed(a) < _signed(b),
-    enc.BGE: lambda a, b: _signed(a) >= _signed(b),
-    enc.BLTU: lambda a, b: a < b,
-    enc.BGEU: lambda a, b: a >= b,
+BRANCH_EXPRS: Dict[int, str] = {
+    enc.BEQ: "{a} == {b}",
+    enc.BNE: "{a} != {b}",
+    enc.BLT: "({a} ^ 0x80000000) < ({b} ^ 0x80000000)",
+    enc.BGE: "({a} ^ 0x80000000) >= ({b} ^ 0x80000000)",
+    enc.BLTU: "{a} < {b}",
+    enc.BGEU: "{a} >= {b}",
 }
+
+
+def _callables(exprs: Dict[int, str]) -> Dict[int, Callable[[int, int], Any]]:
+    """``lambda a, b: <template>`` for each opcode of *exprs*."""
+    return {op: eval(f"lambda a, b: {expr.format(a='a', b='b')}")  # noqa: S307
+            for op, expr in exprs.items()}
+
+
+ALU_R_OPS: Dict[int, Callable[[int, int], int]] = _callables(ALU_R_EXPRS)
+ALU_I_OPS: Dict[int, Callable[[int, int], int]] = _callables(ALU_I_EXPRS)
+BRANCH_OPS: Dict[int, Callable[[int, int], bool]] = _callables(BRANCH_EXPRS)

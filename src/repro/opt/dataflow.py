@@ -128,7 +128,7 @@ class _AbstractExec:
                 # value; blocking ones against the running overlay/env.
                 current = (self.env[name] if not blocking
                            else self.lookup(name))
-            if target.hi is None:
+            if target.hi is None or target.lo is None:
                 new = value.zext(target.net.width)
             else:
                 width = target.hi - target.lo + 1

@@ -99,19 +99,18 @@ Lookup = Callable[[str], BitsVal]
 def eval_expr(expr: ir.Expr, lookup: Lookup) -> BitsVal:
     """Evaluate *expr* over the lattice; ``lookup`` maps net names to
     their current abstract values (memories are always unknown)."""
-    kind = type(expr)
-    if kind is ir.Const:
+    if type(expr) is ir.Const:
         return of_const(expr.value, expr.width)
-    if kind is ir.Ref:
+    if type(expr) is ir.Ref:
         return lookup(expr.net.name).zext(expr.width)
-    if kind is ir.Binary:
+    if type(expr) is ir.Binary:
         return _eval_binary(expr, lookup)
-    if kind is ir.Slice:
+    if type(expr) is ir.Slice:
         inner = eval_expr(expr.value, lookup).zext(expr.hi + 1)
         mask = (1 << expr.width) - 1
         known = (inner.known >> expr.lo) & mask
         return BitsVal(expr.width, known, (inner.value >> expr.lo) & known)
-    if kind is ir.Ternary:
+    if type(expr) is ir.Ternary:
         cond = eval_expr(expr.cond, lookup)
         if cond.known_nonzero:
             return eval_expr(expr.then, lookup).zext(expr.width)
@@ -119,18 +118,18 @@ def eval_expr(expr: ir.Expr, lookup: Lookup) -> BitsVal:
             return eval_expr(expr.other, lookup).zext(expr.width)
         return join(eval_expr(expr.then, lookup).zext(expr.width),
                     eval_expr(expr.other, lookup).zext(expr.width))
-    if kind is ir.Unary:
+    if type(expr) is ir.Unary:
         return _eval_unary(expr, lookup)
-    if kind is ir.Concat:
+    if type(expr) is ir.Concat:
         known = value = 0
         for part in expr.parts:
             pv = eval_expr(part, lookup)
             known = (known << part.width) | pv.known
             value = (value << part.width) | pv.value
         return BitsVal(expr.width, known, value).zext(expr.width)
-    if kind is ir.MemRead:
+    if type(expr) is ir.MemRead:
         return top(expr.width)
-    if kind is ir.DynBit:
+    if type(expr) is ir.DynBit:
         value = eval_expr(expr.value, lookup)
         index = eval_expr(expr.index, lookup)
         if index.is_const:

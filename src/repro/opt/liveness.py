@@ -58,14 +58,13 @@ class _Demand:
     def demand_expr(self, expr: ir.Expr, mask: int) -> None:
         if mask == 0:
             return
-        kind = type(expr)
-        if kind is ir.Const:
+        if type(expr) is ir.Const:
             return
-        if kind is ir.Ref:
+        if type(expr) is ir.Ref:
             self.demand_net(expr.net.name, mask)
-        elif kind is ir.Binary:
+        elif type(expr) is ir.Binary:
             self._demand_binary(expr, mask)
-        elif kind is ir.Unary:
+        elif type(expr) is ir.Unary:
             op = expr.op
             if op == "~":
                 self.demand_expr(expr.operand, mask)
@@ -77,22 +76,22 @@ class _Demand:
             else:  # reductions and ! look at every operand bit
                 self.demand_expr(expr.operand,
                                  (1 << expr.operand.width) - 1)
-        elif kind is ir.Ternary:
+        elif type(expr) is ir.Ternary:
             self.demand_expr(expr.cond, (1 << expr.cond.width) - 1)
             self.demand_expr(expr.then, mask)
             self.demand_expr(expr.other, mask)
-        elif kind is ir.Concat:
+        elif type(expr) is ir.Concat:
             offset = sum(p.width for p in expr.parts)
             for part in expr.parts:  # first part is most significant
                 offset -= part.width
                 self.demand_expr(part, (mask >> offset)
                                  & ((1 << part.width) - 1))
-        elif kind is ir.Slice:
+        elif type(expr) is ir.Slice:
             self.demand_expr(expr.value, mask << expr.lo)
-        elif kind is ir.DynBit:
+        elif type(expr) is ir.DynBit:
             self.demand_expr(expr.value, (1 << expr.value.width) - 1)
             self.demand_expr(expr.index, (1 << expr.index.width) - 1)
-        elif kind is ir.MemRead:
+        elif type(expr) is ir.MemRead:
             self.demand_memory(expr.memory.name)
             self.demand_expr(expr.index, (1 << expr.index.width) - 1)
 
@@ -155,7 +154,7 @@ class _Demand:
         """Bits of the assigned value that land somewhere live."""
         if isinstance(target, ir.LNet):
             mask = self.net_masks[target.net.name]
-            if target.hi is None:
+            if target.hi is None or target.lo is None:
                 return mask
             return (mask >> target.lo) & ((1 << (target.hi - target.lo + 1)) - 1)
         if isinstance(target, ir.LNetDyn):

@@ -1,13 +1,17 @@
 """Bookkeeping of the concrete core's run loop.
 
-``Cpu.run`` keeps the dispatch loop in one frame and records edges
+``Cpu.run`` keeps the dispatch loop in one frame, runs straight-line
+code through the image's generated superblocks and records edges
 itself; ``execute_input`` stages the fuzz input with one slice write and
 makes one ``run`` call. Both are checked against the per-step reference
-loop kept here: one ``Cpu.step`` call per instruction, the edge tuple
-built by the caller, the input staged one byte at a time. Every case
-must agree on the exit, edge set, crash text, final pc, and the
-hardware's modelled time and cycle count.
+loop kept here: one ``Cpu.step`` call per instruction through the
+per-pc ops, the edge tuple built by the caller, the input staged one
+byte at a time. Every case must agree on the exit, edge set, crash
+text, final pc, and the hardware's bus traffic, modelled time and cycle
+count.
 """
+
+import random
 
 import pytest
 
@@ -15,8 +19,14 @@ from repro.core.fuzzer import INPUT_ADDR, MAX_INPUT, execute_input
 from repro.errors import FirmwarePanic
 from repro.firmware import TIMER_BASE, fuzz_packet_parser
 from repro.isa import Cpu, CpuExit, assemble
+from repro.isa import encoding as enc
+from repro.isa.blocks import leaders
+from repro.isa.cpu import ALU_I_OPS, ALU_R_OPS, BRANCH_OPS
+from repro.isa.predecode import decoded_image
 from repro.peripherals import catalog, timer
 from repro.targets import FpgaTarget
+from tests.test_executor_differential import _random_program
+from tests.vm_oracle import _branch_taken, _concrete_alu_i, _concrete_alu_r
 
 
 def _reference_run(cpu, max_steps, edges):
@@ -59,6 +69,11 @@ def _target():
     return t
 
 
+def _bus_stats(target):
+    stats = target.instances["timer"].bus.stats
+    return (stats.reads, stats.writes, stats.read_cycles, stats.write_cycles)
+
+
 def _execute_both(source, data=b"", max_steps=20_000):
     """(exit, edges, crash, pc) of *source*, asserted identical between
     ``execute_input`` and the reference loop, each on fresh hardware."""
@@ -71,7 +86,7 @@ def _execute_both(source, data=b"", max_steps=20_000):
         exit_key = None if exit_ is None else (exit_.reason, exit_.code,
                                                exit_.pc)
         runs.append((exit_key, edges, crash, pc, target.timer.total_s,
-                     target.cycles))
+                     target.cycles, _bus_stats(target)))
     assert runs[0] == runs[1]
     return runs[1][:4]
 
@@ -223,20 +238,7 @@ def test_interrupt_entry_edge():
 def test_run_matches_step_loop(source):
     """Architectural state and edges after ``Cpu.run`` equal the
     per-step loop's, on faulting, self-modifying and limited programs."""
-    program = assemble(source)
-    outcomes = []
-    for run in (lambda cpu, edges: _reference_run(cpu, 60, edges),
-                lambda cpu, edges: cpu.run(60, edges)):
-        cpu = Cpu(program)
-        edges = set()
-        try:
-            exit_ = run(cpu, edges)
-            result = (exit_.reason, exit_.code, exit_.pc)
-        except FirmwarePanic as exc:
-            result = str(exc)
-        outcomes.append((result, edges, cpu.regs, cpu.pc, cpu.steps,
-                         bytes(cpu.ram), cpu._code_clean))
-    assert outcomes[0] == outcomes[1]
+    _run_both(source, 60)
 
 
 def _stage(cpu, addr, data, per_byte):
@@ -385,3 +387,323 @@ start:
 """)
     assert crash is None
     assert cpu.regs[3:7] == [0x11228044, 0xFFFFFF80, 0x80, 0x11]
+
+
+def test_step_returns_the_halt_exit_with_its_step_count():
+    """``step()`` hands back the halt exit with the step count ``run()``
+    reports for the same program."""
+    program = assemble("start:\n movi r1, 3\n addi r1, r1, 1\n halt r1\n")
+    cpu = Cpu(program)
+    exit_ = None
+    while exit_ is None:
+        exit_ = cpu.step()
+    assert (exit_.reason, exit_.code, exit_.steps) == ("halt", 4, 4)
+    assert Cpu(program).run().steps == exit_.steps == cpu.steps
+
+
+# -- superblocks against the per-step reference loop --------------------------
+#
+# ``Cpu.run`` calls the image's generated superblock at every block
+# leader; ``_reference_run`` steps the per-pc ops. Each case runs both on
+# a fresh cpu (and, with a target, fresh TIMER hardware) and compares
+# everything either leaves behind.
+
+
+def _count_block_steps(cpu):
+    """Wrap *cpu*'s superblocks to count the steps they run; returns the
+    one-entry list the count accumulates in."""
+    ran = [0]
+
+    def counted(block):
+        def call(*args):
+            next_pc, steps = block(*args)
+            ran[0] += steps
+            return next_pc, steps
+        return call
+
+    cpu._blocks = {pc: counted(block) for pc, block in cpu._blocks.items()}
+    return ran
+
+
+def _outcome(program, max_steps, runner, with_target):
+    """Everything one run leaves behind, and the steps run in blocks."""
+    target = _target() if with_target else None
+    if target is None:
+        cpu = Cpu(program)
+    else:
+        def irq_poll():
+            target.step(1)
+            return any(target.irq_lines().values())
+        cpu = Cpu(program, mmio_read=target.read, mmio_write=target.write,
+                  irq_poll=irq_poll)
+    in_blocks = _count_block_steps(cpu)
+    edges = set()
+    try:
+        exit_ = runner(cpu, max_steps, edges)
+        result = (exit_.reason, exit_.code, exit_.pc, exit_.steps)
+    except FirmwarePanic as exc:
+        result = str(exc)
+    hardware = None if target is None else (
+        _bus_stats(target), target.cycles, target.timer.total_s)
+    return ((result, edges, list(cpu.regs), cpu.pc, cpu.steps,
+             bytes(cpu.ram), cpu._code_clean, hardware), in_blocks[0])
+
+
+def _run_both(source, max_steps=10_000, with_target=False):
+    """Assert ``Cpu.run`` and the reference loop agree on *source*;
+    returns (the shared outcome, steps ``Cpu.run`` ran in blocks)."""
+    program = assemble(source) if isinstance(source, str) else source
+    reference, _ = _outcome(program, max_steps, _reference_run, with_target)
+    shipped, in_blocks = _outcome(program, max_steps,
+                                  lambda cpu, n, edges: cpu.run(n, edges),
+                                  with_target)
+    assert shipped == reference
+    return shipped, in_blocks
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_random_program_at_every_kind_of_step_limit(seed):
+    """The differential suite's random programs (ALU, byte and word
+    memory ops, every branch kind, leaf calls, count-down loops), cut at
+    step limits before, inside and after the first block and the last."""
+    program = assemble(_random_program(seed))
+    (result, *_), in_blocks = _run_both(program, 50_000)
+    assert result[0] == "halt" and in_blocks > 0
+    n = result[3]
+    for limit in sorted({1, 2, 3, 5, 7, n // 3, n // 2, n - 1, n, n + 5}):
+        (result, *_), _ = _run_both(program, limit)
+        assert result[0] == ("halt" if limit >= n else "limit"), limit
+
+
+MEMORY_OPS = ["lw", "lb", "lbu", "sw", "sb"]
+
+
+def _timer_access(op):
+    """*op* on a TIMER register through r8: a load reads STATUS into r3,
+    a store writes r2 to LOAD."""
+    if op.startswith("l"):
+        return f"{op} r3, {timer.REGISTERS['STATUS']}(r8)"
+    return f"{op} r2, {timer.REGISTERS['LOAD']}(r8)"
+
+
+@pytest.mark.parametrize("op", MEMORY_OPS)
+def test_bail_mid_block_on_a_timer_register(op):
+    """A block reaching an MMIO access returns before it; the op runs it
+    through the bus, and the rest of the stretch runs per pc."""
+    access = _timer_access(op)
+    outcome, in_blocks = _run_both(f"""
+start:
+    movi r8, 0x{TIMER_BASE:x}
+    movi r2, 0x1234A5
+    addi r4, r2, 3
+    {access}
+    addi r5, r3, 1
+    halt r5
+""", with_target=True)
+    assert in_blocks == 5  # two movi pairs and the addi
+    reads, writes = outcome[-1][0][:2]
+    assert (reads, writes) == {"sw": (0, 1), "sb": (1, 1)}.get(op, (1, 0))
+
+
+@pytest.mark.parametrize("op", MEMORY_OPS)
+def test_bail_inside_a_loop_after_a_full_pass(op):
+    """The access hits RAM on the first pass and the TIMER register on
+    the second: the loop's block runs one full pass, then bails mid-pass
+    (the branch into the loop keeps the first pass out of the prelude's
+    block)."""
+    access = _timer_access(op)
+    outcome, in_blocks = _run_both(f"""
+start:
+    movi r8, 0x3000
+    movi r9, 0x{TIMER_BASE - 0x3000:x}
+    movi r2, 0x77
+    movi r7, 2
+    bne  r7, r0, loop
+    halt r0
+loop:
+    addi r2, r2, 1
+    {access}
+    add  r8, r8, r9
+    dec  r7
+    bne  r7, r0, loop
+    halt r3
+""", with_target=True)
+    assert in_blocks == 9 + 5 + 1  # the prelude, one pass, one addi
+    assert sum(outcome[-1][0][:2]) >= 1
+
+
+@pytest.mark.parametrize("op", MEMORY_OPS)
+def test_out_of_bounds_access_mid_block(op):
+    """A bounds fault in the middle of a block: the same panic text,
+    pc, steps and edges as the per-step loop, no edge for the fault."""
+    size = 4 if op.endswith("w") else 1
+    (result, edges, _, pc, steps, *_), in_blocks = _run_both(f"""
+start:
+    movi r1, {RAM_END - size + 2}
+    addi r2, r0, 7
+    {op}   r2, 0(r1)
+    halt r2
+""")
+    kind = "load" if op.startswith("l") else "store"
+    assert result == (f"out-of-bounds {kind} at "
+                      f"0x{RAM_END - size + 2:08x} (pc=0x0000000c)")
+    assert (pc, steps, in_blocks) == (0xC, 4, 3)
+    assert edges == {(0x0, 0x4), (0x4, 0x8), (0x8, 0xC)}
+
+
+@pytest.mark.parametrize("store", ["sw r2, 0(r1)", "sb r2, 0(r1)"])
+def test_store_rewrites_the_next_instruction_of_its_block(store):
+    """The rewritten instruction runs, not the predecoded one: the store
+    bails, demotes the cpu to the slow fetch, and the next fetch reads
+    the new word."""
+    new = assemble("start:\n addi r4, r0, 7\n").words[0]
+    (result, _, _, _, _, _, clean, _), in_blocks = _run_both(f"""
+start:
+    movi r1, patch
+    movi r2, {new}
+    {store}
+patch:
+    addi r4, r0, 1
+    halt r4
+""")
+    assert result[:2] == ("halt", 7) and not clean
+    assert in_blocks == 4
+
+
+LOOP = """
+start:
+    movi r1, 0
+    movi r3, 9
+    bne  r3, r0, loop       ; the loop's own block runs every pass
+    halt r0
+loop:
+    addi r1, r1, 5
+    xor  r1, r1, r3
+    dec  r3
+    bne  r3, r0, loop
+    halt r1
+"""
+
+
+def test_step_limit_lands_mid_pass_of_a_loop():
+    """Every step limit, including each one inside a pass: the block
+    loops only while the next full pass fits, the ops do the rest."""
+    (result, *_), in_blocks = _run_both(LOOP)
+    assert result[0] == "halt" and in_blocks == result[3] - 1
+    for limit in range(1, result[3] + 2):
+        _run_both(LOOP, limit)
+
+
+def test_jalr_into_a_non_leader_runs_per_pc_to_the_next_leader():
+    program = assemble("""
+start:
+    movi r1, mid
+    jalr r0, r1, 0
+    addi r2, r0, 1
+mid:
+    addi r3, r0, 2
+    addi r4, r3, 3
+    beq  r0, r0, done
+done:
+    halt r4
+""")
+    mid = program.labels["mid"]
+    assert mid not in leaders(decoded_image(program))
+    (result, edges, *_), in_blocks = _run_both(program)
+    assert result[:2] == ("halt", 5) and (0x8, mid) in edges
+    assert in_blocks == 3  # the movi pair and the jalr
+
+
+IRET_INTO_A_BLOCK = f"""
+.equ TIMER, 0x{TIMER_BASE:x}
+start:
+    movi r1, TIMER
+    movi r2, handler
+    setivt r2
+    movi r3, 6              ; expires inside the spin stretch
+    sw   r3, {timer.REGISTERS['LOAD']}(r1)
+    movi r3, {timer.CTRL_EN | timer.CTRL_IRQ_EN}
+    sw   r3, {timer.REGISTERS['CTRL']}(r1)
+    movi r6, 0
+    ei
+spin:
+    addi r7, r7, 1
+    addi r8, r8, 2
+    addi r9, r9, 3
+    beq  r6, r0, spin
+    movi r11, 6
+count:
+    addi r10, r10, 3
+    dec  r11
+    bne  r11, r0, count
+    halt r10
+handler:
+    movi r6, 9
+    movi r3, 1
+    sw   r3, {timer.REGISTERS['STATUS']}(r1)
+    di
+    iret
+"""
+
+
+def test_iret_back_into_a_block():
+    """The handler disables interrupts and returns into the middle of
+    the interrupted stretch: per-pc ops run to the next leader, then
+    blocks take over again."""
+    program = assemble(IRET_INTO_A_BLOCK)
+    (result, edges, *_), in_blocks = _run_both(program, with_target=True)
+    assert result[:2] == ("halt", 18)
+    handler = program.labels["handler"]
+    interrupted = {a for a, b in edges if b == handler + 4}
+    assert interrupted and not interrupted & leaders(decoded_image(program))
+    assert in_blocks >= 2 + 3 * 6  # the movi after the spin, the loop
+
+
+# -- one copy of the ALU semantics ---------------------------------------------
+
+_EDGES = [0, 1, 2, 3, 31, 32, 33, 0x7FFF, 0x8000, 0xFFFF, 0x10000,
+          0x7FFFFFFF, 0x80000000, 0x80000001, 0xFFFFFFFE, 0xFFFFFFFF]
+_IMMS = [-(1 << 17), -32, -1, 0, 1, 31, 32, 0xFFFF, (1 << 17) - 1]
+
+
+def _operands(seed):
+    rng = random.Random(seed)
+    values = _EDGES + [rng.randrange(1 << 32) for _ in range(16)]
+    return [(a, b) for a in values for b in values]
+
+
+def test_semantics_tables_match_the_oracle():
+    """The template-built callables against ``tests/vm_oracle.py``'s
+    independent if-chains, on edge and random 32-bit operands."""
+    pairs = _operands(0)
+    for op, alu in ALU_R_OPS.items():
+        for a, b in pairs:
+            assert alu(a, b) == _concrete_alu_r(op, a, b), (op, a, b)
+    for op, taken in BRANCH_OPS.items():
+        for a, b in pairs:
+            assert taken(a, b) == _branch_taken(op, a, b), (op, a, b)
+    for op, alu in ALU_I_OPS.items():
+        for a, _ in pairs[::32]:
+            for imm in _IMMS:
+                assert alu(a, imm) == _concrete_alu_i(op, a, imm), (op, a, imm)
+
+
+@pytest.mark.parametrize("op", sorted(ALU_R_OPS), ids=enc.OPCODE_NAMES.get)
+def test_block_inlined_alu_matches_the_oracle(op):
+    """One R-type instruction and a branch on its result, run as a
+    block on edge and random operands: the inlined templates give the
+    oracle's result and branch outcome."""
+    name = enc.OPCODE_NAMES[op]
+    program = assemble(f"start:\n {name} r3, r1, r2\n"
+                       f" blt r3, r2, start\n halt r3\n")
+    cpu = Cpu(program)
+    in_blocks = _count_block_steps(cpu)
+    for a, b in _operands(op)[::3]:
+        cpu.pc, cpu.steps = 0, 0
+        cpu.regs[1], cpu.regs[2] = a, b
+        edges = set()
+        assert cpu.run(2, edges).reason == "limit"
+        result = _concrete_alu_r(op, a, b)
+        assert cpu.regs[3] == result, (a, b)
+        assert cpu.pc == (0 if _branch_taken(enc.BLT, result, b) else 8)
+    assert in_blocks[0] == cpu.steps * len(_operands(op)[::3])
