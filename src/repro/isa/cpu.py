@@ -11,10 +11,10 @@ Dispatch goes through per-pc *op closures*: every predecoded instruction
 of a program is compiled once into ``op(cpu, regs) -> next_pc`` with its
 operands and semantics bound in, so executing it reads neither the
 opcode nor a decoded field. ``halt`` stashes its :class:`CpuExit` on the
-cpu and returns None. The table is shared, weakly cached, by every
-:class:`Cpu` of one :class:`~repro.isa.predecode.DecodedImage`; fetches
-the table cannot serve (code written at run time, pcs outside the image)
-compile the fetched word the same way.
+cpu and returns None. The table is shared by every :class:`Cpu` of
+the same image content and entry, however often the firmware is
+assembled; fetches the table cannot serve (code written at run time,
+pcs outside the image) compile the fetched word the same way.
 
 :meth:`Cpu.run` goes faster still: at a block leader it calls the
 image's generated superblock (:mod:`repro.isa.blocks`, built and cached
@@ -29,7 +29,6 @@ not fit the remaining step budget.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
@@ -70,8 +69,8 @@ class Cpu:
         self.ram_size = ram_size
         image = decoded_image(program)
         self.ram = image.ram_image(ram_size)
-        # Predecoded dispatch: ops come from the shared per-program
-        # table while no store has touched the code region.
+        # Predecoded dispatch: ops come from the table shared per image
+        # content while no store has touched the code region.
         self._ops, self._blocks = _tables(image)
         self._code_limit = min(image.code_limit, ram_size)
         self._code_clean = True
@@ -237,21 +236,26 @@ class Cpu:
 
 _Tables = Tuple[Dict[int, Op], Dict[int, Block]]
 
-#: DecodedImage -> (its pc -> op table, its leader -> superblock table);
-#: entries die with their image.
-_TABLES: "weakref.WeakKeyDictionary[DecodedImage, _Tables]" = \
-    weakref.WeakKeyDictionary()
+#: (image digest, entry) -> (pc -> op table, leader -> superblock
+#: table). The key is everything both tables are built from, so every
+#: copy of one firmware shares them, however often it is assembled.
+_TABLES: Dict[Tuple[bytes, int], _Tables] = {}
+_TABLES_LIMIT = 64
 
 
 def _tables(image: DecodedImage) -> _Tables:
     """The op of every predecoded instruction of *image* and its
-    superblocks, built by the image's first Cpu and then shared."""
-    tables = _TABLES.get(image)
+    superblocks, built by the first Cpu of that content and then
+    shared."""
+    key = (image.digest, image.entry)
+    tables = _TABLES.get(key)
     if tables is None:
         # Imported here: processes that build no Cpu skip the generator.
         from repro.isa.blocks import compile_blocks
         ops = {pc: _compile(instr, pc) for pc, instr in image.itab.items()}
-        tables = _TABLES[image] = (ops, compile_blocks(image))
+        if len(_TABLES) >= _TABLES_LIMIT:
+            _TABLES.pop(next(iter(_TABLES)))
+        tables = _TABLES[key] = (ops, compile_blocks(image))
     return tables
 
 

@@ -14,10 +14,10 @@ Both produce bit-identical behaviour for the supported Verilog subset
 from repro.sim.base import BaseSimulation
 from repro.sim.compiler import CompiledSimulation
 from repro.sim.interpreter import Interpreter
-from repro.sim.scheduler import clock_domain, comb_input_cone, order_comb_blocks
+from repro.sim.scheduler import clock_domain, order_comb_blocks
 from repro.sim.vcd import VcdWriter
 
 __all__ = [
     "BaseSimulation", "CompiledSimulation", "Interpreter", "VcdWriter",
-    "clock_domain", "comb_input_cone", "order_comb_blocks",
+    "clock_domain", "order_comb_blocks",
 ]

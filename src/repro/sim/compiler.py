@@ -18,9 +18,11 @@ stored value is already masked to its net's width.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
-from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
+from typing import (Any, Callable, Dict, Hashable, Iterator, List, Optional,
+                    Tuple)
 
 from repro.errors import SimulationError
 from repro.hdl import ir
@@ -369,7 +371,24 @@ else:
 """
 
 
+class _Home(Dict[str, str]):
+    """Where each net lives in one generated function: the local that
+    holds it for the function's whole body, else ``V[...]``."""
+
+    def __missing__(self, name: str) -> str:
+        return f"V[{name!r}]"
+
+
 class _CodeGen:
+    """Python source for one design and clock.
+
+    Every function is lowered through the same two contexts over a
+    :class:`_Home` map: :class:`_CombLowering` for combinational and
+    initial blocks, :class:`_SeqLowering` for one clock edge. The plain
+    tier keeps every net in ``V``; the fast tier keeps the comb-written
+    nets of ``settle`` and every net of ``run`` and ``axi`` in locals.
+    """
+
     def __init__(self, design: ir.Design, clock: str, fast: bool = False):
         self.design = design
         self.clock = clock
@@ -377,12 +396,8 @@ class _CodeGen:
         self.lines: List[str] = []
         self.indent = 0
         self.temp_count = 0
-        self.has_negedge = False
-        #: net name -> local variable text, active while generating the
-        #: fused ``run`` loop; None elsewhere.
-        self.vmap: Optional[Dict[str, str]] = None
-        self.run_sentinel_at = 0
-        self.run_sentinel_indent = 0
+        self.domain = clock_domain(design, clock)
+        self.has_negedge = bool(self._seq_blocks("negedge"))
 
     # -- emit helpers ---------------------------------------------------------
 
@@ -393,35 +408,70 @@ class _CodeGen:
         self.temp_count += 1
         return f"_{hint}{self.temp_count}"
 
+    def _emit_text(self, text: str) -> None:
+        """Emit a multi-line block at the current indent."""
+        for line in text.strip("\n").splitlines():
+            self.emit(line)
+
+    @contextlib.contextmanager
+    def _function(self, header: str, home: _Home,
+                  *tail: str) -> Iterator[None]:
+        """Emit a function around the body generated in the ``with``:
+        the nets in *home* are loaded into their locals first and
+        stored back last, before *tail*."""
+        self.emit(header)
+        self.indent += 1
+        for name, local in home.items():
+            self.emit(f"{local} = V[{name!r}]")
+        body = len(self.lines)
+        yield
+        if len(self.lines) == body:
+            self.emit("pass")
+        for name, local in home.items():
+            self.emit(f"V[{name!r}] = {local}")
+        for line in tail:
+            self.emit(line)
+        self.indent -= 1
+        self.emit("")
+
     # -- top level ----------------------------------------------------------------
 
     def generate(self) -> str:
         self.lines = []
-        self._gen_init()
-        self._gen_settle()
-        self._gen_edge("edge", "posedge")
-        self._gen_edge("edge_neg", "negedge")
+        in_v = _Home()
+        with self._function("def init(V, M):", in_v):
+            self._gen_comb(self.design.init_blocks, in_v)
+        ordered = order_comb_blocks(self.design)
+        home = _Home()
         if self.fast:
-            self._gen_run()
+            # Every comb-written net lives in a local for the whole
+            # settle: loaded once, updated in dependency order, stored
+            # back unconditionally.  Initialising from V preserves
+            # read-modify-write and latched bits exactly like the plain
+            # tier (V holds last settle's value).
+            written = sorted({name for b in ordered for name in b.writes
+                              if name in self.design.nets})
+            home = _Home((name, f"_c{i}") for i, name in enumerate(written))
+        with self._function("def settle(V, M):", home):
+            self._gen_comb(ordered, home)
+        for fn_name, edge in (("edge", "posedge"), ("edge_neg", "negedge")):
+            with self._function(f"def {fn_name}(V, M):", in_v):
+                self._gen_edge(edge, in_v)
+        if self.fast:
+            # Fused multi-cycle loop: every net lives in a local for
+            # the whole call, so the hot path (posedge + settle per
+            # iteration, same ordering as BaseSimulation.step) runs
+            # entirely on LOAD_FAST/STORE_FAST.  Inputs cannot change
+            # mid-run (pokes happen between calls), and the VCD /
+            # negedge cases never reach this path.
+            home = self._hoist()
+            with self._function("def run(V, M, n):", home):
+                self.emit("for _ in range(n):")
+                self.indent += 1
+                self._gen_clock(home)
+                self._gen_comb(ordered, home)
+                self.indent -= 1
         return "\n".join(self.lines) + "\n"
-
-    def _gen_run(self) -> None:
-        """Fused multi-cycle loop.
-
-        Every net value is hoisted into a Python local before the loop
-        and stored back after it, so the hot path (posedge + settle per
-        iteration, same ordering as :meth:`BaseSimulation.step`) runs
-        entirely on ``LOAD_FAST``/``STORE_FAST`` — no dict traffic.
-        Inputs cannot change mid-run (pokes happen between calls), and
-        the VCD / negedge cases never reach this path.
-        """
-        self._begin_hoisted("def run(V, M, n):")
-        self.emit("for _ in range(n):")
-        self.indent += 1
-        self._gen_hoisted_clock()
-        self._gen_hoisted_settle()
-        self.indent -= 1
-        self._end_hoisted()
 
     def generate_axi(self) -> Optional[str]:
         """Source of ``axi(V, M, write, addr, data, timeout) -> (data,
@@ -444,199 +494,93 @@ class _CodeGen:
                 or any(f"s_axi_{p}" not in nets for p in _AXI_PORTS)):
             return None
         self.lines = []
-        self._begin_hoisted("def axi(V, M, write, addr, data, timeout):")
-        pins = {p: self.vmap[f"s_axi_{p}"] for p in _AXI_PORTS}
+        home = self._hoist()
+        pins = {p: home[f"s_axi_{p}"] for p in _AXI_PORTS}
         masks = {f"{p}_mask": nets[f"s_axi_{p}"].mask
                  for p in ("awaddr", "araddr", "wdata")}
-        self._emit_text(_AXI_PROLOGUE.format(**pins, **masks))
-        self.emit("while True:")
-        self.indent += 1
-        self.emit("if act:")
-        self.indent += 1
-        self.emit("if act == 2:")
-        self.indent += 1
-        self._gen_hoisted_clock()
-        self.emit("cycles += 1")
-        self.indent -= 1
-        self._gen_hoisted_settle()
-        self.indent -= 1
-        self._emit_text(_AXI_STATES.format(**pins))
-        self.indent -= 1
-        self._end_hoisted("return out, cycles, st - 20")
+        with self._function("def axi(V, M, write, addr, data, timeout):",
+                            home, "return out, cycles, st - 20"):
+            self._emit_text(_AXI_PROLOGUE.format(**pins, **masks))
+            self.emit("while True:")
+            self.indent += 1
+            self.emit("if act:")
+            self.indent += 1
+            self.emit("if act == 2:")
+            self.indent += 1
+            self._gen_clock(home)
+            self.emit("cycles += 1")
+            self.indent -= 1
+            self._gen_comb(order_comb_blocks(self.design), home)
+            self.indent -= 1
+            self._emit_text(_AXI_STATES.format(**pins))
+            self.indent -= 1
         return "\n".join(self.lines) + "\n"
 
-    def _emit_text(self, text: str) -> None:
-        """Emit a multi-line block at the current indent."""
-        for line in text.strip("\n").splitlines():
-            self.emit(line)
+    def _hoist(self) -> _Home:
+        """A home map with every net in a local (``run`` and ``axi``)."""
+        return _Home((name, f"_v{i}")
+                     for i, name in enumerate(sorted(self.design.nets)))
 
-    def _begin_hoisted(self, header: str) -> None:
-        """Open a function that keeps every net in a local for its whole
-        body (see :meth:`_gen_run`)."""
-        self.emit(header)
-        self.indent += 1
-        names = sorted(self.design.nets)
-        self.vmap = {name: f"_v{i}" for i, name in enumerate(names)}
-        for name in names:
-            self.emit(f"{self.vmap[name]} = V[{name!r}]")
+    def _seq_blocks(self, edge: str) -> List[ir.SeqBlock]:
+        return [b for b in self.design.seq_blocks
+                if b.clock.name in self.domain and b.clock_edge == edge]
 
-    def _end_hoisted(self, *tail: str) -> None:
-        for name, local in self.vmap.items():
-            self.emit(f"V[{name!r}] = {local}")
-        for line in tail:
-            self.emit(line)
-        self.indent -= 1
-        self.emit("")
-        self.vmap = None
-
-    def _gen_hoisted_clock(self) -> None:
-        """One rising edge on the hoisted locals: clock high, posedge
-        blocks (commit sentinels re-armed first), clock low."""
-        self.emit(f"{self.vmap[self.clock]} = 1")
-        self.run_sentinel_at = len(self.lines)
-        self.run_sentinel_indent = self.indent
-        self._gen_run_edge()
-        self.emit(f"{self.vmap[self.clock]} = 0")
-
-    def _gen_hoisted_settle(self) -> None:
-        ctx = _RunCombCtx(self, self.vmap)
-        for block in order_comb_blocks(self.design):
-            ctx.gen_stmts(block.stmts)
-
-    def _gen_run_edge(self) -> None:
-        domain = clock_domain(self.design, self.clock)
-        blocks = [b for b in self.design.seq_blocks
-                  if b.clock.name in domain and b.clock_edge == "posedge"]
-        if not blocks:
-            return
-        commits: List[str] = []
-        nb_nets = sorted({name for b in blocks
-                          for name in _nonblocking_net_writes(b.stmts)})
-        nb_map = {name: f"_s{i}" for i, name in enumerate(nb_nets)}
-        for name, local in nb_map.items():
-            self.emit(f"{local} = {self.vmap[name]}")
+    def _gen_comb(self, blocks: List[Any], home: _Home) -> None:
+        lower = _CombLowering(self, home)
         for block in blocks:
-            blocking = _blocking_net_writes(block.stmts)
-            local_map = {}
-            if blocking:
-                local_map = {name: self.fresh("l")
-                             for name in sorted(blocking)}
-                for name, local in local_map.items():
-                    self.emit(f"{local} = {self.vmap[name]}")
-            ctx = _RunSeqCtx(self, commits, local_map, nb_map)
-            ctx.gen_stmts(block.stmts)
-            for name, local in local_map.items():
-                net = self.design.nets[name]
-                commits.append(f"{self.vmap[name]} = {local} & {net.mask}")
-        for line in commits:
-            self.emit(line)
-        for name, local in nb_map.items():
-            self.emit(f"{self.vmap[name]} = {local}")
+            lower.gen_stmts(block.stmts)
 
-    def _gen_init(self) -> None:
-        self.emit("def init(V, M):")
-        self.indent += 1
-        body_emitted = False
-        for block in self.design.init_blocks:
-            self._gen_stmts_direct(block.stmts)
-            body_emitted = True
-        if not body_emitted:
-            self.emit("pass")
-        self.indent -= 1
-        self.emit("")
+    def _gen_clock(self, home: _Home) -> None:
+        """One rising edge on hoisted locals: clock high, posedge
+        blocks, clock low."""
+        self.emit(f"{home[self.clock]} = 1")
+        self._gen_edge("posedge", home)
+        self.emit(f"{home[self.clock]} = 0")
 
-    def _gen_settle(self) -> None:
-        self.emit("def settle(V, M):")
-        self.indent += 1
-        ordered = order_comb_blocks(self.design)
-        if not ordered:
-            self.emit("pass")
-        elif self.fast:
-            # Every comb-written net lives in a local for the whole
-            # settle: loaded once, updated in dependency order, stored
-            # back unconditionally.  Initialising from V preserves
-            # read-modify-write and latched bits exactly like the
-            # direct scheme (V holds last settle's value).
-            written = sorted({name for b in ordered for name in b.writes
-                              if name in self.design.nets})
-            local_map = {name: f"_c{i}" for i, name in enumerate(written)}
-            for name, local in local_map.items():
-                self.emit(f"{local} = V[{name!r}]")
-            ctx = _FastCombCtx(self, local_map)
-            for block in ordered:
-                ctx.gen_stmts(block.stmts)
-            for name, local in local_map.items():
-                self.emit(f"V[{name!r}] = {local}")
-        else:
-            for block in ordered:
-                self._gen_stmts_direct(block.stmts)
-        self.indent -= 1
-        self.emit("")
+    def _gen_edge(self, edge: str, home: _Home) -> None:
+        """The design's *edge* blocks, all reading pre-edge values.
 
-    def _gen_edge(self, fn_name: str, edge: str) -> None:
-        self._edge_fn_name = fn_name
-        self.emit(f"def {fn_name}(V, M):")
-        self.indent += 1
-        domain = clock_domain(self.design, self.clock)
-        blocks = [b for b in self.design.seq_blocks
-                  if b.clock.name in domain and b.clock_edge == edge]
-        if edge == "negedge" and blocks:
-            self.has_negedge = True
+        Non-blocking writes to memories (and, at the plain tier, to
+        nets) are buffered in temps committed after the last block; each
+        temp is set to None where the edge's code begins, since a
+        conditional write site may not execute.
+        """
+        blocks = self._seq_blocks(edge)
         if not blocks:
-            self.emit("pass")
-            self.indent -= 1
-            self.emit("")
             return
+        top, pad = len(self.lines), "    " * self.indent
         commits: List[str] = []
-        nb_map: Dict[str, str] = {}
+        sentinels: List[str] = []
+        nb: Dict[str, str] = {}
         if self.fast:
             # Shared write-locals: every non-blocking-written net gets
             # one local seeded with the pre-edge value.  Writes update
             # the local in program order (RHS evaluated at write time,
-            # like the buffered scheme); sibling reads keep going to V,
-            # which still holds the pre-edge value until the final
-            # unconditional stores.
+            # like the buffered scheme); sibling reads keep going to
+            # the net's home, which still holds the pre-edge value
+            # until the final unconditional stores.
             nb_nets = sorted({name for b in blocks
-                              for name in _nonblocking_net_writes(b.stmts)})
-            nb_map = {name: f"_s{i}" for i, name in enumerate(nb_nets)}
-            for name, local in nb_map.items():
-                self.emit(f"{local} = V[{name!r}]")
-        for i, block in enumerate(blocks):
-            self.emit(f"# seq block {block.name or i}")
-            self._gen_seq_block(block, commits, nb_map)
-        self.emit("# commit non-blocking updates")
+                              for name in _net_writes(b.stmts, False)})
+            nb = {name: f"_s{i}" for i, name in enumerate(nb_nets)}
+            for name, local in nb.items():
+                self.emit(f"{local} = {home[name]}")
+        for block in blocks:
+            # Locals shadow every blocking-written net so sibling
+            # blocks keep reading pre-edge values from its home.
+            blocking = {name: self.fresh("l")
+                        for name in sorted(_net_writes(block.stmts, True))}
+            for name, local in blocking.items():
+                self.emit(f"{local} = {home[name]}")
+            _SeqLowering(self, home, blocking, nb, commits,
+                         sentinels).gen_stmts(block.stmts)
+            for name, local in blocking.items():
+                net = ir.LNet(self.design.nets[name])
+                commits.append(_store(net, home[name], local))
         for line in commits:
             self.emit(line)
-        for name, local in nb_map.items():
-            self.emit(f"V[{name!r}] = {local}")
-        self.indent -= 1
-        self.emit("")
-
-    # -- sequential blocks --------------------------------------------------------
-
-    def _gen_seq_block(self, block: ir.SeqBlock, commits: List[str],
-                       nb_map: Optional[Dict[str, str]] = None) -> None:
-        blocking_nets = _blocking_net_writes(block.stmts)
-        if blocking_nets:
-            # Locals shadow every blocking-written net so sibling blocks
-            # keep reading pre-edge values from V.
-            local_map = {name: self.fresh("l") for name in sorted(blocking_nets)}
-            for name, local in local_map.items():
-                self.emit(f"{local} = V[{name!r}]")
-            ctx = _SeqCtx(self, commits, local_map, nb_map or {})
-            ctx.gen_stmts(block.stmts)
-            for name, local in local_map.items():
-                net = self.design.nets[name]
-                commits.append(f"V[{name!r}] = {local} & {net.mask}")
-        else:
-            ctx = _SeqCtx(self, commits, {}, nb_map or {})
-            ctx.gen_stmts(block.stmts)
-
-    # -- direct (combinational / initial) statements ------------------------------------
-
-    def _gen_stmts_direct(self, stmts: List[ir.Stmt]) -> None:
-        ctx = _CombCtx(self)
-        ctx.gen_stmts(stmts)
+        for name, local in nb.items():
+            self.emit(f"{home[name]} = {local}")
+        self.lines[top:top] = [f"{pad}{temp} = None" for temp in sentinels]
 
     # -- expressions ---------------------------------------------------------------
 
@@ -681,6 +625,7 @@ class _CodeGen:
                     f"if ({index}) < {expr.value.width} else 0)")
         raise SimulationError(f"codegen: unknown expression {expr!r}")
 
+
     def _gen_binary(self, expr: ir.Binary, rd, mask: int) -> str:
         a = self.gen_expr(expr.left, rd)
         op = expr.op
@@ -701,7 +646,7 @@ class _CodeGen:
             return f"(({a}) {op} ({b}))"
         if op == "<<":
             if isinstance(expr.right, ir.Const):
-                if expr.right.value >= expr.width:
+                if expr.right.value >= min(expr.width, 64):
                     return "0"
                 return f"((({a}) << {expr.right.value}) & {mask})"
             return f"(((({a}) << ({b})) & {mask}) if ({b}) < 64 else 0)"
@@ -740,17 +685,16 @@ class _CodeGen:
         raise SimulationError(f"codegen: unknown unary op {op!r}")
 
 
-class _StmtCtx:
-    """Shared statement-lowering logic; subclasses define write semantics."""
+class _CombLowering:
+    """Combinational and initial statements: every net is read and
+    written at its home, memory words are written at once."""
 
-    def __init__(self, gen: _CodeGen):
+    def __init__(self, gen: _CodeGen, home: _Home):
         self.gen = gen
+        self.home = home
 
     def rd(self, name: str) -> str:
-        raise NotImplementedError
-
-    def write(self, target: ir.LValue, value_text: str) -> None:
-        raise NotImplementedError
+        return self.home[name]
 
     def gen_stmts(self, stmts: List[ir.Stmt]) -> None:
         if not stmts:
@@ -823,288 +767,124 @@ class _StmtCtx:
                         stmt.value.width)
 
     def write_leaf(self, target: ir.LValue, value_text: str,
-                   blocking: bool,
-                   value_width: Optional[int] = None) -> None:
-        raise NotImplementedError
+                   blocking: bool, value_width: int) -> None:
+        if isinstance(target, ir.LMem):
+            self.store_now(target, "M", value_text)
+            return
+        name = target.net.name
+        self.store_now(target, self.home[name], value_text,
+                       name in self.home and value_width <= target.width)
 
+    def store_now(self, target: ir.LValue, dest: str, value_text: str,
+                  exact: bool = False) -> None:
+        """Store into *target*, whose net lives at *dest*, right here.
 
-class _CombCtx(_StmtCtx):
-    """Combinational / initial context: direct reads and writes on V/M."""
-
-    def rd(self, name: str) -> str:
-        return f"V[{name!r}]"
-
-    def write_leaf(self, target: ir.LValue, value_text: str,
-                   blocking: bool,
-                   value_width: Optional[int] = None) -> None:
+        An *exact* whole-net store skips the mask: generated
+        expressions never exceed their node width, so a value no wider
+        than the net needs none. Only the fast tier's net locals take
+        it: a comb net's home and a shared non-blocking local.
+        """
         gen = self.gen
         if isinstance(target, ir.LNet):
-            net = target.net
-            if target.hi is None:
-                gen.emit(f"V[{net.name!r}] = ({value_text}) & {net.mask}")
-            else:
-                width = target.hi - target.lo + 1
-                field_mask = ((1 << width) - 1) << target.lo
-                gen.emit(
-                    f"V[{net.name!r}] = ((V[{net.name!r}] & {~field_mask & net.mask}) "
-                    f"| ((({value_text}) << {target.lo}) & {field_mask}))")
-        elif isinstance(target, ir.LNetDyn):
-            net = target.net
-            idx = gen.gen_expr(target.index, self.rd)
-            temp = gen.fresh("i")
-            gen.emit(f"{temp} = {idx}")
-            gen.emit(f"if {temp} < {net.width}:")
-            gen.indent += 1
-            gen.emit(
-                f"V[{net.name!r}] = ((V[{net.name!r}] & ~(1 << {temp})) "
-                f"| ((({value_text}) & 1) << {temp}))")
-            gen.indent -= 1
-        elif isinstance(target, ir.LMem):
-            mem = target.memory
-            idx = gen.gen_expr(target.index, self.rd)
-            temp = gen.fresh("i")
-            gen.emit(f"{temp} = {idx}")
-            gen.emit(f"if {temp} < {mem.depth}:")
-            gen.indent += 1
-            gen.emit(f"M[{mem.name!r}][{temp}] = ({value_text}) & {mem.mask}")
-            gen.indent -= 1
-        else:
-            raise SimulationError(f"codegen: unknown lvalue {target!r}")
+            gen.emit(f"{dest} = {value_text}" if exact and target.hi is None
+                     else _store(target, dest, f"({value_text})"))
+            return
+        temp = gen.fresh("i")
+        gen.emit(f"{temp} = {gen.gen_expr(target.index, self.rd)}")
+        gen.emit(f"if {temp} < {_bound(target)}:")
+        gen.indent += 1
+        gen.emit(_store(target, dest, f"({value_text})", temp))
+        gen.indent -= 1
 
 
-class _FastCombCtx(_CombCtx):
-    """Settle-locals context: every comb-written net lives in a local
-    loaded once at function entry and stored back once at the end."""
+class _SeqLowering(_CombLowering):
+    """One clocked block. Blocking writes go to the block's *blocking*
+    locals (memory words at once); non-blocking writes go to the edge's
+    shared *nb* locals, or are buffered in a temp that the edge commits
+    to the net's home after its last block."""
 
-    def __init__(self, gen: _CodeGen, local_map: Dict[str, str]):
-        super().__init__(gen)
-        self.local_map = local_map
-
-    def rd(self, name: str) -> str:
-        local = self.local_map.get(name)
-        if local is not None:
-            return local
-        return f"V[{name!r}]"
-
-    def write_leaf(self, target: ir.LValue, value_text: str,
-                   blocking: bool,
-                   value_width: Optional[int] = None) -> None:
-        gen = self.gen
-        if isinstance(target, ir.LNet):
-            net = target.net
-            local = self.local_map[net.name]
-            if target.hi is None:
-                # Generated expressions never exceed their node width,
-                # so the store mask is redundant when the value is no
-                # wider than the net.
-                if value_width is not None and value_width <= net.width:
-                    gen.emit(f"{local} = {value_text}")
-                else:
-                    gen.emit(f"{local} = ({value_text}) & {net.mask}")
-            else:
-                width = target.hi - target.lo + 1
-                field_mask = ((1 << width) - 1) << target.lo
-                gen.emit(
-                    f"{local} = (({local} & {~field_mask & net.mask}) "
-                    f"| ((({value_text}) << {target.lo}) & {field_mask}))")
-        elif isinstance(target, ir.LNetDyn):
-            net = target.net
-            local = self.local_map[net.name]
-            idx = gen.gen_expr(target.index, self.rd)
-            temp = gen.fresh("i")
-            gen.emit(f"{temp} = {idx}")
-            gen.emit(f"if {temp} < {net.width}:")
-            gen.indent += 1
-            gen.emit(f"{local} = (({local} & ~(1 << {temp})) "
-                     f"| ((({value_text}) & 1) << {temp}))")
-            gen.indent -= 1
-        else:
-            super().write_leaf(target, value_text, blocking, value_width)
-
-
-class _SeqCtx(_StmtCtx):
-    """Sequential context: buffered non-blocking writes, local blocking."""
-
-    def __init__(self, gen: _CodeGen, commits: List[str],
-                 local_map: Dict[str, str],
-                 nb_map: Optional[Dict[str, str]] = None):
-        super().__init__(gen)
+    def __init__(self, gen: _CodeGen, home: _Home, blocking: Dict[str, str],
+                 nb: Dict[str, str], commits: List[str],
+                 sentinels: List[str]):
+        super().__init__(gen, home)
+        self.blocking = blocking
+        self.nb = nb
         self.commits = commits
-        self.local_map = local_map
-        self.nb_map = nb_map or {}
+        self.sentinels = sentinels
 
     def rd(self, name: str) -> str:
-        local = self.local_map.get(name)
-        if local is not None:
-            return local
-        return f"V[{name!r}]"
+        return self.blocking.get(name) or self.home[name]
 
     def write_leaf(self, target: ir.LValue, value_text: str,
-                   blocking: bool,
-                   value_width: Optional[int] = None) -> None:
-        gen = self.gen
+                   blocking: bool, value_width: int) -> None:
+        if isinstance(target, ir.LMem):
+            if blocking:
+                # Blocking memory writes in seq blocks commit at once
+                # (the interpreter's documented behaviour).
+                self.store_now(target, "M", value_text)
+            else:
+                self.defer(target, "M", value_text)
+            return
+        name = target.net.name
         if blocking:
-            self._write_blocking(target, value_text)
-            return
-        if isinstance(target, ir.LNet) and target.net.name in self.nb_map:
-            net = target.net
-            local = self.nb_map[net.name]
-            if target.hi is None:
-                if value_width is not None and value_width <= net.width:
-                    gen.emit(f"{local} = {value_text}")
-                else:
-                    gen.emit(f"{local} = ({value_text}) & {net.mask}")
-            else:
-                width = target.hi - target.lo + 1
-                field_mask = ((1 << width) - 1) << target.lo
-                gen.emit(
-                    f"{local} = (({local} & {~field_mask & net.mask}) "
-                    f"| ((({value_text}) << {target.lo}) & {field_mask}))")
-            return
-        if isinstance(target, ir.LNetDyn) and target.net.name in self.nb_map:
-            net = target.net
-            local = self.nb_map[net.name]
-            idx = gen.gen_expr(target.index, self.rd)
-            temp = gen.fresh("i")
-            gen.emit(f"{temp} = {idx}")
-            gen.emit(f"if {temp} < {net.width}:")
-            gen.indent += 1
-            gen.emit(f"{local} = (({local} & ~(1 << {temp})) "
-                     f"| ((({value_text}) & 1) << {temp}))")
-            gen.indent -= 1
-            return
+            self.store_now(target, self.blocking[name], value_text)
+        elif name in self.nb:
+            self.store_now(target, self.nb[name], value_text,
+                           value_width <= target.width)
+        else:
+            self.defer(target, self.home[name], value_text)
+
+    def defer(self, target: ir.LValue, dest: str, value_text: str) -> None:
+        """Buffer a non-blocking write in a fresh temp, committed to
+        *dest* after the edge's last block unless it is still None."""
+        gen = self.gen
+        temp = gen.fresh("nb")
+        self.sentinels.append(temp)
         if isinstance(target, ir.LNet):
-            net = target.net
-            temp = gen.fresh("nb")
-            self._emit_sentinel(temp)
             gen.emit(f"{temp} = {value_text}")
-            if target.hi is None:
-                self.commits.append(
-                    f"if {temp} is not None: V[{net.name!r}] = {temp} & {net.mask}")
-            else:
-                width = target.hi - target.lo + 1
-                field_mask = ((1 << width) - 1) << target.lo
-                self.commits.append(
-                    f"if {temp} is not None: V[{net.name!r}] = "
-                    f"((V[{net.name!r}] & {~field_mask & net.mask}) "
-                    f"| (({temp} << {target.lo}) & {field_mask}))")
-        elif isinstance(target, ir.LNetDyn):
-            net = target.net
-            idx = gen.gen_expr(target.index, self.rd)
-            temp = gen.fresh("nb")
-            self._emit_sentinel(temp)
-            gen.emit(f"{temp} = (({idx}), ({value_text}))")
             self.commits.append(
-                f"if {temp} is not None and {temp}[0] < {net.width}: "
-                f"V[{net.name!r}] = ((V[{net.name!r}] & ~(1 << {temp}[0])) "
-                f"| (({temp}[1] & 1) << {temp}[0]))")
-        elif isinstance(target, ir.LMem):
-            mem = target.memory
-            idx = gen.gen_expr(target.index, self.rd)
-            temp = gen.fresh("nb")
-            self._emit_sentinel(temp)
-            gen.emit(f"{temp} = (({idx}), ({value_text}))")
-            self.commits.append(
-                f"if {temp} is not None and {temp}[0] < {mem.depth}: "
-                f"M[{mem.name!r}][{temp}[0]] = {temp}[1] & {mem.mask}")
-        else:
-            raise SimulationError(f"codegen: unknown lvalue {target!r}")
-
-    def _emit_sentinel(self, temp: str) -> None:
-        """Initialise a non-blocking commit temporary to None at the top
-        of the edge function (a conditional write site may not execute)."""
-        header = f"def {self.gen._edge_fn_name}("
-        for i, line in enumerate(self.gen.lines):
-            if line.startswith(header):
-                self.gen.lines.insert(i + 1, f"    {temp} = None")
-                return
-        raise SimulationError("edge function header not found")
-
-    def _write_blocking(self, target: ir.LValue, value_text: str) -> None:
-        gen = self.gen
-        if isinstance(target, ir.LNet):
-            local = self.local_map.get(target.net.name)
-            if local is None:
-                raise SimulationError(
-                    f"blocking write to {target.net.name!r} missing local")
-            net = target.net
-            if target.hi is None:
-                gen.emit(f"{local} = ({value_text}) & {net.mask}")
-            else:
-                width = target.hi - target.lo + 1
-                field_mask = ((1 << width) - 1) << target.lo
-                gen.emit(
-                    f"{local} = (({local} & {~field_mask & net.mask}) "
-                    f"| ((({value_text}) << {target.lo}) & {field_mask}))")
-        elif isinstance(target, ir.LNetDyn):
-            local = self.local_map.get(target.net.name)
-            if local is None:
-                raise SimulationError(
-                    f"blocking write to {target.net.name!r} missing local")
-            idx = gen.gen_expr(target.index, self.rd)
-            temp = gen.fresh("i")
-            gen.emit(f"{temp} = {idx}")
-            gen.emit(f"if {temp} < {target.net.width}:")
-            gen.indent += 1
-            gen.emit(f"{local} = (({local} & ~(1 << {temp})) "
-                     f"| ((({value_text}) & 1) << {temp}))")
-            gen.indent -= 1
-        elif isinstance(target, ir.LMem):
-            # Blocking memory writes in seq blocks commit immediately
-            # (matches the interpreter's documented behaviour).
-            mem = target.memory
-            idx = gen.gen_expr(target.index, self.rd)
-            temp = gen.fresh("i")
-            gen.emit(f"{temp} = {idx}")
-            gen.emit(f"if {temp} < {mem.depth}:")
-            gen.indent += 1
-            gen.emit(f"M[{mem.name!r}][{temp}] = ({value_text}) & {mem.mask}")
-            gen.indent -= 1
-        else:
-            raise SimulationError(f"codegen: unknown lvalue {target!r}")
+                f"if {temp} is not None: {_store(target, dest, temp)}")
+            return
+        idx = gen.gen_expr(target.index, self.rd)
+        gen.emit(f"{temp} = (({idx}), ({value_text}))")
+        self.commits.append(
+            f"if {temp} is not None and {temp}[0] < {_bound(target)}: "
+            + _store(target, dest, f"{temp}[1]", f"{temp}[0]"))
 
 
-class _RunCombCtx(_FastCombCtx):
-    """Settle section of the fused run loop: the local map covers every
-    net, so no V access happens inside the loop at all."""
+def _store(target: ir.LValue, dest: str, value: str, index: str = "") -> str:
+    """The statement storing *value* (a name or a parenthesised text)
+    into *target*, living at *dest*: a whole net or its [hi:lo] field,
+    the net's bit *index*, or word *index* of a memory (*dest* ``M``)."""
+    if isinstance(target, ir.LMem):
+        mem = target.memory
+        return f"{dest}[{mem.name!r}][{index}] = {value} & {mem.mask}"
+    if isinstance(target, ir.LNetDyn):
+        return (f"{dest} = (({dest} & ~(1 << {index})) "
+                f"| (({value} & 1) << {index}))")
+    if not isinstance(target, ir.LNet):
+        raise SimulationError(f"codegen: unknown lvalue {target!r}")
+    net = target.net
+    if target.hi is None:
+        return f"{dest} = {value} & {net.mask}"
+    field_mask = ((1 << target.width) - 1) << target.lo
+    return (f"{dest} = (({dest} & {~field_mask & net.mask}) "
+            f"| (({value} << {target.lo}) & {field_mask}))")
 
 
-class _RunSeqCtx(_SeqCtx):
-    """Edge section of the fused run loop: reads resolve to the hoisted
-    net locals, commit sentinels are re-armed every iteration."""
-
-    def rd(self, name: str) -> str:
-        local = self.local_map.get(name)
-        if local is not None:
-            return local
-        vmap = self.gen.vmap or {}
-        return vmap.get(name) or f"V[{name!r}]"
-
-    def _emit_sentinel(self, temp: str) -> None:
-        gen = self.gen
-        gen.lines.insert(
-            gen.run_sentinel_at,
-            "    " * gen.run_sentinel_indent + f"{temp} = None")
-        gen.run_sentinel_at += 1
+def _bound(target: ir.LValue) -> int:
+    """Exclusive bound of a bit or word index into *target*."""
+    if isinstance(target, ir.LMem):
+        return target.memory.depth
+    return target.net.width
 
 
-def _blocking_net_writes(stmts: List[ir.Stmt]) -> set:
-    """Names of nets written with blocking assignments anywhere in *stmts*."""
+def _net_writes(stmts: List[ir.Stmt], blocking: bool) -> set:
+    """Names of nets written blocking (or non-blocking) in *stmts*.
+    Memories are not collected: a memory word has no local."""
     names: set = set()
     for stmt in ir._walk_stmts(stmts):
-        if isinstance(stmt, ir.SAssign) and stmt.blocking:
-            for leaf in ir._leaf_lvalues(stmt.target):
-                if isinstance(leaf, (ir.LNet, ir.LNetDyn)):
-                    names.add(leaf.net.name)
-    return names
-
-
-def _nonblocking_net_writes(stmts: List[ir.Stmt]) -> set:
-    """Names of nets written non-blocking anywhere in *stmts* (memories
-    keep the buffered commit scheme and are not collected here)."""
-    names: set = set()
-    for stmt in ir._walk_stmts(stmts):
-        if isinstance(stmt, ir.SAssign) and not stmt.blocking:
+        if isinstance(stmt, ir.SAssign) and stmt.blocking == blocking:
             for leaf in ir._leaf_lvalues(stmt.target):
                 if isinstance(leaf, (ir.LNet, ir.LNetDyn)):
                     names.add(leaf.net.name)

@@ -15,7 +15,7 @@ two blocks, means a combinational loop: rejected with
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
 from repro.errors import CombinationalLoopError
 from repro.hdl.ir import CombBlock, Design
@@ -91,23 +91,3 @@ def clock_domain(design: Design, clock_name: str) -> set:
                 changed = True
     return aliases
 
-
-def comb_input_cone(design: Design) -> Dict[str, set]:
-    """For each comb-written net, the set of state/input nets it depends on.
-
-    Used by the instrumentation report and by tests asserting that the
-    scan chain (state bits) plus primary inputs determine every wire.
-    """
-    ordered = order_comb_blocks(design)
-    state_names = {n.name for n in design.state_nets}
-    state_names |= {m.name for m in design.state_memories}
-    state_names |= {n.name for n in design.inputs}
-    cone: Dict[str, set] = {name: {name} for name in state_names}
-    for block in ordered:
-        acc: set = set()
-        for name in block.reads:
-            acc |= cone.get(name, {name} if name in state_names else set())
-        for name in block.writes:
-            existing = cone.get(name, set())
-            cone[name] = existing | acc
-    return cone

@@ -401,6 +401,20 @@ def test_step_returns_the_halt_exit_with_its_step_count():
     assert Cpu(program).run().steps == exit_.steps == cpu.steps
 
 
+def test_copies_of_one_firmware_share_one_block_table():
+    """Ops and superblocks are built once per image content and entry:
+    two separate assemblies of one source share them, and the same
+    source entered at another label gets its own."""
+    source = fuzz_packet_parser()
+    first, second = assemble(source), assemble(source)
+    assert decoded_image(first) is not decoded_image(second)
+    assert Cpu(first)._blocks is Cpu(second)._blocks
+    assert Cpu(first)._ops is Cpu(second)._ops
+    other = assemble(source, entry_label="cmd_copy")
+    assert other.entry != first.entry
+    assert Cpu(other)._blocks is not Cpu(first)._blocks
+
+
 # -- superblocks against the per-step reference loop --------------------------
 #
 # ``Cpu.run`` calls the image's generated superblock at every block

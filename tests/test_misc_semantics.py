@@ -51,6 +51,35 @@ class TestAsyncResetApproximation:
         assert block.areset_edge == "negedge"
 
 
+class TestWideShifts:
+    """Every backend shifts a 128-bit operand by 64 or more to 0,
+    whether the amount is a constant or a net (docs/VERILOG_SUBSET.md)."""
+
+    SHIFTS = r"""
+    module m (input wire clk, input wire [127:0] d, input wire [6:0] s,
+              output reg [127:0] a, output reg [127:0] b,
+              output reg [127:0] c, output reg [127:0] e);
+        always @(posedge clk) begin
+            a <= d << 70; b <= d >> 70; c <= d << s; e <= d << 63;
+        end
+    endmodule
+    """
+
+    @pytest.mark.parametrize("backend, opt", [(Interpreter, None),
+                                              (CompiledSimulation, False),
+                                              (CompiledSimulation, True)],
+                             ids=["interp", "compiled", "compiled-opt"])
+    def test_shift_by_64_or_more_is_zero(self, backend, opt):
+        design = elaborate(self.SHIFTS, "m")
+        sim = backend(design) if opt is None else backend(design, opt=opt)
+        d = (1 << 127) | (1 << 80) | 5
+        sim.poke("d", d)
+        sim.poke("s", 70)
+        sim.step(1)
+        assert [sim.peek(n) for n in "abc"] == [0, 0, 0]
+        assert sim.peek("e") == (d << 63) & ((1 << 128) - 1)
+
+
 class TestVcdContent:
     def test_values_parse_back(self):
         src = """
