@@ -30,7 +30,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass, field
-from typing import FrozenSet, List, Optional, Set, Tuple
+from typing import Callable, FrozenSet, List, Optional, Set, Tuple
 
 from repro.core.shutdown import shutdown_requested
 from repro.core.snapshot import SnapshotController
@@ -115,44 +115,128 @@ class FuzzReport:
 # Shared harness pieces (used by the serial fuzzer and repro.parallel)
 # ---------------------------------------------------------------------------
 
+_INTERESTING = (0, 1, 0x7F, 0x80, 0xFF, 0x10, 0x41)
+
+
+def _draws(rng: random.Random) -> Callable[[int], int]:
+    """``below(n)``: a uniform draw from ``range(n)``, n > 0, by the
+    algorithm of :meth:`random.Random._randbelow` over
+    ``rng.getrandbits``. ``randrange(n)`` and ``choice(seq)`` make
+    exactly this draw and ``randint(a, b)`` is ``a + below(b - a + 1)``,
+    so the stream is theirs without their argument checks."""
+    getrandbits = rng.getrandbits
+
+    def below(n: int) -> int:
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return r
+    return below
+
+
 def mutate_bytes(rng: random.Random, data: bytes) -> bytes:
     """One havoc mutation round (1-4 stacked AFL-style edits)."""
+    below = _draws(rng)
     out = bytearray(data or b"\x00")
-    for _ in range(rng.randint(1, 4)):
-        choice = rng.randrange(5)
+    for _ in range(1 + below(4)):
+        choice = below(5)
         if choice == 0 and out:  # bit flip
-            i = rng.randrange(len(out))
-            out[i] ^= 1 << rng.randrange(8)
+            i = below(len(out))
+            out[i] ^= 1 << below(8)
         elif choice == 1 and out:  # byte set
-            out[rng.randrange(len(out))] = rng.randrange(256)
+            out[below(len(out))] = below(256)
         elif choice == 2 and len(out) < MAX_INPUT:  # insert
-            out.insert(rng.randrange(len(out) + 1), rng.randrange(256))
+            out.insert(below(len(out) + 1), below(256))
         elif choice == 3 and len(out) > 1:  # delete
-            del out[rng.randrange(len(out))]
+            del out[below(len(out))]
         else:  # interesting values
-            value = rng.choice([0, 1, 0x7F, 0x80, 0xFF, 0x10, 0x41])
+            value = _INTERESTING[below(len(_INTERESTING))]
             if out:
-                out[rng.randrange(len(out))] = value
+                out[below(len(out))] = value
     return bytes(out)
 
 
+def _check_input(data: bytes, what: str) -> None:
+    """Reject *data* the harness buffer cannot hold: the firmware reads
+    the length word and would copy bytes that were never staged."""
+    if len(data) > MAX_INPUT:
+        raise VmError(f"{what} is {len(data)} bytes; the harness buffer "
+                      f"at 0x{INPUT_ADDR + 4:x} holds at most {MAX_INPUT}")
+
+
+class ExecutionContext:
+    """One fuzz campaign's execution context: its target, the post-boot
+    snapshot and one :class:`~repro.isa.cpu.Cpu`, reused for every
+    input. Both fuzz harnesses (:class:`SnapshotFuzzer` and the parallel
+    fuzzer's workers) run each input as :meth:`fresh_hardware` then
+    :meth:`execute`, so every input starts from the same state."""
+
+    def __init__(self, program: Program, target: HardwareTarget,
+                 max_steps: int = 20_000, reset: str = "snapshot",
+                 reboot_time_s: float = 0.25):
+        if reset not in ("snapshot", "reboot"):
+            raise VmError(f"unknown reset mode {reset!r}")
+        self.program = program
+        self.target = target
+        self.max_steps = max_steps
+        self.reset_mode = reset
+        self.reboot_time_s = reboot_time_s
+        # Snapshots go through the controller so the boot image lands in
+        # the content-addressed store (per-input restores dedup to it).
+        self.controller = SnapshotController(target)
+        self.boot: Optional[HwSnapshot] = None
+        #: Built by the first :func:`execute_input` handed this context,
+        #: reset in place by every later one.
+        self.cpu: Optional[Cpu] = None
+
+    def fresh_hardware(self) -> None:
+        """Bring the hardware to the clean post-boot state: capture it
+        on the first call and restore it on every later one, or reboot
+        at the configured cost."""
+        if self.reset_mode == "reboot":
+            self.target.reset()
+            self.target.timer.add_fixed(self.reboot_time_s)
+            return
+        if self.boot is None:
+            self.controller.reset()
+            self.boot = self.controller.save()
+        else:
+            self.controller.restore(self.boot)
+
+    def execute(self, data: bytes) -> Tuple[Optional[CpuExit],
+                                            Set[Tuple[int, int]],
+                                            Optional[str], int]:
+        """:func:`execute_input` of *data* in this context."""
+        return execute_input(self.program, self.target, data,
+                             max_steps=self.max_steps, context=self)
+
+
 def execute_input(program: Program, target: HardwareTarget, data: bytes,
-                  max_steps: int = 20_000
+                  max_steps: int = 20_000,
+                  context: Optional[ExecutionContext] = None
                   ) -> Tuple[Optional[CpuExit], Set[Tuple[int, int]],
                              Optional[str], int]:
     """One concrete execution of *data* against live hardware; returns
     (exit, edges, crash reason, pc). Deterministic given the hardware's
     starting state — which is what lets parallel workers reproduce the
-    serial fuzzer's per-input results exactly."""
+    serial fuzzer's per-input results exactly. *context*, made for this
+    program and target, lends its cpu, reset in place; without one a
+    new cpu runs the input."""
+    _check_input(data, "input")
+    cpu = None if context is None else context.cpu
+    if cpu is None:
+        def irq_poll() -> bool:
+            target.step(1)
+            return any(target.irq_lines().values())
 
-    def irq_poll() -> bool:
-        target.step(1)
-        return any(target.irq_lines().values())
-
-    cpu = Cpu(program, mmio_read=target.read, mmio_write=target.write,
-              irq_poll=irq_poll)
-    cpu.store(INPUT_ADDR, len(data), 4)
-    cpu.store_bytes(INPUT_ADDR + 4, data[:MAX_INPUT])
+        cpu = Cpu(program, mmio_read=target.read, mmio_write=target.write,
+                  irq_poll=irq_poll)
+        if context is not None:
+            context.cpu = cpu
+    else:
+        cpu.reset()
+    cpu.store_bytes(INPUT_ADDR, len(data).to_bytes(4, "little") + data)
     edges: Set[Tuple[int, int]] = set()
     try:
         exit_ = cpu.run(max_steps, edges)
@@ -179,11 +263,15 @@ class CorpusScheduler:
     def __init__(self, seeds: Optional[List[bytes]] = None, seed: int = 0):
         self.rng = random.Random(seed)
         self.corpus: List[bytes] = list(seeds or [b"\x00"])
+        for index, data in enumerate(self.corpus):
+            _check_input(data, f"seed {index}")
         self.edges: Set[Tuple[int, int]] = set()
 
     def next_batch(self, count: int) -> List[bytes]:
         """The next *count* inputs of the mutation schedule."""
-        return [mutate_bytes(self.rng, self.rng.choice(self.corpus))
+        rng, corpus = self.rng, self.corpus
+        below = _draws(rng)
+        return [mutate_bytes(rng, corpus[below(len(corpus))])
                 for _ in range(count)]
 
     def state_dict(self) -> dict:
@@ -207,8 +295,7 @@ class CorpusScheduler:
         if crash is not None:
             report.crashes.append(FuzzCrash(data, crash, pc, index))
             return
-        new_edges = edges - self.edges
-        if new_edges:
+        if not edges <= self.edges:  # new edges
             self.edges |= edges
             self.corpus.append(data)
 
@@ -227,18 +314,12 @@ class SnapshotFuzzer:
                  reboot_time_s: float = 0.25,
                  max_steps_per_exec: int = 20_000,
                  seed: int = 0):
-        if reset not in ("snapshot", "reboot"):
-            raise VmError(f"unknown reset mode {reset!r}")
+        self.context = ExecutionContext(program, target, max_steps_per_exec,
+                                        reset, reboot_time_s)
         self.program = program
         self.target = target
-        self.reset_mode = reset
-        self.reboot_time_s = reboot_time_s
-        self.max_steps = max_steps_per_exec
         self.scheduler = CorpusScheduler(seeds, seed)
-        # Snapshots go through the controller so the boot image lands in
-        # the content-addressed store (per-input restores dedup to it).
-        self.controller = SnapshotController(target)
-        self._boot_snapshot: Optional[HwSnapshot] = None
+        self.controller = self.context.controller
 
     # The mutation/coverage state lives on the scheduler; these aliases
     # keep the original public attributes working.
@@ -253,27 +334,6 @@ class SnapshotFuzzer:
     @property
     def edges(self) -> Set[Tuple[int, int]]:
         return self.scheduler.edges
-
-    # -- harness -----------------------------------------------------------
-
-    def _fresh_hardware(self) -> None:
-        """Bring the hardware to the clean post-boot state."""
-        if self.reset_mode == "reboot":
-            self.target.reset()
-            self.target.timer.add_fixed(self.reboot_time_s)
-            return
-        if self._boot_snapshot is None:
-            self.controller.reset()
-            self._boot_snapshot = self.controller.save()
-        else:
-            self.controller.restore(self._boot_snapshot)
-
-    def _execute(self, data: bytes) -> Tuple[Optional[CpuExit],
-                                             Set[Tuple[int, int]],
-                                             Optional[str], int]:
-        """One concrete execution; returns (exit, edges, crash reason, pc)."""
-        return execute_input(self.program, self.target, data,
-                             max_steps=self.max_steps)
 
     # -- main loop -------------------------------------------------------------------
 
@@ -293,6 +353,7 @@ class SnapshotFuzzer:
         modelled_start = self.target.timer.total_s
         resilience0 = (self.target.resilience.as_dict()
                        if getattr(self.target, "resilience", None) else None)
+        context = self.context
         done = 0
         while done < executions:
             if shutdown_requested():
@@ -301,9 +362,9 @@ class SnapshotFuzzer:
             batch = self.scheduler.next_batch(
                 min(max(1, batch_size), executions - done))
             for data in batch:
-                self._fresh_hardware()
+                context.fresh_hardware()
                 report.resets += 1
-                exit_, edges, crash, pc = self._execute(data)
+                exit_, edges, crash, pc = context.execute(data)
                 self.scheduler.merge(report, data, edges, crash, pc, done)
                 done += 1
         self.scheduler.finalize(report)

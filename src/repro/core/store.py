@@ -145,6 +145,8 @@ class SnapshotStore:
         self._chunk_refs: Dict[str, int] = {}
         self._records: Dict[int, SnapshotRecord] = {}
         self._children: Dict[int, int] = {}  # record id -> live child count
+        #: record id -> its image, built by the first resolve.
+        self._images: Dict[int, Dict[str, dict]] = {}
         self._ids = itertools.count(1)
         self.stats = StoreStats()
 
@@ -269,18 +271,25 @@ class SnapshotStore:
         return self._resolve_maps(self.record(snapshot_id))[0]
 
     def resolve(self, snapshot_id: int) -> Dict[str, dict]:
-        """Reassemble the full canonical image of one snapshot.
+        """The full canonical image of one snapshot.
 
-        Walks the delta chain root-ward collecting the newest chunk per
-        instance; the flatten threshold bounds the walk length. The
-        ``nets``/``memories`` sub-dicts of the returned states are the
-        store's shared immutable chunks — callers must not mutate them.
+        The first call walks the delta chain root-ward collecting the
+        newest chunk per instance (the flatten threshold bounds the
+        walk); records never change, so every later call returns that
+        same image until :meth:`forget` drops the record. The whole
+        image is shared — the outer dict, each instance's state dict and
+        their ``nets``/``memories`` chunks — and no caller may mutate any
+        of it.
         """
         self.stats.resolves += 1
-        digests, cycles = self._resolve_maps(self.record(snapshot_id))
-        return {name: {"cycle": cycles[name],
+        image = self._images.get(snapshot_id)
+        if image is None:
+            digests, cycles = self._resolve_maps(self.record(snapshot_id))
+            image = self._images[snapshot_id] = {
+                name: {"cycle": cycles[name],
                        **self._chunks[digest].payload}
                 for name, digest in digests.items()}
+        return image
 
     def chunk(self, digest: str) -> Chunk:
         chunk = self._chunks.get(digest)
@@ -312,6 +321,7 @@ class SnapshotStore:
                 f"snapshot {snapshot_id} has delta children; "
                 f"forget them first")
         del self._records[snapshot_id]
+        self._images.pop(snapshot_id, None)
         if record.parent_id is not None:
             self._children[record.parent_id] -= 1
         for digest in record.chunk_map.values():

@@ -47,8 +47,8 @@ from __future__ import annotations
 from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.isa import encoding as enc
-from repro.isa.cpu import (ALU_I_EXPRS, ALU_R_EXPRS, BRANCH_EXPRS, MASK32,
-                           Block)
+from repro.isa.cpu import (ALU_I_EXPRS, ALU_R_EXPRS, BRANCH_EXPRS,
+                           LINE_BITS, MASK32, MAX_BLOCK, Block)
 from repro.isa.predecode import DecodedImage
 
 Edge = Tuple[int, int]
@@ -56,9 +56,6 @@ Edge = Tuple[int, int]
 # ---------------------------------------------------------------------------
 # Block discovery
 # ---------------------------------------------------------------------------
-
-#: Longest block, in instructions.
-MAX_BLOCK = 64
 
 _STOPS = frozenset({enc.HS, enc.HALT, enc.IRET})
 _JUMPS = frozenset({enc.JAL, enc.JALR})
@@ -125,15 +122,17 @@ def _uses(instr: enc.Instruction) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
 
 #: Inline plain-RAM access per memory opcode: (bail test on the address
 #: ``a``, statements that perform the access), as the op closures of
-#: :mod:`repro.isa.cpu` do it.
+#: :mod:`repro.isa.cpu` do it, stores recording their RAM line.
 _MEMORY: Dict[int, Tuple[str, Tuple[str, ...]]] = {
     enc.LW: ("a + 4 > lim", ("r{rd} = from_bytes(ram[a:a + 4], 'little')",)),
     enc.LB: ("a >= lim", ("v = ram[a]",
                           "r{rd} = v | 0xFFFFFF00 if v & 0x80 else v")),
     enc.LBU: ("a >= lim", ("r{rd} = ram[a]",)),
     enc.SW: ("a < code or a + 4 > lim",
-             ("ram[a:a + 4] = (r{rd} & 0xFFFFFFFF).to_bytes(4, 'little')",)),
-    enc.SB: ("a < code or a >= lim", ("ram[a] = r{rd} & 0xFF",)),
+             ("ram[a:a + 4] = (r{rd} & 0xFFFFFFFF).to_bytes(4, 'little')",
+              f"dirty(a >> {LINE_BITS})")),
+    enc.SB: ("a < code or a >= lim", ("ram[a] = r{rd} & 0xFF",
+                                      f"dirty(a >> {LINE_BITS})")),
 }
 
 
@@ -191,6 +190,7 @@ def _emit_block(src: _Source, entry: int,
         out.append("    lim = cpu._ram_limit")
     if memory & enc.STORES:
         out.append("    code = cpu._code_limit")
+        out.append("    dirty = cpu._dirty.add")
     out.extend(f"    r{r} = regs[{r}]" for r in sorted(live))
     ind = "    "
     if loops:

@@ -24,7 +24,15 @@ by what the run loop observes: while interrupts are enabled, once code
 has been written (``_code_clean`` false), at pcs that lead no block
 (after a block bails on an access outside plain RAM, or a
 ``jalr``/``iret`` into the middle of a block), and when a block does
-not fit the remaining step budget.
+not fit the remaining step budget. A block that bails on its first
+instruction while any pass would fit is dropped from that cpu's table:
+its leader runs per pc from then on.
+
+:meth:`Cpu.reset` brings a cpu back to exactly what a new one of the
+same arguments holds, copying back only the RAM lines written since it
+was built or last reset; every store path records the line it writes.
+A fuzz campaign reuses one cpu this way instead of building one (and a
+64 KiB RAM copy) per input.
 """
 
 from __future__ import annotations
@@ -38,6 +46,17 @@ from repro.isa.assembler import Program
 from repro.isa.predecode import DecodedImage, decoded_image
 
 MASK32 = 0xFFFFFFFF
+
+#: Longest superblock pass, in instructions (:mod:`repro.isa.blocks`).
+MAX_BLOCK = 64
+
+#: RAM writes are tracked in lines of ``1 << LINE_BITS`` bytes. A store
+#: records the line of its first byte; :meth:`Cpu.reset` copies back each
+#: recorded line and the three bytes after it, all that a word store
+#: starting in the line can reach. :meth:`Cpu.store_bytes` records every
+#: line it spans.
+LINE_BITS = 8
+_LINE_REACH = (1 << LINE_BITS) + 3
 
 
 @dataclass
@@ -68,21 +87,33 @@ class Cpu:
                  sym_values: Optional[List[int]] = None):
         self.ram_size = ram_size
         image = decoded_image(program)
-        self.ram = image.ram_image(ram_size)
+        self._proto = image.ram_proto(ram_size)
+        self.ram = bytearray(self._proto)
+        #: Lines (``addr >> LINE_BITS``) stores wrote since the cpu was
+        #: built or last reset.
+        self._dirty: Set[int] = set()
         # Predecoded dispatch: ops come from the table shared per image
         # content while no store has touched the code region.
         self._ops, self._blocks = _tables(image)
         self._code_limit = min(image.code_limit, ram_size)
-        self._code_clean = True
         #: End of the plain RAM the op closures access inline.
         self._ram_limit = min(ram_size, mmio_base)
-        self.regs: List[int] = [0] * enc.NUM_REGS
-        self.regs[enc.REG_SP] = ram_size - 16
-        self.pc = program.entry
+        self._entry = program.entry
         self.mmio_base = mmio_base
         self.mmio_read = mmio_read
         self.mmio_write = mmio_write
         self.irq_poll = irq_poll
+        # Concrete replay of symbolic test cases: values consumed by
+        # successive `sym` intrinsics (defaults to 0 when exhausted).
+        self.sym_values: List[int] = list(sym_values or [])
+        self._start()
+
+    def _start(self) -> None:
+        """Everything but RAM as a new cpu holds it."""
+        self._code_clean = True
+        self.regs: List[int] = [0] * enc.NUM_REGS
+        self.regs[enc.REG_SP] = self.ram_size - 16
+        self.pc = self._entry
         self.irq_enabled = False
         self.irq_handler: Optional[int] = None
         self.in_irq = False
@@ -90,10 +121,18 @@ class Cpu:
         self.steps = 0
         self._exit: Optional[CpuExit] = None
         self.trace_marks: List[int] = []
-        # Concrete replay of symbolic test cases: values consumed by
-        # successive `sym` intrinsics (defaults to 0 when exhausted).
-        self.sym_values: List[int] = list(sym_values or [])
         self._sym_index = 0
+
+    def reset(self) -> None:
+        """Back to what a new cpu of the same arguments holds: the RAM
+        lines written since the cpu was built or last reset are copied
+        back from the image. Blocks this cpu dropped stay dropped."""
+        ram, proto = self.ram, self._proto
+        for line in self._dirty:
+            start = line << LINE_BITS
+            ram[start:start + _LINE_REACH] = proto[start:start + _LINE_REACH]
+        self._dirty.clear()
+        self._start()
 
     # -- memory -------------------------------------------------------------
 
@@ -131,6 +170,7 @@ class Cpu:
             self._code_clean = False  # self-modifying code: stop predecoding
         self.ram[addr:addr + size] = (value & ((1 << (8 * size)) - 1)) \
             .to_bytes(size, "little")
+        self._dirty.add(addr >> LINE_BITS)
 
     def store_bytes(self, addr: int, data: bytes) -> None:
         """Store *data* at *addr* with the effect of one byte ``store``
@@ -147,6 +187,10 @@ class Cpu:
         if addr < self._code_limit:
             self._code_clean = False
         self.ram[addr:end] = data
+        line, last = addr >> LINE_BITS, (end - 1) >> LINE_BITS
+        self._dirty.add(line)
+        if last != line:
+            self._dirty.update(range(line + 1, last + 1))
 
     # -- execution -------------------------------------------------------------------
 
@@ -171,12 +215,18 @@ class Cpu:
                 if self._code_clean and not self.irq_enabled:
                     block = blocks.get(pc)
                     if block is not None:
-                        pc, ran = block(self, regs, edges, max_steps - steps)
+                        room = max_steps - steps
+                        pc, ran = block(self, regs, edges, room)
                         if ran:
                             steps += ran
                             continue
-                        # It ran nothing: its first instruction bailed
-                        # or one pass does not fit; the op takes it.
+                        # It ran nothing; the op takes it. With room for
+                        # any pass, its first instruction bailed: run
+                        # this leader per pc from now on.
+                        if room >= MAX_BLOCK:
+                            blocks = self._blocks = {
+                                leader: other for leader, other
+                                in blocks.items() if leader != pc}
                 before = self.pc = pc
                 if self.irq_enabled:
                     self._maybe_interrupt()
@@ -310,6 +360,7 @@ def _compile(instr: enc.Instruction, pc: int) -> Op:
             if cpu._code_limit <= addr and addr + 4 <= cpu._ram_limit:
                 cpu.ram[addr:addr + 4] = (regs[rd] & MASK32).to_bytes(
                     4, "little")
+                cpu._dirty.add(addr >> LINE_BITS)
             else:
                 cpu.store(addr, regs[rd], 4)
             return fall
@@ -319,6 +370,7 @@ def _compile(instr: enc.Instruction, pc: int) -> Op:
             addr = (regs[rs1] + imm) & MASK32
             if cpu._code_limit <= addr < cpu._ram_limit:
                 cpu.ram[addr] = regs[rd] & 0xFF
+                cpu._dirty.add(addr >> LINE_BITS)
             else:
                 cpu.store(addr, regs[rd], 1)
             return fall

@@ -17,8 +17,9 @@ exactly once per program:
   predecode table matches what that memory actually contains (states
   built from a different image, or never image-loaded at all, miss the
   fast path instead of silently executing the wrong program).
-* ``ram_image(size)`` — a prototype RAM buffer, built once and then
-  copied per execution with one C-level ``bytearray`` copy.
+* ``ram_proto(size)`` — the prototype RAM contents, built once; a core
+  copies it into its RAM with one C-level ``bytearray`` copy, and copies
+  back only the lines it wrote when it resets.
 
 The fast path is guarded against self-modifying code by the executors:
 any store below ``code_limit`` clears their ``code clean`` flag and all
@@ -62,8 +63,8 @@ class DecodedImage:
                 self.itab[addr] = enc.decode(word)
         self._ram_protos: Dict[int, bytes] = {}
 
-    def ram_image(self, ram_size: int) -> bytearray:
-        """A fresh RAM buffer with the image loaded (one memcpy)."""
+    def ram_proto(self, ram_size: int) -> bytes:
+        """RAM of *ram_size* bytes with the image loaded (built once)."""
         proto = self._ram_protos.get(ram_size)
         if proto is None:
             ram = bytearray(ram_size)
@@ -72,7 +73,7 @@ class DecodedImage:
                     ram[addr] = byte
             proto = bytes(ram)
             self._ram_protos[ram_size] = proto
-        return bytearray(proto)
+        return proto
 
 
 #: id(program) -> (weakref to the program, its decoded image). Keyed by

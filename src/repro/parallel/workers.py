@@ -33,8 +33,7 @@ from collections import OrderedDict
 from dataclasses import replace
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-from repro.core.fuzzer import execute_input
-from repro.core.snapshot import SnapshotController
+from repro.core.fuzzer import ExecutionContext
 from repro.core.store import chunk_digest
 from repro.errors import VmError
 from repro.parallel.envelope import (pack_fuzz_results, pack_lease_results,
@@ -190,44 +189,32 @@ class EngineWorker:
 
 
 class FuzzWorker:
-    """One worker's fuzz harness: target + post-boot snapshot, no VM."""
+    """One worker's fuzz harness: target + post-boot snapshot, no VM,
+    in the serial fuzzer's execution context."""
 
     def __init__(self, recipe: SessionRecipe):
-        self.program = recipe.program
         self.target = recipe.target.build()
         plan = getattr(recipe.config, "fault_plan", None)
         if plan is not None:
             self.target.attach_resilience(plan, recipe.config.retry_policy)
-        self.max_steps = recipe.max_steps_per_exec
-        self.controller = SnapshotController(self.target)
-        self._boot: Optional[HwSnapshot] = None
-        self.restores = 0
-
-    def _fresh_hardware(self) -> None:
-        # Mirrors SnapshotFuzzer._fresh_hardware (reset="snapshot"):
-        # capture the post-boot state once, restore it per input.
-        if self._boot is None:
-            self.controller.reset()
-            self._boot = self.controller.save()
-        else:
-            self.controller.restore(self._boot)
+        self.context = ExecutionContext(recipe.program, self.target,
+                                        recipe.max_steps_per_exec)
 
     def boot_digests(self) -> Dict[str, str]:
         """Chunk digests of the post-boot snapshot (per instance) — lets
         the coordinator verify all workers fuzz from the same state."""
-        self._fresh_hardware()
+        self.context.fresh_hardware()
         return {name: chunk_digest(state)
-                for name, state in self._boot.states.items()}
+                for name, state in self.context.boot.states.items()}
 
     def run_batch(self, payload: Dict[str, Any]) -> Dict[str, Any]:
         modelled0 = self.target.timer.total_s
         resilience0 = self.target.resilience.as_dict()
+        context = self.context
         results: List[Tuple[int, bytes, bytes, Optional[str], int]] = []
         for index, data in payload["items"]:
-            self._fresh_hardware()
-            self.restores += 1
-            _exit, edges, crash, pc = execute_input(
-                self.program, self.target, data, max_steps=self.max_steps)
+            context.fresh_hardware()
+            _exit, edges, crash, pc = context.execute(data)
             results.append((index, data, pack_edges(edges), crash, pc))
         return {
             "results": results,

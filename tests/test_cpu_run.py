@@ -8,14 +8,17 @@ loop kept here: one ``Cpu.step`` call per instruction through the
 per-pc ops, the edge tuple built by the caller, the input staged one
 byte at a time. Every case must agree on the exit, edge set, crash
 text, final pc, and the hardware's bus traffic, modelled time and cycle
-count.
+count. A cpu reset in place (``Cpu.reset``, as a fuzz campaign reuses
+one) is checked against a new one the same way.
 """
 
+import collections
 import random
 
 import pytest
 
-from repro.core.fuzzer import INPUT_ADDR, MAX_INPUT, execute_input
+from repro.core.fuzzer import (INPUT_ADDR, MAX_INPUT, ExecutionContext,
+                               execute_input)
 from repro.errors import FirmwarePanic
 from repro.firmware import TIMER_BASE, fuzz_packet_parser
 from repro.isa import Cpu, CpuExit, assemble
@@ -95,10 +98,13 @@ def _word(line):
     return assemble(f"start:\n    {line}\n").words[0]
 
 
-@pytest.mark.parametrize("data", [
-    b"", b"\x07", bytes([1, 4, 0x41, 0x42, 0x43, 0x44]),
-    bytes([1, 0x90]) + bytes(range(40)), bytes([2, 0x1F])],
-    ids=["empty", "unknown_cmd", "copy", "planted_crash", "timer_wait"])
+HARNESS_INPUTS = [b"", b"\x07", bytes([1, 4, 0x41, 0x42, 0x43, 0x44]),
+                  bytes([1, 0x90]) + bytes(range(40)), bytes([2, 0x1F])]
+HARNESS_IDS = ["empty", "unknown_cmd", "copy", "planted_crash",
+               "timer_wait"]
+
+
+@pytest.mark.parametrize("data", HARNESS_INPUTS, ids=HARNESS_IDS)
 def test_fuzz_harness_inputs(data):
     """The packet-parser harness end to end: staging, byte loads, the
     planted crash, and a timer wait over MMIO."""
@@ -439,6 +445,22 @@ def _count_block_steps(cpu):
     return ran
 
 
+def _cpu_state(cpu):
+    return (list(cpu.regs), cpu.pc, cpu.steps, bytes(cpu.ram),
+            cpu._code_clean)
+
+
+def _left_behind(cpu, max_steps, runner=Cpu.run):
+    """(exit or panic text, edges) and the cpu state of one run."""
+    edges = set()
+    try:
+        exit_ = runner(cpu, max_steps, edges)
+        result = (exit_.reason, exit_.code, exit_.pc, exit_.steps)
+    except FirmwarePanic as exc:
+        result = str(exc)
+    return (result, edges) + _cpu_state(cpu)
+
+
 def _outcome(program, max_steps, runner, with_target):
     """Everything one run leaves behind, and the steps run in blocks."""
     target = _target() if with_target else None
@@ -451,16 +473,10 @@ def _outcome(program, max_steps, runner, with_target):
         cpu = Cpu(program, mmio_read=target.read, mmio_write=target.write,
                   irq_poll=irq_poll)
     in_blocks = _count_block_steps(cpu)
-    edges = set()
-    try:
-        exit_ = runner(cpu, max_steps, edges)
-        result = (exit_.reason, exit_.code, exit_.pc, exit_.steps)
-    except FirmwarePanic as exc:
-        result = str(exc)
+    left = _left_behind(cpu, max_steps, runner)
     hardware = None if target is None else (
         _bus_stats(target), target.cycles, target.timer.total_s)
-    return ((result, edges, list(cpu.regs), cpu.pc, cpu.steps,
-             bytes(cpu.ram), cpu._code_clean, hardware), in_blocks[0])
+    return left + (hardware,), in_blocks[0]
 
 
 def _run_both(source, max_steps=10_000, with_target=False):
@@ -721,3 +737,122 @@ def test_block_inlined_alu_matches_the_oracle(op):
         assert cpu.regs[3] == result, (a, b)
         assert cpu.pc == (0 if _branch_taken(enc.BLT, result, b) else 8)
     assert in_blocks[0] == cpu.steps * len(_operands(op)[::3])
+
+
+# -- a reset cpu against a new one --------------------------------------------
+#
+# A fuzz campaign reuses one cpu: ``Cpu.reset`` copies back only the RAM
+# lines written since the last reset. Each case runs input A, resets,
+# runs input B, and compares everything B leaves behind with a new cpu's
+# run of B.
+
+
+def _harness_run(context, data):
+    """Input *data* through *context* from the boot state: everything it
+    leaves behind, and the modelled seconds it took."""
+    target = context.target
+    context.fresh_hardware()
+    bus, start = _bus_stats(target), target.timer.total_s
+    exit_, edges, crash, pc = context.execute(data)
+    exit_key = None if exit_ is None else (exit_.reason, exit_.code,
+                                           exit_.pc, exit_.steps)
+    bus = tuple(after - before
+                for before, after in zip(bus, _bus_stats(target)))
+    return ((exit_key, edges, crash, pc, bus) + _cpu_state(context.cpu),
+            target.timer.total_s - start)
+
+
+@pytest.mark.parametrize("first", HARNESS_INPUTS, ids=HARNESS_IDS)
+@pytest.mark.parametrize("then", HARNESS_INPUTS, ids=HARNESS_IDS)
+def test_reset_context_matches_a_new_one_on_the_harness(first, then):
+    program = assemble(fuzz_packet_parser())
+    reused = ExecutionContext(program, _target())
+    _harness_run(reused, first)
+    cpu = reused.cpu
+    outcome, seconds = _harness_run(reused, then)
+    assert reused.cpu is cpu
+    fresh, fresh_seconds = _harness_run(ExecutionContext(program, _target()),
+                                        then)
+    assert outcome == fresh
+    assert seconds == pytest.approx(fresh_seconds, rel=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_reset_cpu_matches_a_new_one_on_random_programs(seed):
+    """The random programs run to halt, then again after each reset,
+    cut at step limits before, inside and after their stores."""
+    program = assemble(_random_program(seed))
+    cpu = Cpu(program)
+    n = cpu.run(50_000).steps
+    for limit in sorted({0, 1, 5, n // 3, n // 2, n - 1, n}):
+        cpu.reset()
+        fresh = _left_behind(Cpu(program), limit)
+        assert _left_behind(cpu, limit) == fresh, limit
+
+
+#: One store per write path, each into RAM lines no other store writes.
+WRITE_PATHS = """
+start:
+    movi r1, 0x30FE
+    movi r2, 0xA1B2C3D4
+    movi r3, 0xFFFC
+    sw   r2, 0(r1)          ; block: a word across a line boundary
+    sb   r2, 0x400(r1)      ; block: a byte
+    ei                      ; per-pc ops while interrupts are enabled
+    sw   r2, 0x600(r1)      ; op: a word across a line boundary
+    sb   r2, 3(r3)          ; op: the last RAM byte
+    di
+    movi r4, patch
+    movi r5, replacement
+    lw   r6, 0(r5)
+    sw   r6, 0(r4)          ; Cpu.store below the code limit
+patch:
+    addi r7, r0, 1          ; overwritten before it runs
+    halt r7
+replacement:
+    addi r7, r0, 7
+"""
+
+
+def test_reset_undoes_a_store_on_every_write_path():
+    """Input A stages bytes across a line boundary (``store_bytes``) and
+    stores through a superblock, the per-pc ops and ``Cpu.store`` into
+    the code; after each reset, B (each step limit, nothing staged)
+    matches a new cpu: every line is back and the code is clean."""
+    program = assemble(WRITE_PATHS)
+    cpu = Cpu(program)
+    cpu.store_bytes(0x40FD, bytes(range(1, 8)))
+    in_blocks = _count_block_steps(cpu)
+    assert cpu.run(100).code == 7 and not cpu._code_clean
+    # Three movi pairs, sw and sb; two movi pairs and the lw before the
+    # store into the code bails.
+    assert in_blocks[0] == 8 + 5
+    for limit in range(cpu.steps + 1):
+        cpu.reset()
+        fresh = _left_behind(Cpu(program), limit)
+        assert _left_behind(cpu, limit) == fresh, limit
+
+
+def test_a_block_that_bails_first_is_called_once_per_cpu():
+    """The timer-wait loop's block bails on its first instruction, an
+    MMIO load, on every pass. Its first empty call drops it from the
+    cpu's table, and the campaign's reused cpu keeps it dropped."""
+    program = assemble(fuzz_packet_parser())
+    context = ExecutionContext(program, _target())
+    context.fresh_hardware()
+    context.execute(b"")
+    empty = collections.Counter()
+
+    def counted(leader, block):
+        def call(*args):
+            next_pc, ran = block(*args)
+            empty[leader] += not ran
+            return next_pc, ran
+        return call
+
+    cpu = context.cpu
+    cpu._blocks = {pc: counted(pc, block) for pc, block in cpu._blocks.items()}
+    for _ in range(3):
+        context.fresh_hardware()
+        assert context.execute(bytes([2, 0x1F]))[0].reason == "halt"
+    assert +empty == {program.labels["wait_t"]: 1}

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import SnapshotFuzzer
+from repro.core.fuzzer import MAX_INPUT, CorpusScheduler, execute_input
 from repro.errors import VmError
 from repro.firmware import TIMER_BASE, fuzz_packet_parser
 from repro.isa import assemble
@@ -60,7 +61,7 @@ class TestFuzzer:
                                 seeds=[bytes([2, 31])], seed=0)
         fuzzer.run(executions=5)
         # After the run, restore once more and check the timer is clean.
-        target.restore_snapshot(fuzzer._boot_snapshot)
+        target.restore_snapshot(fuzzer.context.boot)
         assert target.read(TIMER_BASE + 4) == 0  # LOAD back to reset value
 
     def test_reboot_mode_matches_coverage_but_slower(self, program):
@@ -87,3 +88,29 @@ class TestFuzzer:
                                 max_steps_per_exec=50, seed=0)
         report = fuzzer.run(executions=20)
         assert not report.crashes  # timer wait exceeds 50 steps: hang only
+
+
+class TestHarnessBuffer:
+    """The firmware reads a length word and then that many staged bytes;
+    the buffer after the word holds ``MAX_INPUT`` of them."""
+
+    #: A copy command one byte longer than the buffer.
+    OVERLONG = bytes([1, 4]) + bytes(MAX_INPUT - 1)
+
+    def test_overlong_seed_is_rejected_with_its_index_and_length(self):
+        with pytest.raises(VmError, match=f"seed 1 is {MAX_INPUT + 1} "):
+            CorpusScheduler([b"\x00", self.OVERLONG])
+
+    def test_fuzzer_rejects_overlong_seed(self, program):
+        with pytest.raises(VmError, match="seed 0 "):
+            SnapshotFuzzer(program, _target(), seeds=[self.OVERLONG])
+
+    def test_execute_input_rejects_overlong_data(self, program):
+        with pytest.raises(VmError, match=f"input is {MAX_INPUT + 1} "):
+            execute_input(program, _target(), self.OVERLONG)
+
+    def test_a_full_buffer_runs(self, program):
+        data = self.OVERLONG[:MAX_INPUT]
+        CorpusScheduler([data])
+        exit_, _edges, crash, _pc = execute_input(program, _target(), data)
+        assert crash is None and exit_.reason == "halt"

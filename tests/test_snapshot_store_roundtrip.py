@@ -141,6 +141,25 @@ def test_forget_is_leaf_only_and_frees_chunks():
     assert store.stats.stored_bits == 0
 
 
+def test_resolve_returns_one_image_per_record_until_forgotten():
+    """Records never change, so a record resolves to one shared image;
+    forgetting the record drops the image, and a resolve after that
+    raises instead of handing out a stale one."""
+    store = SnapshotStore()
+    store.put(1, {"a": _state(1)}, {"a": 8})
+    store.put(2, {"a": _state(2)}, {"a": 8}, parent_id=1)
+    image = store.resolve(2)
+    assert image == {"a": _state(2)}
+    assert store.resolve(2) is image
+    assert store.stats.resolves == 2
+    store.forget(2)
+    with pytest.raises(SnapshotError):
+        store.resolve(2)
+    store.put(2, {"a": _state(5)}, {"a": 8}, parent_id=1)
+    assert store.resolve(2) == {"a": _state(5)}
+    assert store.resolve(1) == {"a": _state(1)}
+
+
 def test_shared_store_ids_never_collide():
     store = SnapshotStore()
     a = store.next_id()

@@ -4,6 +4,7 @@ snapshot IP, and cross-target orchestration."""
 import pytest
 
 from repro.bus.transport import USB3
+from repro.core.snapshot import SnapshotController
 from repro.errors import SnapshotError, TargetError
 from repro.peripherals import catalog, timer
 from repro.targets import (FpgaTarget, SimulatorTarget, SnapshotIp,
@@ -228,6 +229,50 @@ class TestIncrementalRestore:
         assert {k: live["nets"][k] for k in state["nets"]} == state["nets"]
         assert {k: live["memories"][k] for k in state["memories"]} \
             == state["memories"]
+
+    def test_poke_between_restores_of_one_snapshot_reloads(self,
+                                                           monkeypatch):
+        """Through the controller every restore hands the target the
+        store's one image of the snapshot. A restore into an untouched
+        target loads nothing; a TIMER poke in between moves the state
+        version, so the next restore loads the snapshot again."""
+        t = _target(FpgaTarget, scan_mode="functional")
+        _arm_timer(t, 12)
+        ctl = SnapshotController(t)
+        snap = ctl.save()
+        ctl.restore(snap)
+        image = snap.states
+        loads = self._spy_loads(monkeypatch, t)
+        ctl.restore(snap)
+        assert loads == [] and snap.states is image
+        sim = t.instances["timer"].sim
+        sim.poke("load", 99)
+        ctl.restore(snap)
+        assert loads == [image["timer"]] and snap.states is image
+        live = sim.save_state()
+        state = image["timer"]
+        assert live["cycle"] == state["cycle"]
+        assert {k: live["nets"][k] for k in state["nets"]} == state["nets"]
+
+    def test_fault_plan_restores_shift_through_the_link(self, monkeypatch):
+        """With a fault plan attached every restore runs the verified
+        shift, untouched target or not: the link can fault on any."""
+        from repro.resilience import FaultPlan
+
+        t = _target(FpgaTarget, scan_mode="functional")
+        t.attach_resilience(FaultPlan(seed=0, mmio_drop_rate=1e-9))
+        ctl = SnapshotController(t)
+        snap = ctl.save()
+        shifts = []
+        shift = t._shift_verified
+
+        def spy(instance, operation, *args, **kwargs):
+            shifts.append(operation)
+            return shift(instance, operation, *args, **kwargs)
+        monkeypatch.setattr(t, "_shift_verified", spy)
+        for _ in range(3):
+            ctl.restore(snap)
+        assert shifts == ["load"] * 3
 
     @pytest.mark.parametrize("mode", ["shift", "shift-perbit"])
     def test_shift_modes_still_shift(self, mode):
