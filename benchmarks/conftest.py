@@ -44,8 +44,9 @@ PROBE_EXECUTIONS = 576  # 9 batches
 #: long, or wall-clock ratios drown in scheduler/timer noise.
 MIN_SERIAL_S = 2.0
 #: Ceiling so a fast host cannot scale the run into minutes. At about
-#: 17 000 exec/s the floor needs about 40 000 executions.
-MAX_EXECUTIONS = 65_536  # 1 024 batches
+#: 30 000 exec/s the floor (with its 15 % headroom) needs about 70 000
+#: executions; the ceiling leaves room for hosts several times faster.
+MAX_EXECUTIONS = 262_144  # 4 096 batches
 
 
 def _serial_fuzz(executions):

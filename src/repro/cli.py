@@ -29,7 +29,8 @@ import sys
 from typing import List, Tuple
 
 from repro.analysis import format_table
-from repro.core import HardSnapSession, SnapshotFuzzer
+from repro.core import (HardSnapSession, SessionConfig, SnapshotFuzzer,
+                        make_target)
 from repro.core.journal import Journal
 from repro.core.persistence import atomic_write_json
 from repro.core.shutdown import graceful_shutdown
@@ -40,7 +41,6 @@ from repro.instrument import (emit_verilog, insert_scan_chain, machine_report,
 from repro.isa import assemble
 from repro.isa.disassembler import disassemble_program
 from repro.peripherals import catalog
-from repro.targets import FpgaTarget
 
 
 def _parse_peripherals(items: List[str]) -> List[Tuple]:
@@ -266,7 +266,7 @@ def cmd_fuzz(args) -> int:
         return _print_fuzz_report(report, pool_stats=pool_stats)
     with graceful_shutdown():
         program = assemble(open(args.firmware).read())
-        target = FpgaTarget(scan_mode="functional", opt=not args.no_opt)
+        target = make_target(SessionConfig(opt=not args.no_opt))
         for spec, base in _parse_peripherals(args.peripheral):
             target.add_peripheral(spec, base)
         _print_opt_report(target)
@@ -316,9 +316,7 @@ def cmd_replay(args) -> int:
             from repro.parallel import ParallelAnalysisEngine
             with ParallelAnalysisEngine(
                     recipe=setup["recipe"],
-                    workers=args.workers or setup["workers"],
-                    lease_budget=setup["lease_budget"],
-                    lease_batch=setup["lease_batch"]) as engine:
+                    workers=args.workers or setup["workers"]) as engine:
                 report = engine.run(**setup["run_kwargs"])
                 pool_stats = engine.pool_stats
             status = _print_run_report(report, pool_stats=pool_stats)
@@ -332,11 +330,12 @@ def cmd_replay(args) -> int:
                 report = fuzzer.run(executions=setup["executions"])
                 pool_stats = fuzzer.pool_stats
             status = _print_fuzz_report(report, pool_stats=pool_stats)
+            recipe = setup["recipe"]
             for crash in report.crashes:
-                target = setup["recipe"].target.build()
+                target = recipe.target.build(recipe.config)
                 _exit, _edges, reason, pc = execute_input(
-                    setup["recipe"].program, target, crash.input_bytes,
-                    max_steps=setup["recipe"].max_steps_per_exec)
+                    recipe.program, target, crash.input_bytes,
+                    max_steps=recipe.max_steps_per_exec)
                 ok = reason is not None
                 print(f"  replayed crash @{crash.execution}: "
                       f"{'reproduced' if ok else 'NOT reproduced'} "

@@ -31,10 +31,6 @@ class SessionConfig:
     ram_size: int = 64 * 1024
     #: Base of the MMIO window (everything above is forwarded).
     mmio_base: int = 0x4000_0000
-    #: Hardware clock cycles advanced per executed instruction.
-    cycles_per_instruction: int = 1
-    #: Device reboot wall time charged by the naive-consistent baseline.
-    reboot_time_s: float = 0.25
     #: FPGA scan execution mode: "shift" (real RTL shifting) or
     #: "functional" (same costs, direct state move).
     scan_mode: str = "functional"

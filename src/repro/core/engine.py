@@ -26,7 +26,8 @@ from repro.core.shutdown import shutdown_requested
 from repro.core.snapshot import SnapshotController
 from repro.core.store import DEFAULT_FLATTEN_THRESHOLD, SnapshotStore
 from repro.resilience import ResilienceStats
-from repro.targets.base import HardwareTarget
+from repro.targets.base import (CYCLES_PER_INSTRUCTION, REBOOT_TIME_S,
+                                HardwareTarget)
 from repro.vm.detectors import Bug, model_to_test_case
 from repro.vm.executor import SymbolicExecutor
 from repro.vm.forwarding import MmioBridge
@@ -89,10 +90,7 @@ class RebootReplayStrategy(ConsistencyStrategy):
 
     name = "naive-consistent"
 
-    def __init__(self, reboot_time_s: float = 0.25,
-                 cycles_per_instruction: int = 1):
-        self.reboot_time_s = reboot_time_s
-        self.cpi = cycles_per_instruction
+    def __init__(self):
         #: state id -> [(op, addr, value, instruction_count)]
         self.traces: Dict[int, List[Tuple[str, int, int, int]]] = {}
         self.replayed_accesses = 0
@@ -120,9 +118,7 @@ class RebootReplayStrategy(ConsistencyStrategy):
 
     def _reboot(self) -> None:
         self.controller.reset()
-        # A device reboot is wall-clock expensive (Muench et al. report
-        # multi-second resets for real boards; we default to 250 ms).
-        self.controller.target.timer.add_fixed(self.reboot_time_s)
+        self.controller.target.timer.add_fixed(REBOOT_TIME_S)
         self.reboots += 1
 
     def _replay(self, state: ExecState) -> None:
@@ -130,7 +126,7 @@ class RebootReplayStrategy(ConsistencyStrategy):
         trace = self.traces.get(state.state_id, [])
         last_step = 0
         for op, addr, value, at_step in trace:
-            gap = max(0, at_step - last_step) * self.cpi
+            gap = max(0, at_step - last_step) * CYCLES_PER_INSTRUCTION
             if gap:
                 self.bridge.step_hardware(gap)
             last_step = at_step
@@ -141,7 +137,7 @@ class RebootReplayStrategy(ConsistencyStrategy):
                 got = self.bridge.read(addr)
                 if got != value:
                     self.replay_divergences += 1
-        tail = max(0, state.steps - last_step) * self.cpi
+        tail = max(0, state.steps - last_step) * CYCLES_PER_INSTRUCTION
         if tail:
             self.bridge.step_hardware(tail)
 
@@ -289,7 +285,6 @@ class AnalysisEngine:
     def __init__(self, executor: SymbolicExecutor, searcher: Searcher,
                  strategy: ConsistencyStrategy, target: HardwareTarget,
                  bridge: MmioBridge,
-                 cycles_per_instruction: int = 1,
                  store: Optional[SnapshotStore] = None,
                  flatten_threshold: int = DEFAULT_FLATTEN_THRESHOLD):
         self.executor = executor
@@ -299,7 +294,6 @@ class AnalysisEngine:
         self.bridge = bridge
         self.controller = SnapshotController(
             target, store=store, flatten_threshold=flatten_threshold)
-        self.cpi = cycles_per_instruction
         strategy.bind(self.controller, bridge)
         self._wire_access_recording()
 
@@ -342,13 +336,12 @@ class AnalysisEngine:
         hardware, executed inside the VM's tight block loop."""
         executor = self.executor
         bridge = self.bridge
-        cpi = self.cpi
 
         def pre_step(s: ExecState) -> None:
             executor.maybe_interrupt(s, any(bridge.irq_lines().values()))
 
         def post_step() -> None:
-            bridge.step_hardware(cpi)
+            bridge.step_hardware(CYCLES_PER_INSTRUCTION)
 
         self._scheduled = state
         try:

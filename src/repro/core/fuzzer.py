@@ -18,8 +18,8 @@ Two reset backends, matching Fig. 1's cost axis:
 
 * ``reset="snapshot"`` — capture the post-boot hardware state once, then
   restore it per input (HardSnap),
-* ``reset="reboot"`` — full device reset per input, charged at the
-  configured reboot time (the naive baseline).
+* ``reset="reboot"`` — full device reset per input, charged at
+  :data:`~repro.targets.base.REBOOT_TIME_S` (the naive baseline).
 
 Executions per second (modelled) is the headline metric the two differ
 on; the explored coverage is identical by construction.
@@ -38,7 +38,7 @@ from repro.errors import FirmwarePanic, VmError
 from repro.resilience import ResilienceStats
 from repro.isa.assembler import Program
 from repro.isa.cpu import Cpu, CpuExit
-from repro.targets.base import HardwareTarget, HwSnapshot
+from repro.targets.base import REBOOT_TIME_S, HardwareTarget, HwSnapshot
 
 INPUT_ADDR = 0xF000
 MAX_INPUT = 0x400
@@ -173,15 +173,13 @@ class ExecutionContext:
     :meth:`execute`, so every input starts from the same state."""
 
     def __init__(self, program: Program, target: HardwareTarget,
-                 max_steps: int = 20_000, reset: str = "snapshot",
-                 reboot_time_s: float = 0.25):
+                 max_steps: int = 20_000, reset: str = "snapshot"):
         if reset not in ("snapshot", "reboot"):
             raise VmError(f"unknown reset mode {reset!r}")
         self.program = program
         self.target = target
         self.max_steps = max_steps
         self.reset_mode = reset
-        self.reboot_time_s = reboot_time_s
         # Snapshots go through the controller so the boot image lands in
         # the content-addressed store (per-input restores dedup to it).
         self.controller = SnapshotController(target)
@@ -193,10 +191,10 @@ class ExecutionContext:
     def fresh_hardware(self) -> None:
         """Bring the hardware to the clean post-boot state: capture it
         on the first call and restore it on every later one, or reboot
-        at the configured cost."""
+        at :data:`~repro.targets.base.REBOOT_TIME_S`."""
         if self.reset_mode == "reboot":
             self.target.reset()
-            self.target.timer.add_fixed(self.reboot_time_s)
+            self.target.timer.add_fixed(REBOOT_TIME_S)
             return
         if self.boot is None:
             self.controller.reset()
@@ -311,11 +309,10 @@ class SnapshotFuzzer:
     def __init__(self, program: Program, target: HardwareTarget,
                  seeds: Optional[List[bytes]] = None,
                  reset: str = "snapshot",
-                 reboot_time_s: float = 0.25,
                  max_steps_per_exec: int = 20_000,
                  seed: int = 0):
         self.context = ExecutionContext(program, target, max_steps_per_exec,
-                                        reset, reboot_time_s)
+                                        reset)
         self.program = program
         self.target = target
         self.scheduler = CorpusScheduler(seeds, seed)

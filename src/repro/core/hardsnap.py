@@ -21,7 +21,7 @@ Typical use::
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.core.config import SessionConfig
 from repro.core.engine import (AnalysisEngine, AnalysisReport,
@@ -36,25 +36,25 @@ from repro.targets.fpga import FpgaTarget
 from repro.targets.simulator import SimulatorTarget
 from repro.vm.executor import SymbolicExecutor
 from repro.vm.forwarding import ConcretizationPolicy, MmioBridge
-from repro.vm.searchers import RandomSearcher, make_searcher
+from repro.vm.searchers import Searcher, make_searcher
 from repro.vm.state import ExecState
 
 PeripheralBinding = Tuple[PeripheralSpec, int]
 
 
-def make_strategy(name: str, config: SessionConfig) -> ConsistencyStrategy:
+def make_strategy(name: str) -> ConsistencyStrategy:
     if name == "hardsnap":
         return SnapshotStrategy()
     if name == "naive-consistent":
-        return RebootReplayStrategy(
-            reboot_time_s=config.reboot_time_s,
-            cycles_per_instruction=config.cycles_per_instruction)
+        return RebootReplayStrategy()
     if name == "naive-inconsistent":
         return SharedHardwareStrategy()
     raise VmError(f"unknown strategy {name!r}")
 
 
 def make_target(config: SessionConfig) -> HardwareTarget:
+    """The empty target *config* describes; every session, fuzz campaign
+    and parallel worker builds its target here."""
     if config.target == "fpga":
         return FpgaTarget(scan_mode=config.scan_mode,
                           sram_dedup=config.sram_dedup,
@@ -62,6 +62,17 @@ def make_target(config: SessionConfig) -> HardwareTarget:
     if config.target == "simulator":
         return SimulatorTarget()
     raise VmError(f"unknown target kind {config.target!r}")
+
+
+def make_session_searcher(config: SessionConfig,
+                          covered: Set[int]) -> Searcher:
+    """The searcher *config* names, seeded from the config; the coverage
+    searcher reads the covered pcs from *covered*."""
+    if config.searcher == "random":
+        return make_searcher("random", seed=config.seed)
+    if config.searcher == "coverage":
+        return make_searcher("coverage", covered=covered)
+    return make_searcher(config.searcher)
 
 
 class HardSnapSession:
@@ -98,17 +109,12 @@ class HardSnapSession:
         self.executor = SymbolicExecutor(
             self.program, self.bridge, self.solver,
             ram_size=config.ram_size, mmio_base=config.mmio_base)
-        searcher_kwargs = {}
-        if config.searcher == "random":
-            searcher_kwargs["seed"] = config.seed
-        elif config.searcher == "coverage":
-            searcher_kwargs["covered"] = self.executor.coverage
-        self.searcher = make_searcher(config.searcher, **searcher_kwargs)
-        self.strategy = make_strategy(config.strategy, config)
+        self.searcher = make_session_searcher(config,
+                                              self.executor.coverage)
+        self.strategy = make_strategy(config.strategy)
         self.engine = AnalysisEngine(
             self.executor, self.searcher, self.strategy, self.target,
             self.bridge,
-            cycles_per_instruction=config.cycles_per_instruction,
             flatten_threshold=config.snapshot_flatten_threshold)
 
     # -- running ------------------------------------------------------------

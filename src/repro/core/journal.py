@@ -18,7 +18,7 @@ Layout::
 16-byte blake2b(payload) checksum · payload`` where the payload is
 canonical JSON (sorted keys). Appends go through one buffered file,
 flushed per record (so a SIGKILL'd coordinator loses nothing the OS
-already has) and fsync'd every ``fsync_every`` records — checkpoints,
+already has) and fsync'd every :data:`FSYNC_EVERY` records — checkpoints,
 campaign open and seal always fsync, so a power cut can only cost
 events *after* the last checkpoint, which resume re-executes anyway.
 Blob *bodies* ride a background writer thread (checkpoint blobs write
@@ -84,8 +84,9 @@ _HEADER_SIZE = _LEN.size + _DIGEST_SIZE
 #: Journal format version, carried by the first record of every log.
 FORMAT_VERSION = 1
 
-#: Default append→fsync batching (checkpoints always fsync).
-DEFAULT_FSYNC_EVERY = 16
+#: Appends per fsync of the event log (checkpoints, campaign open and
+#: seal always fsync).
+FSYNC_EVERY = 16
 
 #: Env hook: SIGKILL this process after appending record #n.
 KILL_AFTER_ENV = "REPRO_JOURNAL_KILL_AFTER"
@@ -142,12 +143,10 @@ def read_frames(data: bytes) -> Iterator[tuple]:
 class Journal:
     """One campaign's append-only, checksummed event log + blob store."""
 
-    def __init__(self, directory: PathLike, fsync_every: int =
-                 DEFAULT_FSYNC_EVERY, readonly: bool = False):
+    def __init__(self, directory: PathLike, readonly: bool = False):
         self.directory = pathlib.Path(directory)
         self.path = self.directory / "events.log"
         self.blobs = FileBlobStore(self.directory / "blobs")
-        self.fsync_every = max(1, fsync_every)
         self.readonly = readonly
         self.records: List[Dict[str, Any]] = []
         #: Torn-tail recovery info from :meth:`open` (``None`` when the
@@ -173,11 +172,10 @@ class Journal:
     # -- lifecycle ----------------------------------------------------------
 
     @classmethod
-    def create(cls, directory: PathLike,
-               fsync_every: int = DEFAULT_FSYNC_EVERY) -> "Journal":
+    def create(cls, directory: PathLike) -> "Journal":
         """Start a fresh journal. Refuses to reuse an existing one —
         an interrupted campaign is resumed, never overwritten."""
-        journal = cls(directory, fsync_every=fsync_every)
+        journal = cls(directory)
         if journal.path.exists():
             raise JournalError(
                 f"journal {journal.path} already exists; resume it "
@@ -190,7 +188,6 @@ class Journal:
 
     @classmethod
     def open(cls, directory: PathLike,
-             fsync_every: int = DEFAULT_FSYNC_EVERY,
              readonly: bool = False) -> "Journal":
         """Open an existing journal, recovering a torn tail.
 
@@ -198,8 +195,7 @@ class Journal:
         tail is truncated (writable opens persist the truncation and
         log a ``tail-recovered`` event so the repair is never silent).
         """
-        journal = cls(directory, fsync_every=fsync_every,
-                      readonly=readonly)
+        journal = cls(directory, readonly=readonly)
         if not journal.path.exists():
             raise JournalError(f"no journal at {journal.path}")
         data = journal.path.read_bytes()
@@ -282,7 +278,7 @@ class Journal:
         self._fh.flush()
         self.records.append(record)
         self._unsynced += 1
-        if self._unsynced >= self.fsync_every:
+        if self._unsynced >= FSYNC_EVERY:
             self.commit()
         self._appended += 1
         if self._kill_after and self._appended >= self._kill_after:

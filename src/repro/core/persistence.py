@@ -11,8 +11,9 @@ root-cause analysis *after* the run. This module provides both:
 * :func:`export_crash_pack` — one directory per analysis run: a
   manifest, and per finding the concrete test case, the control-flow
   tail (disassembled when the program is provided) and the full hardware
-  snapshot. :func:`replay_crash` restores a pack's snapshot onto a live
-  target and replays the test case on the concrete core.
+  snapshot. :func:`replay_crash` replays a finding's test case on the
+  concrete core against a live target, clocked as the analysis engine
+  clocks it.
 * :class:`SnapshotWire` — the pickle-safe, content-addressed form a
   snapshot travels as between the parallel runtime's processes: chunk
   *references* (digest + cycle per instance) plus only the chunk
@@ -35,7 +36,8 @@ from repro.errors import SnapshotError
 from repro.isa.assembler import Program
 from repro.isa.cpu import Cpu, CpuExit
 from repro.isa.disassembler import disassemble_word
-from repro.targets.base import HardwareTarget, HwSnapshot
+from repro.targets.base import (CYCLES_PER_INSTRUCTION, HardwareTarget,
+                                HwSnapshot)
 
 PathLike = Union[str, pathlib.Path]
 _FORMAT_VERSION = 1
@@ -238,9 +240,12 @@ def replay_crash(finding_dir: PathLike, program: Program,
                  max_steps: int = 200_000) -> CpuExit:
     """Reproduce a persisted finding concretely.
 
-    Restores the pack's hardware snapshot onto *target* (when present),
-    then replays the test case's symbolic values on the concrete core
-    with MMIO forwarded to the target. Returns the concrete exit; a
+    Replays the test case's symbolic values on the concrete core with
+    MMIO forwarded to *target*, under the analysis engine's hardware
+    time: the IRQ lines are polled before each instruction and the
+    hardware is clocked :data:`~repro.targets.base.CYCLES_PER_INSTRUCTION`
+    cycles after it, so timer, watchdog and interrupt findings replay
+    too. Returns the concrete exit (``"limit"`` after *max_steps*); a
     reproduced crash raises :class:`~repro.errors.FirmwarePanic` exactly
     like the original.
     """
@@ -255,5 +260,11 @@ def replay_crash(finding_dir: PathLike, program: Program,
         del snapshot  # loaded above to validate the file round-trips
     sym_values = [value for _, value in sorted(data["test_case"].items())]
     cpu = Cpu(program, mmio_read=target.read, mmio_write=target.write,
+              irq_poll=lambda: any(target.irq_lines().values()),
               sym_values=sym_values)
-    return cpu.run(max_steps=max_steps)
+    for _ in range(max_steps):
+        exit_ = cpu.step()
+        target.step(CYCLES_PER_INSTRUCTION)
+        if exit_ is not None:
+            return exit_
+    return CpuExit("limit", pc=cpu.pc, steps=cpu.steps)

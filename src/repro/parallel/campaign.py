@@ -67,8 +67,7 @@ class Campaign:
     def __init__(self, firmware, peripherals, config,
                  recipe: Optional[SessionRecipe], transport: str,
                  workers: int, journal: Optional[PathLike],
-                 journal_fsync_every: int, checkpoint_every: int,
-                 **recipe_kwargs):
+                 checkpoint_every: int, **recipe_kwargs):
         check_transport(transport)
         if recipe is None:
             if firmware is None:
@@ -86,7 +85,6 @@ class Campaign:
         self._last_stats = None
         self._degraded = False
         self._journal_path = journal
-        self._journal_fsync = journal_fsync_every
         self._journal: Optional[Journal] = None
         #: Checkpoint blob restored by :meth:`resume`, consumed by the
         #: next ``run``.
@@ -186,8 +184,7 @@ class Campaign:
         *fields* — ``None`` when the campaign is not journaled."""
         if self._journal is not None or self._journal_path is None:
             return self._journal
-        journal = Journal.create(self._journal_path,
-                                 fsync_every=self._journal_fsync)
+        journal = Journal.create(self._journal_path)
         blob = journal.put_blob(setup, fsync=True)
         journal.append("campaign-opened", mode=self.MODE, blob=blob,
                        workers=self.workers,

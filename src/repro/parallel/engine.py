@@ -11,7 +11,13 @@ run-to-exhaustion merge reproduces the serial engine's
 ``verdict_summary()`` byte-for-byte, whatever the worker count — the
 property ``tests/test_parallel.py`` pins down.
 
-Leases travel in **coalesced batches** (up to ``lease_batch`` per
+Each lease carries the instructions the campaign has left
+(``max_instructions`` less those already merged), and nothing is
+dispatched once none are left, so a path that never forks or ends
+still returns its lease and the run stops at its budget as the serial
+engine does.
+
+Leases travel in **coalesced batches** (up to :data:`LEASE_BATCH` per
 envelope, struct-packed — see :mod:`repro.parallel.envelope`) and the
 main loop is a **pipelined merge**: every already-delivered result is
 drained without blocking, freed workers are re-dispatched from parked
@@ -44,7 +50,8 @@ from typing import (Any, Deque, Dict, List, Optional, Sequence, Set,
 
 from repro.core.config import SessionConfig
 from repro.core.engine import AnalysisReport
-from repro.core.journal import DEFAULT_FSYNC_EVERY, Journal, PathLike
+from repro.core.hardsnap import make_session_searcher
+from repro.core.journal import Journal, PathLike
 from repro.core.persistence import SnapshotWire
 from repro.core.shutdown import shutdown_requested
 from repro.isa.assembler import Program
@@ -54,8 +61,10 @@ from repro.parallel.recipe import SessionRecipe
 from repro.parallel.statewire import StateWire
 from repro.parallel.wire import ChunkChannel, ContentPool
 from repro.parallel.workers import SYM_BASE_STRIDE
-from repro.vm.searchers import make_searcher
 from repro.vm.state import ExecState
+
+#: Max leases coalesced into one job envelope.
+LEASE_BATCH = 4
 
 
 class ParallelAnalysisEngine(Campaign):
@@ -78,24 +87,16 @@ class ParallelAnalysisEngine(Campaign):
                  peripherals: Sequence[Tuple[object, int]] = (),
                  config: Optional[SessionConfig] = None,
                  workers: int = 2,
-                 lease_budget: int = 0,
                  transport: str = "auto",
-                 lease_batch: int = 4,
                  delta_state: bool = True,
                  journal: Optional[PathLike] = None,
-                 journal_fsync_every: int = DEFAULT_FSYNC_EVERY,
                  checkpoint_every: int = 8,
                  recipe: Optional[SessionRecipe] = None,
                  **overrides):
         super().__init__(firmware, peripherals, config, recipe, transport,
                          workers=workers, journal=journal,
-                         journal_fsync_every=journal_fsync_every,
                          checkpoint_every=checkpoint_every,
                          delta_state=delta_state, **overrides)
-        #: Instructions per lease; 0 = run each lease to fork/completion.
-        self.lease_budget = lease_budget
-        #: Max leases coalesced into one job envelope.
-        self.lease_batch = max(1, lease_batch)
         content = ContentPool()
         self.channel = ChunkChannel(content)
         self.statewire = StateWire(delta=self.recipe.delta_state,
@@ -108,21 +109,13 @@ class ParallelAnalysisEngine(Campaign):
     @classmethod
     def _from_setup(cls, setup: Dict[str, Any],
                     workers: int) -> "ParallelAnalysisEngine":
-        engine = cls(recipe=setup["recipe"], workers=workers,
-                     lease_budget=setup["lease_budget"],
-                     lease_batch=setup["lease_batch"])
+        # Older setups also record "lease_budget" and "lease_batch":
+        # unread, since every lease's budget follows from run_kwargs.
+        engine = cls(recipe=setup["recipe"], workers=workers)
         engine._resume_run_kwargs = dict(setup["run_kwargs"])
         return engine
 
     # -- leasing ------------------------------------------------------------
-
-    def _make_searcher(self):
-        kwargs = {}
-        if self.config.searcher == "random":
-            kwargs["seed"] = self.config.seed
-        elif self.config.searcher == "coverage":
-            kwargs["covered"] = self._coverage
-        return make_searcher(self.config.searcher, **kwargs)
 
     def _pack_leases(self, payload: Dict[str, Any],
                      worker_id: int) -> bytes:
@@ -191,18 +184,19 @@ class ParallelAnalysisEngine(Campaign):
     def _write_checkpoint(self, journal: Journal, report: AnalysisReport,
                           searcher, executed: int,
                           stats_sums: Dict[str, int], chain_depth: int,
-                          bugs: List[Tuple[object, Tuple[int, ...]]]
-                          ) -> None:
+                          bugs: List[Tuple[object, Tuple[int, ...]]],
+                          root_unsent: bool) -> None:
         """Seal the campaign's complete resumable state.
 
         The frontier (parked states) and every in-flight lease's state
         travel as ``(pickled ExecState, refs-only wire)`` pairs plus one
         shared ``digest → (body, bits)`` chunk map resolved from the
         coordinator's content pool, which keeps every body it absorbed.
+        The boot lease is pending while it is *root_unsent* or in flight.
         """
         entries: List[Tuple[ExecState, SnapshotWire]] = []
         chunks: Dict[str, Tuple[dict, int]] = {}
-        root_pending = False
+        root_pending = root_unsent
 
         def add_state(state: ExecState, wire: SnapshotWire) -> None:
             for digest, _cycle, bits in wire.refs.values():
@@ -298,11 +292,9 @@ class ParallelAnalysisEngine(Campaign):
                       "stop_after_bugs": stop_after_bugs}
         journal = self._open_journal(
             {"recipe": self.recipe, "workers": self.workers,
-             "lease_budget": self.lease_budget,
-             "lease_batch": self.lease_batch,
              "run_kwargs": dict(run_kwargs)}, **run_kwargs)
         start = time.perf_counter()
-        searcher = self._make_searcher()
+        searcher = make_session_searcher(self.config, self._coverage)
         pool = self.pool  # starts the workers
         resilience0 = pool.stats.resilience.as_dict()
         idle: Deque[int] = deque(range(self.workers))
@@ -323,32 +315,34 @@ class ParallelAnalysisEngine(Campaign):
              root_pending) = self._restore_checkpoint(state, report,
                                                       searcher)
 
-        def lease_budget_now() -> int:
-            if self.lease_budget:
-                return self.lease_budget
-            return 0  # to fork/completion
-
         def dispatch() -> None:
             """Feed every idle worker from the searcher, coalescing up
-            to ``lease_batch`` leases per envelope (spread evenly so one
-            worker never hoards the backlog while others starve)."""
+            to :data:`LEASE_BATCH` leases per envelope (spread evenly so
+            one worker never hoards the backlog while others starve).
+            Each lease may run the instructions the campaign has left;
+            with none left, nothing is sent."""
             nonlocal outstanding, batches_out
-            while idle and len(searcher):
+            budget = max_instructions - executed
+            while idle and len(searcher) and budget > 0:
                 share = -(-len(searcher) // len(idle))  # ceil
-                take = min(self.lease_batch, max(1, share), len(searcher))
+                take = min(LEASE_BATCH, max(1, share), len(searcher))
                 states = [searcher.pop_next(None) for _ in range(take)]
-                self._dispatch_batch(idle.popleft(), states,
-                                     lease_budget_now())
+                self._dispatch_batch(idle.popleft(), states, budget)
                 outstanding += take
                 batches_out += 1
 
         # Root lease: worker 0 builds the initial state itself. A resumed
         # campaign only re-issues it when the checkpoint recorded the
-        # boot lease as still un-returned.
-        if root_pending:
-            self._dispatch_batch(idle.popleft(), [None], lease_budget_now())
+        # boot lease as still un-returned. With no budget at all the run
+        # stops before it, as the serial engine does.
+        if root_pending and executed < max_instructions:
+            self._dispatch_batch(idle.popleft(), [None],
+                                 max_instructions - executed)
+            root_pending = False
             outstanding += 1
             batches_out += 1
+        elif root_pending:
+            stop = "instruction-budget"
 
         while True:
             if stop is None:
@@ -436,7 +430,7 @@ class ParallelAnalysisEngine(Campaign):
                     merged_envelopes >= self.checkpoint_every:
                 self._write_checkpoint(journal, report, searcher,
                                        executed, stats_sums,
-                                       chain_depth, bugs)
+                                       chain_depth, bugs, root_pending)
                 merged_envelopes = 0
 
         report.stop_reason = stop or "exhausted"
@@ -474,7 +468,8 @@ class ParallelAnalysisEngine(Campaign):
             # resumable; an exhausted one restores to an empty frontier
             # and re-derives the identical report.
             self._write_checkpoint(journal, report, searcher, executed,
-                                   stats_sums, chain_depth, bugs)
+                                   stats_sums, chain_depth, bugs,
+                                   root_pending)
         self._seal(journal, report, {"executed": executed},
                    {"executed": executed})
         return report

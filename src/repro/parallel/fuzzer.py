@@ -30,7 +30,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.config import SessionConfig
 from repro.core.fuzzer import CorpusScheduler, FuzzReport
-from repro.core.journal import DEFAULT_FSYNC_EVERY, Journal, PathLike
+from repro.core.journal import Journal, PathLike
 from repro.core.shutdown import shutdown_requested
 from repro.errors import JournalCorruptError, VmError
 from repro.isa.assembler import Program
@@ -71,7 +71,6 @@ class ParallelFuzzer(Campaign):
                  config: Optional[SessionConfig] = None,
                  transport: str = "auto",
                  journal: Optional[PathLike] = None,
-                 journal_fsync_every: int = DEFAULT_FSYNC_EVERY,
                  checkpoint_every: int = 8,
                  recipe: Optional[SessionRecipe] = None,
                  **overrides):
@@ -79,7 +78,6 @@ class ParallelFuzzer(Campaign):
             raise VmError(f"batch_size must be >= 1, got {batch_size}")
         super().__init__(firmware, peripherals, config, recipe, transport,
                          workers=workers, journal=journal,
-                         journal_fsync_every=journal_fsync_every,
                          checkpoint_every=checkpoint_every,
                          max_steps_per_exec=max_steps_per_exec, **overrides)
         self.batch_size = batch_size

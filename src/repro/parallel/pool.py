@@ -5,9 +5,9 @@ coordinator chooses *which* worker runs *which* lease — required for
 chunk-channel bookkeeping, since delta encoding is per-peer) and a
 private result channel (a worker killed mid-send dies holding its
 channel's write lock; with a shared channel no worker could deliver
-again). Fork start method is preferred (workers inherit the imported
-modules); spawn works too because every job payload and the recipe are
-plain picklable data.
+again). Workers start by fork where the platform has it (they inherit
+the imported modules) and by spawn elsewhere, which works because every
+job payload and the recipe are plain picklable data.
 
 Batch job kinds (``lease-batch`` / ``fuzz-batch``) travel as packed
 envelopes (:mod:`repro.parallel.envelope`) inline on the queues; they
@@ -59,6 +59,10 @@ from repro.resilience import ResilienceStats
 #: take. Weak references: a pool that was garbage collected after
 #: close() needs no sweeping.
 _LIVE_POOLS: "weakref.WeakSet[WorkerPool]" = weakref.WeakSet()
+
+#: How worker processes start: fork where available, else spawn.
+START_METHOD = ("fork" if "fork" in mp.get_all_start_methods()
+                else "spawn")
 
 
 def close_all_pools(timeout: float = 2.0) -> int:
@@ -237,14 +241,10 @@ class WorkerPool:
     #: Result-queue poll slice; bounds how stale the liveness check can be.
     _POLL_S = 0.05
 
-    def __init__(self, recipe: SessionRecipe, workers: int,
-                 start_method: Optional[str] = None):
+    def __init__(self, recipe: SessionRecipe, workers: int):
         if workers < 1:
             raise VmError(f"need at least one worker, got {workers}")
-        if start_method is None:
-            start_method = ("fork" if "fork" in mp.get_all_start_methods()
-                            else "spawn")
-        self._ctx = mp.get_context(start_method)
+        self._ctx = mp.get_context(START_METHOD)
         self._recipe = recipe
         self.workers = workers
         self.stats = PoolStats(workers=workers)

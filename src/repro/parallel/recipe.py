@@ -7,6 +7,11 @@ simulation. Workers therefore receive a recipe — catalog names, base
 addresses and the :class:`~repro.core.config.SessionConfig` — and
 re-elaborate their own private target, exactly as the coordinator's was
 built.
+
+Journals pickle the recipe. A :class:`TargetRecipe` pickled by an older
+version may carry ``kind``, ``scan_mode``, ``sram_dedup`` and ``opt``
+attributes; nothing reads them, since the config is the one source of
+those settings.
 """
 
 from __future__ import annotations
@@ -15,67 +20,25 @@ from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence, Tuple, Union
 
 from repro.core.config import SessionConfig
+from repro.core.hardsnap import HardSnapSession, make_target
 from repro.errors import TargetError, VmError
 from repro.isa.assembler import Program, assemble
 from repro.peripherals import catalog
 from repro.targets.base import HardwareTarget
-from repro.targets.fpga import FpgaTarget
-from repro.targets.simulator import SimulatorTarget
 
 
 @dataclass(frozen=True)
 class TargetRecipe:
-    """How to rebuild one hardware target in another process."""
+    """The catalog peripherals a worker binds onto its target. The
+    target itself is whatever :func:`~repro.core.hardsnap.make_target`
+    builds from the session config, on both sides of the process
+    boundary."""
 
-    kind: str  # "fpga" | "simulator"
-    scan_mode: str = "functional"
-    sram_dedup: bool = False
-    #: Netlist optimization for the worker's compiled backend (FPGA
-    #: kind only) — must match the coordinator so snapshots transport
-    #: between bit-identical simulations.
-    opt: bool = True
     #: (catalog name, base address, instance name) per peripheral.
     peripherals: Tuple[Tuple[str, int, str], ...] = ()
 
-    @classmethod
-    def from_target(cls, target: HardwareTarget) -> "TargetRecipe":
-        """Describe a live target so a worker can rebuild it by name.
-
-        Every hosted peripheral must come from the catalog — the recipe
-        travels as names, not modules.
-        """
-        if isinstance(target, FpgaTarget):
-            kind, scan_mode, sram_dedup, opt = \
-                "fpga", target.scan_mode, target.sram_dedup, target.opt
-        elif isinstance(target, SimulatorTarget):
-            kind, scan_mode, sram_dedup, opt = \
-                "simulator", "functional", False, True
-        else:
-            raise TargetError(
-                f"cannot describe target {type(target).__name__} for "
-                f"worker-side reconstruction")
-        peripherals = []
-        for name, instance in target.instances.items():
-            spec_name = instance.spec.name
-            try:
-                catalog.get(spec_name)
-            except KeyError:
-                raise TargetError(
-                    f"peripheral {spec_name!r} is not in the catalog; "
-                    f"parallel workers rebuild targets by catalog name")
-            peripherals.append((spec_name, instance.region.base, name))
-        return cls(kind=kind, scan_mode=scan_mode, sram_dedup=sram_dedup,
-                   opt=opt, peripherals=tuple(peripherals))
-
-    def build(self) -> HardwareTarget:
-        if self.kind == "fpga":
-            target: HardwareTarget = FpgaTarget(
-                scan_mode=self.scan_mode, sram_dedup=self.sram_dedup,
-                opt=self.opt)
-        elif self.kind == "simulator":
-            target = SimulatorTarget()
-        else:
-            raise TargetError(f"unknown target kind {self.kind!r}")
+    def build(self, config: SessionConfig) -> HardwareTarget:
+        target = make_target(config)
         for spec_name, base, instance_name in self.peripherals:
             target.add_peripheral(catalog.get(spec_name), base,
                                   instance_name=instance_name)
@@ -129,20 +92,17 @@ class SessionRecipe:
                     f"in the catalog; parallel workers rebuild targets "
                     f"by catalog name")
             bindings.append((spec.name, base, spec.name))
-        target = TargetRecipe(
-            kind=config.target, scan_mode=config.scan_mode,
-            sram_dedup=config.sram_dedup, opt=config.opt,
-            peripherals=tuple(bindings))
-        return cls(program=program, target=target, config=config,
+        return cls(program=program,
+                   target=TargetRecipe(peripherals=tuple(bindings)),
+                   config=config,
                    max_steps_per_exec=max_steps_per_exec,
                    delta_state=delta_state)
 
-    def build_session(self):
+    def build_session(self) -> HardSnapSession:
         """Construct a full HardSnapSession from this recipe (worker
-        side). Imported lazily to keep recipe unpickling cheap."""
-        from repro.core.hardsnap import HardSnapSession
+        side)."""
         return HardSnapSession(self.program, (), config=self.config,
-                               target=self.target.build())
+                               target=self.target.build(self.config))
 
     def with_config(self, **changes) -> "SessionRecipe":
         return replace(self, config=replace(self.config, **changes))

@@ -193,7 +193,7 @@ class FuzzWorker:
     in the serial fuzzer's execution context."""
 
     def __init__(self, recipe: SessionRecipe):
-        self.target = recipe.target.build()
+        self.target = recipe.target.build(recipe.config)
         plan = getattr(recipe.config, "fault_plan", None)
         if plan is not None:
             self.target.attach_resilience(plan, recipe.config.retry_policy)

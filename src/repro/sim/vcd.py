@@ -15,6 +15,9 @@ from repro.hdl.ir import Design
 
 _ID_CHARS = "".join(chr(c) for c in range(33, 127))
 
+#: One simulation cycle per VCD time unit.
+TIMESCALE = "1 ns"
+
 
 def _identifier(index: int) -> str:
     """Short VCD identifier code for signal *index*."""
@@ -38,9 +41,8 @@ class VcdWriter:
     """
 
     def __init__(self, stream: Optional[TextIO] = None,
-                 timescale: str = "1 ns", signals: Optional[List[str]] = None):
+                 signals: Optional[List[str]] = None):
         self.stream = stream if stream is not None else io.StringIO()
-        self.timescale = timescale
         self._filter = set(signals) if signals is not None else None
         self._ids: Dict[str, str] = {}
         self._widths: Dict[str, int] = {}
@@ -54,7 +56,7 @@ class VcdWriter:
             return
         self._declared = True
         write = self.stream.write
-        write(f"$timescale {self.timescale} $end\n")
+        write(f"$timescale {TIMESCALE} $end\n")
         write(f"$scope module {design.name} $end\n")
         index = 0
         for name, net in sorted(design.nets.items()):

@@ -32,6 +32,16 @@ from repro.hdl.ir import Design
 from repro.peripherals.catalog import PeripheralSpec
 from repro.sim.base import BaseSimulation
 
+#: Hardware clock cycles per executed firmware instruction. Algorithm 1
+#: (§III) clocks the hardware after every instruction; the analysis
+#: engine, the reboot-and-replay baseline and crash replay all charge
+#: this one rule, so a finding replays on the hardware it was found on.
+CYCLES_PER_INSTRUCTION = 1
+
+#: Modelled wall time of one device reboot. Muench et al. report
+#: multi-second resets on real boards; the model charges 250 ms.
+REBOOT_TIME_S = 0.25
+
 
 @dataclass
 class HwSnapshot:

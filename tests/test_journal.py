@@ -439,19 +439,28 @@ class TestCrashResume:
 
     #: Attributes that journals written by older versions pickle and the
     #: current classes no longer have, per object below the engine: the
-    #: removed shared-memory transport on the SessionRecipe, and the
-    #: removed VM knobs on its SessionConfig.
+    #: removed shared-memory transport on the SessionRecipe, the removed
+    #: VM knobs and hardware-time settings on its SessionConfig, and the
+    #: config fields its TargetRecipe used to copy.
     STALE_ATTRIBUTES = {
         "recipe": {"transport": "shm"},
         "recipe.config": {"dispatch": "fast", "lane_width": 1,
-                          "lane_steps": 1, "irq_poll_interval": 1},
+                          "lane_steps": 1, "irq_poll_interval": 1,
+                          "cycles_per_instruction": 1,
+                          "reboot_time_s": 0.25},
+        "recipe.target": {"kind": "fpga", "scan_mode": "functional",
+                          "sram_dedup": False, "opt": True},
     }
 
+    #: Setup-blob keys older versions record and nothing reads now.
+    STALE_SETUP = {"lease_budget": 0, "lease_batch": 4}
+
     def test_cli_resume_of_recipe_with_removed_transport(self, tmp_path):
-        """A journal whose pickled SessionRecipe or SessionConfig still
-        carries an attribute set of :attr:`STALE_ATTRIBUTES`: ``repro
-        resume`` must ignore the stale attributes and reach the serial
-        verdict."""
+        """A journal whose pickled SessionRecipe, SessionConfig or
+        TargetRecipe still carries an attribute set of
+        :attr:`STALE_ATTRIBUTES`, and whose setup blob carries
+        :attr:`STALE_SETUP`: ``repro resume`` and ``repro replay`` must
+        ignore both and reach the serial verdict."""
         for owner, attributes in self.STALE_ATTRIBUTES.items():
             case = tmp_path / owner
             case.mkdir()
@@ -469,6 +478,9 @@ class TestCrashResume:
                     checkpoint_every=1)
                 for name, value in {attributes!r}.items():
                     object.__setattr__(engine.{owner}, name, value)
+                open_journal = engine._open_journal
+                engine._open_journal = lambda setup, **fields: open_journal(
+                    dict(setup, **{self.STALE_SETUP!r}), **fields)
                 engine.run(max_instructions=100_000)
                 """))
             with open(case / "crash.out", "w") as out, \
@@ -485,6 +497,8 @@ class TestCrashResume:
                                        setup["recipe"])
             assert {name: getattr(pickled, name) for name in attributes} \
                 == attributes
+            assert {key: setup[key] for key in self.STALE_SETUP} \
+                == self.STALE_SETUP
             assert not stale.sealed
             resumed = subprocess.run(
                 CLI + ["resume", str(journal)], env=_cli_env(),
@@ -493,6 +507,12 @@ class TestCrashResume:
             sealed = Journal.open(journal, readonly=True)
             assert sealed.last("campaign-sealed")["verdict"] \
                 == _Serial.engine(), owner
+            replayed = subprocess.run(
+                CLI + ["replay", str(journal)], env=_cli_env(),
+                capture_output=True, text=True, timeout=600)
+            assert replayed.returncode in (0, 1), replayed.stderr[-2000:]
+            assert "verdict matches the sealed campaign verdict" \
+                in replayed.stdout, owner
 
     def test_journal_chaos_cell(self, tmp_path):
         """One CI journal-chaos cell: the crash point and worker count

@@ -2,13 +2,19 @@
 the headline property — parallel verdicts are byte-identical to serial
 ones, whatever the worker count."""
 
+import os
+import pathlib
 import pickle
 import signal
+import subprocess
+import sys
 from contextlib import contextmanager
 
 import pytest
 
-from repro.core import HardSnapSession, SnapshotController, SnapshotFuzzer
+from repro.core import (HardSnapSession, SnapshotController, SnapshotFuzzer,
+                        make_target)
+from repro.core.journal import Journal
 from repro.core.persistence import snapshot_from_wire, snapshot_to_wire
 from repro.core.store import chunk_digest
 from repro.errors import SnapshotError, TargetError, VmError
@@ -16,13 +22,13 @@ from repro.firmware import (TIMER_BASE, UART_BASE, dispatcher,
                             fuzz_packet_parser, vuln_buffer_overflow)
 from repro.isa import assemble
 from repro.parallel import (ChunkChannel, ParallelAnalysisEngine,
-                            ParallelFuzzer, SessionRecipe, TargetRecipe,
-                            WorkerPool)
+                            ParallelFuzzer, SessionRecipe, WorkerPool)
 from repro.parallel.pool import WorkerError
 from repro.peripherals import catalog
 from repro.solver import expr as E
 from repro.targets import FpgaTarget
 
+SRC_DIR = pathlib.Path(__file__).parent.parent / "src"
 TIMER = [(catalog.TIMER, TIMER_BASE)]
 UART = [(catalog.UART, UART_BASE)]
 SEEDS = [bytes([1, 4, 0x41, 0x42, 0x43, 0x44]), bytes([2, 7])]
@@ -152,15 +158,23 @@ class TestChunkChannel:
 
 class TestRecipes:
     def test_target_recipe_round_trip(self):
-        original = _timer_target()
-        recipe = TargetRecipe.from_target(original)
-        rebuilt = pickle.loads(pickle.dumps(recipe)).build()
-        rebuilt.reset()
-        assert type(rebuilt) is type(original)
-        assert rebuilt.instances.keys() == original.instances.keys()
-        s0 = SnapshotController(original).save()
-        s1 = SnapshotController(rebuilt).save()
-        assert s0.states == s1.states
+        """A pickled recipe builds the target ``make_target(config)``
+        builds, with the same peripherals, state for state."""
+        for overrides in ({"scan_mode": "functional"}, {"opt": False},
+                          {"target": "simulator"}):
+            recipe = pickle.loads(pickle.dumps(SessionRecipe.create(
+                dispatcher(2), TIMER + UART, **overrides)))
+            rebuilt = recipe.target.build(recipe.config)
+            original = make_target(recipe.config)
+            for spec, base in TIMER + UART:
+                original.add_peripheral(spec, base)
+            original.reset()
+            rebuilt.reset()
+            assert type(rebuilt) is type(original), overrides
+            assert rebuilt.instances.keys() == original.instances.keys()
+            s0 = SnapshotController(original).save()
+            s1 = SnapshotController(rebuilt).save()
+            assert s0.states == s1.states, overrides
 
     def test_non_catalog_peripheral_rejected(self):
         class FakeSpec:
@@ -330,6 +344,67 @@ class TestEngineDeterminism:
         assert stats.wire.snapshots_sent > 0
         assert stats.wire.payload_bits_sent < stats.wire.logical_bits_sent
         assert "workers=2" in stats.summary()
+
+
+#: Two instructions that loop forever: one path that never forks or ends.
+LOOP = """
+loop:
+    addi r1, r1, 1
+    j    loop
+"""
+
+
+class TestLeaseBudget:
+    """Each lease carries the instructions the campaign has left, so a
+    path that never forks or ends still returns its lease, and the run
+    stops at its budget with the serial verdict."""
+
+    BUDGET = 5000
+
+    def test_non_forking_loop_stops_at_the_serial_budget(self, tmp_path):
+        serial = HardSnapSession(LOOP, TIMER, scan_mode="functional").run(
+            max_instructions=self.BUDGET).verdict_summary()
+        assert f"instr={self.BUDGET} " in serial
+        assert "stop=instruction-budget" in serial
+        firmware = tmp_path / "loop.s"
+        firmware.write_text(LOOP)
+        cli_journal = tmp_path / "cli-journal"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get(
+            "PYTHONPATH", "")
+        with _deadline(240.0):
+            for workers, journal in ((1, None), (2, None),
+                                     (1, tmp_path / "journal")):
+                with ParallelAnalysisEngine(LOOP, TIMER, workers=workers,
+                                            journal=journal,
+                                            scan_mode="functional") as engine:
+                    report = engine.run(max_instructions=self.BUDGET)
+                assert report.verdict_summary() == serial, (workers, journal)
+            done = subprocess.run(
+                [sys.executable, "-m", "repro.cli", "run", str(firmware),
+                 "--peripheral", f"timer@0x{TIMER_BASE:08x}",
+                 "--journal", str(cli_journal),
+                 "--max-instructions", str(self.BUDGET)],
+                env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr[-2000:]
+        sealed = Journal.open(cli_journal, readonly=True)
+        assert sealed.last("campaign-sealed")["verdict"] == serial
+
+    def test_zero_budget_dispatches_no_lease(self, tmp_path):
+        """With no instructions to spend, not even the boot lease goes
+        out; the sealed journal resumes to the same verdict."""
+        serial = HardSnapSession(LOOP, TIMER, scan_mode="functional").run(
+            max_instructions=0).verdict_summary()
+        journal = tmp_path / "journal"
+        with _deadline(120.0):
+            with ParallelAnalysisEngine(LOOP, TIMER, workers=1,
+                                        journal=journal,
+                                        scan_mode="functional") as engine:
+                report = engine.run(max_instructions=0)
+                assert engine.pool_stats.leases == 0
+            assert report.verdict_summary() == serial
+            with ParallelAnalysisEngine.resume(journal) as engine:
+                assert engine.resume_run().verdict_summary() == serial
 
 
 class TestFuzzerDeterminism:

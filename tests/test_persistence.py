@@ -1,17 +1,42 @@
 """Snapshot persistence and crash-pack export/replay."""
 
 import json
+import re
 
 import pytest
 
 from repro import HardSnapSession
+from repro.core import make_target
 from repro.core.persistence import (export_crash_pack, load_snapshot,
                                     replay_crash, save_snapshot,
                                     snapshot_from_dict)
 from repro.errors import FirmwarePanic, SnapshotError
-from repro.firmware import TIMER_BASE, UART_BASE, vuln_buffer_overflow
+from repro.firmware import (AES_BASE, TIMER_BASE, UART_BASE, WDT_BASE,
+                            dispatcher, fig1_two_paths, init_heavy,
+                            vuln_buffer_overflow, vuln_irq_race,
+                            vuln_peripheral_misuse, vuln_wdt_starvation)
 from repro.peripherals import catalog, timer
 from repro.targets import FpgaTarget
+
+_TIMER = ((catalog.TIMER, TIMER_BASE),)
+
+#: E0's ten ``dse-serial`` campaigns: (name, firmware, peripherals).
+E0_DSE = [
+    ("dispatcher-6", dispatcher(6, 8), _TIMER),
+    ("dispatcher-16", dispatcher(16, 40), _TIMER),
+    ("dispatcher-32", dispatcher(32, 40), _TIMER),
+    ("dispatcher-64", dispatcher(64, 40), _TIMER),
+    ("init_heavy", init_heavy(200, 16),
+     ((catalog.UART, UART_BASE), (catalog.TIMER, TIMER_BASE))),
+    ("vuln_irq_race", vuln_irq_race(), _TIMER),
+    ("vuln_buffer_overflow", vuln_buffer_overflow(),
+     ((catalog.UART, UART_BASE),)),
+    ("vuln_peripheral_misuse", vuln_peripheral_misuse(),
+     ((catalog.AES128, AES_BASE),)),
+    ("vuln_wdt_starvation", vuln_wdt_starvation(),
+     ((catalog.WDT, WDT_BASE),)),
+    ("fig1_two_paths", fig1_two_paths(), _TIMER),
+]
 
 
 class TestSnapshotFiles:
@@ -91,3 +116,41 @@ class TestCrashPacks:
                   mmio_write=target.write, sym_values=values)
         exit_ = cpu.run(max_steps=200_000)
         assert exit_.reason == "halt"
+
+
+class TestE0FindingsReplay:
+    def test_every_e0_dse_finding_replays(self, tmp_path):
+        """Every finding of E0's ten DSE campaigns, exported as a crash
+        pack and replayed on a fresh target, panics at the finding's pc.
+        The watchdog and interrupt findings depend on the hardware being
+        clocked per instruction, as the engine clocks it."""
+        found = {}
+        missed = []
+        for name, firmware, peripherals in E0_DSE:
+            session = HardSnapSession(firmware, peripherals,
+                                      scan_mode="functional", opt=True)
+            report = session.run(max_instructions=1_000_000)
+            assert report.stop_reason == "exhausted", name
+            dirs = export_crash_pack(report, tmp_path / name,
+                                     program=session.program)
+            for bug, finding in zip(report.bugs, dirs):
+                found[name] = found.get(name, 0) + 1
+                target = make_target(session.config)
+                for spec, base in peripherals:
+                    target.add_peripheral(spec, base)
+                try:
+                    exit_ = replay_crash(finding, session.program, target)
+                except FirmwarePanic as panic:
+                    if re.search(rf"(pc=|at )0x{bug.pc:08x}\)?$",
+                                 str(panic)):
+                        continue
+                    outcome = str(panic)
+                else:
+                    outcome = f"{exit_.reason} at 0x{exit_.pc:08x}"
+                missed.append(f"{name}/{finding.name} "
+                              f"(0x{bug.pc:08x}): {outcome}")
+        assert found == {"vuln_irq_race": 1, "vuln_buffer_overflow": 47,
+                         "vuln_peripheral_misuse": 2,
+                         "vuln_wdt_starvation": 21}
+        assert not missed, (f"{len(missed)} of {sum(found.values())} "
+                            f"findings did not replay: {missed[:5]}")
