@@ -19,7 +19,7 @@ import time
 
 from benchmarks.conftest import PERIPH_BASE, emit, fpga_with, simulator_with
 from repro.analysis import format_si_time, format_table
-from repro.bus.transport import JTAG, SHARED_MEMORY, USB3
+from repro.bus.transport import JTAG
 from repro.peripherals import catalog
 from repro.sim import CompiledSimulation, Interpreter
 

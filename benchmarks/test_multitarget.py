@@ -17,7 +17,6 @@ Expected shapes:
 from benchmarks.conftest import PERIPH_BASE, emit
 from repro.analysis import format_si_time, format_table
 from repro.peripherals import catalog, timer
-from repro.sim import VcdWriter
 from repro.targets import FpgaTarget, SimulatorTarget, TargetOrchestrator
 
 WARMUP_CYCLES = 200_000

@@ -19,7 +19,7 @@ Run:  python examples/soc_case_study.py
 
 import _bootstrap  # noqa: F401  — src/ fallback for fresh checkouts
 from repro import HardSnapSession
-from repro.analysis import diff_snapshots, format_diff
+from repro.analysis import diff_snapshots
 from repro.peripherals import catalog
 from repro.peripherals.soc import SocSpec
 

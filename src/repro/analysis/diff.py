@@ -12,7 +12,7 @@ values and memory words; :func:`format_diff` renders it for humans.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List
 
 from repro.targets.base import HwSnapshot
 

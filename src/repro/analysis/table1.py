@@ -13,7 +13,7 @@ Physical, B = Behavioral; check = yes, cross = no, n/a = not applicable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.analysis.tables import format_table

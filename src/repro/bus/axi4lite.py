@@ -30,7 +30,7 @@ Signal naming convention (32-bit data bus)::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 from repro.errors import BusError
 from repro.sim.base import BaseSimulation

@@ -8,7 +8,7 @@ address windows to the hardware target hosting that peripheral. A
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
 from repro.errors import BusError

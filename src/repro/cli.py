@@ -24,7 +24,6 @@ checkpoints and drains, the second forces pool teardown.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import List, Tuple
 

@@ -34,6 +34,11 @@ from repro.vm.forwarding import MmioBridge
 from repro.vm.searchers import Searcher
 from repro.vm.state import (STATUS_HALTED, ExecState)
 
+#: Most instructions one scheduling pass runs on a state the searcher
+#: keeps (:attr:`~repro.vm.searchers.Searcher.keeps_previous`); the
+#: loop checks for shutdown and the host time limit between passes.
+BURST_INSTRUCTIONS = 1024
+
 
 # ---------------------------------------------------------------------------
 # Consistency strategies
@@ -333,12 +338,15 @@ class AnalysisEngine:
     def _burst(self, state: ExecState, max_steps: int):
         """Up to *max_steps* instructions on the scheduled state, each
         one ServePendingInterrupt → StepInstruction → clock the
-        hardware, executed inside the VM's tight block loop."""
+        hardware, executed inside the VM's tight block loop. The IRQ
+        lines are read only when the state could take an interrupt."""
         executor = self.executor
         bridge = self.bridge
+        deliverable = executor.deliverable
 
         def pre_step(s: ExecState) -> None:
-            executor.maybe_interrupt(s, any(bridge.irq_lines().values()))
+            if deliverable(s):
+                executor.maybe_interrupt(s, any(bridge.irq_lines().values()))
 
         def post_step() -> None:
             bridge.step_hardware(CYCLES_PER_INSTRUCTION)
@@ -357,7 +365,10 @@ class AnalysisEngine:
             host_time_limit_s: float = 0.0) -> AnalysisReport:
         """Algorithm 1: select a state, switch the hardware to it when it
         is not the previous one, serve a pending interrupt and execute
-        one instruction."""
+        one instruction. A searcher that keeps the previous state while
+        it lives gets a burst of up to :data:`BURST_INSTRUCTIONS` per
+        pass instead, which ends where its passes would switch: at a
+        fork or the state's end."""
         report = AnalysisReport(strategy=self.strategy.name)
         start = time.perf_counter()
         modelled_start = self.target.timer.total_s
@@ -366,6 +377,7 @@ class AnalysisEngine:
         self.strategy.on_start(initial)
         self.searcher.add(initial)
         executed = 0
+        burst = BURST_INSTRUCTIONS if self.searcher.keeps_previous else 1
         previous: Optional[ExecState] = None
         while len(self.searcher):
             if shutdown_requested():
@@ -385,7 +397,8 @@ class AnalysisEngine:
             if state is not previous:
                 self._switch(previous, state)
                 previous = state
-            outcome = self._burst(state, 1)
+            outcome = self._burst(state,
+                                  min(burst, max_instructions - executed))
             executed += outcome.executed
             if outcome.forks:
                 self.strategy.on_fork(state, outcome.forks)

@@ -25,7 +25,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 from repro.core.engine import AnalysisReport
 from repro.core.hardsnap import HardSnapSession, PeripheralBinding
 from repro.errors import TargetError
-from repro.targets.base import HardwareTarget, PeripheralInstance
+from repro.targets.base import HardwareTarget
 
 
 @dataclass
@@ -77,7 +77,7 @@ class HwTestbench:
         """Step until the peripheral raises its interrupt line."""
         waited = 0
         while waited < timeout_cycles:
-            if self.instance.irq():
+            if self.target.irq_lines()[self.instance.name]:
                 return True
             self.step(chunk)
             waited += chunk

@@ -14,7 +14,7 @@ continuous assigns and always blocks.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from typing import List, Set
 
 from repro.errors import InstrumentationError
 from repro.hdl import ir

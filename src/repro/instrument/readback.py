@@ -23,7 +23,7 @@ configurable so the benchmarks can sweep them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict
 
 from repro.hdl.ir import Design
 

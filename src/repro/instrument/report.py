@@ -10,7 +10,7 @@ coverage and lint findings that the CLI and the benchmark artifacts use.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.hdl.ir import Design
 from repro.instrument.emit_verilog import emit_verilog

@@ -24,7 +24,7 @@ register symbolic, assume/assert, interrupt control, coverage marks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.errors import AssemblerError
 

@@ -20,6 +20,8 @@ exactly once per program:
 * ``ram_proto(size)`` — the prototype RAM contents, built once; a core
   copies it into its RAM with one C-level ``bytearray`` copy, and copies
   back only the lines it wrote when it resets.
+* ``pages(page_size)`` — the image cut into pages, built once; every
+  symbolic memory loaded from the image shares them copy-on-write.
 
 The fast path is guarded against self-modifying code by the executors:
 any store below ``code_limit`` clears their ``code clean`` flag and all
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 import hashlib
 import weakref
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.isa import encoding as enc
 from repro.isa.assembler import Program
@@ -62,6 +64,7 @@ class DecodedImage:
             if addr % 4 == 0 and enc.is_valid_opcode((word >> 26) & 0x3F):
                 self.itab[addr] = enc.decode(word)
         self._ram_protos: Dict[int, bytes] = {}
+        self._pages: Dict[int, Dict[int, List[int]]] = {}
 
     def ram_proto(self, ram_size: int) -> bytes:
         """RAM of *ram_size* bytes with the image loaded (built once)."""
@@ -74,6 +77,21 @@ class DecodedImage:
             proto = bytes(ram)
             self._ram_protos[ram_size] = proto
         return proto
+
+    def pages(self, page_size: int) -> Dict[int, List[int]]:
+        """Page number -> *page_size* bytes, for every page the image
+        touches (built once). Callers share the lists and must copy a
+        page before writing to it."""
+        pages = self._pages.get(page_size)
+        if pages is None:
+            pages = {}
+            for addr, byte in self.image.items():
+                page = pages.get(addr // page_size)
+                if page is None:
+                    page = pages[addr // page_size] = [0] * page_size
+                page[addr % page_size] = byte & 0xFF
+            self._pages[page_size] = pages
+        return pages
 
 
 #: id(program) -> (weakref to the program, its decoded image). Keyed by

@@ -9,7 +9,6 @@ once keeps each rule a few lines and the whole lint pass O(design).
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 

@@ -10,12 +10,12 @@ snapshots as silently diverging path exploration later.
 from __future__ import annotations
 
 import re
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.hdl import ir
 from repro.instrument.scan_chain import SCAN_ENABLE, SCAN_IN, SCAN_OUT
 from repro.lint.analysis import BlockInfo, LintContext
-from repro.lint.framework import ERROR, INFO, WARNING, Diagnostic, rule
+from repro.lint.framework import ERROR, INFO, Diagnostic, rule
 
 SNAPSHOT_COMPLETENESS = "snapshot-completeness"
 SCAN_PORT_COLLISION = "scan-port-collision"

@@ -9,7 +9,7 @@ clockless processes and unresettable state.
 from __future__ import annotations
 
 import re
-from typing import Dict, Iterable, List, Set, Tuple
+from typing import Dict, Iterable, List, Set
 
 from repro.hdl import ir
 from repro.lint.analysis import (BlockInfo, LintContext, lvalue_width,

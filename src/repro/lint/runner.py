@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence
 
 from repro.hdl import elaborate, ir
 from repro.lint import (rules_dataflow, rules_snapshot,  # noqa: F401 (register)

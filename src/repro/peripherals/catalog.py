@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from types import ModuleType
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.hdl import elaborate
 from repro.hdl.ir import Design

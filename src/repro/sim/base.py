@@ -13,7 +13,7 @@ are recomputed by settling after a restore.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.errors import SimulationError
 from repro.hdl.ir import Design, Memory, Net

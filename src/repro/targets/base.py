@@ -15,12 +15,19 @@ Every operation accounts *modelled* time on the target's
 the target's effective clock rate plus transport latencies. See
 DESIGN.md's substitution ledger for how these stand in for the paper's
 wall-clock measurements.
+
+The clock is lazy (temporal decoupling, as in loosely-timed SystemC
+TLM): ``step`` charges its cycles to ``cycles`` and the timer at once
+but only adds them to a cycle debt. Every entry point that reads or
+writes peripheral state first settles the debt with one fused
+``sim.step(debt)`` per instance (:meth:`HardwareTarget.settle`), so
+what anything observes is exactly what per-cycle stepping would show.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.bus.axi4lite import Axi4LiteMaster
 from repro.bus.memory_map import MemoryMap, Region
@@ -170,6 +177,8 @@ class HardwareTarget:
         self.memory_map = MemoryMap()
         self.instances: Dict[str, PeripheralInstance] = {}
         self.cycles = 0
+        #: Cycles charged by :meth:`step` and not yet simulated.
+        self._debt = 0
         #: name -> last canonical capture, keyed by the sim's state
         #: version (the incremental-capture cache).
         self._capture_cache: Dict[str, _CachedCapture] = {}
@@ -246,6 +255,7 @@ class HardwareTarget:
 
     def add_peripheral(self, spec: PeripheralSpec, base: int,
                        instance_name: Optional[str] = None) -> PeripheralInstance:
+        self.settle()  # the new instance owes none of the earlier cycles
         name = instance_name or spec.name
         if name in self.instances:
             raise TargetError(f"duplicate instance name {name!r}")
@@ -274,6 +284,7 @@ class HardwareTarget:
 
     def reset(self) -> None:
         """Power-on reset of every hosted peripheral (a 'reboot')."""
+        self.settle()
         for instance in self.instances.values():
             instance.sim.reset_state()
             instance.sim.poke("rst", 1)
@@ -284,11 +295,21 @@ class HardwareTarget:
         self.timer.add_cycles(3, self.clock_hz)
 
     def step(self, cycles: int = 1) -> None:
-        """Advance all peripherals by *cycles* clock cycles."""
-        for instance in self.instances.values():
-            instance.sim.step(cycles)
+        """Advance all peripherals by *cycles* clock cycles: charged now,
+        simulated when anything next observes the hardware."""
+        self._debt += cycles
         self.cycles += cycles
         self.timer.add_cycles(cycles, self.clock_hz)
+
+    def settle(self) -> None:
+        """Simulate the cycles :meth:`step` charged, one fused
+        ``sim.step`` per instance. Every entry point that reads or
+        writes peripheral state calls this first."""
+        debt = self._debt
+        if debt:
+            self._debt = 0
+            for instance in self.instances.values():
+                instance.sim.step(debt)
 
     # -- MMIO ----------------------------------------------------------------------
 
@@ -301,6 +322,7 @@ class HardwareTarget:
 
     def read(self, addr: int) -> int:
         """MMIO read, forwarded over the target's transport."""
+        self.settle()
         instance, offset = self._route(addr)
         value, cycles = instance.bus.read(offset)
         self._after_access(instance, cycles)
@@ -308,6 +330,7 @@ class HardwareTarget:
 
     def write(self, addr: int, value: int) -> None:
         """MMIO write, forwarded over the target's transport."""
+        self.settle()
         instance, offset = self._route(addr)
         cycles = instance.bus.write(offset, value)
         self._after_access(instance, cycles)
@@ -349,12 +372,14 @@ class HardwareTarget:
 
     def irq_lines(self) -> Dict[str, bool]:
         """Current level of each peripheral's irq output pin."""
+        self.settle()
         return {name: inst.irq() for name, inst in self.instances.items()}
 
     # -- introspection ------------------------------------------------------------------
 
     def peek(self, instance_name: str, net: str) -> int:
         """Inspect a net; targets restrict this to their visibility level."""
+        self.settle()
         instance = self._instance(instance_name)
         self._check_visibility(instance, net)
         return instance.sim.peek(net)
@@ -396,6 +421,7 @@ class HardwareTarget:
         does, since a daisy-chained scan rotation physically traverses
         every chain) without marking them dirty.
         """
+        self.settle()
         states: Dict[str, dict] = {}
         dirty = set()
         for name, instance in self.instances.items():

@@ -379,6 +379,7 @@ class FpgaTarget(HardwareTarget):
         instances whose sim state is untouched (identical content, same
         modelled cost).
         """
+        self.settle()
         self._check_link("save")
         states, dirty = self.capture_states(
             force_capture=self.scan_mode in ("shift", "shift-perbit"))
@@ -404,6 +405,7 @@ class FpgaTarget(HardwareTarget):
         return snapshot
 
     def restore_snapshot(self, snapshot: HwSnapshot) -> None:
+        self.settle()
         missing = set(snapshot.states) - set(self.instances)
         if missing:
             raise SnapshotError(
@@ -453,6 +455,7 @@ class FpgaTarget(HardwareTarget):
         hardware feature, which bypasses the RTL — and the cost comes from
         the frame/bandwidth model.
         """
+        self.settle()
         if not self.has_readback:
             raise TargetError(
                 f"{self.name}: device has no readback capability")

@@ -81,6 +81,9 @@ class SimulatorTarget(HardwareTarget):
         # Dirty-page tracking starts with the first full dump; until then
         # every checkpoint is a complete image.
         self._tracking = False
+        #: Set once a VCD trace is attached: a trace samples every cycle,
+        #: so from then on every step is simulated as it is charged.
+        self._traced = False
 
     def _make_sim(self, design: Design) -> Interpreter:
         return Interpreter(design)
@@ -90,13 +93,21 @@ class SimulatorTarget(HardwareTarget):
     def attach_vcd(self, instance_name: str,
                    writer: Optional[VcdWriter] = None) -> VcdWriter:
         """Attach a VCD trace to one peripheral (simulator-only feature)."""
+        self.settle()
         instance = self._instance(instance_name)
         if writer is None:
             writer = VcdWriter()
         instance.sim.attach_vcd(writer)
+        self._traced = True
         return writer
 
+    def step(self, cycles: int = 1) -> None:
+        super().step(cycles)
+        if self._traced:
+            self.settle()
+
     def peek_memory(self, instance_name: str, memory: str, index: int) -> int:
+        self.settle()
         return self._instance(instance_name).sim.peek_memory(memory, index)
 
     # -- snapshotting -------------------------------------------------------------
@@ -116,7 +127,7 @@ class SimulatorTarget(HardwareTarget):
         prices only dirty state").
         """
         # "Flush pending read/write operations": the BFM is idle between
-        # transactions by construction; _capture_instance settles anyway.
+        # transactions by construction; capture_states settles the clock.
         states, dirty = self.capture_states()
         bits = sum(inst.state_bits for inst in self.instances.values())
         if self._tracking:
@@ -136,6 +147,7 @@ class SimulatorTarget(HardwareTarget):
         return snapshot
 
     def restore_snapshot(self, snapshot: HwSnapshot) -> None:
+        self.settle()
         missing = set(snapshot.states) - set(self.instances)
         if missing:
             raise SnapshotError(

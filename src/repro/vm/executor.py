@@ -104,13 +104,20 @@ class SymbolicExecutor:
     # -- state construction ---------------------------------------------------
 
     def make_initial_state(self) -> ExecState:
-        memory = SymbolicMemory(self.ram_size)
-        memory.load_image(self._image.image)
+        memory = SymbolicMemory.from_image(self.ram_size, self._image)
         state = ExecState(memory=memory, pc=self.program.entry)
         state.set_reg(enc.REG_SP, self.ram_size - 16)
         return state
 
     # -- interrupts (called by the engine loop) -----------------------------------
+
+    @staticmethod
+    def deliverable(state: ExecState) -> bool:
+        """Whether *state* would take a pending interrupt now: IRQs
+        enabled, no handler running, and a handler installed. The
+        engine reads the IRQ lines only while this holds."""
+        return (state.irq_enabled and not state.in_irq
+                and state.irq_handler is not None)
 
     def maybe_interrupt(self, state: ExecState, pending: bool) -> bool:
         """Vector into the handler if an IRQ is pending and deliverable.
@@ -119,8 +126,7 @@ class SymbolicExecutor:
         timing-violation avoidance): the engine keeps scheduling this
         state until ``in_irq`` drops.
         """
-        if not (pending and state.irq_enabled and not state.in_irq
-                and state.irq_handler is not None):
+        if not (pending and self.deliverable(state)):
             return False
         state.irq_return_pc = state.pc
         state.in_irq = True

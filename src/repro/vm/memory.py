@@ -13,10 +13,13 @@ expression.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Union
 
 from repro.errors import VmError
 from repro.solver import expr as E
+
+if TYPE_CHECKING:
+    from repro.isa.predecode import DecodedImage
 
 PAGE_SIZE = 256
 Value = Union[int, E.BitVec]
@@ -38,6 +41,21 @@ class SymbolicMemory:
         self.image_digest: Optional[bytes] = None
         self.code_limit = 0
         self.code_clean = True
+
+    @classmethod
+    def from_image(cls, size: int, image: "DecodedImage") -> "SymbolicMemory":
+        """A memory of *size* bytes holding a predecoded firmware image,
+        equal to a fresh memory after :meth:`load_image` of its bytes.
+        The image's pages are shared copy-on-write (never in ``_owned``)
+        and its digest and code limit are stamped, not recomputed."""
+        if image.code_limit > size:
+            raise VmError(f"memory access out of range: the image ends at "
+                          f"0x{image.code_limit:x}, past {size} bytes")
+        memory = cls(size)
+        memory._pages = dict(image.pages(PAGE_SIZE))
+        memory.image_digest = image.digest
+        memory.code_limit = image.code_limit
+        return memory
 
     # -- forking -----------------------------------------------------------
 

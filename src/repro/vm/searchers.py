@@ -24,6 +24,11 @@ from repro.vm.state import ExecState
 class Searcher:
     """Base class: a mutable working set of active states."""
 
+    #: True when :meth:`select` returns the previous state for as long
+    #: as it is active, so the engine may run it until it forks or ends
+    #: in one burst.
+    keeps_previous = False
+
     def __init__(self) -> None:
         self.states: List[ExecState] = []
 
@@ -136,6 +141,8 @@ class SnapshotAffinitySearcher(Searcher):
     5), so sticking to one state amortises snapshot costs across many
     instructions.
     """
+
+    keeps_previous = True
 
     def _pick(self, previous: Optional[ExecState]) -> ExecState:
         if previous is not None and previous.is_active \

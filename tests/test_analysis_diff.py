@@ -1,7 +1,5 @@
 """Tests for snapshot diffing and the analysis helpers."""
 
-import pytest
-
 from repro.analysis import diff_snapshots, format_diff
 from repro.firmware import TIMER_BASE
 from repro.peripherals import catalog, timer

@@ -8,7 +8,6 @@ from repro.core.engine import RebootReplayStrategy
 from repro.firmware import TIMER_BASE, dispatcher, fig1_two_paths
 from repro.peripherals import catalog
 from repro.targets import FpgaTarget
-from repro.vm.state import STATUS_HALTED
 
 TIMER = [(catalog.TIMER, TIMER_BASE)]
 

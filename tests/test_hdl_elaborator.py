@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ElaborationError
-from repro.hdl import elaborate, ir
+from repro.hdl import elaborate
 from repro.sim import Interpreter
 
 

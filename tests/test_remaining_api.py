@@ -5,7 +5,6 @@ import pytest
 from repro.analysis import (coverage_report, format_si_time,
                             source_line_coverage, uncovered_listing)
 from repro.cli import main
-from repro.firmware import dispatcher
 from repro.isa import assemble
 from repro.peripherals import gpio
 

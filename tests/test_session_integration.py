@@ -7,9 +7,8 @@ from repro import HardSnapSession
 from repro.core.testbench import HwTestbench, generate_test_vectors
 from repro.errors import TargetError
 from repro.firmware import (AES_BASE, TIMER_BASE, UART_BASE, dispatcher,
-                            fig1_two_paths, init_heavy, uart_echo,
-                            vuln_buffer_overflow, vuln_irq_race,
-                            vuln_peripheral_misuse)
+                            init_heavy, uart_echo, vuln_buffer_overflow,
+                            vuln_irq_race, vuln_peripheral_misuse)
 from repro.peripherals import catalog, timer
 from repro.targets import FpgaTarget, SimulatorTarget
 

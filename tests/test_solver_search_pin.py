@@ -13,7 +13,9 @@ at 32 conflicts, so conflict analysis stays pinned now that
 
 The same campaigns pin the serial engine's schedule: instructions,
 forks, snapshot saves and restores, MMIO accesses, covered pcs and
-``SymbolicExecutor.step_block`` calls (one per scheduling pass).
+``SymbolicExecutor.step_block`` calls (one per scheduling pass). Under
+the default affinity searcher a pass is one burst that runs until the
+state forks or ends, so the calls are forks plus completed paths.
 ``vuln_irq_race`` takes interrupts, so its counts also cover interrupt
 delivery.
 """
@@ -39,7 +41,7 @@ PINNED = {
         135,
         {"instructions": 663, "forks": 15, "snapshot_saves": 16,
          "snapshot_restores": 15, "mmio_accesses": 257, "coverage": 279,
-         "step_block_calls": 663}),
+         "step_block_calls": 31}),
     "vuln_irq_race": (
         vuln_irq_race, TIMER,
         {"decisions": 887, "propagations": 2062, "conflicts": 16,
@@ -48,7 +50,7 @@ PINNED = {
         400,
         {"instructions": 857, "forks": 31, "snapshot_saves": 32,
          "snapshot_restores": 31, "mmio_accesses": 5, "coverage": 71,
-         "step_block_calls": 857}),
+         "step_block_calls": 63}),
     "vuln_buffer_overflow": (
         vuln_buffer_overflow, UART,
         {"decisions": 1705, "propagations": 9661, "conflicts": 32,
@@ -57,7 +59,7 @@ PINNED = {
         992,
         {"instructions": 1206, "forks": 63, "snapshot_saves": 64,
          "snapshot_restores": 63, "mmio_accesses": 0, "coverage": 33,
-         "step_block_calls": 1206}),
+         "step_block_calls": 127}),
 }
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SolverError
-from repro.solver import SAT, UNSAT, Solver
+from repro.solver import UNSAT, Solver
 from repro.solver import expr as E
 
 

@@ -1,8 +1,6 @@
 """Symbolic VM tests: memory COW, executor semantics (differential vs the
 concrete CPU), forking, detectors, concretization, searchers."""
 
-import random
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -66,6 +64,24 @@ class TestSymbolicMemory:
             mem.read(4096, 1)
         with pytest.raises(VmError):
             mem.write(4094, 0, 4)
+
+    def test_image_pages_equal_a_loaded_image_and_copy_on_write(self):
+        import pickle
+
+        from repro.firmware import init_heavy
+        from repro.isa.predecode import decoded_image
+        image = decoded_image(assemble(init_heavy(200, 16)))
+        loaded = SymbolicMemory(64 * 1024)
+        loaded.load_image(image.image)
+        first = SymbolicMemory.from_image(64 * 1024, image)
+        assert pickle.dumps(first) == pickle.dumps(loaded)
+        second = SymbolicMemory.from_image(64 * 1024, image)
+        first.write(0x10, 0xDEADBEEF, 4)  # code: demotes only `first`
+        assert not first.code_clean and second.code_clean
+        assert pickle.dumps(second) == pickle.dumps(loaded)
+        with pytest.raises(VmError):
+            SymbolicMemory.from_image(256 * ((image.code_limit - 1) // 256),
+                                      image)
 
     def test_concrete_bytes_rejects_symbolic(self):
         mem = SymbolicMemory(4096)

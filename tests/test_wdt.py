@@ -1,7 +1,5 @@
 """Watchdog timer peripheral tests + the starvation vulnerability."""
 
-import pytest
-
 from repro import HardSnapSession
 from repro.bus import Axi4LiteMaster
 from repro.firmware import WDT_BASE, vuln_wdt_starvation
