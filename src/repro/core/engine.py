@@ -23,8 +23,9 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.shutdown import shutdown_requested
-from repro.core.snapshot import SnapshotController
-from repro.core.store import DEFAULT_FLATTEN_THRESHOLD, SnapshotStore
+from repro.core.snapshot import SnapshotController, SnapshotStats
+from repro.core.store import (DEFAULT_FLATTEN_THRESHOLD, SnapshotStore,
+                              StoreStats)
 from repro.resilience import ResilienceStats
 from repro.targets.base import (CYCLES_PER_INSTRUCTION, REBOOT_TIME_S,
                                 HardwareTarget)
@@ -214,6 +215,17 @@ class AnalysisReport:
     def halted_paths(self) -> List[CompletedPath]:
         return [p for p in self.paths if p.status == STATUS_HALTED]
 
+    def record_snapshot_stats(self, snapshot: SnapshotStats,
+                              store: StoreStats) -> None:
+        """Fill the ``snapshot_*`` fields from the run's snapshot and
+        store records (one controller's, or merged over workers)."""
+        self.snapshot_saves = snapshot.saves
+        self.snapshot_restores = snapshot.restores
+        self.snapshot_logical_bits = store.logical_bits
+        self.snapshot_stored_bits = store.stored_bits
+        self.snapshot_dedup_hit_rate = store.dedup_hit_rate
+        self.snapshot_chain_depth = store.max_chain_depth
+
     def halt_codes(self) -> Dict[int, int]:
         """Histogram of halt codes over completed paths (ground-truth
         comparison axis for the consistency experiment)."""
@@ -372,8 +384,7 @@ class AnalysisEngine:
         report = AnalysisReport(strategy=self.strategy.name)
         start = time.perf_counter()
         modelled_start = self.target.timer.total_s
-        resilience0 = (self.target.resilience.as_dict()
-                       if getattr(self.target, "resilience", None) else None)
+        resilience0 = self.target.resilience.as_dict()
         self.strategy.on_start(initial)
         self.searcher.add(initial)
         executed = 0
@@ -418,17 +429,10 @@ class AnalysisEngine:
         report.coverage = len(self.executor.coverage)
         report.host_time_s = time.perf_counter() - start
         report.modelled_time_s = self.target.timer.total_s - modelled_start
-        report.snapshot_saves = self.controller.stats.saves
-        report.snapshot_restores = self.controller.stats.restores
-        store_stats = self.controller.store.stats
-        report.snapshot_logical_bits = store_stats.logical_bits
-        report.snapshot_stored_bits = store_stats.stored_bits
-        report.snapshot_dedup_hit_rate = store_stats.dedup_hit_rate
-        report.snapshot_chain_depth = store_stats.max_chain_depth
+        report.record_snapshot_stats(self.controller.stats,
+                                     self.controller.store.stats)
         report.mmio_accesses = self.bridge.accesses
-        if resilience0 is not None:
-            report.resilience.merge(
-                self.target.resilience.delta(resilience0))
+        report.resilience.merge(self.target.resilience.delta(resilience0))
         if isinstance(self.strategy, RebootReplayStrategy):
             report.reboots = self.strategy.reboots
             report.replayed_accesses = self.strategy.replayed_accesses

@@ -348,8 +348,7 @@ class SnapshotFuzzer:
         report = FuzzReport()
         start = time.perf_counter()
         modelled_start = self.target.timer.total_s
-        resilience0 = (self.target.resilience.as_dict()
-                       if getattr(self.target, "resilience", None) else None)
+        resilience0 = self.target.resilience.as_dict()
         context = self.context
         done = 0
         while done < executions:
@@ -367,7 +366,5 @@ class SnapshotFuzzer:
         self.scheduler.finalize(report)
         report.host_time_s = time.perf_counter() - start
         report.modelled_time_s = self.target.timer.total_s - modelled_start
-        if resilience0 is not None:
-            report.resilience.merge(
-                self.target.resilience.delta(resilience0))
+        report.resilience.merge(self.target.resilience.delta(resilience0))
         return report

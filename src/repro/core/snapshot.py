@@ -26,14 +26,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional
 
-from repro.core.store import (DEFAULT_FLATTEN_THRESHOLD, SnapshotStore,
-                              StoreStats)
+from repro.core.store import DEFAULT_FLATTEN_THRESHOLD, SnapshotStore
+from repro.counters import Counters
 from repro.targets.base import HardwareTarget, HwSnapshot
 from repro.vm.state import ExecState
 
 
 @dataclass
-class SnapshotStats:
+class SnapshotStats(Counters):
     saves: int = 0
     restores: int = 0
     resets: int = 0
@@ -152,10 +152,6 @@ class SnapshotController:
             self.restore(state.hw_snapshot)
 
     # -- reporting -------------------------------------------------------------
-
-    @property
-    def store_stats(self) -> StoreStats:
-        return self.store.stats
 
     def stats_table(self) -> str:
         """Paper-style accounting table for the snapshot subsystem."""

@@ -40,6 +40,7 @@ import json
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Mapping, Optional
 
+from repro.counters import Counters
 from repro.errors import SnapshotError
 
 #: Materialize a full record every N delta records (chain depth bound).
@@ -103,7 +104,7 @@ class SnapshotRecord:
 
 
 @dataclass
-class StoreStats:
+class StoreStats(Counters):
     """Dedup accounting across the store's lifetime."""
 
     snapshots: int = 0

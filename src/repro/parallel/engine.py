@@ -11,11 +11,16 @@ run-to-exhaustion merge reproduces the serial engine's
 ``verdict_summary()`` byte-for-byte, whatever the worker count — the
 property ``tests/test_parallel.py`` pins down.
 
-Each lease carries the instructions the campaign has left
-(``max_instructions`` less those already merged), and nothing is
-dispatched once none are left, so a path that never forks or ends
-still returns its lease and the run stops at its budget as the serial
-engine does.
+Each lease carries a share of the instructions the campaign has left
+(``max_instructions`` less those merged and those already leased out),
+and nothing is dispatched once none are left, so a path that never
+forks or ends still returns its lease and the run stops at its budget,
+never past it, as the serial engine does. A lease's share returns to
+the campaign when its envelope merges.
+
+A lease result carries the changed fields of each of the worker's stats
+records (:mod:`repro.counters`); the coordinator merges them into one
+record per kind.
 
 Leases travel in **coalesced batches** (up to :data:`LEASE_BATCH` per
 envelope, struct-packed — see :mod:`repro.parallel.envelope`) and the
@@ -54,12 +59,15 @@ from repro.core.hardsnap import make_session_searcher
 from repro.core.journal import Journal, PathLike
 from repro.core.persistence import SnapshotWire
 from repro.core.shutdown import shutdown_requested
+from repro.core.snapshot import SnapshotStats
+from repro.core.store import StoreStats
+from repro.counters import Counters
 from repro.isa.assembler import Program
 from repro.parallel.campaign import Campaign
 from repro.parallel.envelope import pack_lease_batch, unpack_lease_results
 from repro.parallel.recipe import SessionRecipe
-from repro.parallel.statewire import StateWire
-from repro.parallel.wire import ChunkChannel, ContentPool
+from repro.parallel.statewire import StateWire, StateWireStats
+from repro.parallel.wire import ChunkChannel, ContentPool, WireStats
 from repro.parallel.workers import SYM_BASE_STRIDE
 from repro.vm.state import ExecState
 
@@ -103,8 +111,6 @@ class ParallelAnalysisEngine(Campaign):
                                    pool=content)
         self._coverage: Set[int] = set()
         self._lease_seq = 0
-        self._worker_wire: Dict[object, object] = {}
-        self._worker_statewire: Dict[object, object] = {}
 
     @classmethod
     def _from_setup(cls, setup: Dict[str, Any],
@@ -130,9 +136,9 @@ class ParallelAnalysisEngine(Campaign):
 
     def _dispatch_batch(self, worker_id: int,
                         states: Sequence[Optional[ExecState]],
-                        budget: int) -> None:
+                        budgets: Sequence[int]) -> None:
         leases = []
-        for state in states:
+        for state, budget in zip(states, budgets):
             self._lease_seq += 1
             lease: Dict[str, Any] = {
                 "budget": budget,
@@ -154,7 +160,7 @@ class ParallelAnalysisEngine(Campaign):
         if self._journal is not None:
             self._journal.append(
                 "lease-issued", worker=worker_id, leases=len(leases),
-                budget=budget, seq=self._lease_seq,
+                budget=sum(budgets), seq=self._lease_seq,
                 root=any(lease["state"] is None for lease in leases))
         self.pool.stats.leases += len(leases)
         self.pool.stats.batches += 1
@@ -183,7 +189,7 @@ class ParallelAnalysisEngine(Campaign):
 
     def _write_checkpoint(self, journal: Journal, report: AnalysisReport,
                           searcher, executed: int,
-                          stats_sums: Dict[str, int], chain_depth: int,
+                          records: Dict[str, Counters],
                           bugs: List[Tuple[object, Tuple[int, ...]]],
                           root_unsent: bool) -> None:
         """Seal the campaign's complete resumable state.
@@ -230,8 +236,8 @@ class ParallelAnalysisEngine(Campaign):
                  "max_live_states": report.max_live_states,
                  "modelled_time_s": report.modelled_time_s,
                  "resilience": report.resilience.as_dict(),
-                 "stats_sums": dict(stats_sums),
-                 "chain_depth": chain_depth,
+                 "controller": records["controller"].as_dict(),
+                 "store": records["store"].as_dict(),
                  "bugs": list(bugs),
                  "root_pending": root_pending,
                  "states": entries,
@@ -248,13 +254,15 @@ class ParallelAnalysisEngine(Campaign):
         journal.commit()
 
     def _restore_checkpoint(self, state: Dict[str, Any],
-                            report: AnalysisReport, searcher
-                            ) -> Tuple[int, Dict[str, int], int,
+                            report: AnalysisReport, searcher,
+                            records: Dict[str, Counters]
+                            ) -> Tuple[int,
                                        List[Tuple[object, Tuple[int, ...]]],
                                        bool]:
-        """Rebuild coordinator state from a checkpoint blob; returns the
-        ``(executed, stats_sums, chain_depth, bugs, root_pending)``
-        loop-local state :meth:`run` continues from."""
+        """Rebuild coordinator state from a checkpoint blob, merging its
+        snapshot and store records into *records*; returns the
+        ``(executed, bugs, root_pending)`` loop-local state :meth:`run`
+        continues from."""
         self._lease_seq = state["lease_seq"]
         self._coverage.clear()
         self._coverage.update(state["coverage"])
@@ -263,6 +271,15 @@ class ParallelAnalysisEngine(Campaign):
         report.max_live_states = state["max_live_states"]
         report.modelled_time_s = state["modelled_time_s"]
         report.resilience.merge(state["resilience"])
+        if "stats_sums" in state:
+            # An older checkpoint: one mapping whose keys each name a
+            # field of exactly one of the two records, and the store's
+            # high-water mark apart.
+            sums = state["stats_sums"]
+            state = dict(state, controller=sums, store=dict(
+                sums, max_chain_depth=state["chain_depth"]))
+        records["controller"].merge(state["controller"])
+        records["store"].merge(state["store"])
         chunks = state["chunks"]
         for parked, wire in state["states"]:
             carry = SnapshotWire(
@@ -276,8 +293,7 @@ class ParallelAnalysisEngine(Campaign):
             parked._wire = SnapshotWire(refs=dict(wire.refs), chunks={},
                                         method=wire.method, bits=wire.bits)
             searcher.add(parked)
-        return (state["executed"], dict(state["stats_sums"]),
-                state["chain_depth"], list(state["bugs"]),
+        return (state["executed"], list(state["bugs"]),
                 state["root_pending"])
 
     # -- main loop ----------------------------------------------------------
@@ -297,50 +313,71 @@ class ParallelAnalysisEngine(Campaign):
         searcher = make_session_searcher(self.config, self._coverage)
         pool = self.pool  # starts the workers
         resilience0 = pool.stats.resilience.as_dict()
+        # Where each lease result's stats deltas merge, by record name
+        # (see EngineWorker._records).
+        records: Dict[str, Counters] = {
+            "controller": SnapshotStats(), "store": StoreStats(),
+            "channel": pool.stats.wire, "statewire": pool.stats.state_wire,
+            "resilience": report.resilience, "solver": pool.stats.solver,
+            "sat": pool.stats.sat}
         idle: Deque[int] = deque(range(self.workers))
         bugs: List[Tuple[object, Tuple[int, ...]]] = []
-        stats_sums = {"saves": 0, "restores": 0, "logical_bits": 0,
-                      "stored_bits": 0, "chunk_hits": 0, "chunk_misses": 0,
-                      "capture_skips": 0}
-        chain_depth = 0
         executed = 0
         outstanding = 0  # leases awaiting results
         batches_out = 0  # envelopes awaiting results
+        #: Per worker, the instructions leased out in each envelope not
+        #: yet merged, in send order (a worker's envelopes merge in it).
+        leased: Dict[int, Deque[int]] = {
+            worker_id: deque() for worker_id in range(self.workers)}
         stop: Optional[str] = None
         merged_envelopes = 0  # since the last periodic checkpoint
         root_pending = True
         if self._resume_state is not None:
             state, self._resume_state = self._resume_state, None
-            (executed, stats_sums, chain_depth, bugs,
-             root_pending) = self._restore_checkpoint(state, report,
-                                                      searcher)
+            executed, bugs, root_pending = self._restore_checkpoint(
+                state, report, searcher, records)
+
+        def send(worker_id: int, states: Sequence[Optional[ExecState]],
+                 budgets: Sequence[int]) -> None:
+            nonlocal outstanding, batches_out
+            self._dispatch_batch(worker_id, states, budgets)
+            leased[worker_id].append(sum(budgets))
+            outstanding += len(states)
+            batches_out += 1
 
         def dispatch() -> None:
             """Feed every idle worker from the searcher, coalescing up
             to :data:`LEASE_BATCH` leases per envelope (spread evenly so
             one worker never hoards the backlog while others starve).
-            Each lease may run the instructions the campaign has left;
-            with none left, nothing is sent."""
-            nonlocal outstanding, batches_out
-            budget = max_instructions - executed
-            while idle and len(searcher) and budget > 0:
-                share = -(-len(searcher) // len(idle))  # ceil
-                take = min(LEASE_BATCH, max(1, share), len(searcher))
-                states = [searcher.pop_next(None) for _ in range(take)]
-                self._dispatch_batch(idle.popleft(), states, budget)
-                outstanding += take
-                batches_out += 1
+            The instructions the campaign has left, less those already
+            leased out, are split across the leases sent, at least one
+            each, so no more leases go out than instructions are left."""
+            left = (max_instructions - executed
+                    - sum(map(sum, leased.values())))
+            batches: List[List[ExecState]] = []
+            leases = 0
+            while len(batches) < len(idle) and len(searcher) \
+                    and leases < left:
+                free = len(idle) - len(batches)
+                share = -(-len(searcher) // free)  # ceil
+                take = min(LEASE_BATCH, share, left - leases)
+                batches.append([searcher.pop_next(None)
+                                for _ in range(take)])
+                leases += take
+            if not leases:
+                return
+            each, extra = divmod(left, leases)
+            budgets = iter([each + (i < extra) for i in range(leases)])
+            for states in batches:
+                send(idle.popleft(), states, [next(budgets) for _ in states])
 
         # Root lease: worker 0 builds the initial state itself. A resumed
         # campaign only re-issues it when the checkpoint recorded the
         # boot lease as still un-returned. With no budget at all the run
         # stops before it, as the serial engine does.
         if root_pending and executed < max_instructions:
-            self._dispatch_batch(idle.popleft(), [None],
-                                 max_instructions - executed)
+            send(idle.popleft(), [None], [max_instructions - executed])
             root_pending = False
-            outstanding += 1
-            batches_out += 1
         elif root_pending:
             stop = "instruction-budget"
 
@@ -382,27 +419,20 @@ class ParallelAnalysisEngine(Campaign):
                 if journal is not None:
                     journal.append("envelope-merged", worker=worker_id,
                                    leases=len(results))
+                leased[worker_id].popleft()  # its budget returns
                 for res in results:
                     outstanding -= 1
                     executed += res["executed"]
                     self._coverage.update(res["coverage"])
                     report.modelled_time_s += res["modelled_dt"]
-                    report.resilience.merge(res["resilience"])
-                    for key in stats_sums:
-                        stats_sums[key] += res["stats"][key]
-                    chain_depth = max(chain_depth,
-                                      res["stats"]["chain_depth"])
+                    for name, delta in res["stats"].items():
+                        records[name].merge(delta)
                     bugs.extend(res["bugs"])
                     if journal is not None:
                         for bug, lineage in res["bugs"]:
                             journal.append("bug-found", bug=bug.kind,
                                            pc=bug.pc,
                                            lineage=list(lineage))
-                    self._worker_wire[self._peer(worker_id)] = \
-                        res["wire_stats"]
-                    if res.get("state_wire") is not None:
-                        self._worker_statewire[self._peer(worker_id)] = \
-                            res["state_wire"]
                     if res["completed"] is not None:
                         report.paths.append(res["completed"])
                     # Serial parity: forks count before the
@@ -429,37 +459,23 @@ class ParallelAnalysisEngine(Campaign):
             if journal is not None and \
                     merged_envelopes >= self.checkpoint_every:
                 self._write_checkpoint(journal, report, searcher,
-                                       executed, stats_sums,
-                                       chain_depth, bugs, root_pending)
+                                       executed, records, bugs,
+                                       root_pending)
                 merged_envelopes = 0
 
         report.stop_reason = stop or "exhausted"
         report.instructions = executed
         report.coverage = len(self._coverage)
         self._finalise_identity(report, bugs)
-        report.snapshot_saves = stats_sums["saves"]
-        report.snapshot_restores = stats_sums["restores"]
-        report.snapshot_logical_bits = stats_sums["logical_bits"]
-        report.snapshot_stored_bits = stats_sums["stored_bits"]
-        lookups = (stats_sums["chunk_hits"] + stats_sums["chunk_misses"]
-                   + stats_sums["capture_skips"])
-        report.snapshot_dedup_hit_rate = (
-            (stats_sums["chunk_hits"] + stats_sums["capture_skips"])
-            / lookups if lookups else 0.0)
-        report.snapshot_chain_depth = chain_depth
+        report.record_snapshot_stats(records["controller"], records["store"])
         report.host_time_s = time.perf_counter() - start
         pool.stats.host_time_s += report.host_time_s
         pool.stats.held_bodies = len(self.channel.pool.bodies)
+        # The coordinator's own traffic joins the workers' deltas.
         pool.stats.wire.merge(self.channel.stats)
-        self.channel.stats = type(self.channel.stats)()
-        for wire_stats in self._worker_wire.values():
-            pool.stats.wire.merge(wire_stats)
-        self._worker_wire.clear()
+        self.channel.stats = WireStats()
         pool.stats.state_wire.merge(self.statewire.stats)
-        self.statewire.stats = type(self.statewire.stats)()
-        for sw_stats in self._worker_statewire.values():
-            pool.stats.state_wire.merge(sw_stats)
-        self._worker_statewire.clear()
+        self.statewire.stats = StateWireStats()
         # Pool-boundary recovery (respawns/reissues/duplicates/degraded)
         # joins the link-layer events the workers reported per lease.
         report.resilience.merge(pool.stats.resilience.delta(resilience0))
@@ -468,8 +484,7 @@ class ParallelAnalysisEngine(Campaign):
             # resumable; an exhausted one restores to an empty frontier
             # and re-derives the identical report.
             self._write_checkpoint(journal, report, searcher, executed,
-                                   stats_sums, chain_depth, bugs,
-                                   root_pending)
+                                   records, bugs, root_pending)
         self._seal(journal, report, {"executed": executed},
                    {"executed": executed})
         return report

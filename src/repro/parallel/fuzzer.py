@@ -225,14 +225,20 @@ class ParallelFuzzer(Campaign):
         if any(merged[i][0] != batch[i] for i in range(len(batch))):
             return False
         for res in results:
-            report.resets += res["resets"]
-            report.modelled_time_s += res["modelled_dt"]
-            report.resilience.merge(res["resilience"])
+            self._merge_shard(report, res)
         for i in range(len(batch)):
             data_, edges, crash, pc = merged[i]
             self.scheduler.merge(report, data_, unpack_edges(edges),
                                  crash, pc, done + i)
         return True
+
+    @staticmethod
+    def _merge_shard(report: FuzzReport, res: Dict[str, Any]) -> None:
+        """Fold one shard's accounting (executed or replayed from the
+        journal) into the report; its inputs merge in input order."""
+        report.resets += res["resets"]
+        report.modelled_time_s += res["modelled_dt"]
+        report.resilience.merge(res["resilience"])
 
     def _execute_batch(self, journal: Optional[Journal],
                        report: FuzzReport, batch: List[bytes],
@@ -264,9 +270,7 @@ class ParallelFuzzer(Campaign):
                         "fuzz-shard-completed", worker=worker_id,
                         base=done, count=len(res["results"]),
                         blob=journal.put_blob(res))
-                report.resets += res["resets"]
-                report.modelled_time_s += res["modelled_dt"]
-                report.resilience.merge(res["resilience"])
+                self._merge_shard(report, res)
                 for index, data_, edges, crash, pc in res["results"]:
                     merged[index] = (data_, edges, crash, pc)
             # Streaming merge: consume the longest in-order prefix

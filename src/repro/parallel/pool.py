@@ -46,12 +46,14 @@ from dataclasses import dataclass, field
 from multiprocessing.connection import wait
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
+from repro.counters import Counters
 from repro.errors import VmError
 from repro.parallel.recipe import SessionRecipe
 from repro.parallel.statewire import StateWireStats
 from repro.parallel.wire import WireStats
 from repro.parallel.workers import STOP, _worker_main, handle_job
 from repro.resilience import ResilienceStats
+from repro.solver.solver import SatCounters, SolverStats
 
 #: Every live WorkerPool, so signal handlers and interpreter exit can
 #: run the escalating close (child reaping) even when the owning
@@ -139,7 +141,7 @@ class InFlightJob:
 
 
 @dataclass
-class IpcStats:
+class IpcStats(Counters):
     """Envelope traffic of one pool (coordinator side, plus the
     workers' encode/decode seconds stamped on their result envelopes)."""
 
@@ -161,18 +163,6 @@ class IpcStats:
     @property
     def shm_bytes_in(self) -> int:  # read by benchmarks/e2e/trace.py
         return 0
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "messages_out": self.messages_out,
-            "messages_in": self.messages_in,
-            "queue_bytes_out": self.queue_bytes_out,
-            "queue_bytes_in": self.queue_bytes_in,
-            "encode_s": round(self.encode_s, 6),
-            "decode_s": round(self.decode_s, 6),
-            "worker_encode_s": round(self.worker_encode_s, 6),
-            "worker_decode_s": round(self.worker_decode_s, 6),
-        }
 
 
 @dataclass
@@ -198,6 +188,10 @@ class PoolStats:
     #: Pool-boundary recovery events (respawns, reissues, duplicates,
     #: degraded flag); link-layer events merge in from the workers.
     resilience: ResilienceStats = field(default_factory=ResilienceStats)
+    #: The workers' solver and SAT-core counters, merged per lease
+    #: (DSE campaigns only).
+    solver: SolverStats = field(default_factory=SolverStats)
+    sat: SatCounters = field(default_factory=SatCounters)
 
     def summary(self) -> str:
         lines = [f"[pool] workers={self.workers} leases={self.leases} "
@@ -232,6 +226,8 @@ class PoolStats:
                 f"dec={self.ipc.decode_s + self.ipc.worker_decode_s:.3f}s")
         if self.resilience.any:
             lines.append(self.resilience.summary())
+        if self.leases:
+            lines.append(self.solver.summary(self.sat.as_dict()))
         return "\n".join(lines)
 
 

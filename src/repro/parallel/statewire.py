@@ -61,6 +61,7 @@ from dataclasses import dataclass
 from hashlib import blake2b
 from typing import Any, Dict, List, Optional, Set, Tuple
 
+from repro.counters import Counters
 from repro.errors import SnapshotIntegrityError
 from repro.parallel.wire import ContentPool
 from repro.solver import expr as E
@@ -148,9 +149,9 @@ class _Cursor:
 
 
 @dataclass
-class StateWireStats:
+class StateWireStats(Counters):
     """Per-endpoint software-state transfer accounting (summed over
-    peers; mergeable across processes like :class:`WireStats`)."""
+    peers)."""
 
     states_sent: int = 0
     states_received: int = 0
@@ -173,10 +174,6 @@ class StateWireStats:
     expr_nodes_sent: int = 0
     expr_nodes_reused: int = 0
 
-    def merge(self, other: "StateWireStats") -> None:
-        for f in self.__dataclass_fields__:
-            setattr(self, f, getattr(self, f) + getattr(other, f))
-
     @property
     def delta_ratio(self) -> float:
         """Mean full-pickle bytes over mean delta bytes per state
@@ -189,9 +186,8 @@ class StateWireStats:
         mean_full = self.state_bytes_full / self.full_states
         return mean_full / mean_delta
 
-    def as_dict(self) -> Dict[str, object]:
-        out: Dict[str, object] = {
-            f: getattr(self, f) for f in self.__dataclass_fields__}
+    def as_dict(self) -> Dict[str, Any]:
+        out = super().as_dict()
         out["delta_ratio"] = round(self.delta_ratio, 3)
         return out
 

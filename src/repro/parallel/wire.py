@@ -33,6 +33,7 @@ from typing import Any, Dict, Mapping, Optional, Set
 from repro.core.persistence import (SnapshotWire, snapshot_from_wire,
                                     snapshot_to_wire)
 from repro.core.store import chunk_digest
+from repro.counters import Counters
 from repro.errors import SnapshotIntegrityError
 from repro.targets.base import HwSnapshot
 
@@ -65,7 +66,7 @@ class ContentPool:
 
 
 @dataclass
-class WireStats:
+class WireStats(Counters):
     """Transfer accounting for one endpoint (summed over all peers)."""
 
     snapshots_sent: int = 0
@@ -89,10 +90,6 @@ class WireStats:
             return 1.0 if self.logical_bits_sent == 0 \
                 else float(self.logical_bits_sent)
         return self.logical_bits_sent / self.payload_bits_sent
-
-    def merge(self, other: "WireStats") -> None:
-        for f in self.__dataclass_fields__:
-            setattr(self, f, getattr(self, f) + getattr(other, f))
 
 
 class ChunkChannel:

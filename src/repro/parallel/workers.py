@@ -35,6 +35,7 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.core.fuzzer import ExecutionContext
 from repro.core.store import chunk_digest
+from repro.counters import Counters
 from repro.errors import VmError
 from repro.parallel.envelope import (pack_fuzz_results, pack_lease_results,
                                      stamp_encode_time, unpack_fuzz_batch,
@@ -43,6 +44,7 @@ from repro.parallel.recipe import SessionRecipe
 from repro.parallel.statewire import StateWire
 from repro.parallel.wire import ChunkChannel, ContentPool
 from repro.resilience import FaultInjector
+from repro.solver.solver import SatCounters
 from repro.targets.base import HwSnapshot
 from repro.vm.state import ExecState
 
@@ -132,25 +134,32 @@ class EngineWorker:
 
     # -- lease execution ----------------------------------------------------
 
+    def _records(self) -> Dict[str, Counters]:
+        """The stats records a lease result reports, by name (the SAT
+        counters as a record read off the live dict)."""
+        controller = self.engine.controller
+        solver = self.session.solver
+        return {"controller": controller.stats,
+                "store": controller.store.stats,
+                "channel": self.channel.stats,
+                "statewire": self.statewire.stats,
+                "resilience": self.session.target.resilience,
+                "solver": solver.stats,
+                "sat": SatCounters(**solver.sat_stats)}
+
     def run_lease(self, payload: Dict[str, Any]) -> Dict[str, Any]:
         executor = self.engine.executor
-        controller = self.engine.controller
-        store = controller.store
         timer = self.session.target.timer
 
+        # Baselines before the lease's state is decoded, so that its
+        # decode traffic is counted.
+        baselines = {name: record.as_dict()
+                     for name, record in self._records().items()}
         executor._sym_counter = int(payload["sym_base"])
         state = self._materialise(payload)
-        resilience0 = self.session.target.resilience.as_dict()
 
         bugs_before = len(executor.bugs)
         coverage_before = set(executor.coverage)
-        saves0, restores0 = (controller.stats.saves,
-                             controller.stats.restores)
-        logical0, stored0 = (store.stats.logical_bits,
-                             store.stats.stored_bits)
-        hits0, misses0, skips0 = (store.stats.chunk_hits,
-                                  store.stats.chunk_misses,
-                                  store.stats.capture_skips)
         modelled0 = timer.total_s
 
         outcome = self.engine.run_lease(
@@ -170,21 +179,9 @@ class EngineWorker:
             "completed": outcome.completed,
             "bugs": new_bugs,
             "coverage": sorted(set(executor.coverage) - coverage_before),
-            "stats": {
-                "saves": controller.stats.saves - saves0,
-                "restores": controller.stats.restores - restores0,
-                "logical_bits": store.stats.logical_bits - logical0,
-                "stored_bits": store.stats.stored_bits - stored0,
-                "chunk_hits": store.stats.chunk_hits - hits0,
-                "chunk_misses": store.stats.chunk_misses - misses0,
-                "capture_skips": store.stats.capture_skips - skips0,
-                "chain_depth": store.stats.max_chain_depth,
-            },
             "modelled_dt": timer.total_s - modelled0,
-            "wire_stats": self.channel.stats,
-            "state_wire": self.statewire.stats,
-            "resilience":
-                self.session.target.resilience.delta(resilience0),
+            "stats": {name: record.delta(baselines[name])
+                      for name, record in self._records().items()},
         }
 
 

@@ -11,11 +11,12 @@ schedule-dependent; what it concluded is not.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Dict, Mapping, Union
+
+from repro.counters import Counters
 
 
 @dataclass
-class ResilienceStats:
+class ResilienceStats(Counters):
     """Counts of recovery events (sum-mergeable; ``degraded`` ORs)."""
 
     #: Scan-shift retransmits after CRC mismatch / drop / stall.
@@ -47,33 +48,7 @@ class ResilienceStats:
     @property
     def any(self) -> bool:
         """True when any recovery event occurred."""
-        return self.degraded or any(
-            getattr(self, f.name) for f in fields(self)
-            if f.name != "degraded")
-
-    def as_dict(self) -> Dict[str, Union[int, float, bool]]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    def merge(self, other: Union["ResilienceStats", Mapping]) -> None:
-        data = other if isinstance(other, Mapping) else other.as_dict()
-        for f in fields(self):
-            value = data.get(f.name, 0)
-            if f.name == "degraded":
-                self.degraded = self.degraded or bool(value)
-            else:
-                setattr(self, f.name, getattr(self, f.name) + value)
-
-    def delta(self, baseline: Mapping) -> Dict[str, Union[int, float, bool]]:
-        """This record minus a previous :meth:`as_dict` snapshot —
-        workers ship per-lease deltas, not lifetime totals."""
-        out: Dict[str, Union[int, float, bool]] = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name == "degraded":
-                out[f.name] = bool(value)
-            else:
-                out[f.name] = value - baseline.get(f.name, 0)
-        return out
+        return any(self.as_dict().values())
 
     def summary(self) -> str:
         parts = [f"{f.name}={getattr(self, f.name)}" for f in fields(self)

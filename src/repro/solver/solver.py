@@ -24,6 +24,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
+from repro.counters import Counters
 from repro.errors import SolverError
 from repro.solver import expr as E
 from repro.solver.bitblast import FALSE_LIT, TRUE_LIT, BitBlaster
@@ -46,7 +47,7 @@ class CheckResult:
 
 
 @dataclass
-class SolverStats:
+class SolverStats(Counters):
     queries: int = 0
     query_cache_hits: int = 0
     query_cache_evictions: int = 0
@@ -64,6 +65,19 @@ class SolverStats:
                 f"{sat['conflicts']} sat_propagations={sat['propagations']}"
                 f" solver_s={self.solver_time:.3f}"
                 f" replay_s={self.replay_s:.3f}")
+
+
+@dataclass
+class SatCounters(Counters):
+    """The SAT core's search counters (:attr:`Solver.sat_stats`, which
+    stays a plain dict) as a record a parallel run merges over its
+    workers."""
+
+    decisions: int = 0
+    propagations: int = 0
+    conflicts: int = 0
+    learned: int = 0
+    restarts: int = 0
 
 
 #: Default bound on the query cache. Long campaigns (fuzzing loops, DSE

@@ -23,10 +23,10 @@ Inception debugger that translates USB commands to AXI transactions).
   packed/unpacked directly from the chain map while the scan ports are
   toggled once and the sim clock advances by the full chain length —
   O(chain elements) host work instead of one full design evaluation per
-  chain bit, with the identical modelled shift cost,
-* ``"shift-perbit"`` really shifts the chain bit by bit through the
-  instrumented RTL — the reference mechanism, kept as the equivalence
-  oracle for the bulk path (``tests/test_scan_bulk.py``),
+  chain bit, with the identical modelled shift cost. The reference
+  mechanism, which shifts the chain bit by bit through the instrumented
+  RTL, is its equivalence oracle (``tests/scan_oracle.py``,
+  ``tests/test_scan_bulk.py``),
 * ``"functional"`` moves the state directly while charging identical
   modelled costs; benchmarks with thousands of context switches use it.
   ``tests/test_targets.py`` asserts the modes produce identical states
@@ -76,7 +76,7 @@ class FpgaTarget(HardwareTarget):
                  sram_dedup: bool = False,
                  opt: bool = DEFAULT_OPT):
         super().__init__(name, clock_hz, transport)
-        if scan_mode not in ("shift", "shift-perbit", "functional"):
+        if scan_mode not in ("shift", "functional"):
             raise TargetError(f"unknown scan_mode {scan_mode!r}")
         self.scan_mode = scan_mode
         #: Run the dataflow optimizer over each hosted (instrumented)
@@ -219,19 +219,7 @@ class FpgaTarget(HardwareTarget):
                     "memories": {k: v for k, v in state["memories"].items()
                                  if k in chain_mems},
                 }
-        elif self.scan_mode == "shift-perbit":
-            length = scan.chain_length
-            stream = 0
-            sim.poke("scan_enable", 1)
-            for k in range(length):
-                bit = sim.peek("scan_out")
-                stream |= bit << k
-                sim.poke("scan_in", bit)  # circular: preserve the state
-                sim.step()
-            sim.poke("scan_enable", 0)
-            nets, mems = scan.unpack(stream)
-            state = self._canonical_from_chain(instance, nets, mems)
-        else:  # "shift": bulk rotation fast path
+        else:  # "shift": bulk rotation
             nets, mems = self._read_chain(instance)
             # A circular rotation returns every chain element to its
             # original value; what remains visible is the port traffic
@@ -307,42 +295,27 @@ class FpgaTarget(HardwareTarget):
                     or cached.state != state):
                 sim.load_state(state)
             return
-        if self.scan_mode == "shift-perbit":
-            nets = {e.name: state["nets"][e.name]
-                    for e in scan.elements if e.kind == "net"}
-            mems = {name: state["memories"][name] for name in
-                    {e.name for e in scan.elements if e.kind == "mem"}}
-            stream = scan.pack(nets, mems)
-            length = scan.chain_length
-            sim.poke("scan_enable", 1)
-            for k in range(length):
-                sim.poke("scan_in", (stream >> k) & 1)
-                sim.step()
-            sim.poke("scan_enable", 0)
-        else:  # "shift": bulk load fast path
-            sim.poke("scan_enable", 1)
-            for element in scan.elements:
-                if element.kind == "net":
-                    mask = sim.design.nets[element.name].mask
-                    sim.values[element.name] = \
-                        state["nets"][element.name] & mask
-                else:
-                    mem = sim.design.memories[element.name]
-                    sim.memories[element.name][element.word] = \
-                        state["memories"][element.name][element.word] \
-                        & mem.mask
-            sim.state_version += 1
-            # The per-bit shift ends with the stream's final bit on
-            # scan_in: the first element's (target-value) MSB.
-            first = scan.elements[0]
-            target_nets = {first.name: state["nets"].get(first.name, 0)}
-            target_mems = ({first.name:
-                            {first.word:
-                             state["memories"][first.name][first.word]}}
-                           if first.kind == "mem" else {})
-            sim.poke("scan_in",
-                     self._stream_msb(scan, target_nets, target_mems))
-            sim.poke("scan_enable", 0)
+        # "shift": bulk load
+        sim.poke("scan_enable", 1)
+        for element in scan.elements:
+            if element.kind == "net":
+                mask = sim.design.nets[element.name].mask
+                sim.values[element.name] = state["nets"][element.name] & mask
+            else:
+                mem = sim.design.memories[element.name]
+                sim.memories[element.name][element.word] = \
+                    state["memories"][element.name][element.word] & mem.mask
+        sim.state_version += 1
+        # The per-bit shift ends with the stream's final bit on scan_in:
+        # the first element's (target-value) MSB.
+        first = scan.elements[0]
+        target_nets = {first.name: state["nets"].get(first.name, 0)}
+        target_mems = ({first.name:
+                        {first.word:
+                         state["memories"][first.name][first.word]}}
+                       if first.kind == "mem" else {})
+        sim.poke("scan_in", self._stream_msb(scan, target_nets, target_mems))
+        sim.poke("scan_enable", 0)
         # Input pins are environment, not chain state: re-drive them.
         for net in instance.design.inputs:
             if net.name in state["nets"] and net.name not in (
@@ -382,7 +355,7 @@ class FpgaTarget(HardwareTarget):
         self.settle()
         self._check_link("save")
         states, dirty = self.capture_states(
-            force_capture=self.scan_mode in ("shift", "shift-perbit"))
+            force_capture=self.scan_mode == "shift")
         total_bits = sum(self._chain(inst).chain_length
                          for inst in self.instances.values())
         stored_bits = None

@@ -9,6 +9,22 @@ from repro.firmware import dispatcher, fuzz_packet_parser
 from repro.peripherals import gpio
 
 
+def _solver_fields(out):
+    """The fields of the one ``[solver]`` line in *out*, checked."""
+    lines = [line for line in out.splitlines()
+             if line.startswith("[solver]")]
+    assert len(lines) == 1
+    fields = dict(part.split("=") for part in lines[0].split()[1:])
+    assert list(fields) == ["queries", "query_cache_hits",
+                            "model_cache_hits", "sat_decisions",
+                            "sat_conflicts", "sat_propagations",
+                            "solver_s", "replay_s"]
+    assert int(fields["queries"]) > 0
+    assert float(fields["solver_s"]) >= 0
+    assert float(fields["replay_s"]) >= 0
+    return fields
+
+
 @pytest.fixture
 def firmware_file(tmp_path):
     path = tmp_path / "fw.s"
@@ -42,18 +58,19 @@ class TestCli:
         assert main(["run", firmware_file,
                      "--peripheral", "timer@0x40000000",
                      "--max-instructions", "100000"]) == 0
-        lines = [line for line in capsys.readouterr().out.splitlines()
-                 if line.startswith("[solver]")]
-        assert len(lines) == 1
-        fields = dict(part.split("=") for part in lines[0].split()[1:])
-        assert list(fields) == ["queries", "query_cache_hits",
-                                "model_cache_hits", "sat_decisions",
-                                "sat_conflicts", "sat_propagations",
-                                "solver_s", "replay_s"]
-        assert int(fields["queries"]) > 0
+        fields = _solver_fields(capsys.readouterr().out)
         assert int(fields["model_cache_hits"]) > 0
-        assert float(fields["solver_s"]) >= 0
-        assert float(fields["replay_s"]) >= 0
+
+    def test_parallel_run_prints_solver_line(self, firmware_file, capsys):
+        """The workers' solver counters merge into the pool epilogue,
+        which ends with the serial run's [solver] line."""
+        assert main(["run", firmware_file,
+                     "--peripheral", "timer@0x40000000",
+                     "--max-instructions", "100000",
+                     "--workers", "2"]) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[-1].startswith("[solver]")
+        _solver_fields(out)
 
     def test_run_reports_bugs_nonzero_exit(self, tmp_path, capsys):
         from repro.firmware import vuln_buffer_overflow

@@ -6,6 +6,7 @@ byte-identical to the uninterrupted run, at any worker count, for both
 DSE and fuzzing."""
 
 import functools
+import inspect
 import os
 import pathlib
 import signal
@@ -89,6 +90,27 @@ def _campaign_cmd(tmp_path, mode, workers, journal):
     for s in SEED_HEX:
         cmd += ["--seed", s]
     return cmd
+
+
+def _older_checkpoint(put_blob):
+    """Wrap ``Journal.put_blob`` so that DSE checkpoints are written in
+    the shape they had before the snapshot and store records: the two
+    records' counts in one ``stats_sums`` mapping and the store's
+    high-water mark as ``chain_depth``."""
+    def put(journal, obj, fsync=False):
+        if isinstance(obj, dict) and "store" in obj and "controller" in obj:
+            obj = dict(obj)
+            controller, store = obj.pop("controller"), obj.pop("store")
+            sums = {key: controller.get(key, 0)
+                    for key in ("saves", "restores")}
+            sums.update((key, store.get(key, 0))
+                        for key in ("logical_bits", "stored_bits",
+                                    "chunk_hits", "chunk_misses",
+                                    "capture_skips"))
+            obj["stats_sums"] = sums
+            obj["chain_depth"] = store.get("max_chain_depth", 0)
+        return put_blob(journal, obj, fsync=fsync)
+    return put
 
 
 def _crash_campaign(tmp_path, mode, workers, kill_after):
@@ -366,6 +388,32 @@ class TestJournaledRuns:
             report = resumed.resume_run()
         assert report.verdict_summary() == _Serial.engine()
 
+    def test_dse_checkpoint_in_older_shape_restores_snapshot_fields(
+            self, tmp_path, monkeypatch):
+        """A sealed campaign whose checkpoints keep the snapshot and
+        store counts in the older ``stats_sums``/``chain_depth`` shape
+        resumes to the same verdict and the same six ``snapshot_*``
+        fields, all of which come from its final checkpoint."""
+        monkeypatch.setattr(Journal, "put_blob",
+                            _older_checkpoint(Journal.put_blob))
+        with ParallelAnalysisEngine(FIRMWARE, TIMER, workers=2,
+                                    searcher="bfs",
+                                    journal=tmp_path / "j") as engine:
+            first = engine.run(max_instructions=100_000)
+        monkeypatch.undo()
+        journal = Journal.open(tmp_path / "j", readonly=True)
+        checkpoint = journal.get_blob(journal.last("checkpoint")["blob"])
+        assert "stats_sums" in checkpoint and "store" not in checkpoint
+        with ParallelAnalysisEngine.resume(tmp_path / "j") as resumed:
+            report = resumed.resume_run()
+        assert report.verdict_summary() == _Serial.engine()
+        fields = ("snapshot_saves", "snapshot_restores",
+                  "snapshot_logical_bits", "snapshot_stored_bits",
+                  "snapshot_dedup_hit_rate", "snapshot_chain_depth")
+        assert first.snapshot_saves > 0
+        assert [getattr(report, f) for f in fields] == \
+            [getattr(first, f) for f in fields]
+
     def test_resume_rejects_wrong_mode(self, tmp_path):
         with ParallelFuzzer(fuzz_packet_parser(), TIMER, seeds=SEEDS,
                             workers=2, batch_size=16, seed=3,
@@ -458,16 +506,21 @@ class TestCrashResume:
     def test_cli_resume_of_recipe_with_removed_transport(self, tmp_path):
         """A journal whose pickled SessionRecipe, SessionConfig or
         TargetRecipe still carries an attribute set of
-        :attr:`STALE_ATTRIBUTES`, and whose setup blob carries
-        :attr:`STALE_SETUP`: ``repro resume`` and ``repro replay`` must
-        ignore both and reach the serial verdict."""
+        :attr:`STALE_ATTRIBUTES`, whose setup blob carries
+        :attr:`STALE_SETUP` and whose checkpoints have the older
+        ``stats_sums`` shape (:func:`_older_checkpoint`): ``repro
+        resume`` and ``repro replay`` must read all three and reach the
+        serial verdict."""
         for owner, attributes in self.STALE_ATTRIBUTES.items():
             case = tmp_path / owner
             case.mkdir()
             journal = case / "journal"
             script = case / "old_campaign.py"
-            script.write_text(textwrap.dedent(f"""\
+            script.write_text(inspect.getsource(_older_checkpoint) +
+                              textwrap.dedent(f"""\
                 import sys
+                from repro.core.journal import Journal
+                Journal.put_blob = _older_checkpoint(Journal.put_blob)
                 from repro.firmware import TIMER_BASE, dispatcher
                 from repro.parallel import ParallelAnalysisEngine
                 from repro.peripherals import catalog
@@ -499,6 +552,8 @@ class TestCrashResume:
                 == attributes
             assert {key: setup[key] for key in self.STALE_SETUP} \
                 == self.STALE_SETUP
+            assert "stats_sums" in stale.get_blob(
+                stale.last("checkpoint")["blob"])
             assert not stale.sealed
             resumed = subprocess.run(
                 CLI + ["resume", str(journal)], env=_cli_env(),

@@ -406,6 +406,81 @@ class TestLeaseBudget:
             with ParallelAnalysisEngine.resume(journal) as engine:
                 assert engine.resume_run().verdict_summary() == serial
 
+    def test_forking_campaign_stops_at_the_budget(self):
+        """Leases share what is left of the budget instead of each
+        taking all of it, so a forking campaign stops exactly where the
+        serial engine does (it used to overshoot, by up to 38
+        instructions at 2 workers)."""
+        firmware = dispatcher(16, 40)
+        with _deadline(240.0):
+            for budget in (400, 600):
+                serial = HardSnapSession(firmware, TIMER,
+                                         scan_mode="functional").run(
+                    max_instructions=budget)
+                assert serial.instructions == budget
+                for workers in (1, 2):
+                    with ParallelAnalysisEngine(
+                            firmware, TIMER, workers=workers,
+                            scan_mode="functional") as engine:
+                        report = engine.run(max_instructions=budget)
+                    assert report.instructions == budget, (budget, workers)
+                    assert report.stop_reason == "instruction-budget"
+
+
+def _traffic(stats):
+    """Snapshots and software states sent and received, over the
+    coordinator and every worker."""
+    return (stats.wire.snapshots_sent, stats.wire.snapshots_received,
+            stats.state_wire.states_sent, stats.state_wire.states_received)
+
+
+class TestAccounting:
+    """Lease results carry per-lease deltas of the workers' records, so
+    a pool's totals are the sum of what its runs did."""
+
+    def test_second_run_adds_only_its_own_traffic(self):
+        firmware = dispatcher(8, 40)
+        with ParallelAnalysisEngine(firmware, TIMER, workers=2,
+                                    scan_mode="functional") as engine:
+            engine.run(max_instructions=100_000)
+            once = _traffic(engine.pool_stats)
+            engine.run(max_instructions=100_000)
+            twice = _traffic(engine.pool_stats)
+        assert once[0] > 0
+        assert twice == tuple(2 * count for count in once)
+
+    def test_respawned_worker_counts_are_kept(self):
+        """A worker killed before its fourth job and respawned: what the
+        dead incarnation decoded and shipped stays counted, and the
+        re-packed leases count once more on the sending side."""
+        from repro.resilience import FaultPlan
+        firmware = dispatcher(8, 40)
+        with ParallelAnalysisEngine(firmware, TIMER, workers=1,
+                                    scan_mode="functional") as engine:
+            clean_report = engine.run(max_instructions=100_000)
+            clean = _traffic(engine.pool_stats)
+        with ParallelAnalysisEngine(firmware, TIMER, workers=1,
+                                    scan_mode="functional",
+                                    fault_plan=FaultPlan.parse("kill=0@4")
+                                    ) as engine:
+            report = engine.run(max_instructions=100_000)
+            killed = _traffic(engine.pool_stats)
+        assert report.resilience.worker_respawns == 1
+        assert report.verdict_summary() == clean_report.verdict_summary()
+        assert (killed[1], killed[3]) == (clean[1], clean[3])
+        assert killed[0] > clean[0] and killed[2] > clean[2]
+
+    def test_workers_solver_counters_reach_the_pool(self):
+        with ParallelAnalysisEngine(dispatcher(5, work_cycles=8), TIMER,
+                                    workers=2,
+                                    scan_mode="functional") as engine:
+            engine.run(max_instructions=100_000)
+            stats = engine.pool_stats
+        assert stats.solver.queries > 0
+        assert stats.sat.propagations > 0
+        assert stats.summary().splitlines()[-1] == stats.solver.summary(
+            stats.sat.as_dict())
+
 
 class TestFuzzerDeterminism:
     """Satellite 3: merged fuzzing coverage/crashes are byte-identical

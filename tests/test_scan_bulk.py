@@ -1,5 +1,5 @@
 """Bulk scan capture/load ("shift") vs the per-bit reference oracle
-("shift-perbit").
+(:class:`tests.scan_oracle.PerBitScanTarget`).
 
 The bulk path models the whole chain rotation in one step — identical
 modelled cost (chain_length cycles through the scan ports), identical
@@ -12,15 +12,21 @@ import pytest
 from repro.errors import TargetError
 from repro.peripherals import catalog
 from repro.targets import FpgaTarget
+from tests.scan_oracle import PerBitScanTarget
 
 BASE = 0x4000_0000
 
 
-def _target(spec, mode):
-    target = FpgaTarget(scan_mode=mode)
+def _target(spec, cls=FpgaTarget):
+    target = cls()
     target.add_peripheral(spec, BASE)
     target.reset()
     return target
+
+
+def _pair(spec):
+    """The shipped bulk-shift target and the per-bit oracle."""
+    return _target(spec), _target(spec, PerBitScanTarget)
 
 
 def _stimulate(target):
@@ -49,7 +55,7 @@ def _observable(target):
 @pytest.mark.parametrize("spec", catalog.CORPUS, ids=lambda s: s.name)
 class TestBulkScanEquivalence:
     def test_capture_matches_perbit(self, spec):
-        bulk, perbit = _target(spec, "shift"), _target(spec, "shift-perbit")
+        bulk, perbit = _pair(spec)
         _stimulate(bulk)
         _stimulate(perbit)
         s_bulk, s_perbit = bulk.save_snapshot(), perbit.save_snapshot()
@@ -63,7 +69,7 @@ class TestBulkScanEquivalence:
         assert _observable(bulk) == _observable(perbit)
 
     def test_restore_matches_perbit(self, spec):
-        bulk, perbit = _target(spec, "shift"), _target(spec, "shift-perbit")
+        bulk, perbit = _pair(spec)
         _stimulate(bulk)
         _stimulate(perbit)
         snapshot = bulk.save_snapshot()
@@ -77,7 +83,7 @@ class TestBulkScanEquivalence:
         assert bulk.irq_lines() == perbit.irq_lines()
 
     def test_post_restore_behavior_identical(self, spec):
-        bulk, perbit = _target(spec, "shift"), _target(spec, "shift-perbit")
+        bulk, perbit = _pair(spec)
         _stimulate(bulk)
         _stimulate(perbit)
         snap_b, snap_p = bulk.save_snapshot(), perbit.save_snapshot()
@@ -94,8 +100,9 @@ class TestBulkScanEquivalence:
 
 
 def test_unknown_scan_mode_rejected():
-    with pytest.raises(TargetError):
-        FpgaTarget(scan_mode="warp")
+    for mode in ("warp", "shift-perbit"):
+        with pytest.raises(TargetError):
+            FpgaTarget(scan_mode=mode)
 
 
 def test_bulk_is_default():

@@ -9,6 +9,7 @@ from repro.errors import SnapshotError, TargetError
 from repro.peripherals import catalog, timer
 from repro.targets import (FpgaTarget, SimulatorTarget, SnapshotIp,
                            TargetOrchestrator)
+from tests.scan_oracle import PerBitScanTarget
 
 TIMER_BASE = 0x4000_0000
 UART_BASE = 0x4001_0000
@@ -274,9 +275,10 @@ class TestIncrementalRestore:
             ctl.restore(snap)
         assert shifts == ["load"] * 3
 
-    @pytest.mark.parametrize("mode", ["shift", "shift-perbit"])
-    def test_shift_modes_still_shift(self, mode):
-        t = _target(FpgaTarget, scan_mode=mode)
+    @pytest.mark.parametrize("cls", [FpgaTarget, PerBitScanTarget],
+                             ids=["shift", "shift-perbit"])
+    def test_shift_modes_still_shift(self, cls):
+        t = _target(cls)  # "shift" is the default scan mode
         snap = t.save_snapshot()
         sim = t.instances["timer"].sim
         version = sim.state_version

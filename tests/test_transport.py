@@ -102,16 +102,16 @@ class TestEnvelope:
                "continuation": (1, b"contblob", {}, wire),
                "children": [(2, b"childblob", {"page": b"\x00" * 8}, wire)],
                "completed": None, "bugs": [], "coverage": [1, 2, 3],
-               "stats": {"saves": 1}, "modelled_dt": 0.5,
-               "wire_stats": WireStats(snapshots_sent=3),
-               "resilience": {}}
+               "modelled_dt": 0.5,
+               "stats": {"controller": {"saves": 1},
+                         "channel": {"snapshots_sent": 3}}}
         buf = bytearray(pack_lease_results([res], decode_s=0.25))
         stamp_encode_time(buf, 1.5)
         enc, dec, back = unpack_lease_results(buf)
         assert enc == 1.5 and dec == 0.25
         assert back[0]["executed"] == 42
         assert back[0]["coverage"] == [1, 2, 3]
-        assert back[0]["wire_stats"].snapshots_sent == 3
+        assert back[0]["stats"]["channel"] == {"snapshots_sent": 3}
         kind, blob, bodies, cwire = back[0]["continuation"]
         assert kind == 1 and blob == b"contblob" and bodies == {}
         assert cwire.refs == wire.refs and cwire.chunks == wire.chunks
