@@ -6,9 +6,9 @@ and E9's own sizing, :func:`benchmarks.conftest.grown_serial_fuzz`: the
 serial baseline is grown until it clears the measurement floor) and
 runs it twice through :class:`~repro.parallel.ParallelFuzzer`:
 journal off, then journal on (``journal=<dir>``, default checkpoint
-cadence).  The journal-on run event-sources the whole campaign — setup
-blob, per-shard result blobs, crash events, periodic checkpoints —
-through :mod:`repro.core.journal`.
+cadence).  The journal-on run records what a resume needs — the setup
+blob, crash events and periodic checkpoints — through
+:mod:`repro.core.journal`.
 
 Two properties are asserted:
 
@@ -16,10 +16,9 @@ Two properties are asserted:
   behaviour — the journal-on verdict is byte-identical to journal-off;
 * **overhead** (gated like E9's speedup: only when the host has the
   cores for the cell): best-of-N wall time with the journal on stays
-  within ``MAX_OVERHEAD_PCT`` of journal-off.  The event log is
-  synchronous but cheap (one flushed JSON frame per event); blob bodies
-  ride the journal's background writer thread, which overlaps the
-  coordinator's idle wait on worker shards — given a spare core.
+  within ``MAX_OVERHEAD_PCT`` of journal-off.  Everything is written
+  on the coordinator: one flushed JSON frame per event, and one
+  pickled, fsync'd blob per checkpoint.
 
 Emits ``benchmarks/out/BENCH_journal.json``; CI reads the gate back.
 """

@@ -11,8 +11,8 @@ digests, never bodies).
 Layout::
 
     <journal>/events.log      framed, per-record-checksummed event log
-    <journal>/blobs/<digest>  content-addressed pickles (checkpoints,
-                              shard results, the campaign recipe)
+    <journal>/blobs/<digest>  content-addressed pickles (the campaign
+                              setup and the checkpoints)
 
 **Record framing.** Each record is ``4-byte LE payload length ·
 16-byte blake2b(payload) checksum · payload`` where the payload is
@@ -21,10 +21,9 @@ flushed per record (so a SIGKILL'd coordinator loses nothing the OS
 already has) and fsync'd every :data:`FSYNC_EVERY` records — checkpoints,
 campaign open and seal always fsync, so a power cut can only cost
 events *after* the last checkpoint, which resume re-executes anyway.
-Blob *bodies* ride a background writer thread (checkpoint blobs write
-through synchronously): the log's ordering and flush guarantees never
-depend on blob durability, because a referenced-but-missing or torn
-blob is detected at read time and resume falls back to re-execution.
+Every blob is written through and fsync'd before the record that
+names it is appended; a torn or rotten blob is still detected at read
+time, and resume falls back to an older checkpoint.
 
 **Recovery semantics** (:meth:`Journal.open`):
 
@@ -39,17 +38,15 @@ blob is detected at read time and resume falls back to re-execution.
   :class:`~repro.errors.JournalCorruptError` naming the byte offset.
   Resume refuses to guess what a damaged history meant.
 
-**Checkpoint + event suffix.** Coordinators write periodic ``checkpoint``
+**Checkpoint + re-execution.** Coordinators write periodic ``checkpoint``
 records whose blob holds the full resumable state (DSE frontier /
-fuzzing scheduler); finer-grained events (``lease-issued``,
+fuzzing scheduler); the other events (``lease-issued``,
 ``envelope-merged``, ``state-forked``, ``bug-found``,
-``fuzz-shard-completed``, ``snapshot-sealed``) both narrate the campaign
-and, where they carry result blobs, let resume re-apply completed work
-after the last checkpoint instead of re-executing it (see
-``ParallelFuzzer``). Everything else after the checkpoint simply
-re-executes — sound because lease and shard outcomes are deterministic
-and schedule-independent, the PR-4/5 invariant this module extends
-across process lifetimes.
+``snapshot-sealed``) narrate the campaign and are never read back.
+Resume restores the newest loadable checkpoint and re-executes
+everything after it — sound because lease and fuzz-batch outcomes are
+deterministic and schedule-independent, the PR-4/5 invariant this
+module extends across process lifetimes.
 
 **Deterministic crash injection.** ``REPRO_JOURNAL_KILL_AFTER=<n>``
 SIGKILLs the process after the *n*-th appended record (the record
@@ -65,13 +62,11 @@ import json
 import os
 import pathlib
 import pickle
-import queue
 import signal
 import struct
-import threading
 from typing import Any, Dict, Iterator, List, Optional, Union
 
-from repro.core.store import FileBlobStore, blob_digest
+from repro.core.store import FileBlobStore
 from repro.errors import JournalCorruptError, JournalError
 
 PathLike = Union[str, pathlib.Path]
@@ -156,16 +151,6 @@ class Journal:
         self._seq = 0
         self._unsynced = 0
         self._appended = 0
-        # Background blob writer (started lazily by the first relaxed
-        # put_blob). The event log stays synchronous — ordering and the
-        # SIGKILL flush guarantee live there — but blob bodies are
-        # content-addressed with a verified-or-fallback read path, so
-        # their file I/O can ride a side thread off the coordinator's
-        # merge loop. A blob lost to a crash before the thread drained
-        # it means resume re-executes that shard: sound, never silent.
-        self._blob_queue: Optional[queue.Queue] = None
-        self._blob_thread: Optional[threading.Thread] = None
-        self._blob_error: Optional[Exception] = None
         kill_after = os.environ.get(KILL_AFTER_ENV, "")
         self._kill_after = int(kill_after) if kill_after else 0
 
@@ -240,11 +225,6 @@ class Journal:
         return journal
 
     def close(self) -> None:
-        if self._blob_thread is not None:
-            self._blob_queue.put(None)
-            self._blob_thread.join()
-            self._blob_thread = None
-            self._blob_queue = None
         if self._fh is not None:
             self.commit()
             self._fh.close()
@@ -294,70 +274,22 @@ class Journal:
 
     # -- blobs --------------------------------------------------------------
 
-    def put_blob(self, obj: Any, fsync: bool = False) -> str:
-        """Pickle *obj* into the content-addressed blob store; returns
-        the digest an event record carries in the object's place.
-
-        Relaxed puts (``fsync=False``) hand the file write to the
-        background writer thread and return once the digest is known —
-        the caller's event record can reference it immediately, and a
-        crash that loses the body only costs resume a re-execution.
-        ``fsync=True`` (checkpoints) drains the writer first, then
-        writes through to stable storage before returning.
-        """
-        data = pickle.dumps(obj)
-        digest = blob_digest(data)
-        if fsync:
-            self.flush_blobs()
-            self.blobs.put(data, fsync=True)
-            return digest
-        if self._blob_thread is None:
-            self._blob_queue = queue.Queue()
-            self._blob_thread = threading.Thread(
-                target=self._blob_writer_loop,
-                name="journal-blob-writer", daemon=True)
-            self._blob_thread.start()
-        self._blob_queue.put((digest, data))
-        return digest
-
-    def _blob_writer_loop(self) -> None:
-        while True:
-            item = self._blob_queue.get()
-            try:
-                if item is None:
-                    return
-                _digest, data = item
-                try:
-                    self.blobs.put(data)
-                except Exception as exc:  # surfaced by flush_blobs
-                    self._blob_error = exc
-            finally:
-                self._blob_queue.task_done()
-
-    def flush_blobs(self) -> None:
-        """Wait until every queued blob body has landed on disk;
-        re-raises (as :class:`JournalError`) a write failure the
-        background thread hit."""
-        if self._blob_queue is not None:
-            self._blob_queue.join()
-        if self._blob_error is not None:
-            exc, self._blob_error = self._blob_error, None
-            raise JournalError(
-                f"background blob write failed: {exc}") from exc
+    def put_blob(self, obj: Any) -> str:
+        """Pickle *obj* into the content-addressed blob store, written
+        through to stable storage; returns the digest an event record
+        carries in the object's place."""
+        return self.blobs.put(pickle.dumps(obj))
 
     def get_blob(self, digest: str) -> Any:
         """Load + verify one blob (raises
         :class:`JournalCorruptError` on checksum mismatch)."""
-        self.flush_blobs()
         return pickle.loads(self.blobs.get(digest))
 
     # -- reading ------------------------------------------------------------
 
-    def events(self, kind: Optional[str] = None,
-               after_seq: int = 0) -> List[Dict[str, Any]]:
+    def events(self, kind: Optional[str] = None) -> List[Dict[str, Any]]:
         return [r for r in self.records
-                if r["seq"] > after_seq
-                and (kind is None or r["kind"] == kind)]
+                if kind is None or r["kind"] == kind]
 
     def first(self, kind: str) -> Optional[Dict[str, Any]]:
         for record in self.records:

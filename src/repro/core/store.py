@@ -340,8 +340,8 @@ class SnapshotStore:
 
 def blob_digest(data: bytes) -> str:
     """Content address of one opaque blob (same blake2b-16 keyspace as
-    :func:`chunk_digest`, but over raw bytes — journal checkpoint and
-    shard-result payloads are pickles, not canonical state dicts)."""
+    :func:`chunk_digest`, but over raw bytes — journal setup and
+    checkpoint payloads are pickles, not canonical state dicts)."""
     return hashlib.blake2b(bytes(data), digest_size=16).hexdigest()
 
 
@@ -366,13 +366,10 @@ class FileBlobStore:
     def _path(self, digest: str):
         return self.directory / digest
 
-    def __contains__(self, digest: str) -> bool:
-        return self._path(digest).exists()
-
-    def put(self, data: bytes, fsync: bool = False) -> str:
-        """Store *data*; returns its digest. ``fsync`` forces the blob
-        to disk before the rename lands (checkpoint blobs must be
-        durable *before* the journal record referencing them)."""
+    def put(self, data: bytes) -> str:
+        """Store *data*; returns its digest. The blob is on disk before
+        the rename lands, so it is durable *before* the journal record
+        referencing it."""
         import os
         digest = blob_digest(data)
         path = self._path(digest)
@@ -381,9 +378,8 @@ class FileBlobStore:
         tmp = path.with_name(f".{digest}.tmp.{os.getpid()}")
         with open(tmp, "wb") as fh:
             fh.write(data)
-            if fsync:
-                fh.flush()
-                os.fsync(fh.fileno())
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
         return digest
 

@@ -9,7 +9,8 @@ around different work units. :class:`Campaign` holds what they share:
 * the journal (:mod:`repro.core.journal`): the ``campaign-opened``
   record, :meth:`resume`'s mode check and newest-loadable-checkpoint
   fallback, :meth:`resume_run` and the final ``campaign-interrupted`` /
-  ``campaign-sealed`` record,
+  ``campaign-sealed`` record. Resume has one rule: restore the newest
+  loadable checkpoint, then re-execute everything after it,
 * result-envelope decode accounting (:meth:`_unpack_result`),
 * the recovery ladder for one wait on a worker result
   (:meth:`_await_result`):
@@ -31,7 +32,8 @@ around different work units. :class:`Campaign` holds what they share:
   never re-executing them, so recovery cannot perturb verdicts; see
   ``docs/RESILIENCE.md``.
 
-A subclass supplies the work unit and its merge: ``run``, the
+A subclass supplies the work unit and its merge: ``run`` (which starts
+from ``_resume_state`` when :meth:`resume` restored one), the
 :attr:`HARNESS` and :attr:`MODE` constants, a ``_from_setup(setup,
 workers)`` classmethod that rebuilds the campaign from its
 ``campaign-opened`` setup blob for :meth:`resume` (setting
@@ -134,8 +136,9 @@ class Campaign:
     def resume(cls, journal_dir: PathLike, workers: Optional[int] = None):
         """Reopen an interrupted (or completed) journaled campaign.
 
-        The next ``run`` continues from the last loadable checkpoint;
-        :meth:`resume_run` calls it under the recorded budgets. A
+        The next ``run`` continues from the last loadable checkpoint and
+        re-executes everything after it; :meth:`resume_run` calls it
+        under the recorded budgets. A
         corrupt checkpoint blob falls back to the previous checkpoint —
         recorded in the journal as ``checkpoint-skipped``, never
         silently. Worker count may differ from the original run:
@@ -153,23 +156,15 @@ class Campaign:
         setup = journal.get_blob(opened["blob"])
         campaign = cls._from_setup(setup, workers or setup["workers"])
         campaign._journal = journal
-        after = 0
         for checkpoint in reversed(journal.events("checkpoint")):
             digest = checkpoint["blob"]
             try:
                 campaign._resume_state = journal.get_blob(digest)
+                break
             except JournalCorruptError:
                 journal.append("checkpoint-skipped", blob=digest,
                                seq_skipped=checkpoint["seq"])
-                continue
-            after = checkpoint["seq"]
-            break
-        campaign._resumed(journal, after)
         return campaign
-
-    def _resumed(self, journal: Journal, after_seq: int) -> None:
-        """:meth:`resume` restored the checkpoint at *after_seq* (0: none
-        was loadable)."""
 
     def resume_run(self):
         """Continue the resumed campaign under its recorded budgets."""
@@ -185,7 +180,7 @@ class Campaign:
         if self._journal is not None or self._journal_path is None:
             return self._journal
         journal = Journal.create(self._journal_path)
-        blob = journal.put_blob(setup, fsync=True)
+        blob = journal.put_blob(setup)
         journal.append("campaign-opened", mode=self.MODE, blob=blob,
                        workers=self.workers,
                        config=config_fingerprint(self.config), **fields)

@@ -241,8 +241,7 @@ class ParallelAnalysisEngine(Campaign):
                  "bugs": list(bugs),
                  "root_pending": root_pending,
                  "states": entries,
-                 "chunks": chunks},
-                fsync=True)
+                 "chunks": chunks})
         finally:
             for state, wire in stripped:
                 state._wire = wire

@@ -226,8 +226,9 @@ def unpack_fuzz_batch(buf) -> List[Tuple[int, bytes]]:
 def pack_fuzz_results(res: Dict[str, Any], encode_s: float = 0.0,
                       decode_s: float = 0.0) -> bytes:
     """*res* is one ``FuzzWorker.run_batch`` dict: results are
-    ``(index, data, packed_edges, crash|None, pc)`` rows. Timing floats
-    sit at offset 0 for :func:`stamp_encode_time`."""
+    ``(index, packed_edges, crash|None, pc)`` rows (the coordinator
+    holds the inputs). Timing floats sit at offset 0 for
+    :func:`stamp_encode_time`."""
     out: List[bytes] = []
     out.append(_F64.pack(encode_s))
     out.append(_F64.pack(decode_s))
@@ -235,9 +236,8 @@ def pack_fuzz_results(res: Dict[str, Any], encode_s: float = 0.0,
     out.append(_U32.pack(res["resets"]))
     _put_obj(out, res["resilience"])
     out.append(_U32.pack(len(res["results"])))
-    for index, data, edges, crash, pc in res["results"]:
+    for index, edges, crash, pc in res["results"]:
         out.append(_U32.pack(index))
-        _put_blob(out, data)
         _put_blob(out, edges)
         if crash is None:
             out.append(_U8.pack(0))
@@ -255,14 +255,13 @@ def unpack_fuzz_results(buf) -> Tuple[float, float, Dict[str, Any]]:
     res: Dict[str, Any] = {"modelled_dt": cur.f64(),
                            "resets": cur.u32(),
                            "resilience": cur.obj()}
-    results: List[Tuple[int, bytes, bytes, Optional[str], int]] = []
+    results: List[Tuple[int, bytes, Optional[str], int]] = []
     for _ in range(cur.u32()):
         index = cur.u32()
-        data = cur.blob()
         edges = cur.blob()
         crash = cur.text() if cur.u8() else None
         pc = cur.i64()
-        results.append((index, data, edges, crash, pc))
+        results.append((index, edges, crash, pc))
     res["results"] = results
     return encode_s, decode_s, res
 

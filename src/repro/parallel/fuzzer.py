@@ -21,6 +21,9 @@ round-robin message-per-input), and the coordinator merges **streamed**:
 as each shard lands, every result whose global index is next in line
 feeds the scheduler immediately, so merge work overlaps the stragglers.
 The merge *order* is still the global input order — identical verdicts.
+A result row is ``(index, packed_edges, crash, pc)``: the input itself
+never travels back, since the coordinator generated the batch and
+merges its own bytes.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from repro.core.config import SessionConfig
 from repro.core.fuzzer import CorpusScheduler, FuzzReport
 from repro.core.journal import Journal, PathLike
 from repro.core.shutdown import shutdown_requested
-from repro.errors import JournalCorruptError, VmError
+from repro.errors import VmError
 from repro.isa.assembler import Program
 from repro.parallel.campaign import Campaign
 from repro.parallel.envelope import pack_fuzz_batch, unpack_fuzz_results
@@ -45,17 +48,14 @@ class ParallelFuzzer(Campaign):
     (snapshot reset mode only — rebooting per input is exactly what the
     snapshot runtime exists to avoid).
 
-    With ``journal=<dir>`` the campaign is event-sourced: the run's
-    setup, every completed shard (result blob included), every crash and
-    a periodic checkpoint (every ``checkpoint_every`` batches) land in
-    an append-only log
-    (:mod:`repro.core.journal`). :meth:`resume` reopens such a journal
-    after a coordinator crash and continues — re-applying recorded
-    post-checkpoint shards instead of re-executing them — to a verdict
-    byte-identical to the uninterrupted run. Between checkpoints the
-    recorded ``fuzz-shard-completed`` blobs carry the campaign, so a
-    sparser cadence trades resume work for per-batch fsync cost, never
-    safety.
+    With ``journal=<dir>`` the campaign is journaled: the run's setup,
+    every crash and a periodic checkpoint (every ``checkpoint_every``
+    batches) land in an append-only log (:mod:`repro.core.journal`).
+    :meth:`resume` reopens such a journal after a coordinator crash,
+    restores the newest loadable checkpoint and re-executes every batch
+    after it, to a verdict byte-identical to the uninterrupted run. A
+    sparser cadence trades resume re-execution for per-batch fsync
+    cost, never safety.
     """
 
     HARNESS = "fuzz"
@@ -84,8 +84,6 @@ class ParallelFuzzer(Campaign):
         self.scheduler = CorpusScheduler(seeds, seed)
         self._seeds = None if seeds is None else [bytes(s) for s in seeds]
         self._seed = seed
-        #: ``fuzz-shard-completed`` events after the restored checkpoint.
-        self._suffix: List[Dict[str, Any]] = []
 
     def boot_digests(self) -> Dict[int, Dict[str, str]]:
         """Each worker's post-boot snapshot chunk digests — they must all
@@ -109,10 +107,6 @@ class ParallelFuzzer(Campaign):
         fuzzer._resume_run_kwargs = {"executions": setup["executions"]}
         return fuzzer
 
-    def _resumed(self, journal: Journal, after_seq: int) -> None:
-        self._suffix = journal.events("fuzz-shard-completed",
-                                      after_seq=after_seq)
-
     def _checkpoint(self, journal: Optional[Journal],
                     report: FuzzReport, done: int) -> None:
         """Seal the campaign's resumable state at a batch boundary."""
@@ -125,8 +119,7 @@ class ParallelFuzzer(Campaign):
                         "crashes": list(report.crashes),
                         "resets": report.resets,
                         "modelled_time_s": report.modelled_time_s,
-                        "resilience": report.resilience.as_dict()}},
-            fsync=True)
+                        "resilience": report.resilience.as_dict()}})
         journal.append("checkpoint", done=done, blob=blob)
         journal.commit()
 
@@ -174,8 +167,7 @@ class ParallelFuzzer(Campaign):
                 break
             batch = self.scheduler.next_batch(
                 min(max(1, self.batch_size), executions - done))
-            if not self._replay_batch(journal, report, batch, done):
-                self._execute_batch(journal, report, batch, done)
+            self._execute_batch(journal, report, batch, done)
             done += len(batch)
             dirty += 1
             if dirty >= self.checkpoint_every:
@@ -189,56 +181,6 @@ class ParallelFuzzer(Campaign):
         report.resilience.merge(pool.stats.resilience.delta(resilience0))
         self._seal(journal, report, {"done": done}, {"executions": done})
         return report
-
-    def _replay_batch(self, journal: Optional[Journal],
-                      report: FuzzReport, batch: List[bytes],
-                      done: int) -> bool:
-        """Re-apply a batch from recorded post-checkpoint shard blobs.
-
-        Returns ``True`` only when the recorded shards cover the whole
-        batch, every blob verifies, and every recorded input matches the
-        regenerated schedule (the restored RNG makes them identical by
-        construction) — anything less falls back to re-execution, which
-        is sound because shard execution is deterministic. No report
-        state is touched until the whole batch has verified.
-        """
-        if journal is None or not self._suffix:
-            return False
-        shards = [e for e in self._suffix if e.get("base") == done]
-        if not shards:
-            return False
-        results = []
-        for event in shards:
-            digest = event["blob"]
-            if digest not in journal.blobs:
-                return False
-            try:
-                results.append(journal.get_blob(digest))
-            except JournalCorruptError:
-                return False
-        merged: Dict[int, Tuple[bytes, bytes, Optional[str], int]] = {}
-        for res in results:
-            for index, data_, edges, crash, pc in res["results"]:
-                merged[index] = (data_, edges, crash, pc)
-        if sorted(merged) != list(range(len(batch))):
-            return False
-        if any(merged[i][0] != batch[i] for i in range(len(batch))):
-            return False
-        for res in results:
-            self._merge_shard(report, res)
-        for i in range(len(batch)):
-            data_, edges, crash, pc = merged[i]
-            self.scheduler.merge(report, data_, unpack_edges(edges),
-                                 crash, pc, done + i)
-        return True
-
-    @staticmethod
-    def _merge_shard(report: FuzzReport, res: Dict[str, Any]) -> None:
-        """Fold one shard's accounting (executed or replayed from the
-        journal) into the report; its inputs merge in input order."""
-        report.resets += res["resets"]
-        report.modelled_time_s += res["modelled_dt"]
-        report.resilience.merge(res["resilience"])
 
     def _execute_batch(self, journal: Optional[Journal],
                        report: FuzzReport, batch: List[bytes],
@@ -255,33 +197,30 @@ class ParallelFuzzer(Campaign):
                              {"items": items}, pack=self._pack_items)
             shards += 1
         pool.stats.batches += 1
-        merged: Dict[int, Tuple[bytes, bytes, Optional[str], int]] = {}
+        merged: Dict[int, Tuple[bytes, Optional[str], int]] = {}
         next_i = 0
         arrived = 0
         while arrived < shards:
             results = [self._await_result()]
             results.extend(self.pool.drain_results())
-            for _, worker_id, data in results:
+            for _, _worker_id, data in results:
                 arrived += 1
                 _enc, _dec, res = self._unpack_result(unpack_fuzz_results,
                                                       data)
-                if journal is not None:
-                    journal.append(
-                        "fuzz-shard-completed", worker=worker_id,
-                        base=done, count=len(res["results"]),
-                        blob=journal.put_blob(res))
-                self._merge_shard(report, res)
-                for index, data_, edges, crash, pc in res["results"]:
-                    merged[index] = (data_, edges, crash, pc)
+                report.resets += res["resets"]
+                report.modelled_time_s += res["modelled_dt"]
+                report.resilience.merge(res["resilience"])
+                for index, edges, crash, pc in res["results"]:
+                    merged[index] = (edges, crash, pc)
             # Streaming merge: consume the longest in-order prefix
             # available so far (scheduler order == input order).
             while next_i in merged:
-                data_, edges, crash, pc = merged.pop(next_i)
+                edges, crash, pc = merged.pop(next_i)
                 if crash is not None and journal is not None:
                     journal.append("bug-found", bug="fuzz-crash",
                                    index=done + next_i, reason=crash,
                                    pc=pc)
-                self.scheduler.merge(report, data_,
+                self.scheduler.merge(report, batch[next_i],
                                      unpack_edges(edges), crash, pc,
                                      done + next_i)
                 next_i += 1

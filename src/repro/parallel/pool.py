@@ -224,8 +224,6 @@ class PoolStats:
                 f"{self.ipc.queue_bytes_in}B in "
                 f"enc={self.ipc.encode_s + self.ipc.worker_encode_s:.3f}s "
                 f"dec={self.ipc.decode_s + self.ipc.worker_decode_s:.3f}s")
-        if self.resilience.any:
-            lines.append(self.resilience.summary())
         if self.leases:
             lines.append(self.solver.summary(self.sat.as_dict()))
         return "\n".join(lines)

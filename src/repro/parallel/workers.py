@@ -208,11 +208,11 @@ class FuzzWorker:
         modelled0 = self.target.timer.total_s
         resilience0 = self.target.resilience.as_dict()
         context = self.context
-        results: List[Tuple[int, bytes, bytes, Optional[str], int]] = []
+        results: List[Tuple[int, bytes, Optional[str], int]] = []
         for index, data in payload["items"]:
             context.fresh_hardware()
             _exit, edges, crash, pc = context.execute(data)
-            results.append((index, data, pack_edges(edges), crash, pc))
+            results.append((index, pack_edges(edges), crash, pc))
         return {
             "results": results,
             "modelled_dt": self.target.timer.total_s - modelled0,

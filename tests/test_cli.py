@@ -25,6 +25,13 @@ def _solver_fields(out):
     return fields
 
 
+def _assert_one_resilience_line(out):
+    lines = [line for line in out.splitlines()
+             if line.startswith("[resilience]")]
+    assert len(lines) == 1, lines
+    assert "worker_respawns=1" in lines[0].split()
+
+
 @pytest.fixture
 def firmware_file(tmp_path):
     path = tmp_path / "fw.s"
@@ -71,6 +78,25 @@ class TestCli:
         out = capsys.readouterr().out
         assert out.splitlines()[-1].startswith("[solver]")
         _solver_fields(out)
+
+    def test_parallel_run_prints_one_resilience_line(self, firmware_file,
+                                                     capsys):
+        """Under a fault plan the pool's respawn is counted once, in the
+        report's merged record, not again in the pool epilogue."""
+        assert main(["run", firmware_file,
+                     "--peripheral", "timer@0x40000000",
+                     "--max-instructions", "100000", "--workers", "2",
+                     "--fault-plan", "seed=7,kill=1@0"]) == 0
+        _assert_one_resilience_line(capsys.readouterr().out)
+
+    def test_parallel_fuzz_prints_one_resilience_line(self, tmp_path,
+                                                      capsys):
+        path = tmp_path / "fuzz.s"
+        path.write_text(fuzz_packet_parser())
+        main(["fuzz", str(path), "--peripheral", "timer@0x40000000",
+              "-n", "64", "--workers", "2", "--seed", "010441424344",
+              "--fault-plan", "seed=7,kill=1@0"])
+        _assert_one_resilience_line(capsys.readouterr().out)
 
     def test_run_reports_bugs_nonzero_exit(self, tmp_path, capsys):
         from repro.firmware import vuln_buffer_overflow

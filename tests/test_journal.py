@@ -9,6 +9,8 @@ import functools
 import inspect
 import os
 import pathlib
+import re
+import shutil
 import signal
 import subprocess
 import sys
@@ -86,10 +88,25 @@ def _campaign_cmd(tmp_path, mode, workers, journal):
     cmd = CLI + ["fuzz", str(fw), "--peripheral", PERIPHERAL,
                  "--workers", str(workers), "-n", "96",
                  "--batch-size", "16", "--rng-seed", "3",
-                 "--journal", str(journal), "--checkpoint-every", "1"]
+                 "--journal", str(journal), "--checkpoint-every", "2"]
     for s in SEED_HEX:
         cmd += ["--seed", s]
     return cmd
+
+
+def _fuzz_kill_points(journal, workers):
+    """The appends of :func:`_campaign_cmd`'s fuzz campaign that fall
+    after one checkpoint and before the next, read off the journal of
+    an uninterrupted run: a SIGKILL right after one of them loses work
+    that resume must re-execute."""
+    with ParallelFuzzer(fuzz_packet_parser(), TIMER, seeds=SEEDS,
+                        workers=workers, batch_size=16, seed=3,
+                        journal=journal, checkpoint_every=2) as fuzzer:
+        fuzzer.run(executions=96)
+    kinds = [r["kind"] for r in Journal.open(journal, readonly=True).records]
+    checkpoints = [i for i, kind in enumerate(kinds) if kind == "checkpoint"]
+    return [i + 1 for i in range(checkpoints[0] + 1, checkpoints[-1])
+            if kinds[i] != "checkpoint"]
 
 
 def _older_checkpoint(put_blob):
@@ -97,7 +114,7 @@ def _older_checkpoint(put_blob):
     the shape they had before the snapshot and store records: the two
     records' counts in one ``stats_sums`` mapping and the store's
     high-water mark as ``chain_depth``."""
-    def put(journal, obj, fsync=False):
+    def put(journal, obj):
         if isinstance(obj, dict) and "store" in obj and "controller" in obj:
             obj = dict(obj)
             controller, store = obj.pop("controller"), obj.pop("store")
@@ -109,13 +126,15 @@ def _older_checkpoint(put_blob):
                                     "capture_skips"))
             obj["stats_sums"] = sums
             obj["chain_depth"] = store.get("max_chain_depth", 0)
-        return put_blob(journal, obj, fsync=fsync)
+        return put_blob(journal, obj)
     return put
 
 
 def _crash_campaign(tmp_path, mode, workers, kill_after):
     """Run a journaled CLI campaign that SIGKILLs itself after the
-    *kill_after*-th journal append; returns the journal directory."""
+    *kill_after*-th journal append; returns the journal directory. A
+    fuzz campaign must die between two checkpoints, so that resume
+    re-executes the batches merged after the last one."""
     journal = tmp_path / "journal"
     err_path = tmp_path / "crash.err"
     # Output goes to files, not pipes: the coordinator's workers
@@ -131,6 +150,11 @@ def _crash_campaign(tmp_path, mode, workers, kill_after):
         f"expected SIGKILL, got rc={result.returncode}\n"
         f"stderr: {err_path.read_text()[-2000:]}")
     assert (journal / "events.log").exists()
+    if mode == "fuzz":
+        crashed = Journal.open(journal, readonly=True)
+        assert crashed.records[-1]["kind"] != "checkpoint"
+        last = crashed.last("checkpoint")
+        assert last is not None and last["done"] < 96
     return journal
 
 
@@ -171,7 +195,7 @@ class TestFraming:
 
     def test_corrupt_blob_detected(self, tmp_path):
         with Journal.create(tmp_path / "j") as journal:
-            digest = journal.put_blob({"state": 1}, fsync=True)
+            digest = journal.put_blob({"state": 1})
             (tmp_path / "j" / "blobs" / digest).write_bytes(b"rotten")
             with pytest.raises(JournalCorruptError):
                 journal.get_blob(digest)
@@ -353,7 +377,7 @@ class TestJournaledRuns:
         journal = Journal.open(tmp_path / "j", readonly=True)
         assert journal.sealed
         assert journal.last("campaign-sealed")["verdict"] == _Serial.fuzz()
-        assert journal.events("fuzz-shard-completed")
+        assert not journal.events("fuzz-shard-completed")
         assert journal.events("checkpoint")
 
     def test_fuzz_sealed_resume_is_idempotent(self, tmp_path):
@@ -424,8 +448,8 @@ class TestJournaledRuns:
 
     def test_corrupt_checkpoint_falls_back_not_silently(self, tmp_path):
         """A rotten newest checkpoint blob must not sink the campaign:
-        resume steps back to the previous checkpoint, re-applies the
-        shard suffix, reaches the identical verdict — and writes a
+        resume steps back to the previous checkpoint, re-executes every
+        batch after it, reaches the identical verdict — and writes a
         ``checkpoint-skipped`` event naming the blob it abandoned."""
         with ParallelFuzzer(fuzz_packet_parser(), TIMER, seeds=SEEDS,
                             workers=2, batch_size=16, seed=3,
@@ -441,6 +465,42 @@ class TestJournaledRuns:
         reopened = Journal.open(tmp_path / "j", readonly=True)
         skipped = reopened.events("checkpoint-skipped")
         assert skipped and skipped[0]["blob"] == newest
+
+    def test_older_fuzz_journal_resumes_by_re_execution(self, tmp_path):
+        """A fuzz journal as older versions wrote it: interrupted after
+        its first checkpoint, with ``fuzz-shard-completed`` records (a
+        per-shard result blob each) after it, one naming a blob that is
+        missing. Resume ignores those records and re-executes every
+        batch after the checkpoint to the serial verdict."""
+        with ParallelFuzzer(fuzz_packet_parser(), TIMER, seeds=SEEDS,
+                            workers=2, batch_size=16, seed=3,
+                            journal=tmp_path / "new",
+                            checkpoint_every=2) as fuzzer:
+            fuzzer.run(executions=96)
+        new = Journal.open(tmp_path / "new", readonly=True)
+        checkpoint = new.first("checkpoint")
+        old_dir = tmp_path / "old"
+        shutil.copytree(tmp_path / "new" / "blobs", old_dir / "blobs")
+        with Journal.create(old_dir) as old:
+            for record in new.records[1:new.records.index(checkpoint) + 1]:
+                old.append(record["kind"],
+                           **{key: value for key, value in record.items()
+                              if key not in ("seq", "kind")})
+            done = checkpoint["done"]
+            rows = [(i, bytes([i]), b"", None, -1) for i in range(8)]
+            old.append("fuzz-shard-completed", worker=0, base=done,
+                       count=len(rows),
+                       blob=old.put_blob({"results": rows, "resets": 8,
+                                          "modelled_dt": 0.0,
+                                          "resilience": {}}))
+            old.append("fuzz-shard-completed", worker=1, base=done,
+                       count=8, blob="00" * 16)
+        assert not (old_dir / "blobs" / ("00" * 16)).exists()
+        with ParallelFuzzer.resume(old_dir) as resumed:
+            report = resumed.resume_run()
+            batches = resumed.pool_stats.batches
+        assert report.verdict_summary() == _Serial.fuzz()
+        assert done < 96 and batches == (96 - done) // 16
 
 
 # ---------------------------------------------------------------------------
@@ -460,10 +520,11 @@ class TestCrashResume:
 
     @pytest.mark.parametrize("workers", [2, 4])
     def test_fuzz_sigkill_resume_identical(self, tmp_path, workers):
-        journal = _crash_campaign(tmp_path, "fuzz", workers, kill_after=10)
+        journal = _crash_campaign(tmp_path, "fuzz", workers, kill_after=5)
         assert not Journal.open(journal, readonly=True).sealed
         with ParallelFuzzer.resume(journal, workers=workers) as fuzzer:
             report = fuzzer.resume_run()
+            assert fuzzer.pool_stats.batches >= 1
         assert report.verdict_summary() == _Serial.fuzz()
         assert Journal.open(journal, readonly=True).sealed
 
@@ -471,12 +532,14 @@ class TestCrashResume:
         """The CLI surface end to end: crash → ``repro resume`` seals
         the campaign → ``repro replay`` re-executes it from the recipe
         and confirms the sealed verdict."""
-        journal = _crash_campaign(tmp_path, "fuzz", 2, kill_after=10)
+        journal = _crash_campaign(tmp_path, "fuzz", 2, kill_after=4)
         resumed = subprocess.run(
             CLI + ["resume", str(journal)], env=_cli_env(),
             capture_output=True, text=True, timeout=600)
         # rc 1 = crashes found (normal fuzz semantics), 0 = none
         assert resumed.returncode in (0, 1), resumed.stderr[-2000:]
+        assert int(re.search(r"^\[pool\] .* batches=(\d+)",
+                             resumed.stdout, re.M).group(1)) >= 1
         assert Journal.open(journal, readonly=True).sealed
         replayed = subprocess.run(
             CLI + ["replay", str(journal)], env=_cli_env(),
@@ -573,11 +636,17 @@ class TestCrashResume:
         """One CI journal-chaos cell: the crash point and worker count
         come from the environment (defaults make it a plain local
         test). The seed picks both the campaign mode and how deep into
-        the journal the SIGKILL lands."""
+        the journal the SIGKILL lands: after append ``6 + seed % 7`` of
+        a DSE campaign, or after one of the fuzz campaign's appends
+        between two checkpoints (:func:`_fuzz_kill_points`)."""
         seed = int(os.environ.get("REPRO_CHAOS_SEED", "1"))
         workers = int(os.environ.get("REPRO_CHAOS_WORKERS", "2"))
         mode = "dse" if seed % 2 else "fuzz"
-        kill_after = 6 + (seed % 7)
+        if mode == "dse":
+            kill_after = 6 + (seed % 7)
+        else:
+            points = _fuzz_kill_points(tmp_path / "reference", workers)
+            kill_after = points[(seed // 2) % len(points)]
         journal = _crash_campaign(tmp_path, mode, workers, kill_after)
         if mode == "dse":
             with ParallelAnalysisEngine.resume(journal,
