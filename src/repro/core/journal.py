@@ -238,12 +238,18 @@ class Journal:
 
     # -- appending ----------------------------------------------------------
 
-    def append(self, kind: str, **fields: Any) -> int:
+    def append(self, kind: str, /, **fields: Any) -> int:
         """Append one event record; returns its sequence number.
 
         Fields must be JSON-serialisable — anything heavier goes to the
-        blob store first and rides as a digest (:meth:`put_blob`).
+        blob store first and rides as a digest (:meth:`put_blob`). Every
+        record's ``seq`` and ``kind`` are the journal's own, so no field
+        may take either name.
         """
+        for name in ("seq", "kind"):
+            if name in fields:
+                raise JournalError(f"a {kind!r} record may not carry a "
+                                   f"{name!r} field: it is the journal's own")
         if self._fh is None:
             raise JournalError(
                 "journal is closed or readonly" if self.readonly

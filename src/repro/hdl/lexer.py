@@ -24,10 +24,23 @@ OPERATORS = [
     "{", "}", ",", ";", ".", "@", "#",
 ]
 
-_NUMBER_RE = re.compile(
-    r"(?:(\d+)\s*)?'\s*([bBoOdDhH])\s*([0-9a-fA-FxXzZ_?]+)")
-_DECIMAL_RE = re.compile(r"\d[\d_]*")
-_ID_RE = re.compile(r"[a-zA-Z_][a-zA-Z0-9_$]*")
+#: One alternation per token class, tried in priority order at each
+#: position: whitespace, comments and compiler directives (skipped), the
+#: start of a block comment, strings, system names, based and decimal
+#: numbers, identifiers, then the operators longest first.
+_TOKEN_RE = re.compile("|".join([
+    r"(?P<space>[ \t\r\n]+)",
+    r"(?P<skip>//[^\n]*|`[^\n]*)",
+    r"(?P<block>/\*)",
+    r'(?P<string>"[^"]*")',
+    r"(?P<system>\$[a-zA-Z_][a-zA-Z0-9_$]*)",
+    r"(?P<based>(?:(?P<size>\d+)\s*)?'\s*(?P<base>[bBoOdDhH])\s*"
+    r"(?P<digits>[0-9a-fA-FxXzZ_?]+))",
+    r"(?P<decimal>\d[\d_]*)",
+    r"(?P<ident>[a-zA-Z_][a-zA-Z0-9_$]*)",
+    "(?P<op>" + "|".join(map(re.escape, OPERATORS)) + ")",
+]))
+_XZ_AS_ZERO = str.maketrans("xXzZ?", "00000")
 _BASES = {"b": 2, "o": 8, "d": 10, "h": 16}
 _BITS_PER_DIGIT = {2: 1, 8: 3, 16: 4}
 
@@ -71,89 +84,61 @@ def _scan(source: str) -> Iterator[Token]:
     pos = 0
     line = 1
     length = len(source)
+    match = _TOKEN_RE.match
     while pos < length:
-        ch = source[pos]
-        if ch == "\n":
-            line += 1
-            pos += 1
-            continue
-        if ch in " \t\r":
-            pos += 1
-            continue
-        # Comments.
-        if source.startswith("//", pos):
-            end = source.find("\n", pos)
-            pos = length if end == -1 else end
-            continue
-        if source.startswith("/*", pos):
+        m = match(source, pos)
+        if m is None:
+            ch = source[pos]
+            if ch == '"':
+                raise LexError("unterminated string", line)
+            if ch == "$":
+                raise LexError("stray '$'", line)
+            raise LexError(f"unexpected character {ch!r}", line)
+        kind = m.lastgroup
+        text = m.group()
+        if kind == "space":
+            line += text.count("\n")
+        elif kind == "ident":
+            yield Token("keyword" if text in KEYWORDS else "id", text, line)
+        elif kind == "op":
+            yield Token("op", text, line)
+        elif kind == "decimal":
+            yield Token("number", text, line,
+                        value=int(text.replace("_", "")), width=None)
+        elif kind == "based":
+            yield _based_number(m, line)
+        elif kind == "block":
             end = source.find("*/", pos)
             if end == -1:
                 raise LexError("unterminated block comment", line)
             line += source.count("\n", pos, end)
             pos = end + 2
             continue
-        # Compiler directives: consume to end of line (`timescale etc.)
-        if ch == "`":
-            end = source.find("\n", pos)
-            pos = length if end == -1 else end
-            continue
-        # Strings (used only in rare $display; tokenised, ignored by parser).
-        if ch == '"':
-            end = source.find('"', pos + 1)
-            if end == -1:
-                raise LexError("unterminated string", line)
-            yield Token("string", source[pos + 1:end], line)
-            pos = end + 1
-            continue
-        # System tasks like $display — lex as identifiers with $ prefix.
-        if ch == "$":
-            m = _ID_RE.match(source, pos + 1)
-            if not m:
-                raise LexError("stray '$'", line)
-            yield Token("id", "$" + m.group(0), line)
-            pos = m.end()
-            continue
-        # Based number literal (possibly with explicit size).
-        m = _NUMBER_RE.match(source, pos)
-        if m:
-            size_txt, base_ch, digits = m.groups()
-            base = _BASES[base_ch.lower()]
-            raw = digits.replace("_", "")
-            cleaned = re.sub(r"[xXzZ?]", "0", raw)
-            try:
-                value = int(cleaned, base) if cleaned else 0
-            except ValueError:
-                raise LexError(f"bad digits {digits!r} for base {base}", line) from None
-            xmask = _xz_mask(raw, base)
-            width = int(size_txt) if size_txt else 32
-            if width <= 0:
-                raise LexError(f"bad literal width {width}", line)
-            mask = (1 << width) - 1
-            yield Token("number", m.group(0), line,
-                        value=value & mask, width=width, xmask=xmask & mask)
-            pos = m.end()
-            continue
-        # Unsized decimal.
-        m = _DECIMAL_RE.match(source, pos)
-        if m:
-            yield Token("number", m.group(0), line,
-                        value=int(m.group(0).replace("_", "")), width=None)
-            pos = m.end()
-            continue
-        # Identifier or keyword.
-        m = _ID_RE.match(source, pos)
-        if m:
-            text = m.group(0)
-            kind = "keyword" if text in KEYWORDS else "id"
-            yield Token(kind, text, line)
-            pos = m.end()
-            continue
-        # Operator / punctuation.
-        for op in OPERATORS:
-            if source.startswith(op, pos):
-                yield Token("op", op, line)
-                pos += len(op)
-                break
-        else:
-            raise LexError(f"unexpected character {ch!r}", line)
+        elif kind == "string":
+            # Used only in rare $display; tokenised, ignored by the parser.
+            yield Token("string", text[1:-1], line)
+        elif kind == "system":
+            # System tasks like $display lex as identifiers.
+            yield Token("id", text, line)
+        pos = m.end()
     yield Token("eof", "", line)
+
+
+def _based_number(m: re.Match, line: int) -> Token:
+    """The token of a based literal (possibly with explicit size)."""
+    digits = m.group("digits")
+    base = _BASES[m.group("base").lower()]
+    raw = digits.replace("_", "")
+    cleaned = raw.translate(_XZ_AS_ZERO)
+    try:
+        value = int(cleaned, base) if cleaned else 0
+    except ValueError:
+        raise LexError(f"bad digits {digits!r} for base {base}", line) from None
+    xmask = _xz_mask(raw, base) if cleaned != raw else 0
+    size_txt = m.group("size")
+    width = int(size_txt) if size_txt else 32
+    if width <= 0:
+        raise LexError(f"bad literal width {width}", line)
+    mask = (1 << width) - 1
+    return Token("number", m.group(), line,
+                 value=value & mask, width=width, xmask=xmask & mask)

@@ -8,19 +8,21 @@ from repro.errors import ParseError
 from repro.hdl import ast_nodes as A
 from repro.hdl.lexer import Token, tokenize
 
-# Binary operator precedence, lowest binds loosest. Ternary sits below all.
-_PRECEDENCE = [
-    ["||"],
-    ["&&"],
-    ["|"],
-    ["^", "^~", "~^"],
-    ["&"],
-    ["==", "!=", "===", "!=="],
-    ["<", "<=", ">", ">="],
-    ["<<", ">>", ">>>"],
-    ["+", "-"],
-    ["*", "/", "%"],
-]
+# Binary operator precedence level, lowest binds loosest; every level is
+# left-associative. Ternary sits below all.
+_LEVELS = {
+    "||": 0,
+    "&&": 1,
+    "|": 2,
+    "^": 3, "^~": 3, "~^": 3,
+    "&": 4,
+    "==": 5, "!=": 5, "===": 5, "!==": 5,
+    "<": 6, "<=": 6, ">": 6, ">=": 6,
+    "<<": 7, ">>": 7, ">>>": 7,
+    "+": 8, "-": 8,
+    "*": 9, "/": 9, "%": 9,
+}
+_CANONICAL = {"===": "==", "!==": "!="}
 
 _UNARY_OPS = {"~", "!", "-", "+", "&", "|", "^", "~&", "~|", "~^"}
 
@@ -37,9 +39,9 @@ class Parser:
 
     # -- token plumbing ------------------------------------------------------
 
-    def peek(self, ahead: int = 0) -> Token:
-        i = min(self.pos + ahead, len(self.tokens) - 1)
-        return self.tokens[i]
+    def peek(self) -> Token:
+        # advance() never moves past the closing eof token.
+        return self.tokens[self.pos]
 
     def advance(self) -> Token:
         tok = self.tokens[self.pos]
@@ -423,20 +425,23 @@ class Parser:
             return A.Ternary(cond, then, other, line=self.peek().line)
         return cond
 
-    def parse_binary(self, level: int) -> A.Expr:
-        if level >= len(_PRECEDENCE):
-            return self.parse_unary()
-        left = self.parse_binary(level + 1)
-        ops = _PRECEDENCE[level]
-        while self.peek().kind == "op" and self.peek().text in ops:
-            op = self.advance().text
-            if op == "===":
-                op = "=="
-            elif op == "!==":
-                op = "!="
-            right = self.parse_binary(level + 1)
-            left = A.Binary(op, left, right, line=self.peek().line)
-        return left
+    def parse_binary(self, level: int = 0) -> A.Expr:
+        """Precedence climbing: operands joined by operators of *level*
+        or tighter, each node's ``line`` the token after its right
+        operand."""
+        left = self.parse_unary()
+        tokens = self.tokens
+        while True:
+            tok = tokens[self.pos]
+            if tok.kind != "op":
+                return left
+            op_level = _LEVELS.get(tok.text)
+            if op_level is None or op_level < level:
+                return left
+            self.pos += 1
+            right = self.parse_binary(op_level + 1)
+            left = A.Binary(_CANONICAL.get(tok.text, tok.text), left, right,
+                            line=tokens[self.pos].line)
 
     def parse_unary(self) -> A.Expr:
         tok = self.peek()

@@ -47,6 +47,15 @@ _STORE_OPS = {"sw": enc.SW, "sb": enc.SB}
 _BRANCH_OPS = {"beq": enc.BEQ, "bne": enc.BNE, "blt": enc.BLT,
                "bge": enc.BGE, "bltu": enc.BLTU, "bgeu": enc.BGEU}
 
+_LABEL_RE = re.compile(r"^([A-Za-z_.$][\w.$]*):\s*")
+_STRING_RE = re.compile(r'^\s*"((?:[^"\\]|\\.)*)"\s*$')
+_REG_RE = re.compile(r"r(\d{1,2})")
+_MEM_RE = re.compile(r"(.*)\(\s*(\w+)\s*\)")
+_CONST_TOKEN_RE = re.compile(
+    r"0x[0-9a-fA-F]+|0b[01]+|\d+|[A-Za-z_.$][\w.$]*|[+\-*()]")
+_NUMBER_RE = re.compile(r"0x[0-9a-fA-F]+|0b[01]+|\d+")
+_SYMBOL_RE = re.compile(r"[A-Za-z_.$][\w.$]*")
+
 
 @dataclass
 class Program:
@@ -114,6 +123,9 @@ class _Assembler:
 
     @staticmethod
     def _strip(raw: str) -> str:
+        if '"' not in raw:  # no marker can hide inside a string
+            return (raw.partition(";")[0].partition("//")[0]
+                    .partition("#")[0].strip())
         for marker in (";", "//", "#"):
             idx = _find_outside_quotes(raw, marker)
             if idx >= 0:
@@ -123,7 +135,7 @@ class _Assembler:
     def _line(self, line: str, line_no: int) -> None:
         # Labels (possibly several, possibly followed by code).
         while True:
-            m = re.match(r"^([A-Za-z_.$][\w.$]*):\s*", line)
+            m = _LABEL_RE.match(line)
             if not m:
                 break
             label = m.group(1)
@@ -168,7 +180,7 @@ class _Assembler:
             self.lc = (self.lc + 3) & ~3
             return
         if name in (".asciz", ".ascii"):
-            m = re.match(r'^\s*"((?:[^"\\]|\\.)*)"\s*$', rest)
+            m = _STRING_RE.match(rest)
             if not m:
                 raise AssemblerError(f"bad string in {name}", line_no)
             data = m.group(1).encode().decode("unicode_escape").encode("latin1")
@@ -358,14 +370,14 @@ class _Assembler:
         text = text.strip().lower()
         if text in _REG_ALIASES:
             return _REG_ALIASES[text]
-        m = re.fullmatch(r"r(\d{1,2})", text)
+        m = _REG_RE.fullmatch(text)
         if not m or int(m.group(1)) >= enc.NUM_REGS:
             raise AssemblerError(f"bad register {text!r}", line_no)
         return int(m.group(1))
 
     def _mem_operand(self, text: str, line_no: int) -> Tuple[int, int]:
         """Parse ``offset(reg)``."""
-        m = re.fullmatch(r"(.*)\(\s*(\w+)\s*\)", text.strip())
+        m = _MEM_RE.fullmatch(text.strip())
         if not m:
             raise AssemblerError(f"bad memory operand {text!r}", line_no)
         offset = self._const(m.group(1), line_no) if m.group(1).strip() else 0
@@ -375,14 +387,20 @@ class _Assembler:
         """Evaluate a constant expression: numbers, labels, .equ names,
         + - * ( ) and unary minus."""
         text = text.strip()
-        tokens = re.findall(
-            r"0x[0-9a-fA-F]+|0b[01]+|\d+|[A-Za-z_.$][\w.$]*|[+\-*()]", text)
+        # A plain number, label or .equ name needs no eval.
+        if _NUMBER_RE.fullmatch(text):
+            return _number(text, line_no)
+        if _SYMBOL_RE.fullmatch(text):
+            value = self.equs.get(text, self.labels.get(text))
+            if value is not None:
+                return value
+        tokens = _CONST_TOKEN_RE.findall(text)
         if not tokens or "".join(tokens).replace(" ", "") != text.replace(" ", ""):
             raise AssemblerError(f"bad constant expression {text!r}", line_no)
         resolved = []
         for tok in tokens:
-            if re.fullmatch(r"0x[0-9a-fA-F]+|0b[01]+|\d+", tok):
-                resolved.append(str(int(tok, 0)))
+            if _NUMBER_RE.fullmatch(tok):
+                resolved.append(str(_number(tok, line_no)))
             elif tok in "+-*()":
                 resolved.append(tok)
             elif tok in self.equs:
@@ -400,6 +418,13 @@ class _Assembler:
             raise AssemblerError(f"expression {text!r} is not an integer",
                                  line_no)
         return value
+
+
+def _number(text: str, line_no: int) -> int:
+    try:
+        return int(text, 0)
+    except ValueError:  # a leading zero: 010, 08
+        raise AssemblerError(f"bad number {text!r}", line_no) from None
 
 
 def _split_operands(text: str) -> List[str]:

@@ -40,11 +40,11 @@ from repro.isa.assembler import Program
 
 def image_digest(image: Dict[int, int]) -> bytes:
     """Content digest of a byte-addressed concrete image."""
-    h = hashlib.blake2b(digest_size=8)
+    data = bytearray()
     for addr in sorted(image):
-        h.update(addr.to_bytes(4, "little"))
-        h.update(bytes((image[addr] & 0xFF,)))
-    return h.digest()
+        data += addr.to_bytes(4, "little")
+        data.append(image[addr] & 0xFF)
+    return hashlib.blake2b(data, digest_size=8).digest()
 
 
 class DecodedImage:

@@ -160,7 +160,7 @@ class ParallelAnalysisEngine(Campaign):
         if self._journal is not None:
             self._journal.append(
                 "lease-issued", worker=worker_id, leases=len(leases),
-                budget=sum(budgets), seq=self._lease_seq,
+                budget=sum(budgets), lease_seq=self._lease_seq,
                 root=any(lease["state"] is None for lease in leases))
         self.pool.stats.leases += len(leases)
         self.pool.stats.batches += 1

@@ -41,9 +41,10 @@ from repro.sim.scheduler import clock_domain, order_comb_blocks
 # same target. The cache below keys compiled artifacts on a content hash of
 # the IR, so only the first construction pays for run_opt/codegen/compile.
 # Targets go one step further back: the hosted-design memo keeps each
-# peripheral's elaborated and instrumented design, with its fingerprint,
-# so hosting the same peripheral again parses, elaborates, instruments
-# and fingerprints nothing.
+# peripheral's elaborated and instrumented design, fingerprinted by a
+# digest of the memo's own key rather than a walk of the IR, so hosting
+# the same peripheral again parses, elaborates, instruments and
+# fingerprints nothing.
 
 #: Fields that never affect generated code — source bookkeeping only.
 _FP_SKIP_FIELDS = frozenset({"line", "source_file"})
@@ -133,7 +134,8 @@ _CACHE_STATS = {"hits": 0, "misses": 0}
 @dataclasses.dataclass(frozen=True)
 class _HostedDesign:
     """One memoised hosted design: what the target compiles, whatever
-    the target keeps beside it, and the compiled design's fingerprint."""
+    the target keeps beside it, and the digest of its memo key, which
+    stands in for the design's fingerprint."""
 
     design: ir.Design
     extra: Any
@@ -149,24 +151,33 @@ def hosted_design(key: Hashable,
     """``build()`` memoised per *key*, next to the compiled artifacts.
 
     *key* must name everything *build* depends on (a target passes the
-    spec name, its Verilog source and its scan scoping). The returned
-    design and extra are shared by every caller with the same key, so
-    no one may mutate them; a :class:`CompiledSimulation` built over the
-    design reuses its stored fingerprint.
+    spec name, its Verilog source and its scan scoping), and its
+    ``repr`` must spell all of it out. The returned design and extra
+    are shared by every caller with the same key, so no one may mutate
+    them; a :class:`CompiledSimulation` built over the design keys its
+    compiled artifact on a digest of *key* instead of walking the IR.
     """
     entry = _HOSTED_CACHE.get(key)
     if entry is None:
         design, extra = build()
-        entry = _HostedDesign(design, extra, design_fingerprint(design))
+        entry = _HostedDesign(design, extra, _key_fingerprint(key))
         if len(_HOSTED_CACHE) >= _ARTIFACT_CACHE_LIMIT:
             _HOSTED_CACHE.pop(next(iter(_HOSTED_CACHE)))
         _HOSTED_CACHE[key] = entry
     return entry.design, entry.extra
 
 
+def _key_fingerprint(key: Hashable) -> str:
+    """A hosted design's fingerprint: a digest of the memo key that
+    names everything its build depends on."""
+    return hashlib.blake2b(repr(key).encode("utf-8"), digest_size=16,
+                           person=b"hosted-key").hexdigest()
+
+
 def _fingerprint(design: ir.Design) -> str:
-    """The fingerprint the hosted-design memo stored for *design*, else
-    a fresh one. The memo holds its designs, so identity is safe."""
+    """The key digest the hosted-design memo stored for *design*, else
+    a fresh fingerprint. The memo holds its designs, so identity is
+    safe."""
     for entry in _HOSTED_CACHE.values():
         if entry.design is design:
             return entry.fingerprint

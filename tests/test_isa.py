@@ -144,6 +144,13 @@ class TestAssembler:
         with pytest.raises(AssemblerError):
             assemble("start: mov r16, r0")
 
+    @pytest.mark.parametrize("line", [".equ X, 010", ".word 08",
+                                      "addi r1, r0, 010", "lw r1, 08(r2)"])
+    def test_malformed_literal_names_its_line(self, line):
+        with pytest.raises(AssemblerError, match="bad number") as info:
+            assemble(f"start:\n    nop\n    {line}\n")
+        assert info.value.line == 3
+
     def test_source_map_lines(self):
         prog = assemble("start:\n    nop\n    nop\n")
         assert set(prog.source_map.values()) == {2, 3}

@@ -14,6 +14,7 @@ import shutil
 import signal
 import subprocess
 import sys
+import tempfile
 import textwrap
 import time
 
@@ -109,6 +110,35 @@ def _fuzz_kill_points(journal, workers):
             if kinds[i] != "checkpoint"]
 
 
+@functools.lru_cache(maxsize=None)
+def _dse_reference(workers):
+    """The records of :func:`_campaign_cmd`'s DSE campaign, run through
+    the CLI to its seal without a crash (read-only: shared by tests)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp_path = pathlib.Path(tmp)
+        journal = tmp_path / "journal"
+        subprocess.run(_campaign_cmd(tmp_path, "dse", workers, journal),
+                       env=_cli_env(), capture_output=True, timeout=600,
+                       check=True)
+        return tuple(Journal.open(journal, readonly=True).records)
+
+
+def _dse_kill_points(workers):
+    """The appends of :func:`_campaign_cmd`'s DSE campaign that fall
+    between two checkpoints in every run, read off a reference journal.
+
+    Until the first checkpoint only the root lease is in flight, so it
+    is the same append in every run. After it the workers' envelopes
+    merge in the order they finish, but the next checkpoint follows an
+    ``envelope-merged`` and a ``snapshot-sealed`` record, so the two
+    appends after the first checkpoint never land on one. A SIGKILL
+    right after either loses merged work that resume must re-execute."""
+    kinds = [r["kind"] for r in _dse_reference(workers)]
+    first = kinds.index("checkpoint") + 1  # its append number
+    assert "checkpoint" not in kinds[first:first + 2]
+    return [first + 1, first + 2]
+
+
 def _older_checkpoint(put_blob):
     """Wrap ``Journal.put_blob`` so that DSE checkpoints are written in
     the shape they had before the snapshot and store records: the two
@@ -132,9 +162,9 @@ def _older_checkpoint(put_blob):
 
 def _crash_campaign(tmp_path, mode, workers, kill_after):
     """Run a journaled CLI campaign that SIGKILLs itself after the
-    *kill_after*-th journal append; returns the journal directory. A
-    fuzz campaign must die between two checkpoints, so that resume
-    re-executes the batches merged after the last one."""
+    *kill_after*-th journal append; returns the journal directory. The
+    campaign must die between two checkpoints, so that resume
+    re-executes the work merged after the last one."""
     journal = tmp_path / "journal"
     err_path = tmp_path / "crash.err"
     # Output goes to files, not pipes: the coordinator's workers
@@ -150,11 +180,12 @@ def _crash_campaign(tmp_path, mode, workers, kill_after):
         f"expected SIGKILL, got rc={result.returncode}\n"
         f"stderr: {err_path.read_text()[-2000:]}")
     assert (journal / "events.log").exists()
+    crashed = Journal.open(journal, readonly=True)
+    assert crashed.records[-1]["kind"] != "checkpoint"
+    last = crashed.last("checkpoint")
+    assert last is not None
     if mode == "fuzz":
-        crashed = Journal.open(journal, readonly=True)
-        assert crashed.records[-1]["kind"] != "checkpoint"
-        last = crashed.last("checkpoint")
-        assert last is not None and last["done"] < 96
+        assert last["done"] < 96
     return journal
 
 
@@ -174,6 +205,13 @@ class TestFraming:
         assert reopened.first("note")["value"] == 7
         assert reopened.recovery is None
         assert not reopened.sealed
+
+    @pytest.mark.parametrize("field", ["seq", "kind"])
+    def test_append_refuses_the_journals_own_fields(self, tmp_path, field):
+        with Journal.create(tmp_path / "j") as journal:
+            with pytest.raises(JournalError, match=repr(field)):
+                journal.append("note", **{field: 1})
+            assert journal.append("note", value=1) == 2
 
     def test_create_refuses_existing(self, tmp_path):
         Journal.create(tmp_path / "j").close()
@@ -403,6 +441,16 @@ class TestJournaledRuns:
         assert journal.events("envelope-merged")
         assert journal.events("checkpoint")
 
+    def test_dse_cli_records_carry_their_own_seq(self):
+        """Every record of a journaled 2-worker CLI campaign carries
+        ``seq`` 1..n in order; a lease's own counter rides as
+        ``lease_seq``."""
+        records = _dse_reference(2)
+        assert [r["seq"] for r in records] == list(range(1, len(records) + 1))
+        leases = [r for r in records if r["kind"] == "lease-issued"]
+        assert [r["lease_seq"] for r in leases] == sorted(
+            r["lease_seq"] for r in leases)
+
     def test_dse_sealed_resume_is_idempotent(self, tmp_path):
         with ParallelAnalysisEngine(FIRMWARE, TIMER, workers=2,
                                     searcher="bfs",
@@ -510,7 +558,8 @@ class TestJournaledRuns:
 class TestCrashResume:
     @pytest.mark.parametrize("workers", [2, 4])
     def test_dse_sigkill_resume_identical(self, tmp_path, workers):
-        journal = _crash_campaign(tmp_path, "dse", workers, kill_after=14)
+        journal = _crash_campaign(tmp_path, "dse", workers,
+                                  kill_after=_dse_kill_points(workers)[-1])
         assert not Journal.open(journal, readonly=True).sealed
         with ParallelAnalysisEngine.resume(journal,
                                            workers=workers) as engine:
@@ -636,17 +685,17 @@ class TestCrashResume:
         """One CI journal-chaos cell: the crash point and worker count
         come from the environment (defaults make it a plain local
         test). The seed picks both the campaign mode and how deep into
-        the journal the SIGKILL lands: after append ``6 + seed % 7`` of
-        a DSE campaign, or after one of the fuzz campaign's appends
-        between two checkpoints (:func:`_fuzz_kill_points`)."""
+        the journal the SIGKILL lands: after one of the appends that
+        fall between two checkpoints of the campaign
+        (:func:`_dse_kill_points`, :func:`_fuzz_kill_points`)."""
         seed = int(os.environ.get("REPRO_CHAOS_SEED", "1"))
         workers = int(os.environ.get("REPRO_CHAOS_WORKERS", "2"))
         mode = "dse" if seed % 2 else "fuzz"
         if mode == "dse":
-            kill_after = 6 + (seed % 7)
+            points = _dse_kill_points(workers)
         else:
             points = _fuzz_kill_points(tmp_path / "reference", workers)
-            kill_after = points[(seed // 2) % len(points)]
+        kill_after = points[(seed // 2) % len(points)]
         journal = _crash_campaign(tmp_path, mode, workers, kill_after)
         if mode == "dse":
             with ParallelAnalysisEngine.resume(journal,

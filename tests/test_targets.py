@@ -7,6 +7,7 @@ from repro.bus.transport import USB3
 from repro.core.snapshot import SnapshotController
 from repro.errors import SnapshotError, TargetError
 from repro.peripherals import catalog, timer
+from repro.sim import compiler
 from repro.targets import (FpgaTarget, SimulatorTarget, SnapshotIp,
                            TargetOrchestrator)
 from tests.scan_oracle import PerBitScanTarget
@@ -59,6 +60,22 @@ class TestHosting:
         t.write(TIMER_BASE + 4, 10)
         assert (t.instances["timer"].sim.cycle - c1
                 == t.instances["uart0"].sim.cycle - c2)
+
+    def test_hosting_walks_no_ir(self, monkeypatch):
+        """A hosted design is fingerprinted by a digest of its memo key:
+        hosting, compiling and hosting again never walk the design IR."""
+        def walk(design):
+            raise AssertionError("walked the IR of a hosted design")
+
+        compiler.clear_compile_cache()
+        monkeypatch.setattr(compiler, "design_fingerprint", walk)
+        try:
+            first, second = _target(FpgaTarget), _target(FpgaTarget)
+            assert compiler.compile_cache_stats()["misses"] == 1
+            assert (second.instances["timer"].sim.source
+                    == first.instances["timer"].sim.source)
+        finally:
+            compiler.clear_compile_cache()
 
     def test_modelled_time_accumulates(self):
         t = _target(SimulatorTarget)
