@@ -1,9 +1,9 @@
-"""E1d — delta snapshot store: storage dedup and fork-depth scaling.
+"""E1d — snapshot store: storage dedup and fork-depth scaling.
 
 Snapshot-heavy workloads (DSE fork trees, fuzz loops) take *thousands*
 of near-identical snapshots: sibling states differ in a handful of
-registers. This experiment measures what the content-addressed delta
-store does to that workload, and how save/restore cost scales with
+registers. This experiment measures what the content-addressed
+snapshot store does to that workload, and how save/restore cost scales with
 design size and fork depth for all three snapshot methods:
 
 * CRIU (simulator) — incremental dumps price only dirty state,
@@ -66,16 +66,14 @@ def test_fork_depth_dedup(benchmark):
     rows = [
         ("fork depth", FORK_DEPTH),
         ("logical bits (naive)", stats.logical_bits),
-        ("stored bits (delta)", stats.stored_bits),
+        ("stored bits (dedup)", stats.stored_bits),
         ("compression", f"{stats.compression_ratio:.1f}x"),
         ("dedup hit-rate", f"{stats.dedup_hit_rate:.1%}"),
         ("unique chunks", stats.chunks),
-        ("max chain depth", stats.max_chain_depth),
-        ("flattens", stats.flattens),
     ]
     emit("snapshot_store_dedup", format_table(
         ["metric", "value"], rows,
-        title=f"E1d: delta store on a fork-depth-{FORK_DEPTH} workload "
+        title=f"E1d: snapshot store on a fork-depth-{FORK_DEPTH} workload "
               f"(GPIO mutating, SHA256+AES idle)"))
 
     # The acceptance bar: >= 5x fewer stored bits than naive full
@@ -86,12 +84,10 @@ def test_fork_depth_dedup(benchmark):
     # dedup every round (2 of 3 instances), only GPIO mints new chunks.
     assert stats.dedup_hit_rate > 0.6
     assert stats.chunks <= FORK_DEPTH + 3
-    # The flatten threshold keeps restore chain walks bounded.
-    assert stats.max_chain_depth < controller.store.flatten_threshold
 
 
 def test_restore_is_bit_identical_at_any_depth():
-    """Walking a deep delta chain reassembles exactly the image that was
+    """A record deep in a fork chain restores exactly the image that was
     captured — checked at the chain's start, middle and end."""
     target = _workload_target("fpga")
     controller = SnapshotController(target)
@@ -116,7 +112,7 @@ def test_restore_is_bit_identical_at_any_depth():
 
 def test_save_cost_flat_in_fork_depth():
     """Per-save mechanism cost must not grow with chain depth for any
-    method (the store's chain walk is storage-side, not mechanism-side)."""
+    method (the store's work is storage-side, not mechanism-side)."""
     rows = []
     for kind in ("simulator", "fpga"):
         _, costs = _run_fork_chain(kind, depth=40)

@@ -69,8 +69,6 @@ def format_snapshot_stats(controller_stats, store_stats) -> str:
         ("dedup hit-rate", f"{store_stats.dedup_hit_rate:.1%}"),
         ("capture skips", store_stats.capture_skips),
         ("unique chunks", store_stats.chunks),
-        ("max chain depth", store_stats.max_chain_depth),
-        ("flattens", store_stats.flattens),
         ("modelled save", format_si_time(controller_stats.modelled_save_s)),
         ("modelled restore",
          format_si_time(controller_stats.modelled_restore_s)),

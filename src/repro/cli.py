@@ -221,7 +221,6 @@ def cmd_run(args) -> int:
                 checkpoint_every=args.checkpoint_every,
                 target=args.target, searcher=args.searcher,
                 concretization=args.concretization, scan_mode="functional",
-                snapshot_flatten_threshold=args.flatten_threshold,
                 opt=not args.no_opt,
                 **resilience) as engine:
             report = engine.run(max_instructions=args.max_instructions,
@@ -234,7 +233,6 @@ def cmd_run(args) -> int:
             target=args.target, strategy=args.strategy,
             searcher=args.searcher,
             concretization=args.concretization, scan_mode="functional",
-            snapshot_flatten_threshold=args.flatten_threshold,
             opt=not args.no_opt,
             **resilience)
         report = session.run(max_instructions=args.max_instructions,
@@ -448,9 +446,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-opt", action="store_true",
                    help="skip the netlist optimizer (repro.opt) for "
                         "hosted designs")
-    p.add_argument("--flatten-threshold", type=int, default=8,
-                   help="delta-chain length before the snapshot store "
-                        "materialises a full record")
     p.add_argument("--journal", metavar="DIR",
                    help="event-source the campaign into DIR (crash-safe; "
                         "continue later with 'repro resume DIR')")

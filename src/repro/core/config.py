@@ -34,9 +34,6 @@ class SessionConfig:
     #: FPGA scan execution mode: "shift" (real RTL shifting) or
     #: "functional" (same costs, direct state move).
     scan_mode: str = "functional"
-    #: Delta-chain length at which the snapshot store materialises a
-    #: full record (bounds restore-time chain walks).
-    snapshot_flatten_threshold: int = 8
     #: Let the FPGA snapshot IP store delta-compressed streams in its
     #: SRAM (occupancy = dirty chains only; the shift still pays full
     #: price).

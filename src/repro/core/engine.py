@@ -24,8 +24,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.shutdown import shutdown_requested
 from repro.core.snapshot import SnapshotController, SnapshotStats
-from repro.core.store import (DEFAULT_FLATTEN_THRESHOLD, SnapshotStore,
-                              StoreStats)
+from repro.core.store import SnapshotStore, StoreStats
 from repro.resilience import ResilienceStats
 from repro.targets.base import (CYCLES_PER_INSTRUCTION, REBOOT_TIME_S,
                                 HardwareTarget)
@@ -200,8 +199,6 @@ class AnalysisReport:
     snapshot_stored_bits: int = 0
     #: Fraction of chunk lookups served by an already-stored chunk.
     snapshot_dedup_hit_rate: float = 0.0
-    #: Deepest delta chain a restore had to walk.
-    snapshot_chain_depth: int = 0
     reboots: int = 0
     replayed_accesses: int = 0
     mmio_accesses: int = 0
@@ -224,7 +221,6 @@ class AnalysisReport:
         self.snapshot_logical_bits = store.logical_bits
         self.snapshot_stored_bits = store.stored_bits
         self.snapshot_dedup_hit_rate = store.dedup_hit_rate
-        self.snapshot_chain_depth = store.max_chain_depth
 
     def halt_codes(self) -> Dict[int, int]:
         """Histogram of halt codes over completed paths (ground-truth
@@ -302,15 +298,13 @@ class AnalysisEngine:
     def __init__(self, executor: SymbolicExecutor, searcher: Searcher,
                  strategy: ConsistencyStrategy, target: HardwareTarget,
                  bridge: MmioBridge,
-                 store: Optional[SnapshotStore] = None,
-                 flatten_threshold: int = DEFAULT_FLATTEN_THRESHOLD):
+                 store: Optional[SnapshotStore] = None):
         self.executor = executor
         self.searcher = searcher
         self.strategy = strategy
         self.target = target
         self.bridge = bridge
-        self.controller = SnapshotController(
-            target, store=store, flatten_threshold=flatten_threshold)
+        self.controller = SnapshotController(target, store=store)
         strategy.bind(self.controller, bridge)
         self._wire_access_recording()
 

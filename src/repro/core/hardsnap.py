@@ -114,8 +114,7 @@ class HardSnapSession:
         self.strategy = make_strategy(config.strategy)
         self.engine = AnalysisEngine(
             self.executor, self.searcher, self.strategy, self.target,
-            self.bridge,
-            flatten_threshold=config.snapshot_flatten_threshold)
+            self.bridge)
 
     # -- running ------------------------------------------------------------
 

@@ -177,8 +177,9 @@ def snapshot_from_wire(wire: SnapshotWire,
     the wire references; callers merge ``wire.chunks`` in first).
 
     The result is a *foreign* snapshot (no store record): the snapshot
-    controller treats its first save as a full record, after which delta
-    encoding resumes against the receiver's own store.
+    controller hashes every instance on its first save, after which the
+    unchanged-instance fast path resumes against the receiver's own
+    store.
     """
     states: Dict[str, dict] = {}
     for name, (digest, cycle, _bits) in wire.refs.items():

@@ -12,13 +12,12 @@ Algorithm 1's ``UpdateState``/``RestoreState`` pair.
 
 Storage goes through the content-addressed
 :class:`~repro.core.store.SnapshotStore`: each save interns the
-canonical per-instance states as deduplicated chunks and records a delta
-against the snapshot the live hardware descended from, so a child
-snapshot costs O(changed registers) in stored bits. Restores reassemble
-the image by walking the delta chain (bounded by the store's flatten
-threshold). The *mechanism* cost is still the target's: a scan chain
-shifts its full length; only the simulator's CRIU model prices dirty
-state incrementally.
+canonical per-instance states as deduplicated chunks and records the
+complete instance → chunk map, so a child snapshot costs O(changed
+registers) in stored bits and a restore reads one record. The
+*mechanism* cost is still the target's: a scan chain shifts its full
+length; only the simulator's CRIU model prices dirty state
+incrementally.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional
 
-from repro.core.store import DEFAULT_FLATTEN_THRESHOLD, SnapshotStore
+from repro.core.store import SnapshotStore
 from repro.counters import Counters
 from repro.targets.base import HardwareTarget, HwSnapshot
 from repro.vm.state import ExecState
@@ -39,7 +38,7 @@ class SnapshotStats(Counters):
     resets: int = 0
     bits_saved: int = 0
     bits_restored: int = 0
-    #: Bits actually written to storage (after chunk dedup + deltas);
+    #: Bits actually written to storage (after chunk dedup);
     #: compare against ``bits_saved`` for the naive full-image cost.
     bits_stored: int = 0
     modelled_save_s: float = 0.0
@@ -50,14 +49,13 @@ class SnapshotController:
     """VM-side snapshot management over one hardware target."""
 
     def __init__(self, target: HardwareTarget,
-                 store: Optional[SnapshotStore] = None,
-                 flatten_threshold: int = DEFAULT_FLATTEN_THRESHOLD):
+                 store: Optional[SnapshotStore] = None):
         self.target = target
-        self.store = store if store is not None \
-            else SnapshotStore(flatten_threshold)
+        self.store = store if store is not None else SnapshotStore()
         self.stats = SnapshotStats()
-        #: Store id the live hardware state descends from (the delta
-        #: parent of the next save); None after a reset.
+        #: Store id the live hardware state descends from (the parent
+        #: the next save's clean instances are taken from); None after
+        #: a reset.
         self._live_parent: Optional[int] = None
         #: Target capture epoch at our last save/restore; a mismatch
         #: means someone snapshotted the target behind our back and the
@@ -68,7 +66,7 @@ class SnapshotController:
 
     def save(self) -> HwSnapshot:
         """Suspend the target, capture its state, resume; assign an id
-        and intern the image into the delta store."""
+        and intern the image into the store."""
         epoch_before = self.target.capture_epoch
         before_s = self.target.timer.total_s
         snapshot = self.target.save_snapshot()
@@ -99,13 +97,11 @@ class SnapshotController:
         before_s = self.target.timer.total_s
         record = snapshot.record
         if record is not None and record.snapshot_id in self.store:
-            # Reassemble the image by walking the delta chain (flatten
-            # threshold keeps this O(1)-ish).
             snapshot.states = self.store.resolve(record.snapshot_id)
             self._live_parent = record.snapshot_id
         else:
             # Foreign snapshot (loaded from disk, raw target image):
-            # lineage unknown, the next save must be a full record.
+            # lineage unknown, the next save hashes every instance.
             self._live_parent = None
         self.target.restore_snapshot(snapshot)
         self._live_epoch = self.target.capture_epoch

@@ -1,4 +1,4 @@
-"""Content-addressed snapshot store with delta encoding.
+"""Content-addressed snapshot store.
 
 HardSnap's first evaluation question — "How long does it take to
 save/restore a hardware state?" — is dominated, for snapshot-heavy
@@ -15,16 +15,11 @@ This module is the copy-on-write layer under the snapshot controller:
   an immutable, content-addressed chunk. Two snapshots whose ``uart``
   states are bit-identical share one chunk, whichever target or method
   produced them.
-* **Delta records** — a snapshot is a mapping *instance → chunk digest*
-  plus a parent pointer. A child snapshot records only the instances
-  whose digest differs from its parent's; unchanged instances are
-  inherited through the chain. Saving a child therefore stores
-  O(changed registers) bits.
-* **Flatten threshold** — :meth:`SnapshotStore.resolve` reassembles a
-  full image by walking the delta chain root-ward. To keep restores
-  O(1)-ish, every ``flatten_threshold`` deltas the store materializes a
-  *full* record (all instances listed explicitly — which costs no extra
-  chunk storage, since chunks are shared) and the chain depth resets.
+* **Records** — a snapshot is the complete mapping *instance → (chunk
+  digest, cycle counter)*. An instance whose registers did not change
+  maps to a chunk already in the pool, so saving a child stores
+  O(changed registers) bits, and restoring any record reads that one
+  record.
 
 The store holds *storage*, not *mechanism*: targets still pay their
 method's modelled cost (a scan chain shifts its full length regardless
@@ -42,9 +37,6 @@ from typing import Dict, FrozenSet, Iterable, Mapping, Optional
 
 from repro.counters import Counters
 from repro.errors import SnapshotError
-
-#: Materialize a full record every N delta records (chain depth bound).
-DEFAULT_FLATTEN_THRESHOLD = 8
 
 
 def chunk_digest(state: Mapping) -> str:
@@ -76,28 +68,21 @@ class Chunk:
 
     digest: str
     payload: dict  # canonical state body (no cycle); MUST never be mutated
-    bits: int
 
 
 @dataclass(frozen=True)
 class SnapshotRecord:
-    """One stored snapshot: a (possibly partial) instance → chunk map.
+    """One stored snapshot: every instance's chunk digest and cycle.
 
-    ``full`` records list every instance; delta records list only the
-    instances that changed relative to ``parent_id`` (different body
-    digest *or* different cycle counter) and inherit the rest through
-    the chain. ``cycle_map`` carries each listed instance's cycle
-    counter — O(instances) words of record metadata, like the parent
-    pointer and the instance names, not counted in ``stored_bits``
-    (which tracks state *payload* bits).
+    ``cycle_map`` carries each instance's cycle counter — O(instances)
+    words of record metadata, like the instance names, not counted in
+    ``stored_bits`` (which tracks state *payload* bits: the chunks this
+    record added to the pool).
     """
 
     snapshot_id: int
-    parent_id: Optional[int]
     chunk_map: Dict[str, str]
     cycle_map: Dict[str, int]
-    full: bool
-    depth: int
     method: str
     logical_bits: int
     stored_bits: int
@@ -114,8 +99,6 @@ class StoreStats(Counters):
     capture_skips: int = 0
     logical_bits: int = 0
     stored_bits: int = 0
-    flattens: int = 0
-    max_chain_depth: int = 0
     resolves: int = 0
 
     @property
@@ -136,16 +119,11 @@ class StoreStats(Counters):
 
 
 class SnapshotStore:
-    """Content-addressed, delta-encoded snapshot storage."""
+    """Content-addressed snapshot storage."""
 
-    def __init__(self, flatten_threshold: int = DEFAULT_FLATTEN_THRESHOLD):
-        if flatten_threshold < 1:
-            raise SnapshotError("flatten_threshold must be >= 1")
-        self.flatten_threshold = flatten_threshold
+    def __init__(self):
         self._chunks: Dict[str, Chunk] = {}
-        self._chunk_refs: Dict[str, int] = {}
         self._records: Dict[int, SnapshotRecord] = {}
-        self._children: Dict[int, int] = {}  # record id -> live child count
         #: record id -> its image, built by the first resolve.
         self._images: Dict[int, Dict[str, dict]] = {}
         self._ids = itertools.count(1)
@@ -169,21 +147,19 @@ class SnapshotStore:
         ``states`` maps instance name to canonical state dict;
         ``bits_of`` gives each instance's state size in bits. Instances
         listed in ``unchanged`` are trusted (via the target's state
-        version tracking) to be bit-identical to the parent's image and
-        reuse the parent's digest without re-hashing — the incremental
-        capture fast path. Everything else is hashed and deduplicated
-        against the chunk pool.
+        version tracking) to be bit-identical to the ``parent_id``
+        record's, cycle counter included, and take that record's digest
+        and cycle without re-hashing — the incremental capture fast
+        path. Everything else is hashed and deduplicated against the
+        chunk pool.
         """
         if snapshot_id in self._records:
             raise SnapshotError(f"duplicate snapshot id {snapshot_id}")
         parent = self._records.get(parent_id) if parent_id is not None else None
         if parent_id is not None and parent is None:
             raise SnapshotError(f"unknown parent snapshot {parent_id}")
-        if parent is not None:
-            parent_digests, parent_cycles = self._resolve_maps(parent)
-        else:
-            parent_digests, parent_cycles = {}, {}
-        skip: FrozenSet[str] = frozenset(unchanged)
+        skip: FrozenSet[str] = (frozenset(unchanged) if parent is not None
+                                else frozenset())
 
         digests: Dict[str, str] = {}
         cycles: Dict[str, int] = {}
@@ -192,11 +168,11 @@ class SnapshotStore:
         for name, state in states.items():
             bits = int(bits_of.get(name, 0))
             logical_bits += bits
-            if name in skip and name in parent_digests:
+            if name in skip and name in parent.chunk_map:
                 # Version-tracked as untouched: bit-identical to the
                 # parent, cycle counter included.
-                digests[name] = parent_digests[name]
-                cycles[name] = parent_cycles[name]
+                digests[name] = parent.chunk_map[name]
+                cycles[name] = parent.cycle_map[name]
                 self.stats.capture_skips += 1
                 continue
             body, cycle = _split(state)
@@ -206,44 +182,19 @@ class SnapshotStore:
             if digest in self._chunks:
                 self.stats.chunk_hits += 1
             else:
-                self._chunks[digest] = Chunk(digest, body, bits)
-                self._chunk_refs[digest] = 0
+                self._chunks[digest] = Chunk(digest, body)
                 self.stats.chunk_misses += 1
                 self.stats.stored_bits += bits
                 stored_bits += bits
 
-        changed = {name for name, digest in digests.items()
-                   if parent_digests.get(name) != digest
-                   or parent_cycles.get(name) != cycles[name]}
-        make_full = (parent is None
-                     or set(digests) != set(parent_digests)
-                     or parent.depth + 1 >= self.flatten_threshold)
-        if make_full:
-            chunk_map, cycle_map, depth = dict(digests), dict(cycles), 0
-            if parent is not None and parent.depth + 1 >= self.flatten_threshold:
-                self.stats.flattens += 1
-        else:
-            chunk_map = {name: digests[name] for name in changed}
-            cycle_map = {name: cycles[name] for name in changed}
-            depth = parent.depth + 1
-
         record = SnapshotRecord(
-            snapshot_id=snapshot_id,
-            parent_id=parent_id if not make_full else None,
-            chunk_map=chunk_map, cycle_map=cycle_map,
-            full=make_full, depth=depth,
+            snapshot_id=snapshot_id, chunk_map=digests, cycle_map=cycles,
             method=method, logical_bits=logical_bits,
             stored_bits=stored_bits)
         self._records[snapshot_id] = record
-        for digest in chunk_map.values():
-            self._chunk_refs[digest] += 1
-        if record.parent_id is not None:
-            self._children[record.parent_id] = \
-                self._children.get(record.parent_id, 0) + 1
         self.stats.snapshots += 1
         self.stats.chunks = len(self._chunks)
         self.stats.logical_bits += logical_bits
-        self.stats.max_chain_depth = max(self.stats.max_chain_depth, depth)
         return record
 
     # -- restore path -------------------------------------------------------
@@ -254,42 +205,23 @@ class SnapshotStore:
             raise SnapshotError(f"unknown snapshot {snapshot_id}")
         return record
 
-    def _resolve_maps(self, record: SnapshotRecord) -> tuple:
-        """(instance → digest, instance → cycle) maps for one snapshot,
-        walking the delta chain root-ward (newest entry wins)."""
-        digests: Dict[str, str] = {}
-        cycles: Dict[str, int] = {}
-        while True:
-            for name, digest in record.chunk_map.items():
-                if name not in digests:
-                    digests[name] = digest
-                    cycles[name] = record.cycle_map[name]
-            if record.full or record.parent_id is None:
-                return digests, cycles
-            record = self.record(record.parent_id)
-
-    def resolve_digests(self, snapshot_id: int) -> Dict[str, str]:
-        return self._resolve_maps(self.record(snapshot_id))[0]
-
     def resolve(self, snapshot_id: int) -> Dict[str, dict]:
         """The full canonical image of one snapshot.
 
-        The first call walks the delta chain root-ward collecting the
-        newest chunk per instance (the flatten threshold bounds the
-        walk); records never change, so every later call returns that
-        same image until :meth:`forget` drops the record. The whole
-        image is shared — the outer dict, each instance's state dict and
-        their ``nets``/``memories`` chunks — and no caller may mutate any
-        of it.
+        The first call joins the record's chunks with its cycle
+        counters; records never change, so every later call returns
+        that same image. The whole image is shared — the outer dict,
+        each instance's state dict and their ``nets``/``memories``
+        chunks — and no caller may mutate any of it.
         """
         self.stats.resolves += 1
         image = self._images.get(snapshot_id)
         if image is None:
-            digests, cycles = self._resolve_maps(self.record(snapshot_id))
+            record = self.record(snapshot_id)
             image = self._images[snapshot_id] = {
-                name: {"cycle": cycles[name],
+                name: {"cycle": record.cycle_map[name],
                        **self._chunks[digest].payload}
-                for name, digest in digests.items()}
+                for name, digest in record.chunk_map.items()}
         return image
 
     def chunk(self, digest: str) -> Chunk:
@@ -298,40 +230,11 @@ class SnapshotStore:
             raise SnapshotError(f"unknown chunk {digest!r}")
         return chunk
 
-    def chain_depth(self, snapshot_id: int) -> int:
-        return self.record(snapshot_id).depth
-
     def __contains__(self, snapshot_id: int) -> bool:
         return snapshot_id in self._records
 
     def __len__(self) -> int:
         return len(self._records)
-
-    # -- garbage collection -------------------------------------------------
-
-    def forget(self, snapshot_id: int) -> None:
-        """Drop one snapshot record and free now-unreferenced chunks.
-
-        Only leaf records (no delta children inheriting through them)
-        can be forgotten; forgetting an interior record would break its
-        descendants' chains.
-        """
-        record = self.record(snapshot_id)
-        if self._children.get(snapshot_id, 0) > 0:
-            raise SnapshotError(
-                f"snapshot {snapshot_id} has delta children; "
-                f"forget them first")
-        del self._records[snapshot_id]
-        self._images.pop(snapshot_id, None)
-        if record.parent_id is not None:
-            self._children[record.parent_id] -= 1
-        for digest in record.chunk_map.values():
-            self._chunk_refs[digest] -= 1
-            if self._chunk_refs[digest] == 0:
-                freed = self._chunks.pop(digest)
-                del self._chunk_refs[digest]
-                self.stats.stored_bits -= freed.bits
-        self.stats.chunks = len(self._chunks)
 
 
 # ---------------------------------------------------------------------------

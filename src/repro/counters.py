@@ -2,9 +2,8 @@
 processes.
 
 A stats record summed over jobs or workers is a dataclass deriving from
-:class:`Counters`. A field merges by its kind: a number adds, a
-``bool`` flag ORs, and a ``max_*`` field (a high-water mark) takes the
-max. One rule crosses a process boundary: a job takes
+:class:`Counters`. A field merges by its kind: a number adds and a
+``bool`` flag ORs. One rule crosses a process boundary: a job takes
 :meth:`Counters.as_dict` baselines when it starts, its result carries
 each record's :meth:`Counters.delta` against them, and the receiver
 merges each delta into a record of the same type.
@@ -33,20 +32,18 @@ class Counters:
             mine = getattr(self, f.name)
             if isinstance(mine, bool):
                 setattr(self, f.name, True)
-            elif f.name.startswith("max_"):
-                setattr(self, f.name, max(mine, value))
             else:
                 setattr(self, f.name, mine + value)
 
     def delta(self, baseline: Mapping[str, Any]) -> Dict[str, Any]:
         """The fields that changed since *baseline* (an earlier
         :meth:`as_dict`), as what must be merged to account for them:
-        a count as its difference, a set flag or a nonzero high-water
-        mark as it stands (OR and max absorb repeats)."""
+        a count as its difference, a set flag as it stands (OR absorbs
+        repeats)."""
         out: Dict[str, Any] = {}
         for f in fields(self):
             value = getattr(self, f.name)
-            if not (isinstance(value, bool) or f.name.startswith("max_")):
+            if not isinstance(value, bool):
                 value -= baseline.get(f.name, 0)
             if value:
                 out[f.name] = value

@@ -107,6 +107,7 @@ def _scan(source: str) -> Iterator[Token]:
                         value=int(text.replace("_", "")), width=None)
         elif kind == "based":
             yield _based_number(m, line)
+            line += text.count("\n")  # whitespace around the base
         elif kind == "block":
             end = source.find("*/", pos)
             if end == -1:
@@ -117,6 +118,7 @@ def _scan(source: str) -> Iterator[Token]:
         elif kind == "string":
             # Used only in rare $display; tokenised, ignored by the parser.
             yield Token("string", text[1:-1], line)
+            line += text.count("\n")
         elif kind == "system":
             # System tasks like $display lex as identifiers.
             yield Token("id", text, line)

@@ -130,24 +130,6 @@ class ScanChainResult:
                 mems.setdefault(element.name, {})[element.word] = value
         return nets, mems
 
-    def overhead_report(self, original: ir.Design) -> dict:
-        """Instrumentation cost accounting (experiment E6)."""
-        orig_stats = original.stats()
-        new_stats = self.design.stats()
-        # Each scanned bit gains a 2:1 mux in front of its D input; the
-        # scan gating adds one enable term per sequential block.
-        mux_count = self.chain_length
-        return {
-            "design": original.name,
-            "chain_length_bits": self.chain_length,
-            "flip_flops_before": orig_stats["flip_flops"],
-            "state_bits_before": orig_stats["state_bits"],
-            "added_ports": 3,
-            "added_muxes": mux_count,
-            "added_seq_blocks": new_stats["seq_blocks"] - orig_stats["seq_blocks"],
-            "excluded_memories": list(self.excluded_memories),
-        }
-
 
 def preflight_lint(design: ir.Design, clock: str = "clk",
                    memory_limit_bits: int = DEFAULT_MEMORY_LIMIT_BITS,

@@ -173,6 +173,9 @@ class _Assembler:
             return
         if name == ".space":
             count = self._const(rest, line_no)
+            if count < 0:
+                raise AssemblerError(f".space size {count} is negative",
+                                     line_no)
             # Zero words covering the space (word granularity).
             for addr in range(self.lc, self.lc + count, 4):
                 self.words.setdefault(addr & ~3, 0)
@@ -183,7 +186,12 @@ class _Assembler:
             m = _STRING_RE.match(rest)
             if not m:
                 raise AssemblerError(f"bad string in {name}", line_no)
-            data = m.group(1).encode().decode("unicode_escape").encode("latin1")
+            try:
+                data = (m.group(1).encode().decode("unicode_escape")
+                        .encode("latin1"))
+            except UnicodeError as exc:  # "\x", or an escape past 0xFF
+                raise AssemblerError(f"bad string in {name}: {exc.reason}",
+                                     line_no) from None
             if name == ".asciz":
                 data += b"\x00"
             for byte in data:
@@ -202,6 +210,9 @@ class _Assembler:
             return
         if name == ".align":
             boundary = self._const(rest, line_no) if rest else 4
+            if boundary < 1:
+                raise AssemblerError(
+                    f".align boundary {boundary} is not positive", line_no)
             rem = self.lc % boundary
             if rem:
                 self.lc += boundary - rem

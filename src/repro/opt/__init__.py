@@ -9,15 +9,14 @@ The package has two consumers:
   executes when ``opt=True``.
 """
 
-from repro.opt.cones import comb_cone, flatten_cone, inline_single_use_wires
+from repro.opt.cones import inline_single_use_wires
 from repro.opt.dataflow import constant_map
 from repro.opt.lattice import BitsVal, eval_expr, join, of_const, top
 from repro.opt.liveness import LiveSets, live_masks
 from repro.opt.transform import OptReport, OptResult, optimize, run_opt
 
 __all__ = [
-    "BitsVal", "LiveSets", "OptReport", "OptResult",
-    "comb_cone", "constant_map", "eval_expr", "flatten_cone",
-    "inline_single_use_wires", "join", "live_masks", "of_const",
-    "optimize", "run_opt", "top",
+    "BitsVal", "LiveSets", "OptReport", "OptResult", "constant_map",
+    "eval_expr", "inline_single_use_wires", "join", "live_masks",
+    "of_const", "optimize", "run_opt", "top",
 ]

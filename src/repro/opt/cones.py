@@ -1,19 +1,16 @@
-"""Combinational cone extraction and single-use wire fusion.
+"""Single-use wire fusion.
 
-A *cone* is the transitive combinational fan-in of a set of nets — the
-blocks that must run, in dependency order, to (re)compute them.  The
-optimizer uses the inverse idea for fusion: a wire driven by one
-continuous assignment and read from exactly one combinational site is
-pure plumbing, so its defining expression is grafted into the consumer
-and the intermediate net disappears from the compiled netlist.
+A wire driven by one continuous assignment and read from exactly one
+combinational site is pure plumbing, so its defining expression is
+grafted into the consumer and the intermediate net disappears from the
+compiled netlist.
 """
 
 from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, replace
-from typing import (Any, Dict, Iterable, Iterator, List, Optional, Set,
-                    Tuple, Type)
+from typing import Any, Dict, Iterator, List, Optional, Set, Tuple, Type
 
 from repro.hdl import ir
 
@@ -21,47 +18,6 @@ from repro.hdl import ir
 #: duplicating work is cheap, but exploding a consumer expression isn't.
 _INLINE_NODE_LIMIT = 64
 
-
-def comb_cone(design: ir.Design, targets: Iterable[str]) -> List[ir.CombBlock]:
-    """Combinational blocks feeding *targets*, in evaluation order.
-
-    The returned list is a sub-sequence of the full topological comb
-    schedule: running exactly these blocks recomputes the target nets
-    from the current values of registers, inputs and memories.
-    """
-    from repro.sim.scheduler import order_comb_blocks
-    ordered = order_comb_blocks(design)
-    writer_of: Dict[str, List[ir.CombBlock]] = {}
-    for block in ordered:
-        for name in block.writes:
-            writer_of.setdefault(name, []).append(block)
-    needed: Set[int] = set()
-    frontier = list(targets)
-    seen_nets: Set[str] = set()
-    while frontier:
-        name = frontier.pop()
-        if name in seen_nets:
-            continue
-        seen_nets.add(name)
-        for block in writer_of.get(name, ()):
-            if id(block) in needed:
-                continue
-            needed.add(id(block))
-            frontier.extend(block.reads)
-    return [block for block in ordered if id(block) in needed]
-
-
-def flatten_cone(blocks: Iterable[ir.CombBlock]) -> List[ir.Stmt]:
-    """The cone's statements as one straight-line list (already ordered)."""
-    stmts: List[ir.Stmt] = []
-    for block in blocks:
-        stmts.extend(block.stmts)
-    return stmts
-
-
-# ---------------------------------------------------------------------------
-# Single-use wire fusion
-# ---------------------------------------------------------------------------
 
 #: The fields of each IR node type that can hold a reference: child
 #: expressions, lvalues, statements, case items, or lists of them.

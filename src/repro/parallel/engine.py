@@ -272,11 +272,10 @@ class ParallelAnalysisEngine(Campaign):
         report.resilience.merge(state["resilience"])
         if "stats_sums" in state:
             # An older checkpoint: one mapping whose keys each name a
-            # field of exactly one of the two records, and the store's
-            # high-water mark apart.
+            # field of exactly one of the two records (its chain-depth
+            # high-water mark is ignored).
             sums = state["stats_sums"]
-            state = dict(state, controller=sums, store=dict(
-                sums, max_chain_depth=state["chain_depth"]))
+            state = dict(state, controller=sums, store=sums)
         records["controller"].merge(state["controller"])
         records["store"].merge(state["store"])
         chunks = state["chunks"]

@@ -11,7 +11,7 @@ The wire format itself lives in :mod:`repro.core.persistence`
 * :class:`ChunkChannel` — snapshot resends carry only the chunks the
   receiver is missing. Chunk digests come from
   :func:`repro.core.store.chunk_digest`, the same content addresses the
-  delta snapshot store deduplicates on; shipping a state to a worker
+  snapshot store deduplicates on; shipping a state to a worker
   that already explored a sibling path typically moves reference-sized
   metadata, not state payloads (the cross-process analogue of
   ``TransferRecord.delta_bits``).

@@ -84,14 +84,6 @@ class BaseSimulation:
                 f"index {index} out of range for {name!r} (depth {mem.depth})")
         return self.memories[name][index]
 
-    def poke_memory(self, name: str, index: int, value: int) -> None:
-        mem = self._memory(name)
-        if not (0 <= index < mem.depth):
-            raise SimulationError(
-                f"index {index} out of range for {name!r} (depth {mem.depth})")
-        self.memories[name][index] = value & mem.mask
-        self.state_version += 1
-
     def _net(self, name: str) -> Net:
         net = self.design.nets.get(name)
         if net is None:

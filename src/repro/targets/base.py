@@ -71,8 +71,8 @@ class HwSnapshot:
     bits: int = 0
     modelled_cost_s: float = 0.0
     snapshot_id: Optional[int] = None
-    #: Snapshot the live hardware descended from when this was captured
-    #: (the delta-chain parent); set by the snapshot controller.
+    #: Store record the live hardware descended from when this was
+    #: captured; set by the snapshot controller.
     parent_id: Optional[int] = None
     #: Instances whose sim state version changed since the previous
     #: capture/restore on the producing target; None = unknown (all).

@@ -49,7 +49,6 @@ class TargetOrchestrator:
         #: Shared store deduplicating the canonical images that travel
         #: between targets (ids here are transfer ids, not snapshot ids).
         self.store = store if store is not None else SnapshotStore()
-        self._last_transfer_id: Optional[int] = None
 
     # -- registry -----------------------------------------------------------
 
@@ -106,10 +105,9 @@ class TargetOrchestrator:
             transfer_id, snapshot.states,
             bits_of={name: src.instances[name].state_bits
                      for name in snapshot.states},
-            parent_id=self._last_transfer_id, method=snapshot.method)
+            method=snapshot.method)
         snapshot.record = record
         snapshot.states = self.store.resolve(transfer_id)
-        self._last_transfer_id = transfer_id
         delta_bits = record.stored_bits
         # The state leaves the source's domain: a cross-target transfer
         # always streams the (delta-compressed) image over the slower of

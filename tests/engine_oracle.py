@@ -127,7 +127,6 @@ class StepwiseEngine(AnalysisEngine):
         report.snapshot_logical_bits = store_stats.logical_bits
         report.snapshot_stored_bits = store_stats.stored_bits
         report.snapshot_dedup_hit_rate = store_stats.dedup_hit_rate
-        report.snapshot_chain_depth = store_stats.max_chain_depth
         report.mmio_accesses = self.bridge.accesses
         if resilience0 is not None:
             report.resilience.merge(

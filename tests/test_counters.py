@@ -1,6 +1,6 @@
 """The one merge rule every stats record follows (repro.counters): counts
-add, flags OR, ``max_*`` fields take the max, a missing key counts as
-0, and a delta carries only what changed."""
+add, flags OR, a missing key counts as 0, and a delta carries only what
+changed."""
 
 from dataclasses import dataclass
 
@@ -18,7 +18,6 @@ from repro.solver import SolverStats
 class Sample(Counters):
     hits: int = 0
     seconds: float = 0.0
-    max_depth: int = 0
     degraded: bool = False
 
 
@@ -27,13 +26,6 @@ class TestMerge:
         a = Sample(hits=2, seconds=0.5)
         a.merge(Sample(hits=3, seconds=0.25))
         assert (a.hits, a.seconds) == (5, 0.75)
-
-    def test_max_fields_take_the_max(self):
-        a = Sample(max_depth=4)
-        a.merge(Sample(max_depth=2))
-        assert a.max_depth == 4
-        a.merge({"max_depth": 7})
-        assert a.max_depth == 7
 
     def test_flags_or(self):
         a = Sample()
@@ -45,10 +37,10 @@ class TestMerge:
         assert a.degraded is True
 
     def test_missing_keys_count_as_zero(self):
-        a = Sample(hits=1, max_depth=3, degraded=True)
+        a = Sample(hits=1, degraded=True)
         a.merge({})
         a.merge({"seconds": 1.5, "unknown": 9})
-        assert a == Sample(hits=1, seconds=1.5, max_depth=3, degraded=True)
+        assert a == Sample(hits=1, seconds=1.5, degraded=True)
 
 
 class TestDelta:
@@ -60,17 +52,16 @@ class TestDelta:
         assert a.delta(base) == {"hits": 2}
 
     def test_levels_travel_as_they_stand(self):
-        a = Sample(max_depth=3)
+        a = Sample(degraded=True)
         base = a.as_dict()
-        a.degraded = True
-        assert a.delta(base) == {"max_depth": 3, "degraded": True}
+        assert a.delta(base) == {"degraded": True}
 
     def test_deltas_merge_back_to_the_total(self):
         worker, total = Sample(), Sample()
-        for hits, depth in ((1, 2), (4, 1), (0, 5)):
+        for hits, seconds in ((1, 0.5), (4, 0.0), (0, 2.0)):
             base = worker.as_dict()
             worker.hits += hits
-            worker.max_depth = max(worker.max_depth, depth)
+            worker.seconds += seconds
             total.merge(worker.delta(base))
         assert total == worker
 
@@ -87,11 +78,6 @@ class TestRecords:
     def test_every_record_is_counters(self):
         for record in self.RECORDS:
             assert issubclass(record, Counters), record
-
-    def test_store_chain_depth_merges_as_max(self):
-        a = StoreStats(chunk_hits=2, max_chain_depth=3)
-        a.merge(StoreStats(chunk_hits=1, max_chain_depth=2))
-        assert (a.chunk_hits, a.max_chain_depth) == (3, 3)
 
     def test_as_dict_keys(self):
         assert set(IpcStats().as_dict()) == {

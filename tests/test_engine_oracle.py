@@ -53,8 +53,7 @@ def _observed(session, report) -> dict:
         "counters": (report.max_live_states, report.snapshot_saves,
                      report.snapshot_restores, report.snapshot_logical_bits,
                      report.snapshot_stored_bits,
-                     report.snapshot_dedup_hit_rate,
-                     report.snapshot_chain_depth, report.mmio_accesses,
+                     report.snapshot_dedup_hit_rate, report.mmio_accesses,
                      report.reboots, report.replayed_accesses),
         "cycles": target.cycles,
         "timer": target.timer.snapshot(),

@@ -13,22 +13,30 @@ Inputs: the extended catalog, soc2-soc5 and the RTL fuzz corpus of
 ``tests/test_opt_oracle.py``; every firmware generator at its defaults
 and at the parameters of E0's DSE campaigns; and hypothesis-mutated
 copies of all of these. On bad input both sides raise the same error
-type with the same line and message, but for one documented
-difference: a literal ``int(..., 0)`` rejects (``010``, ``08``) is an
-``AssemblerError("bad number ...")`` at its line, where the original
-raised a bare ``ValueError`` from a directive and wrapped it with the
-mnemonic in an instruction.
+type with the same line and message, but for two documented
+differences:
+
+* a literal ``int(..., 0)`` rejects (``010``, ``08``) is an
+  ``AssemblerError("bad number ...")`` at its line, where the original
+  raised a bare ``ValueError`` from a directive and wrapped it with the
+  mnemonic in an instruction;
+* a newline inside a string or inside a based literal's whitespace
+  (``8'\\nhFF``) moves every later token, node and error down a line,
+  where the original scanner did not count it. The Verilog check takes
+  the shipped tokens back to the original's count before it compares
+  tokens, ASTs and errors.
 """
 
+import dataclasses
 import hashlib
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.errors import AssemblerError
+from repro.errors import AssemblerError, LexError
 from repro.firmware import programs
-from repro.hdl.lexer import tokenize
-from repro.hdl.parser import parse
+from repro.hdl.lexer import _scan, tokenize
+from repro.hdl.parser import Parser
 from repro.isa.assembler import assemble
 from repro.isa.predecode import image_digest
 from tests.frontend_oracle import (reference_assemble, reference_parse,
@@ -99,11 +107,33 @@ def _program(assembler, source):
             list(program.source_map.items()), program.entry)
 
 
+def _original_lines(source):
+    """The shipped tokens, or the shipped LexError, with each line as
+    the original scanner counted it: without the newlines inside
+    earlier strings and based literals (the second documented
+    difference)."""
+    tokens = []
+    hidden = 0
+    try:
+        for token in _scan(source):
+            tokens.append(dataclasses.replace(token, line=token.line - hidden))
+            hidden += token.text.count("\n")
+    except LexError as exc:
+        message = str(exc).partition(": ")[2]
+        raise LexError(message, exc.line - hidden) from None
+    return tokens
+
+
+def _original_lines_parse(source):
+    return Parser(_original_lines(source)).parse_source()
+
+
 def check_verilog(source):
-    assert (_outcome(_tokens, tokenize, source)
+    assert (_outcome(_tokens, _original_lines, source)
             == _outcome(_tokens, reference_tokenize, source))
     # AST equality compares every field of every node, line included.
-    assert _outcome(parse, source) == _outcome(reference_parse, source)
+    assert (_outcome(_original_lines_parse, source)
+            == _outcome(reference_parse, source))
 
 
 def check_assembly(source):
@@ -183,7 +213,8 @@ def test_literal_edge_cases_match_oracle(source, value):
     "a === b !== c", "~^a ^~ b ~^ c", "-a * +b", "a && b || c && d",
     "/* x */ a /*/ b", "/* unterminated", "\"unterminated", "$", "8'q",
     "4'b102", "0'h1", "\\", "a\n/* one\ntwo */ b",
-    "a\n+ b\n* c\n== d\n? e\n: f", "x[1\n:0] +\ny[2]\n- z"])
+    "a\n+ b\n* c\n== d\n? e\n: f", "x[1\n:0] +\ny[2]\n- z",
+    "\"a\nb\" x\n8'\nhFF y", "8 '\n h\nF + \"\n\" $"])
 def test_expression_edge_cases_match_oracle(source):
     check_verilog(f"module m; assign y = {source}; endmodule")
     check_verilog(source)

@@ -56,6 +56,15 @@ class TestLexer:
         lines = [t.line for t in toks if t.kind == "id"]
         assert lines == [1, 2, 4]
 
+    def test_line_numbers_after_multi_line_tokens(self):
+        """A newline inside a string or inside a based literal's
+        whitespace moves every later token down a line."""
+        toks = tokenize("\"a\nb\" x\n8'\nhFF y")
+        assert [(t.kind, t.line) for t in toks] == [
+            ("string", 1), ("id", 2), ("number", 3), ("id", 4), ("eof", 4)]
+        with pytest.raises(LexError, match="line 2"):
+            tokenize("\"a\nb\" $")
+
     def test_bad_character(self):
         with pytest.raises(LexError):
             tokenize("wire \\escaped")

@@ -151,6 +151,22 @@ class TestAssembler:
             assemble(f"start:\n    nop\n    {line}\n")
         assert info.value.line == 3
 
+    @pytest.mark.parametrize("line, message", [
+        (".align 0", "not positive"), (".align -4", "not positive"),
+        (".space -8", "negative"), ('.asciz "\\x"', "bad string"),
+        ('.asciz "\\u20ac"', "bad string")],
+        ids=["align-0", "align-negative", "space-negative",
+             "asciz-truncated-escape", "asciz-escape-past-a-byte"])
+    def test_bad_directive_names_its_line(self, line, message):
+        with pytest.raises(AssemblerError, match=message) as info:
+            assemble(f"start: nop\n{line}\n")
+        assert info.value.line == 2
+
+    def test_literal_non_ascii_string_assembles_as_utf8(self):
+        prog = assemble('start: nop\nmsg: .asciz "\u20ac"\n')
+        assert prog.words[4] == int.from_bytes("\u20ac".encode() + b"\0",
+                                               "little")
+
     def test_source_map_lines(self):
         prog = assemble("start:\n    nop\n    nop\n")
         assert set(prog.source_map.values()) == {2, 3}

@@ -464,7 +464,7 @@ class TestJournaledRuns:
             self, tmp_path, monkeypatch):
         """A sealed campaign whose checkpoints keep the snapshot and
         store counts in the older ``stats_sums``/``chain_depth`` shape
-        resumes to the same verdict and the same six ``snapshot_*``
+        resumes to the same verdict and the same five ``snapshot_*``
         fields, all of which come from its final checkpoint."""
         monkeypatch.setattr(Journal, "put_blob",
                             _older_checkpoint(Journal.put_blob))
@@ -481,7 +481,7 @@ class TestJournaledRuns:
         assert report.verdict_summary() == _Serial.engine()
         fields = ("snapshot_saves", "snapshot_restores",
                   "snapshot_logical_bits", "snapshot_stored_bits",
-                  "snapshot_dedup_hit_rate", "snapshot_chain_depth")
+                  "snapshot_dedup_hit_rate")
         assert first.snapshot_saves > 0
         assert [getattr(report, f) for f in fields] == \
             [getattr(first, f) for f in fields]

@@ -3,8 +3,8 @@
 The differential gate (``tests/test_opt_differential.py``) proves the
 optimizer preserves semantics end to end; these tests pin down the
 individual analyses — the lattice algebra, forward constant
-propagation, backward liveness, cone extraction, wire fusion, and the
-exact case-coverage check the latch rule depends on.
+propagation, backward liveness, wire fusion, and the exact
+case-coverage check the latch rule depends on.
 """
 
 import random
@@ -13,9 +13,9 @@ import pytest
 
 from repro.hdl import elaborate, ir
 from repro.lint.analysis import _labels_cover
-from repro.opt import (BitsVal, comb_cone, constant_map, eval_expr,
-                       flatten_cone, inline_single_use_wires, join,
-                       live_masks, of_const, optimize, run_opt, top)
+from repro.opt import (BitsVal, constant_map, eval_expr,
+                       inline_single_use_wires, join, live_masks, of_const,
+                       optimize, run_opt, top)
 from repro.sim.compiler import design_fingerprint
 
 
@@ -213,23 +213,6 @@ endmodule
 
 
 class TestCones:
-    def test_cone_is_ordered_and_minimal(self):
-        design = elaborate(CONE, "m")
-        cone = comb_cone(design, ["t"])
-        written = [name for block in cone for name in sorted(block.writes)]
-        # s must come before t; z's driver is outside the cone.
-        assert written.index("s") < written.index("t")
-        assert "z" not in written
-
-    def test_flatten_cone_expression(self):
-        design = elaborate(CONE, "m")
-        stmts = flatten_cone(comb_cone(design, ["t"]))
-        reads, writes = ir.stmt_reads_writes(stmts)
-        assert "t" in writes and "z" not in writes
-        # External inputs of the cone: everything read but not produced
-        # inside it.
-        assert reads - writes == {"a", "b", "q"}
-
     def test_single_use_wire_fusion(self):
         design = elaborate(CONE, "m")
         protected = {n.name for n in design.inputs}

@@ -69,7 +69,7 @@ class TestSnapshotWire:
         assert back.states == snap.states
         assert back.method == snap.method
         assert back.bits == snap.bits
-        assert back.record is None  # foreign: next save is a full record
+        assert back.record is None  # foreign: next save hashes every instance
 
     def test_known_digests_omit_payloads(self):
         target = _timer_target()

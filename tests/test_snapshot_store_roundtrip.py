@@ -1,14 +1,14 @@
-"""The content-addressed delta snapshot store + controller integration.
+"""The content-addressed snapshot store + controller integration.
 
 Covers three layers:
 
-* the store itself (chunk dedup, delta records, flatten threshold,
-  leaf-only garbage collection),
+* the store itself (chunk dedup, complete records, the unchanged-instance
+  fast path, one shared image per record),
 * the snapshot controller over it (id assignment — including the valid
   id 0 — symmetric cost accounting, lineage/epoch guards),
-* property-style round trips: a delta-chain restore must be
-  bit-identical to a full-image restore on every target and across
-  targets (orchestrator transfer).
+* property-style round trips: a restore from the store must be
+  bit-identical to the full image captured at save time on every target
+  and across targets (orchestrator transfer).
 """
 
 import json
@@ -69,29 +69,39 @@ def test_identical_states_share_one_chunk():
 
 
 def test_child_stores_only_changed_instances():
+    """A child record lists every instance, but only the changed one
+    adds a chunk: the unchanged one maps to its parent's chunk."""
     store = SnapshotStore()
     states = {"a": _state(1), "b": _state(2)}
-    store.put(1, states, {"a": 8, "b": 8})
+    parent = store.put(1, states, {"a": 8, "b": 8})
     child = dict(states, a=_state(99))
     record = store.put(2, child, {"a": 8, "b": 8}, parent_id=1)
-    assert not record.full
-    assert set(record.chunk_map) == {"a"}
+    assert set(record.chunk_map) == {"a", "b"}
+    assert record.chunk_map["b"] == parent.chunk_map["b"]
     assert record.stored_bits == 8  # only the new chunk
-    assert store.resolve(2) == child  # b inherited through the chain
+    assert store.stats.chunks == 3
+    assert store.resolve(2) == child
 
 
-def test_flatten_threshold_bounds_chain_depth():
-    store = SnapshotStore(flatten_threshold=3)
-    store.put(1, {"a": _state(0), "b": _state(0)}, {"a": 8, "b": 8})
+def test_deep_lineage_records_stay_complete():
+    """However long the lineage, each record holds every instance's
+    digest and cycle, so the clean instance's fast path reads only the
+    parent record and every record resolves on its own."""
+    store = SnapshotStore()
+    first = store.put(1, {"a": _state(0), "b": _state(0)},
+                      {"a": 8, "b": 8})
     for i in range(2, 12):
-        store.put(i, {"a": _state(i), "b": _state(0)}, {"a": 8, "b": 8},
-                  parent_id=i - 1)
-        assert store.chain_depth(i) < 3
-    assert store.stats.flattens > 0
-    assert store.stats.max_chain_depth == 2
-    # Flattening costs no extra chunk storage: one chunk per distinct
-    # state value (the first "a" and "b" are identical → shared).
+        record = store.put(i, {"a": _state(i), "b": _state(0)},
+                           {"a": 8, "b": 8}, parent_id=i - 1,
+                           unchanged=("b",))
+        assert record.chunk_map["b"] == first.chunk_map["b"]
+        assert set(record.cycle_map) == {"a", "b"}
+    assert store.stats.capture_skips == 10
+    # One chunk per distinct state value (the first "a" and "b" are
+    # identical → shared).
     assert store.stats.chunks == 11
+    for i in range(2, 12):
+        assert store.resolve(i) == {"a": _state(i), "b": _state(0)}
 
 
 def test_unchanged_fast_path_skips_hashing():
@@ -128,23 +138,9 @@ def test_duplicate_and_unknown_parent_rejected():
         store.put(2, {"a": _state(1)}, {"a": 8}, parent_id=404)
 
 
-def test_forget_is_leaf_only_and_frees_chunks():
-    store = SnapshotStore()
-    store.put(1, {"a": _state(1)}, {"a": 8})
-    store.put(2, {"a": _state(2)}, {"a": 8}, parent_id=1)
-    with pytest.raises(SnapshotError):
-        store.forget(1)  # interior: child 2 inherits through it
-    store.forget(2)
-    store.forget(1)
-    assert len(store) == 0
-    assert store.stats.chunks == 0
-    assert store.stats.stored_bits == 0
-
-
-def test_resolve_returns_one_image_per_record_until_forgotten():
+def test_resolve_returns_one_image_per_record():
     """Records never change, so a record resolves to one shared image;
-    forgetting the record drops the image, and a resolve after that
-    raises instead of handing out a stale one."""
+    an unknown record raises instead of resolving to anything."""
     store = SnapshotStore()
     store.put(1, {"a": _state(1)}, {"a": 8})
     store.put(2, {"a": _state(2)}, {"a": 8}, parent_id=1)
@@ -152,12 +148,9 @@ def test_resolve_returns_one_image_per_record_until_forgotten():
     assert image == {"a": _state(2)}
     assert store.resolve(2) is image
     assert store.stats.resolves == 2
-    store.forget(2)
-    with pytest.raises(SnapshotError):
-        store.resolve(2)
-    store.put(2, {"a": _state(5)}, {"a": 8}, parent_id=1)
-    assert store.resolve(2) == {"a": _state(5)}
     assert store.resolve(1) == {"a": _state(1)}
+    with pytest.raises(SnapshotError):
+        store.resolve(3)
 
 
 def test_shared_store_ids_never_collide():
@@ -210,8 +203,7 @@ def test_untouched_hardware_dedups_to_zero_new_bits():
     first = controller.save()
     second = controller.save()  # nothing ran in between
     assert second.record.stored_bits == 0
-    assert controller.store.resolve_digests(second.record.snapshot_id) == \
-        controller.store.resolve_digests(first.record.snapshot_id)
+    assert second.record.chunk_map == first.record.chunk_map
 
 
 def test_out_of_band_capture_breaks_the_fast_path_safely():
@@ -295,13 +287,14 @@ def _live_canonical(target):
 
 @pytest.mark.parametrize("kind", ["simulator", "functional", "shift"])
 def test_delta_chain_restore_is_bit_identical(kind):
-    """Save a chain of delta snapshots under random activity, then
-    restore each in random order: the reassembled image must equal the
-    full image recorded at save time, and the hardware must actually
-    reach that state (verified by an independent re-capture)."""
+    """Save a chain of snapshots, each put against the one before it,
+    under random activity, then restore each in random order: the
+    resolved image must equal the full image recorded at save time, and
+    the hardware must actually reach that state (verified by an
+    independent re-capture)."""
     rng = random.Random(1234)
     target = _make_target(kind)
-    controller = SnapshotController(target, flatten_threshold=4)
+    controller = SnapshotController(target)
     saved = []
     for _ in range(12):
         _poke_randomly(target, rng)
@@ -312,7 +305,7 @@ def test_delta_chain_restore_is_bit_identical(kind):
     for i in order:
         snapshot, full_image = saved[i]
         controller.restore(snapshot)
-        # Store reassembly (delta-chain walk) is bit-identical.
+        # The store's image is bit-identical.
         assert _frozen(snapshot.states) == full_image
         # And the live hardware actually holds that state.
         assert _frozen(_live_canonical(target)) == full_image
