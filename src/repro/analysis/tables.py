@@ -67,7 +67,6 @@ def format_snapshot_stats(controller_stats, store_stats) -> str:
         ("stored bits", stored),
         ("compression", f"{store_stats.compression_ratio:.1f}x"),
         ("dedup hit-rate", f"{store_stats.dedup_hit_rate:.1%}"),
-        ("capture skips", store_stats.capture_skips),
         ("unique chunks", store_stats.chunks),
         ("modelled save", format_si_time(controller_stats.modelled_save_s)),
         ("modelled restore",

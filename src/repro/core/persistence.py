@@ -77,8 +77,6 @@ def snapshot_to_dict(snapshot: HwSnapshot) -> dict:
     }
     if snapshot.snapshot_id is not None:
         out["snapshot_id"] = snapshot.snapshot_id
-    if snapshot.parent_id is not None:
-        out["parent_id"] = snapshot.parent_id
     return out
 
 
@@ -92,11 +90,11 @@ def snapshot_from_dict(data: dict) -> HwSnapshot:
         bits=int(data.get("bits", 0)),
         modelled_cost_s=float(data.get("modelled_cost_s", 0.0)),
         snapshot_id=data.get("snapshot_id"),
-        parent_id=data.get("parent_id"),
         digest=data.get("digest"),
     )
     # Pre-resilience files carry no digest and load unchecked; sealed
-    # files are verified before any target sees the state.
+    # files are verified before any target sees the state. A
+    # ``parent_id`` key, which older files carry, is ignored.
     snapshot.verify()
     return snapshot
 
@@ -176,9 +174,8 @@ def snapshot_from_wire(wire: SnapshotWire,
     digest → body chunk pool (which must already contain every digest
     the wire references; callers merge ``wire.chunks`` in first).
 
-    The result is a *foreign* snapshot (no store record): the snapshot
-    controller hashes every instance on its first save, after which the
-    unchanged-instance fast path resumes against the receiver's own
+    The result is a *foreign* snapshot (no store record); like every
+    save, the receiver's next save hashes every instance into its own
     store.
     """
     states: Dict[str, dict] = {}

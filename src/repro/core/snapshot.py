@@ -53,40 +53,23 @@ class SnapshotController:
         self.target = target
         self.store = store if store is not None else SnapshotStore()
         self.stats = SnapshotStats()
-        #: Store id the live hardware state descends from (the parent
-        #: the next save's clean instances are taken from); None after
-        #: a reset.
-        self._live_parent: Optional[int] = None
-        #: Target capture epoch at our last save/restore; a mismatch
-        #: means someone snapshotted the target behind our back and the
-        #: dirty sets can no longer be trusted against _live_parent.
-        self._live_epoch = target.capture_epoch
 
     # -- primitive operations ---------------------------------------------------
 
     def save(self) -> HwSnapshot:
         """Suspend the target, capture its state, resume; assign an id
         and intern the image into the store."""
-        epoch_before = self.target.capture_epoch
         before_s = self.target.timer.total_s
         snapshot = self.target.save_snapshot()
         store_id = self.store.next_id()
         if snapshot.snapshot_id is None:  # 0 is a valid target-assigned id
             snapshot.snapshot_id = store_id
-        snapshot.parent_id = self._live_parent
-        lineage_intact = epoch_before == self._live_epoch
-        unchanged = self._unchanged_instances(snapshot, lineage_intact)
-        record = self.store.put(
-            store_id, snapshot.states,
-            bits_of=self._instance_bits(snapshot.states),
-            parent_id=self._live_parent, method=snapshot.method,
-            unchanged=unchanged)
+        record = self.store.put(store_id, snapshot.states,
+                                bits_of=self._instance_bits(snapshot.states))
         snapshot.record = record
         # Hand out the store's interned (immutable, shared) payloads so
         # per-fork clones are O(instances) instead of O(design).
         snapshot.states = self.store.resolve(store_id)
-        self._live_parent = store_id
-        self._live_epoch = self.target.capture_epoch
         self.stats.saves += 1
         self.stats.bits_saved += snapshot.bits
         self.stats.bits_stored += record.stored_bits
@@ -98,13 +81,7 @@ class SnapshotController:
         record = snapshot.record
         if record is not None and record.snapshot_id in self.store:
             snapshot.states = self.store.resolve(record.snapshot_id)
-            self._live_parent = record.snapshot_id
-        else:
-            # Foreign snapshot (loaded from disk, raw target image):
-            # lineage unknown, the next save hashes every instance.
-            self._live_parent = None
         self.target.restore_snapshot(snapshot)
-        self._live_epoch = self.target.capture_epoch
         self.stats.restores += 1
         self.stats.bits_restored += snapshot.bits
         self.stats.modelled_restore_s += self.target.timer.total_s - before_s
@@ -112,7 +89,6 @@ class SnapshotController:
     def reset(self) -> None:
         """Full power-on reset (the 'reboot' the baselines pay for)."""
         self.target.reset()
-        self._live_parent = None
         self.stats.resets += 1
 
     # -- store plumbing -------------------------------------------------------
@@ -120,16 +96,6 @@ class SnapshotController:
     def _instance_bits(self, states: Mapping[str, dict]) -> Dict[str, int]:
         return {name: self.target.instances[name].state_bits
                 for name in states if name in self.target.instances}
-
-    def _unchanged_instances(self, snapshot: HwSnapshot,
-                             lineage_intact: bool) -> frozenset:
-        """Instances safe to inherit the parent's chunk digest without
-        re-hashing: only when the target reported a dirty set AND no
-        out-of-band capture broke the lineage since our last operation."""
-        if not lineage_intact or snapshot.dirty is None \
-                or self._live_parent is None:
-            return frozenset()
-        return frozenset(set(snapshot.states) - set(snapshot.dirty))
 
     # -- Algorithm 1 lines 6-7 -------------------------------------------------------
 

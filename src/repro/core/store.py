@@ -33,7 +33,7 @@ import hashlib
 import itertools
 import json
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Mapping, Optional
+from typing import Dict, Mapping
 
 from repro.counters import Counters
 from repro.errors import SnapshotError
@@ -83,7 +83,6 @@ class SnapshotRecord:
     snapshot_id: int
     chunk_map: Dict[str, str]
     cycle_map: Dict[str, int]
-    method: str
     logical_bits: int
     stored_bits: int
 
@@ -96,19 +95,22 @@ class StoreStats(Counters):
     chunks: int = 0
     chunk_hits: int = 0
     chunk_misses: int = 0
-    capture_skips: int = 0
     logical_bits: int = 0
     stored_bits: int = 0
     resolves: int = 0
 
     @property
+    def capture_skips(self) -> int:  # read by benchmarks/e2e/trace.py
+        return 0
+
+    @property
     def dedup_hit_rate(self) -> float:
         """Fraction of instance captures that deduplicated to an
-        existing chunk (including version-tracked capture skips)."""
-        total = self.chunk_hits + self.chunk_misses + self.capture_skips
+        existing chunk."""
+        total = self.chunk_hits + self.chunk_misses
         if total == 0:
             return 0.0
-        return (self.chunk_hits + self.capture_skips) / total
+        return self.chunk_hits / total
 
     @property
     def compression_ratio(self) -> float:
@@ -138,29 +140,15 @@ class SnapshotStore:
     # -- save path ----------------------------------------------------------
 
     def put(self, snapshot_id: int, states: Mapping[str, dict],
-            bits_of: Mapping[str, int],
-            parent_id: Optional[int] = None,
-            method: str = "direct",
-            unchanged: Iterable[str] = ()) -> SnapshotRecord:
+            bits_of: Mapping[str, int]) -> SnapshotRecord:
         """Store one snapshot; returns its record.
 
         ``states`` maps instance name to canonical state dict;
-        ``bits_of`` gives each instance's state size in bits. Instances
-        listed in ``unchanged`` are trusted (via the target's state
-        version tracking) to be bit-identical to the ``parent_id``
-        record's, cycle counter included, and take that record's digest
-        and cycle without re-hashing — the incremental capture fast
-        path. Everything else is hashed and deduplicated against the
-        chunk pool.
+        ``bits_of`` gives each instance's state size in bits. Every
+        instance is hashed and deduplicated against the chunk pool.
         """
         if snapshot_id in self._records:
             raise SnapshotError(f"duplicate snapshot id {snapshot_id}")
-        parent = self._records.get(parent_id) if parent_id is not None else None
-        if parent_id is not None and parent is None:
-            raise SnapshotError(f"unknown parent snapshot {parent_id}")
-        skip: FrozenSet[str] = (frozenset(unchanged) if parent is not None
-                                else frozenset())
-
         digests: Dict[str, str] = {}
         cycles: Dict[str, int] = {}
         logical_bits = 0
@@ -168,13 +156,6 @@ class SnapshotStore:
         for name, state in states.items():
             bits = int(bits_of.get(name, 0))
             logical_bits += bits
-            if name in skip and name in parent.chunk_map:
-                # Version-tracked as untouched: bit-identical to the
-                # parent, cycle counter included.
-                digests[name] = parent.chunk_map[name]
-                cycles[name] = parent.cycle_map[name]
-                self.stats.capture_skips += 1
-                continue
             body, cycle = _split(state)
             digest = chunk_digest(state)
             digests[name] = digest
@@ -189,8 +170,7 @@ class SnapshotStore:
 
         record = SnapshotRecord(
             snapshot_id=snapshot_id, chunk_map=digests, cycle_map=cycles,
-            method=method, logical_bits=logical_bits,
-            stored_bits=stored_bits)
+            logical_bits=logical_bits, stored_bits=stored_bits)
         self._records[snapshot_id] = record
         self.stats.snapshots += 1
         self.stats.chunks = len(self._chunks)
@@ -223,12 +203,6 @@ class SnapshotStore:
                        **self._chunks[digest].payload}
                 for name, digest in record.chunk_map.items()}
         return image
-
-    def chunk(self, digest: str) -> Chunk:
-        chunk = self._chunks.get(digest)
-        if chunk is None:
-            raise SnapshotError(f"unknown chunk {digest!r}")
-        return chunk
 
     def __contains__(self, snapshot_id: int) -> bool:
         return snapshot_id in self._records

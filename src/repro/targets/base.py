@@ -63,7 +63,9 @@ class HwSnapshot:
     :class:`~repro.core.store.SnapshotStore` (``record`` is set), its
     per-instance state dicts are the store's shared immutable chunks:
     cloning then shares them instead of deep-copying, which is what makes
-    fork-heavy exploration O(changed state) instead of O(design).
+    fork-heavy exploration O(changed state) instead of O(design). A
+    snapshot carries no lineage: the store deduplicates every save on
+    content alone.
     """
 
     states: Dict[str, dict]
@@ -71,12 +73,6 @@ class HwSnapshot:
     bits: int = 0
     modelled_cost_s: float = 0.0
     snapshot_id: Optional[int] = None
-    #: Store record the live hardware descended from when this was
-    #: captured; set by the snapshot controller.
-    parent_id: Optional[int] = None
-    #: Instances whose sim state version changed since the previous
-    #: capture/restore on the producing target; None = unknown (all).
-    dirty: Optional[frozenset] = None
     #: The store's :class:`~repro.core.store.SnapshotRecord`, once interned.
     record: Optional[object] = None
     #: Integrity digest over the canonical state bodies (cycle counters
@@ -90,12 +86,11 @@ class HwSnapshot:
             # copy of the instance map is a safe, O(instances) clone.
             return HwSnapshot(dict(self.states), self.method, self.bits,
                               self.modelled_cost_s, self.snapshot_id,
-                              self.parent_id, self.dirty, self.record,
-                              self.digest)
+                              self.record, self.digest)
         import copy
         return HwSnapshot(copy.deepcopy(self.states), self.method, self.bits,
                           self.modelled_cost_s, self.snapshot_id,
-                          self.parent_id, self.dirty, digest=self.digest)
+                          digest=self.digest)
 
     # -- integrity ----------------------------------------------------------
 
@@ -179,12 +174,10 @@ class HardwareTarget:
         self.cycles = 0
         #: Cycles charged by :meth:`step` and not yet simulated.
         self._debt = 0
-        #: name -> last canonical capture, keyed by the sim's state
-        #: version (the incremental-capture cache).
+        #: name -> last canonical capture or restore and the sim's state
+        #: version after it: what the dirty set of the next capture and
+        #: the FPGA target's restore skip compare against.
         self._capture_cache: Dict[str, _CachedCapture] = {}
-        #: Bumped on every capture/restore; lets the snapshot controller
-        #: detect out-of-band save/restore calls and distrust dirty sets.
-        self.capture_epoch = 0
         #: Recovery accounting for this target's link (always present;
         #: stays zero without an attached fault plan).
         self.resilience = ResilienceStats()
@@ -409,38 +402,24 @@ class HardwareTarget:
         instance.sim.settle()
         return instance.sim.save_state()
 
-    def capture_states(self, force_capture: bool = False
-                       ) -> Tuple[Dict[str, dict], frozenset]:
-        """Incremental capture hook: canonical states for every instance,
-        plus the set of instances that were actually *dirty* (their sim
-        state version changed since the previous capture/restore).
-
-        Clean instances reuse the cached canonical dict — capture costs
-        O(dirty state) in host time. ``force_capture`` re-runs the
-        capture mechanism on clean instances too (the FPGA shift mode
-        does, since a daisy-chained scan rotation physically traverses
-        every chain) without marking them dirty.
-        """
+    def capture_states(self) -> Tuple[Dict[str, dict], frozenset]:
+        """Capture every instance's canonical state, plus the set of
+        instances that are *dirty*: their sim state version changed
+        since the previous capture/restore (what CRIU's incremental
+        dump prices)."""
         self.settle()
         states: Dict[str, dict] = {}
         dirty = set()
         for name, instance in self.instances.items():
             cached = self._capture_cache.get(name)
-            version = instance.sim.state_version
-            clean = cached is not None and cached.version == version
-            if clean and not force_capture:
-                states[name] = cached.state
-                continue
-            state = self._capture_instance(instance)
-            states[name] = state
-            if not clean:
+            if cached is None or cached.version != instance.sim.state_version:
                 dirty.add(name)
+            state = states[name] = self._capture_instance(instance)
             # The capture itself may advance the version (scan shifting);
             # record the post-capture version so the next save sees an
             # untouched instance as clean.
             self._capture_cache[name] = _CachedCapture(
                 instance.sim.state_version, state)
-        self.capture_epoch += 1
         return states, frozenset(dirty)
 
     def _note_restored(self, snapshot: HwSnapshot) -> None:
@@ -451,7 +430,6 @@ class HardwareTarget:
             if instance is not None:
                 self._capture_cache[name] = _CachedCapture(
                     instance.sim.state_version, state)
-        self.capture_epoch += 1
 
     def save_snapshot(self) -> HwSnapshot:
         raise NotImplementedError

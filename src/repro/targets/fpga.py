@@ -286,14 +286,7 @@ class FpgaTarget(HardwareTarget):
         scan = self._chain(instance)
         sim = instance.sim
         if self.scan_mode == "functional":
-            # Incremental restore, the mirror of incremental capture: an
-            # instance untouched since it last held exactly *state* is
-            # already in it. The modelled cost is charged by the caller
-            # either way.
-            cached = self._capture_cache.get(instance.name)
-            if (cached is None or cached.version != sim.state_version
-                    or cached.state != state):
-                sim.load_state(state)
+            sim.load_state(state)
             return
         # "shift": bulk load
         sim.poke("scan_enable", 1)
@@ -345,17 +338,13 @@ class FpgaTarget(HardwareTarget):
         """Scan all hosted chains into the snapshot SRAM (daisy-chained:
         costs are summed).
 
-        The modelled cost always covers a full-chain rotation — a scan
-        shift traverses every flip-flop no matter how few changed. In
-        shift mode the capture mechanism also physically re-runs per
-        save; functional mode reuses cached canonical states for
-        instances whose sim state is untouched (identical content, same
-        modelled cost).
+        Every save captures every instance, and its modelled cost covers
+        a full-chain rotation: a scan shift traverses every flip-flop no
+        matter how few changed.
         """
         self.settle()
         self._check_link("save")
-        states, dirty = self.capture_states(
-            force_capture=self.scan_mode == "shift")
+        states, _ = self.capture_states()
         total_bits = sum(self._chain(inst).chain_length
                          for inst in self.instances.values())
         stored_bits = None
@@ -370,8 +359,7 @@ class FpgaTarget(HardwareTarget):
         self.timer.add_fixed(cost)
         self.snapshots_taken += 1
         snapshot = HwSnapshot(states, method="scan", bits=total_bits,
-                              modelled_cost_s=cost, snapshot_id=slot,
-                              dirty=dirty)
+                              modelled_cost_s=cost, snapshot_id=slot)
         if self._injector is not None:
             snapshot.seal()
         self._mark_verified(snapshot)
@@ -386,9 +374,9 @@ class FpgaTarget(HardwareTarget):
         self._check_link("restore")
         self._verify_integrity(snapshot)
         # Functional mode on an infallible link: an instance untouched
-        # since it last held this very state object is already in it
-        # (the load would find the same and skip); only the modelled
-        # cost is charged.
+        # since it last held this very state object (the store hands out
+        # one image per record) is already in it; only the modelled cost
+        # is charged.
         cache = (self._capture_cache if self._injector is None
                  and self.scan_mode == "functional" else {})
         total_bits = 0

@@ -104,8 +104,7 @@ class TargetOrchestrator:
         record = self.store.put(
             transfer_id, snapshot.states,
             bits_of={name: src.instances[name].state_bits
-                     for name in snapshot.states},
-            method=snapshot.method)
+                     for name in snapshot.states})
         snapshot.record = record
         snapshot.states = self.store.resolve(transfer_id)
         delta_bits = record.stored_bits

@@ -140,7 +140,7 @@ class SimulatorTarget(HardwareTarget):
         self.timer.add_fixed(cost)
         self.snapshots_taken += 1
         snapshot = HwSnapshot(states, method="criu", bits=bits,
-                              modelled_cost_s=cost, dirty=dirty)
+                              modelled_cost_s=cost)
         if self._injector is not None:
             snapshot.seal()
         self._mark_verified(snapshot)

@@ -9,8 +9,9 @@ from repro import HardSnapSession
 from repro.core import make_target
 from repro.core.persistence import (export_crash_pack, load_snapshot,
                                     replay_crash, save_snapshot,
-                                    snapshot_from_dict)
-from repro.errors import FirmwarePanic, SnapshotError
+                                    snapshot_from_dict, snapshot_to_dict)
+from repro.core.snapshot import SnapshotController
+from repro.errors import FirmwarePanic, SnapshotError, SnapshotIntegrityError
 from repro.firmware import (AES_BASE, TIMER_BASE, UART_BASE, WDT_BASE,
                             dispatcher, fig1_two_paths, init_heavy,
                             vuln_buffer_overflow, vuln_irq_race,
@@ -69,6 +70,43 @@ class TestSnapshotFiles:
     def test_bad_format_rejected(self):
         with pytest.raises(SnapshotError):
             snapshot_from_dict({"format": 99, "states": {}})
+
+    @staticmethod
+    def _controller_snapshot():
+        target = FpgaTarget(scan_mode="functional")
+        target.add_peripheral(catalog.TIMER, TIMER_BASE)
+        controller = SnapshotController(target)
+        controller.reset()
+        controller.save()
+        target.write(TIMER_BASE + timer.REGISTERS["LOAD"], 123)
+        return controller.save()
+
+    def test_file_with_parent_id_still_loads(self, tmp_path):
+        """Older snapshot files (crash packs' ``hardware.json``) carry a
+        ``parent_id`` key, which nothing reads: such a file loads,
+        passes its digest check and restores."""
+        data = snapshot_to_dict(self._controller_snapshot())
+        data["parent_id"] = 1
+        path = tmp_path / "hardware.json"
+        path.write_text(json.dumps(data, indent=1, sort_keys=True))
+        loaded = load_snapshot(path)
+        assert loaded.digest == data["digest"] == loaded.compute_digest()
+        tampered = dict(data, states=json.loads(json.dumps(data["states"])))
+        tampered["states"]["timer"]["nets"]["load"] ^= 1
+        with pytest.raises(SnapshotIntegrityError):
+            snapshot_from_dict(tampered)
+        other = FpgaTarget(scan_mode="functional")
+        other.add_peripheral(catalog.TIMER, TIMER_BASE)
+        other.reset()
+        other.restore_snapshot(loaded)
+        assert other.read(TIMER_BASE + timer.REGISTERS["LOAD"]) == 123
+
+    def test_saved_file_has_no_parent_id(self, tmp_path):
+        path = tmp_path / "hardware.json"
+        save_snapshot(self._controller_snapshot(), path)
+        data = json.loads(path.read_text())
+        assert "parent_id" not in data
+        assert "snapshot_id" in data
 
 
 class TestCrashPacks:

@@ -2,10 +2,11 @@
 
 Covers three layers:
 
-* the store itself (chunk dedup, complete records, the unchanged-instance
-  fast path, one shared image per record),
+* the store itself (chunk dedup, complete records, one shared image per
+  record),
 * the snapshot controller over it (id assignment — including the valid
-  id 0 — symmetric cost accounting, lineage/epoch guards),
+  id 0 — symmetric cost accounting, saves after out-of-band target
+  snapshots),
 * property-style round trips: a restore from the store must be
   bit-identical to the full image captured at save time on every target
   and across targets (orchestrator transfer).
@@ -75,7 +76,7 @@ def test_child_stores_only_changed_instances():
     states = {"a": _state(1), "b": _state(2)}
     parent = store.put(1, states, {"a": 8, "b": 8})
     child = dict(states, a=_state(99))
-    record = store.put(2, child, {"a": 8, "b": 8}, parent_id=1)
+    record = store.put(2, child, {"a": 8, "b": 8})
     assert set(record.chunk_map) == {"a", "b"}
     assert record.chunk_map["b"] == parent.chunk_map["b"]
     assert record.stored_bits == 8  # only the new chunk
@@ -85,33 +86,20 @@ def test_child_stores_only_changed_instances():
 
 def test_deep_lineage_records_stay_complete():
     """However long the lineage, each record holds every instance's
-    digest and cycle, so the clean instance's fast path reads only the
-    parent record and every record resolves on its own."""
+    digest and cycle, so every record resolves on its own."""
     store = SnapshotStore()
     first = store.put(1, {"a": _state(0), "b": _state(0)},
                       {"a": 8, "b": 8})
     for i in range(2, 12):
         record = store.put(i, {"a": _state(i), "b": _state(0)},
-                           {"a": 8, "b": 8}, parent_id=i - 1,
-                           unchanged=("b",))
+                           {"a": 8, "b": 8})
         assert record.chunk_map["b"] == first.chunk_map["b"]
         assert set(record.cycle_map) == {"a", "b"}
-    assert store.stats.capture_skips == 10
     # One chunk per distinct state value (the first "a" and "b" are
     # identical → shared).
     assert store.stats.chunks == 11
     for i in range(2, 12):
         assert store.resolve(i) == {"a": _state(i), "b": _state(0)}
-
-
-def test_unchanged_fast_path_skips_hashing():
-    store = SnapshotStore()
-    states = {"a": _state(1), "b": _state(2)}
-    store.put(1, states, {"a": 8, "b": 8})
-    store.put(2, dict(states, a=_state(3)), {"a": 8, "b": 8},
-              parent_id=1, unchanged=("b",))
-    assert store.stats.capture_skips == 1
-    assert store.resolve(2)["b"] == _state(2)
 
 
 def test_cycle_only_movement_stores_no_new_chunks():
@@ -122,20 +110,18 @@ def test_cycle_only_movement_stores_no_new_chunks():
     s0 = {"cycle": 10, "nets": {"r": 5}, "memories": {}}
     s1 = {"cycle": 99, "nets": {"r": 5}, "memories": {}}  # idle, just later
     store.put(1, {"a": s0}, {"a": 8})
-    record = store.put(2, {"a": s1}, {"a": 8}, parent_id=1)
+    record = store.put(2, {"a": s1}, {"a": 8})
     assert record.stored_bits == 0  # same register content, shared chunk
     assert store.resolve(1)["a"]["cycle"] == 10
     assert store.resolve(2)["a"]["cycle"] == 99
     assert store.resolve(2)["a"]["nets"] == {"r": 5}
 
 
-def test_duplicate_and_unknown_parent_rejected():
+def test_duplicate_id_rejected():
     store = SnapshotStore()
     store.put(1, {"a": _state(0)}, {"a": 8})
     with pytest.raises(SnapshotError):
         store.put(1, {"a": _state(1)}, {"a": 8})
-    with pytest.raises(SnapshotError):
-        store.put(2, {"a": _state(1)}, {"a": 8}, parent_id=404)
 
 
 def test_resolve_returns_one_image_per_record():
@@ -143,7 +129,7 @@ def test_resolve_returns_one_image_per_record():
     an unknown record raises instead of resolving to anything."""
     store = SnapshotStore()
     store.put(1, {"a": _state(1)}, {"a": 8})
-    store.put(2, {"a": _state(2)}, {"a": 8}, parent_id=1)
+    store.put(2, {"a": _state(2)}, {"a": 8})
     image = store.resolve(2)
     assert image == {"a": _state(2)}
     assert store.resolve(2) is image
@@ -206,20 +192,6 @@ def test_untouched_hardware_dedups_to_zero_new_bits():
     assert second.record.chunk_map == first.record.chunk_map
 
 
-def test_out_of_band_capture_breaks_the_fast_path_safely():
-    target = SimulatorTarget()
-    target.add_peripheral(catalog.TIMER, BASE)
-    target.reset()
-    controller = SnapshotController(target)
-    controller.save()
-    # Behind the controller's back: snapshot, mutate, restore. The sim's
-    # state version ends up back where it was, so a naive dirty-set
-    # consumer would wrongly reuse the parent digest.
-    target.save_snapshot()
-    controller.save()  # must not trust the stale lineage
-    assert controller.store.stats.capture_skips == 0
-
-
 def test_incremental_criu_pricing():
     target = SimulatorTarget()
     target.add_peripheral(catalog.SHA256, BASE)
@@ -231,8 +203,8 @@ def test_incremental_criu_pricing():
     # Dirty-page tracking armed: the second dump streams the small
     # incremental image, not the whole process image.
     assert second.modelled_cost_s < first.modelled_cost_s
-    dirty_bits = sum(target.instances[name].state_bits
-                     for name in second.dirty)
+    dirty_bits = sum(instance.state_bits
+                     for instance in target.instances.values())
     assert second.modelled_cost_s == \
         pytest.approx(target.criu.incremental_checkpoint_s(dirty_bits))
     controller.reset()
@@ -311,6 +283,45 @@ def test_delta_chain_restore_is_bit_identical(kind):
         assert _frozen(_live_canonical(target)) == full_image
 
 
+def _bodies(states):
+    """The canonical state map without its cycle counters."""
+    return {name: {k: v for k, v in state.items() if k != "cycle"}
+            for name, state in _frozen(states).items()}
+
+
+@pytest.mark.parametrize("kind", ["simulator", "functional", "shift"])
+def test_out_of_band_save_and_restore_reach_the_next_record(kind,
+                                                            monkeypatch):
+    """Behind the controller's back: snapshot, mutate, restore. The
+    restore leaves every sim's state version moved and its capture
+    cache holding the out-of-band image, yet the controller's next
+    record resolves bit-identically to what the target captures."""
+    target = _make_target(kind)
+    controller = SnapshotController(target)
+    first = controller.save()
+    target.write(GPIO_OUT, 0x11)
+    target.write(TIMER_LOAD, 0x1234)
+    stale = target.save_snapshot()
+    stale_bodies = _bodies(stale.states)
+    target.write(GPIO_OUT, 0x22)
+    target.step(3)
+    target.restore_snapshot(stale)
+    captured = []
+    save_snapshot = target.save_snapshot
+
+    def raw_save():
+        raw = save_snapshot()
+        captured.append(_frozen(raw.states))
+        return raw
+    monkeypatch.setattr(target, "save_snapshot", raw_save)
+    record = controller.save().record
+    image = _frozen(controller.store.resolve(record.snapshot_id))
+    assert image == captured[0]
+    # The hardware holds the out-of-band image, not the first record's.
+    assert _bodies(image) == stale_bodies
+    assert _bodies(image) != _bodies(first.states)
+
+
 def test_store_backed_clone_is_cheap_and_identical():
     target = _make_target("functional")
     controller = SnapshotController(target)
@@ -335,7 +346,7 @@ def test_readback_capture_matches_scan_canonical_form():
             chunk_digest(readback.states[name])
     store = SnapshotStore()
     store.put(1, scan.states, _bits_of(scan.states))
-    store.put(2, readback.states, _bits_of(readback.states), parent_id=1)
+    store.put(2, readback.states, _bits_of(readback.states))
     assert store.record(2).stored_bits == 0
 
 

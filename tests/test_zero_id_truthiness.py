@@ -63,11 +63,6 @@ def test_store_id_zero_roundtrip():
     store.put(0, {"u0": {"nets": {"q": 1}, "cycle": 3}}, bits_of={"u0": 8})
     assert 0 in store
     assert store.resolve(0)["u0"]["nets"]["q"] == 1
-    # Record 0 is a parent like any other: its clean instance is taken
-    # over without re-hashing.
-    store.put(1, {"u0": {"nets": {"q": 1}, "cycle": 3}}, bits_of={"u0": 8},
-              parent_id=0, unchanged=("u0",))
-    assert store.stats.capture_skips == 1
 
 
 def test_controller_preserves_target_assigned_id_zero():
